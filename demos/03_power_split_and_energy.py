@@ -28,7 +28,7 @@ rs = RsConfig()
 for x_km in (10, 30, 50, 60):
     geom = ScenarioGeometry(D=60000.0, H=20000.0, x=x_km * 1000.0)
     alpha, cap = optimize_alpha(geom, radio, rs)
-    cap_half = rs_capacity(geom, radio, rs, alpha=0.5)
+    cap_half = rs_capacity(geom, radio, alpha=0.5)
     print(f"x = {x_km:2d} km: alpha_opt = {alpha:8.6f}, "
           f"C(alpha_opt) = {cap:5.3f} bps/Hz, C(0.5) = {cap_half:5.3f} "
           f"({100 * (1 - cap_half / cap):4.1f}% loss)")
@@ -37,7 +37,7 @@ for x_km in (10, 30, 50, 60):
 geom = ScenarioGeometry(D=60000.0, H=20000.0, x=60000.0)
 alpha, _ = optimize_alpha(geom, radio, rs)
 grid = np.linspace(1e-4, 1 - 1e-4, 9999)
-caps = [rs_capacity(geom, radio, rs, alpha=a) for a in grid]
+caps = [rs_capacity(geom, radio, alpha=a) for a in grid]
 print(f"\nbrute-force argmax at x = D: {grid[int(np.argmax(caps))]:.6f} "
       f"(optimizer said {alpha:.6f})")
 

@@ -34,14 +34,12 @@ from .modes import (
     Action,
     Mode,
     ModeConfigs,
-    ModeResult,
     RisConfig,
     RsConfig,
     SmbsConfig,
     energy_efficiency,
     mode_capacity_bps_hz,
     mode_payload_power_W,
-    mode_result,
     ris_capacity,
     ris_placement_roots,
     ris_snr_linear,
@@ -53,7 +51,6 @@ from .offload import (
     ComputeTask,
     computation_latency,
     offload_latency,
-    propagation_latency,
     transmission_latency,
 )
 from .optimizer import (

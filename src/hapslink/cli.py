@@ -15,6 +15,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .engine import (
+    OBJECTIVE_TOKENS,
     CacheState,
     EngineContext,
     Request,
@@ -23,10 +24,10 @@ from .engine import (
     decisions_to_csv,
     handle_request,
     load_trace,
+    parse_objective,
     replay_trace,
 )
 from .modes import Action, Mode
-from .optimizer import Objective, ObjectiveKind
 from .sweeps import sweep_capacity, sweep_ee, sweep_latency
 
 EXIT_OK = 0
@@ -67,10 +68,7 @@ def build_parser():
     )
     p.add_argument("--content-id", default=None)
     p.add_argument("--size-bits", type=float, default=None)
-    p.add_argument(
-        "--objective", default=None,
-        choices=["max_capacity", "max_energy_efficiency", "min_energy"],
-    )
+    p.add_argument("--objective", default=None, choices=list(OBJECTIVE_TOKENS))
     p.add_argument("--qos-bps", type=float, default=None)
     p.add_argument("--t", type=float, default=0.0)
 
@@ -134,25 +132,14 @@ def _run_sweep(args, fn):
 
 def _cmd_select(args):
     cfg = load_config(args.config)
-    objective = None
-    if args.objective:
-        line_kind = {
-            "max_capacity": ObjectiveKind.MAX_CAPACITY,
-            "max_energy_efficiency": ObjectiveKind.MAX_ENERGY_EFFICIENCY,
-            "min_energy": ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS,
-        }[args.objective]
-        if line_kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-            if args.qos_bps is None:
-                raise RequestError("min_energy needs --qos-bps")
-            objective = Objective(line_kind, args.qos_bps)
-        else:
-            objective = Objective(line_kind)
     req = Request(
         t=args.t,
         kind=RequestKind(args.kind),
         content_id=args.content_id,
         size_bits=args.size_bits,
-        objective=objective,
+        objective=(
+            parse_objective(args.objective, args.qos_bps) if args.objective else None
+        ),
         qos_min_bps=args.qos_bps,
     )
     ctx = EngineContext(

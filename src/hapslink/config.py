@@ -130,7 +130,7 @@ _KNOWN_KEYS = {
         "f", "B", "noise_figure", "P_gNB", "G_gNB", "P0_max", "G0_max",
         "G_RS", "G_H_rx", "scintillation_dB", "pressure_Pa", "temperature_C",
     },
-    "rs": {"alpha", "payload_power_W"},
+    "rs": {"payload_power_W"},
     "ris": {"N", "beta", "per_element_power_W", "N_list"},
     "smbs": {"F_H", "payload_power_W", "cache_capacity", "F_H_list"},
     "cloud": {"F_C"},
@@ -202,7 +202,6 @@ def load_config(path=None) -> ScenarioConfig:
             ),
         )
         rs = RsConfig(
-            alpha=_get(parser, "rs", "alpha", float, base.rs.alpha),
             payload_power_W=_get(
                 parser, "rs", "payload_power_W", float, base.rs.payload_power_W
             ),

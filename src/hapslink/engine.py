@@ -12,26 +12,21 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .modes import (
-    Action,
-    Mode,
-    ModeConfigs,
-    mode_capacity_bps_hz,
-    mode_payload_power_W,
-)
+from .modes import Action, Mode, ModeConfigs
 from .offload import (
     CloudConfig,
     ComputeTask,
-    offload_latency,
+    compute_rate,
     offload_path_m,
+    task_latency,
     transmission_latency,
 )
 from .optimizer import (
     ModeDecision,
     Objective,
     ObjectiveKind,
-    rs_capacity_alpha_opt,
-    select_mode_for_communication,
+    choose_payload,
+    payload_rows,
 )
 from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
 
@@ -124,10 +119,6 @@ class CacheState:
         self.popularity[content_id] = count
         return count
 
-    @property
-    def hit_candidates(self):
-        return tuple(self.entries.keys())
-
 
 # =====================================================================
 # Engine context
@@ -136,23 +127,29 @@ class CacheState:
 @dataclass(frozen=True)
 class EngineContext:
     """Everything handle_request needs besides the cache: where the
-    platform sits and how each payload performs there."""
+    platform sits and how each payload performs there. The payload rows
+    (mode, capacity_bps, payload_W) are computed once, at construction,
+    so no request re-runs the link budget."""
 
     geom: ScenarioGeometry
     radio: RadioParams
     configs: ModeConfigs
     cloud: CloudConfig = CloudConfig()
     cycles_per_bit: float = 4.0
+    rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = payload_rows(self.geom, self.radio, self.configs)
+        object.__setattr__(self, "rows", rows)  # frozen: set once here
+
+    def _row(self, mode: Mode):
+        return next(row for row in self.rows if row[0] is mode)
 
     def capacity_bps(self, mode: Mode):
-        if mode is Mode.RS:
-            c_hz = rs_capacity_alpha_opt(self.geom, self.radio, self.configs.rs)
-        else:
-            c_hz = mode_capacity_bps_hz(mode, self.geom, self.radio, self.configs)
-        return c_hz * self.radio.B
+        return self._row(mode)[1]
 
     def payload_power_W(self, mode: Mode):
-        return mode_payload_power_W(mode, self.configs)
+        return self._row(mode)[2]
 
     def path_m(self, mode: Mode):
         return offload_path_m(mode, self.geom)
@@ -165,8 +162,7 @@ def _airtime_fields(ctx: EngineContext, mode: Mode, size_bits):
     """(latency_s, energy_J) for moving size_bits via mode, or Nones."""
     if size_bits is None:
         return None, None
-    capacity = ctx.capacity_bps(mode)
-    airtime = transmission_latency(size_bits, capacity)
+    airtime = transmission_latency(size_bits, ctx.capacity_bps(mode))
     latency = propagation_delay_s(ctx.path_m(mode)) + airtime
     energy = ctx.payload_power_W(mode) * airtime
     return latency, energy
@@ -174,9 +170,18 @@ def _airtime_fields(ctx: EngineContext, mode: Mode, size_bits):
 
 def _choose_forwarder(ctx: EngineContext, objective: Objective):
     """Best of the two forwarding payloads under the request's objective."""
-    return select_mode_for_communication(
-        objective, ctx.geom, ctx.radio, ctx.configs, enabled=(Mode.RIS, Mode.RS)
-    )
+    return choose_payload(objective, [r for r in ctx.rows if r[0] is not Mode.SMBS])
+
+
+def _task_decision(ctx: EngineContext, mode: Mode, task: ComputeTask):
+    """Offload task through mode: latency is the objective value, energy
+    is payload power over the airtime."""
+    capacity = ctx.capacity_bps(mode)
+    rate = compute_rate(mode, ctx.configs, ctx.cloud)
+    latency = task_latency(ctx.path_m(mode), capacity, task, rate)
+    action = Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD
+    energy = ctx.payload_power_W(mode) * transmission_latency(task.size_bits, capacity)
+    return ModeDecision(mode, action, latency, latency_s=latency, energy_J=energy)
 
 
 # =====================================================================
@@ -193,9 +198,7 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
     objective = req.objective or _DEFAULT_OBJECTIVE
 
     if req.kind is RequestKind.COMMUNICATION:
-        decision = select_mode_for_communication(
-            objective, ctx.geom, ctx.radio, ctx.configs
-        )
+        decision = choose_payload(objective, ctx.rows)
         if decision.mode is not None:
             latency, energy = _airtime_fields(ctx, decision.mode, req.size_bits)
             decision = ModeDecision(
@@ -251,25 +254,14 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
 
 def _handle_task(req: Request, state: CacheState, ctx: EngineContext):
     task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
-    candidates = []
-    for mode in (Mode.SMBS, Mode.RIS, Mode.RS):
-        capacity = ctx.capacity_bps(mode)
-        if req.qos_min_bps is not None and capacity < req.qos_min_bps:
-            continue
-        latency = offload_latency(
-            mode, ctx.geom, ctx.radio, ctx.configs, task, ctx.cloud
-        )
-        candidates.append((latency, mode, capacity))
+    candidates = [
+        _task_decision(ctx, mode, task)
+        for mode in (Mode.SMBS, Mode.RIS, Mode.RS)
+        if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps
+    ]
     if not candidates:
         return ModeDecision(None, Action.INFEASIBLE, 0.0), state.copy()
-    latency, mode, capacity = min(candidates, key=lambda c: c[0])
-    action = Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD
-    airtime = transmission_latency(req.size_bits, capacity)
-    energy = ctx.payload_power_W(mode) * airtime
-    decision = ModeDecision(
-        mode, action, latency, latency_s=latency, energy_J=energy
-    )
-    return decision, state.copy()
+    return min(candidates, key=lambda d: d.latency_s), state.copy()
 
 
 # =====================================================================
@@ -295,17 +287,7 @@ def _forced_decision(req: Request, ctx: EngineContext, mode: Mode):
     # diagnostic path: serve everything through one payload, cache bypassed
     if req.kind is RequestKind.TASK_OFFLOADING:
         task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
-        latency = offload_latency(
-            mode, ctx.geom, ctx.radio, ctx.configs, task, ctx.cloud
-        )
-        action = (
-            Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD
-        )
-        airtime = transmission_latency(req.size_bits, ctx.capacity_bps(mode))
-        return ModeDecision(
-            mode, action, latency,
-            latency_s=latency, energy_J=ctx.payload_power_W(mode) * airtime,
-        )
+        return _task_decision(ctx, mode, task)
     if mode is Mode.SMBS:
         action = Action.SERVE_DIRECT
     elif req.kind is RequestKind.CACHING:
@@ -375,13 +357,25 @@ def replay_trace(
 # Trace text format
 # =====================================================================
 
-_OBJECTIVE_TOKENS = {
+OBJECTIVE_TOKENS = {
     "max_capacity": ObjectiveKind.MAX_CAPACITY,
     "max_energy_efficiency": ObjectiveKind.MAX_ENERGY_EFFICIENCY,
     "min_energy": ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS,
 }
 
 TRACE_COLUMNS = "t,kind,content_id,size_bits,objective,qos_bps"
+
+
+def parse_objective(token, qos_min_bps):
+    """Objective named by a trace or CLI token; min_energy needs a qos value."""
+    kind = OBJECTIVE_TOKENS.get(token)
+    if kind is None:
+        raise RequestError(f"unknown objective {token!r}")
+    if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
+        if qos_min_bps is None:
+            raise RequestError("min_energy needs a qos_bps value")
+        return Objective(kind, qos_min_bps)
+    return Objective(kind)
 
 
 def parse_trace_line(line, lineno=None):
@@ -418,26 +412,15 @@ def parse_trace_line(line, lineno=None):
             qos = float(qos_raw)
         except ValueError:
             raise RequestError(f"{where}bad qos_bps {qos_raw!r}") from None
-    objective = None
-    if obj_raw:
-        kind_obj = _OBJECTIVE_TOKENS.get(obj_raw)
-        if kind_obj is None:
-            raise RequestError(f"{where}unknown objective {obj_raw!r}")
-        if kind_obj is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-            if qos is None:
-                raise RequestError(f"{where}min_energy needs a qos_bps value")
-            objective = Objective(kind_obj, qos)
-        else:
-            objective = Objective(kind_obj)
-    req = Request(
-        t=t,
-        kind=kind,
-        content_id=content_id or None,
-        size_bits=size_bits,
-        objective=objective,
-        qos_min_bps=qos,
-    )
     try:
+        req = Request(
+            t=t,
+            kind=kind,
+            content_id=content_id or None,
+            size_bits=size_bits,
+            objective=parse_objective(obj_raw, qos) if obj_raw else None,
+            qos_min_bps=qos,
+        )
         validate_request(req)
     except RequestError as err:
         raise RequestError(f"{where}{err}") from None

@@ -7,7 +7,8 @@ backhaul:
   access hop and carries onboard compute plus a content cache.
 * RS: repetition-coded half-duplex decode-and-forward relay. The two hops
   share one power budget: hop 1 transmits with alpha * P0_max from the
-  gateway, hop 2 with (1 - alpha) * P0_max from the platform.
+  gateway, hop 2 with (1 - alpha) * P0_max from the platform. The relay
+  always runs at the split that equalizes the two hops.
 * RIS: a passive reflecting surface of N elements; the cascade SNR follows
   the coherent product-distance law (amplitude ~ N / (d1 * d2)).
 """
@@ -54,12 +55,9 @@ class Action(Enum):
 
 @dataclass(frozen=True)
 class RsConfig:
-    alpha: float = 0.5            # hop-1 share of the gateway power budget
     payload_power_W: float = 1000.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.payload_power_W <= 0:
             raise ValueError("relay payload power must be positive")
 
@@ -107,14 +105,6 @@ class ModeConfigs:
         return cls(rs=RsConfig(), ris=RisConfig(), smbs=SmbsConfig())
 
 
-@dataclass(frozen=True)
-class ModeResult:
-    capacity_bps_hz: float
-    capacity_bps: float
-    payload_power_W: float
-    energy_efficiency_bits_per_joule: float
-
-
 # =====================================================================
 # Relay (RS)
 # =====================================================================
@@ -131,18 +121,28 @@ def rs_hop_snrs_full_power(geom: ScenarioGeometry, radio: RadioParams):
     return link_snr_linear(hop1, radio), link_snr_linear(hop2, radio)
 
 
-def rs_capacity(geom, radio, rs: RsConfig, alpha=None):
+def rs_capacity(geom, radio, alpha):
     """Half-duplex decode-and-forward spectral efficiency in bps/Hz.
 
     C = 1/2 * min over hops of log2(1 + hop SNR), with the power split
     alpha / (1 - alpha) applied to the hop SNRs.
     """
-    a = rs.alpha if alpha is None else alpha
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {a}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
-    bottleneck = min(a * snr1, (1.0 - a) * snr2)
-    return 0.5 * math.log2(1.0 + bottleneck)
+    return 0.5 * math.log2(1.0 + min(alpha * snr1, (1.0 - alpha) * snr2))
+
+
+def rs_optimal_split(geom, radio):
+    """Best power split and the relay capacity it buys: (alpha, bps/Hz).
+
+    min(a * snr1, (1 - a) * snr2) peaks where the two terms meet, at
+    a* = snr2 / (snr1 + snr2), leaving C = 1/2 log2(1 + snr1 snr2 /
+    (snr1 + snr2)): the equal-SNR allocation of two-hop decode-and-forward.
+    """
+    snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
+    total = snr1 + snr2
+    return snr2 / total, 0.5 * math.log2(1.0 + snr1 * snr2 / total)
 
 
 # =====================================================================
@@ -244,23 +244,13 @@ def energy_efficiency(capacity_bps, payload_power_W):
 
 
 def mode_capacity_bps_hz(mode: Mode, geom, radio, configs: ModeConfigs):
-    """Uniform capacity entry point used by selection and sweeps."""
+    """What each payload delivers at this geometry, bps/Hz; the relay at
+    its optimal split. Selection, the engine, offloading and placement
+    all read capacity here."""
     if mode is Mode.RS:
-        return rs_capacity(geom, radio, configs.rs)
+        return rs_optimal_split(geom, radio)[1]
     if mode is Mode.RIS:
         return ris_capacity(geom, radio, configs.ris)
     if mode is Mode.SMBS:
         return smbs_access_capacity(geom, radio)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def mode_result(mode: Mode, geom, radio, configs: ModeConfigs) -> ModeResult:
-    c_hz = mode_capacity_bps_hz(mode, geom, radio, configs)
-    power = mode_payload_power_W(mode, configs)
-    c_bps = c_hz * radio.B
-    return ModeResult(
-        capacity_bps_hz=c_hz,
-        capacity_bps=c_bps,
-        payload_power_W=power,
-        energy_efficiency_bits_per_joule=energy_efficiency(c_bps, power),
-    )

@@ -50,16 +50,26 @@ def transmission_latency(size_bits, capacity_bps):
     return size_bits / capacity_bps
 
 
-def propagation_latency(path_m):
-    """One-way speed-of-light delay over path_m metres."""
-    return propagation_delay_s(path_m)
-
-
 def offload_path_m(mode: Mode, geom: ScenarioGeometry):
     """Distance the task travels: access hop only for SMBS, both hops otherwise."""
     if mode is Mode.SMBS:
         return geom.d_gnb
     return geom.d_gnb + geom.d_gateway
+
+
+def compute_rate(mode: Mode, configs: ModeConfigs, cloud: CloudConfig):
+    """Cycles/s where the task runs: onboard for SMBS, the cloud otherwise."""
+    return configs.smbs.F_H if mode is Mode.SMBS else cloud.F_C
+
+
+def task_latency(path_m, capacity_bps, task: ComputeTask, rate):
+    """Propagation over path_m, transmission at capacity_bps, computation
+    at rate cycles/s: the one place the latency terms are summed."""
+    return (
+        propagation_delay_s(path_m)
+        + transmission_latency(task.size_bits, capacity_bps)
+        + computation_latency(task, rate)
+    )
 
 
 def offload_latency(
@@ -72,9 +82,7 @@ def offload_latency(
 ):
     """End-to-end offload latency in seconds, affine in the task size."""
     capacity_bps = mode_capacity_bps_hz(mode, geom, radio, configs) * radio.B
-    compute_rate = configs.smbs.F_H if mode is Mode.SMBS else cloud.F_C
-    return (
-        propagation_latency(offload_path_m(mode, geom))
-        + transmission_latency(task.size_bits, capacity_bps)
-        + computation_latency(task, compute_rate)
+    return task_latency(
+        offload_path_m(mode, geom), capacity_bps, task,
+        compute_rate(mode, configs, cloud),
     )

@@ -1,9 +1,9 @@
-"""One-dimensional searches and objective-driven mode selection.
+"""Power split, platform placement and objective-driven mode selection.
 
-The two tuned knobs are the relay power split alpha and the platform
-placement x. Both capacity profiles are unimodal on their search
-intervals (the reflected path is bimodal in x, which the grid-then-refine
-scheme handles), so a plain golden-section search is enough.
+The relay power split alpha has a closed form (see optimize_alpha), so
+no search runs for it. The platform placement x does need a search: a
+grid over the corridor guards against the reflected path's two peaks,
+and golden section then refines the single peak inside the winning cell.
 """
 
 import math
@@ -17,11 +17,8 @@ from .modes import (
     ModeConfigs,
     mode_capacity_bps_hz,
     mode_payload_power_W,
-    ris_capacity,
     ris_placement_roots,
-    rs_capacity,
-    rs_hop_snrs_full_power,
-    smbs_access_capacity,
+    rs_optimal_split,
 )
 from .propagation import RadioParams, ScenarioGeometry
 
@@ -104,28 +101,15 @@ def golden_section_max(fn, lo, hi, tol):
 # Power split
 # =====================================================================
 
-ALPHA_TOL = 1e-5
-
-
 def optimize_alpha(geom: ScenarioGeometry, radio: RadioParams, rs):
     """Best relay power split for this geometry; returns (alpha_opt, capacity).
 
-    The bottleneck min(alpha * snr1, (1 - alpha) * snr2) is piecewise
-    monotone with a single crest, so golden section on (0, 1) converges.
+    Exact, not searched: the bottleneck min(alpha * snr1, (1 - alpha) *
+    snr2) crests where the weighted hops are equal, alpha = snr2 / (snr1 +
+    snr2). The split does not depend on the relay config rs, which is
+    accepted for call compatibility.
     """
-    snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
-
-    def cap(a):
-        return 0.5 * math.log2(1.0 + min(a * snr1, (1.0 - a) * snr2))
-
-    eps = 1e-9  # stay strictly inside (0, 1)
-    alpha, value, _ = golden_section_max(cap, eps, 1.0 - eps, ALPHA_TOL)
-    return alpha, value
-
-
-def rs_capacity_alpha_opt(geom, radio, rs):
-    """Relay capacity with the per-geometry optimal split."""
-    return optimize_alpha(geom, radio, rs)[1]
+    return rs_optimal_split(geom, radio)
 
 
 # =====================================================================
@@ -160,8 +144,6 @@ def optimize_placement_numeric(
 
     def objective(x):
         geom = ScenarioGeometry(D=D, H=H, x=x)
-        if mode is Mode.RS:
-            return rs_capacity_alpha_opt(geom, radio, configs.rs)
         return mode_capacity_bps_hz(mode, geom, radio, configs)
 
     n_cells = max(1, math.ceil(D / grid_step))
@@ -181,15 +163,15 @@ def optimize_placement_numeric(
 # Mode selection for a communication demand
 # =====================================================================
 
-def _mode_metrics(geom, radio, configs, enabled):
-    for mode in _PASSIVE_ORDER:
-        if mode not in enabled:
-            continue
-        if mode is Mode.RS:
-            capacity_hz = rs_capacity_alpha_opt(geom, radio, configs.rs)
-        else:
-            capacity_hz = mode_capacity_bps_hz(mode, geom, radio, configs)
-        yield mode, capacity_hz * radio.B, mode_payload_power_W(mode, configs)
+def payload_rows(geom, radio, configs, enabled=_PASSIVE_ORDER):
+    """(mode, capacity_bps, payload_W) per enabled payload, most passive first."""
+    return tuple(
+        (mode,
+         mode_capacity_bps_hz(mode, geom, radio, configs) * radio.B,
+         mode_payload_power_W(mode, configs))
+        for mode in _PASSIVE_ORDER
+        if mode in enabled
+    )
 
 
 def _action_for(mode: Mode) -> Action:
@@ -208,17 +190,21 @@ def select_mode_for_communication(
     enabled = tuple(enabled)
     if not enabled:
         raise ValueError("at least one mode must be enabled")
-    metrics = list(_mode_metrics(geom, radio, configs, enabled))
+    return choose_payload(objective, payload_rows(geom, radio, configs, enabled))
 
+
+def choose_payload(objective: Objective, rows) -> ModeDecision:
+    """Best of payload_rows-style rows under the objective; ties fall to
+    the earlier (more passive) row."""
     kind = objective.kind
     if kind is ObjectiveKind.MAX_CAPACITY:
-        mode, capacity, _ = max(metrics, key=lambda m: m[1])
+        mode, capacity, _ = max(rows, key=lambda m: m[1])
         return ModeDecision(mode, _action_for(mode), capacity)
     if kind is ObjectiveKind.MAX_ENERGY_EFFICIENCY:
-        mode, capacity, power = max(metrics, key=lambda m: m[1] / m[2])
+        mode, capacity, power = max(rows, key=lambda m: m[1] / m[2])
         return ModeDecision(mode, _action_for(mode), capacity / power)
     if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-        feasible = [m for m in metrics if m[1] >= objective.qos_min_bps]
+        feasible = [m for m in rows if m[1] >= objective.qos_min_bps]
         if not feasible:
             return ModeDecision(None, Action.INFEASIBLE, 0.0)
         mode, _, power = min(feasible, key=lambda m: m[2])

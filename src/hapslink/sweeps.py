@@ -6,19 +6,18 @@ handful of scalar observations (spreads, degradations, crossovers) that
 the CLI reports alongside the CSV.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import ScenarioConfig
+from .engine import _fmt
 from .modes import (
     Mode,
-    ModeConfigs,
-    RisConfig,
-    SmbsConfig,
     energy_efficiency,
+    mode_capacity_bps_hz,
     ris_capacity,
     rs_capacity,
 )
-from .offload import ComputeTask, offload_latency
+from .offload import ComputeTask, offload_path_m, task_latency
 from .optimizer import (
     optimal_ris_positions,
     optimize_alpha,
@@ -44,13 +43,13 @@ class SweepResult:
         return [row[idx] for row in self.rows]
 
 
-def _fmt(value):
-    # 9 significant digits, scientific; keeps golden files platform-stable
-    return f"{value:.8e}"
-
-
 def _geom_at(cfg: ScenarioConfig, x):
     return ScenarioGeometry(D=cfg.geom.D, H=cfg.geom.H, x=x)
+
+
+def _ris_variants(cfg: ScenarioConfig):
+    """The configured surface with each swept element count."""
+    return [replace(cfg.ris, N=n) for n in cfg.ris_N_list]
 
 
 # =====================================================================
@@ -62,22 +61,13 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     spec = cfg.sweep_for("x", step)
     header = ["x_m", "rs_alpha05_bps_hz", "rs_alpha_opt_bps_hz", "alpha_opt"]
     header += [f"ris_N{n}_bps_hz" for n in cfg.ris_N_list]
+    surfaces = _ris_variants(cfg)
     rows = []
     for x in spec.grid():
         geom = _geom_at(cfg, x)
         alpha_opt, cap_opt = optimize_alpha(geom, cfg.radio, cfg.rs)
-        row = [
-            x,
-            rs_capacity(geom, cfg.radio, cfg.rs, alpha=0.5),
-            cap_opt,
-            alpha_opt,
-        ]
-        for n in cfg.ris_N_list:
-            ris = RisConfig(
-                N=n, beta=cfg.ris.beta,
-                per_element_power_W=cfg.ris.per_element_power_W,
-            )
-            row.append(ris_capacity(geom, cfg.radio, ris))
+        row = [x, rs_capacity(geom, cfg.radio, alpha=0.5), cap_opt, alpha_opt]
+        row += [ris_capacity(geom, cfg.radio, ris) for ris in surfaces]
         rows.append(tuple(row))
 
     cap05 = [r[1] for r in rows]
@@ -103,6 +93,7 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     spec = cfg.sweep_for("x", step)
     header = ["x_m", "ee_rs_alpha05_bits_per_J", "ee_rs_alpha_opt_bits_per_J"]
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
+    surfaces = _ris_variants(cfg)
     rows = []
     for x in spec.grid():
         geom = _geom_at(cfg, x)
@@ -110,18 +101,15 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
         row = [
             x,
             energy_efficiency(
-                rs_capacity(geom, cfg.radio, cfg.rs, alpha=0.5) * cfg.radio.B,
+                rs_capacity(geom, cfg.radio, alpha=0.5) * cfg.radio.B,
                 cfg.rs.payload_power_W,
             ),
             energy_efficiency(cap_opt * cfg.radio.B, cfg.rs.payload_power_W),
         ]
-        for n in cfg.ris_N_list:
-            ris = RisConfig(
-                N=n, beta=cfg.ris.beta,
-                per_element_power_W=cfg.ris.per_element_power_W,
-            )
+        for ris in surfaces:
             cap = ris_capacity(geom, cfg.radio, ris)
-            row.append(energy_efficiency(cap * cfg.radio.B, n * ris.per_element_power_W))
+            power = ris.N * ris.per_element_power_W
+            row.append(energy_efficiency(cap * cfg.radio.B, power))
         rows.append(tuple(row))
 
     notes = {}
@@ -149,6 +137,11 @@ def latency_sweep_placements(cfg: ScenarioConfig):
     return smbs_geom, rs_geom, ris_geom
 
 
+def _latency_leg(cfg: ScenarioConfig, mode, geom, rate):
+    capacity = mode_capacity_bps_hz(mode, geom, cfg.radio, cfg.configs) * cfg.radio.B
+    return offload_path_m(mode, geom), capacity, rate
+
+
 def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     """Offload latency over task size, one column per compute placement."""
     spec = cfg.sweep_for("S", step)
@@ -158,33 +151,14 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += [f"smbs_FH{fh / 1e9:g}GHz_s" for fh in cfg.smbs_F_H_list]
     header += ["rs_s", "ris_s"]
 
-    smbs_variants = [
-        SmbsConfig(
-            F_H=fh,
-            payload_power_W=cfg.smbs.payload_power_W,
-            cache_capacity=cfg.smbs.cache_capacity,
-        )
-        for fh in cfg.smbs_F_H_list
-    ]
+    # (path_m, capacity_bps, compute rate) per column; only S varies by row
+    legs = [_latency_leg(cfg, Mode.SMBS, smbs_geom, fh) for fh in cfg.smbs_F_H_list]
+    legs.append(_latency_leg(cfg, Mode.RS, rs_geom, cfg.cloud.F_C))
+    legs.append(_latency_leg(cfg, Mode.RIS, ris_geom, cfg.cloud.F_C))
     rows = []
     for s in spec.grid():
         task = ComputeTask(s, cfg.cycles_per_bit)
-        row = [s]
-        for smbs in smbs_variants:
-            configs = ModeConfigs(rs=cfg.rs, ris=cfg.ris, smbs=smbs)
-            row.append(
-                offload_latency(Mode.SMBS, smbs_geom, cfg.radio, configs,
-                                task, cfg.cloud)
-            )
-        row.append(
-            offload_latency(Mode.RS, rs_geom, cfg.radio, cfg.configs,
-                            task, cfg.cloud)
-        )
-        row.append(
-            offload_latency(Mode.RIS, ris_geom, cfg.radio, cfg.configs,
-                            task, cfg.cloud)
-        )
-        rows.append(tuple(row))
+        rows.append((s, *(task_latency(p, c, task, rate) for p, c, rate in legs)))
 
     notes = {}
     n_fh = len(cfg.smbs_F_H_list)

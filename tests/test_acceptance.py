@@ -30,6 +30,7 @@ from hapslink import (
     handle_request,
     load_config,
     load_trace,
+    mode_capacity_bps_hz,
     optimize_alpha,
     optimize_placement_numeric,
     replay_trace,
@@ -42,7 +43,6 @@ from hapslink import (
     sweep_latency,
 )
 from hapslink.modes import RisConfig, rs_hop_snrs_full_power
-from hapslink.optimizer import rs_capacity_alpha_opt
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_TRACE = os.path.join(DATA_DIR, "golden_trace.txt")
@@ -114,7 +114,8 @@ def test_criterion_02_rs_placement_at_gnb():
     with timed("c2"):
         xs = [i * step for i in range(int(cfg.geom.D / step) + 1)]
         caps = [
-            rs_capacity_alpha_opt(geom_at(cfg, x), cfg.radio, cfg.rs) for x in xs
+            mode_capacity_bps_hz(Mode.RS, geom_at(cfg, x), cfg.radio, cfg.configs)
+            for x in xs
         ]
         best = max(range(len(xs)), key=lambda i: caps[i])
     assert abs(xs[best] - cfg.geom.D) <= step

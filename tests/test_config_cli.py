@@ -240,6 +240,13 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_rs_alpha_key_rejected(tmp_path, capsys):
+    # no split to set: the relay always runs at its optimal split
+    cfg_path = write_config(tmp_path, "[rs]\nalpha = 0.5\n")
+    assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
+    assert "'alpha'" in capsys.readouterr().err
+
+
 def test_cli_gnuplot_needs_out(tmp_path, capsys):
     assert main(["sweep-capacity", "--emit-gnuplot"]) == EXIT_INVALID
     out = str(tmp_path / "cap.csv")

@@ -292,6 +292,18 @@ def test_forced_mode_bypasses_cache(ctx):
     assert result.summary.cache_hit_rate == 0.0
 
 
+def test_forced_task_uses_the_selection_path(ctx):
+    req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=1e6)
+    chosen, _ = handle_request(req, fresh_state(), ctx)
+    task = ComputeTask(1e6, ctx.cycles_per_bit)
+    for mode in Mode:
+        forced = replay_trace([req], fresh_state(), ctx, force_mode=mode).decisions[0]
+        oracle = offload_latency(mode, ctx.geom, ctx.radio, ctx.configs, task, ctx.cloud)
+        assert forced.latency_s == pytest.approx(oracle, rel=1e-12)
+        if mode is chosen.mode:
+            assert forced == chosen
+
+
 def test_forced_surface_cheaper_than_forced_relay(ctx):
     # same bits, less power, more capacity: the passive payload must win
     reqs = [content(float(i), f"c{i}", size=5e6) for i in range(6)]

@@ -8,13 +8,10 @@ from hapslink import (
     ModeConfigs,
     RadioParams,
     RisConfig,
-    RsConfig,
     ScenarioGeometry,
     SmbsConfig,
     energy_efficiency,
-    mode_capacity_bps_hz,
     mode_payload_power_W,
-    mode_result,
     ris_capacity,
     ris_placement_roots,
     ris_snr_linear,
@@ -30,13 +27,6 @@ from conftest import geom_at
 # ---------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------
-
-def test_rs_config_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        RsConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        RsConfig(alpha=1.0)
-
 
 def test_ris_config_rejects_bad_values():
     with pytest.raises(ValueError):
@@ -66,14 +56,14 @@ def test_rs_symmetric_geometry_balances(radio):
     geom = geom_at(30000.0)
     snr1, snr2 = rs_hop_snrs_full_power(geom, sym_radio)
     assert snr1 == pytest.approx(snr2, rel=1e-12)
-    cap = rs_capacity(geom, sym_radio, RsConfig(alpha=0.5))
+    cap = rs_capacity(geom, sym_radio, alpha=0.5)
     assert cap == pytest.approx(0.5 * math.log2(1 + 0.5 * snr1), rel=1e-12)
 
 
 def test_rs_capacity_vanishes_as_alpha_vanishes(radio, configs):
     geom = geom_at(30000.0)
     caps = [
-        rs_capacity(geom, radio, configs.rs, alpha=a)
+        rs_capacity(geom, radio, alpha=a)
         for a in (1e-3, 1e-6, 1e-9, 1e-12)
     ]
     assert all(c2 < c1 for c1, c2 in zip(caps, caps[1:]))
@@ -81,15 +71,15 @@ def test_rs_capacity_vanishes_as_alpha_vanishes(radio, configs):
 
 
 def test_rs_capacity_alpha05_frozen(radio, configs):
-    got = rs_capacity(geom_at(30000.0), radio, configs.rs, alpha=0.5)
+    got = rs_capacity(geom_at(30000.0), radio, alpha=0.5)
     assert got == pytest.approx(4.259291804624754, rel=1e-12)
 
 
 def test_rs_rejects_alpha_out_of_range(radio, configs):
     with pytest.raises(ValueError):
-        rs_capacity(geom_at(30000.0), radio, configs.rs, alpha=0.0)
+        rs_capacity(geom_at(30000.0), radio, alpha=0.0)
     with pytest.raises(ValueError):
-        rs_capacity(geom_at(30000.0), radio, configs.rs, alpha=1.2)
+        rs_capacity(geom_at(30000.0), radio, alpha=1.2)
 
 
 @given(alpha=st.floats(min_value=1e-6, max_value=1 - 1e-6))
@@ -98,7 +88,7 @@ def test_rs_min_structure(alpha):
     radio = RadioParams()
     geom = geom_at(25000.0)
     snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
-    cap = rs_capacity(geom, radio, RsConfig(), alpha=alpha)
+    cap = rs_capacity(geom, radio, alpha=alpha)
     assert cap <= 0.5 * math.log2(1 + alpha * snr1) + 1e-12
     assert cap <= 0.5 * math.log2(1 + (1 - alpha) * snr2) + 1e-12
 
@@ -107,7 +97,7 @@ def test_rs_unimodal_in_alpha(radio, configs):
     # discrete slope changes sign exactly once over a fine alpha grid
     geom = geom_at(40000.0)
     alphas = [i / 2000 for i in range(1, 2000)]
-    caps = [rs_capacity(geom, radio, configs.rs, alpha=a) for a in alphas]
+    caps = [rs_capacity(geom, radio, alpha=a) for a in alphas]
     diffs = [b - a for a, b in zip(caps, caps[1:])]
     sign_changes = sum(
         1 for d1, d2 in zip(diffs, diffs[1:]) if (d1 > 0) != (d2 > 0)
@@ -224,18 +214,3 @@ def test_energy_efficiency_arithmetic():
     assert energy_efficiency(0.0, 10.0) == 0.0
     with pytest.raises(ValueError):
         energy_efficiency(1000.0, 0.0)
-
-
-def test_mode_result_consistency(radio, configs):
-    geom = geom_at(30000.0)
-    for mode in Mode:
-        res = mode_result(mode, geom, radio, configs)
-        assert res.capacity_bps == pytest.approx(
-            res.capacity_bps_hz * radio.B, rel=1e-12
-        )
-        assert res.energy_efficiency_bits_per_joule == pytest.approx(
-            res.capacity_bps / res.payload_power_W, rel=1e-12
-        )
-        assert res.capacity_bps_hz == pytest.approx(
-            mode_capacity_bps_hz(mode, geom, radio, configs), rel=1e-12
-        )

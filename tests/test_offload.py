@@ -4,13 +4,14 @@ from hypothesis import given, strategies as st
 from hapslink import (
     CloudConfig,
     ComputeTask,
+    EngineContext,
     Mode,
     ModeConfigs,
     RadioParams,
     SmbsConfig,
     computation_latency,
     offload_latency,
-    propagation_latency,
+    propagation_delay_s,
     transmission_latency,
 )
 from hapslink.offload import offload_path_m
@@ -47,9 +48,9 @@ def test_transmission_latency_values():
 
 
 def test_propagation_latency_values():
-    assert propagation_latency(20000.0) == pytest.approx(20000 / 2.998e8, rel=1e-12)
-    assert propagation_latency(20000.0) == pytest.approx(66.7e-6, abs=1e-7)
-    assert propagation_latency(0.0) == 0.0
+    assert propagation_delay_s(20000.0) == pytest.approx(20000 / 2.998e8, rel=1e-12)
+    assert propagation_delay_s(20000.0) == pytest.approx(66.7e-6, abs=1e-7)
+    assert propagation_delay_s(0.0) == 0.0
 
 
 def test_offload_paths_triangle(radio):
@@ -66,7 +67,7 @@ def test_offload_zero_size_is_pure_propagation(radio, configs, cloud):
     for mode in Mode:
         got = offload_latency(mode, geom, radio, configs, task, cloud)
         assert got == pytest.approx(
-            propagation_latency(offload_path_m(mode, geom)), rel=1e-12
+            propagation_delay_s(offload_path_m(mode, geom)), rel=1e-12
         )
     smbs = offload_latency(Mode.SMBS, geom, radio, configs, task, cloud)
     assert smbs < offload_latency(Mode.RS, geom, radio, configs, task, cloud)
@@ -98,6 +99,17 @@ def test_offload_slope_matches_components(radio, configs, cloud):
         assert slope == pytest.approx(tx_slope + 4.0 / rate, rel=1e-12)
 
 
+def test_offload_rs_slope_uses_the_engine_capacity(radio, configs, cloud):
+    # offloading and the engine read the same relay capacity law
+    ctx = EngineContext(geom=geom_at(30000.0), radio=radio, configs=configs, cloud=cloud)
+    s = 1e6
+    l0 = offload_latency(Mode.RS, ctx.geom, radio, configs, ComputeTask(0.0), cloud)
+    task = ComputeTask(s, ctx.cycles_per_bit)
+    l1 = offload_latency(Mode.RS, ctx.geom, radio, configs, task, cloud)
+    expected = 1.0 / ctx.capacity_bps(Mode.RS) + ctx.cycles_per_bit / cloud.F_C
+    assert (l1 - l0) / s == pytest.approx(expected, rel=1e-12)
+
+
 def _capacity_bps(mode, geom, radio, configs):
     from hapslink import mode_capacity_bps_hz
 
@@ -125,7 +137,7 @@ def test_smbs_dominates_when_faster_everywhere(radio, cloud):
 def test_latency_never_below_propagation(radio, configs, cloud):
     geom = geom_at(42000.0)
     for mode in Mode:
-        floor = propagation_latency(offload_path_m(mode, geom))
+        floor = propagation_delay_s(offload_path_m(mode, geom))
         for s in (0.0, 123.0, 9e5):
             got = offload_latency(mode, geom, radio, configs, ComputeTask(s), cloud)
             assert got >= floor
