@@ -7,13 +7,14 @@ keys are rejected with the offending name, not ignored.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
-from .propagation import RadioParams, ScenarioGeometry
+from .propagation import DRY_AIR_F_MAX_HZ, DRY_AIR_F_MIN_HZ, RadioParams, ScenarioGeometry
 
 ENV_CONFIG_VAR = "HAPSLINK_CONFIG"
 
@@ -107,9 +108,13 @@ def _get(parser, section, key, cast, current):
         return current
     raw = parser.get(section, key)
     try:
-        return cast(raw)
-    except (ValueError, TypeError):
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+        value = cast(raw)
+        values = value if isinstance(value, tuple) else (value,)
+        if all(math.isfinite(v) for v in values):
+            return value
+    except (ValueError, TypeError, OverflowError):  # int() of inf overflows
+        pass
+    raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a finite number")
 
 
 def _int(raw):
@@ -228,6 +233,11 @@ def load_config(path=None) -> ScenarioConfig:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(str(err)) from None
+    if not DRY_AIR_F_MIN_HZ <= radio.f <= DRY_AIR_F_MAX_HZ:
+        raise ConfigError(
+            f"[radio] f = {radio.f:g} Hz is outside the dry-air model window "
+            f"[{DRY_AIR_F_MIN_HZ:.0e}, {DRY_AIR_F_MAX_HZ:.0e}] Hz"
+        )
 
     ris_N_list = _get(parser, "ris", "N_list", _int_list, base.ris_N_list)
     smbs_F_H_list = _get(parser, "smbs", "F_H_list", _float_list, base.smbs_F_H_list)
@@ -256,6 +266,14 @@ def load_config(path=None) -> ScenarioConfig:
             stop=_get(parser, "sweep", "stop", float, 0.0),
             step=_get(parser, "sweep", "step", float, 1.0),
         )
+        # offsets stay inside the corridor; task sizes cannot be negative
+        upper = geom.D if sweep.variable == "x" else math.inf
+        for key, value in (("start", sweep.start), ("stop", sweep.stop)):
+            if not 0 <= value <= upper:
+                raise ConfigError(
+                    f"[sweep] {key} = {value:g} is outside [0, {upper:g}] "
+                    f"for variable {sweep.variable}"
+                )
 
     output_path = None
     if parser.has_option("output", "path"):

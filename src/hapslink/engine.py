@@ -7,6 +7,7 @@ popularity-counting LRU cache; processing a trace is a deterministic
 fold of handle_request over the requests.
 """
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -61,6 +62,10 @@ def validate_request(req: Request):
         raise RequestError(f"{req.kind.value} request needs a content_id")
     if not needs_content and req.content_id:
         raise RequestError(f"{req.kind.value} request must not carry a content_id")
+    for name in ("t", "size_bits", "qos_min_bps"):
+        value = getattr(req, name)
+        if value is not None and not math.isfinite(value):
+            raise RequestError(f"{name} must be finite, got {value}")
     if req.kind is RequestKind.TASK_OFFLOADING:
         if req.size_bits is None:
             raise RequestError("task_offloading request needs size_bits")
@@ -158,14 +163,15 @@ class EngineContext:
 _DEFAULT_OBJECTIVE = Objective(ObjectiveKind.MAX_CAPACITY)
 
 
-def _airtime_fields(ctx: EngineContext, mode: Mode, size_bits):
-    """(latency_s, energy_J) for moving size_bits via mode, or Nones."""
+def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_bits):
+    """Decision to move size_bits via mode; latency and energy stay None
+    when no size is given."""
     if size_bits is None:
-        return None, None
+        return ModeDecision(mode, action, value)
     airtime = transmission_latency(size_bits, ctx.capacity_bps(mode))
     latency = propagation_delay_s(ctx.path_m(mode)) + airtime
     energy = ctx.payload_power_W(mode) * airtime
-    return latency, energy
+    return ModeDecision(mode, action, value, latency_s=latency, energy_J=energy)
 
 
 def _choose_forwarder(ctx: EngineContext, objective: Objective):
@@ -189,79 +195,53 @@ def _task_decision(ctx: EngineContext, mode: Mode, task: ComputeTask):
 # =====================================================================
 
 def handle_request(req: Request, state: CacheState, ctx: EngineContext):
-    """Process one request; returns (decision, new state).
+    """Process one request; returns (decision, state), the same state object.
 
-    The input state is never mutated: errors leave it untouched and
-    successful handling returns an updated copy.
+    The state is updated in place. Validation runs before any mutation, so
+    a rejected request leaves it untouched, and so does an infeasible one.
     """
     validate_request(req)
     objective = req.objective or _DEFAULT_OBJECTIVE
 
     if req.kind is RequestKind.COMMUNICATION:
-        decision = choose_payload(objective, ctx.rows)
-        if decision.mode is not None:
-            latency, energy = _airtime_fields(ctx, decision.mode, req.size_bits)
-            decision = ModeDecision(
-                decision.mode, decision.action, decision.objective_value,
-                latency_s=latency, energy_J=energy,
-            )
-        return decision, state.copy()
-
-    if req.kind is RequestKind.CONTENT_DELIVERY:
-        new_state = state.copy()
-        count = new_state.bump_popularity(req.content_id)
-        if new_state.contains(req.content_id):
-            new_state.touch(req.content_id)
-            latency, energy = _airtime_fields(ctx, Mode.SMBS, req.size_bits)
-            decision = ModeDecision(
-                Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS),
-                latency_s=latency, energy_J=energy,
-            )
-            return decision, new_state
-        forward = _choose_forwarder(ctx, objective)
-        if forward.mode is None:  # no forwarder satisfies the constraint
-            return forward, state.copy()
-        action = Action.FORWARD_VIA_GATEWAY
-        if count >= new_state.popularity_threshold:
-            new_state.insert(req.content_id)
-            action = Action.FORWARD_AND_CACHE
-        latency, energy = _airtime_fields(ctx, forward.mode, req.size_bits)
-        decision = ModeDecision(
-            forward.mode, action, forward.objective_value,
-            latency_s=latency, energy_J=energy,
-        )
-        return decision, new_state
-
-    if req.kind is RequestKind.CACHING:
-        new_state = state.copy()
-        new_state.bump_popularity(req.content_id)
-        forward = _choose_forwarder(ctx, objective)
-        if forward.mode is None:
-            return forward, state.copy()
-        new_state.insert(req.content_id)
-        latency, energy = _airtime_fields(ctx, forward.mode, req.size_bits)
-        decision = ModeDecision(
-            forward.mode, Action.FORWARD_AND_CACHE, forward.objective_value,
-            latency_s=latency, energy_J=energy,
-        )
-        return decision, new_state
+        chosen = choose_payload(objective, ctx.rows)
+        if chosen.mode is None:
+            return chosen, state
+        return _sized_decision(
+            ctx, chosen.mode, chosen.action, chosen.objective_value, req.size_bits
+        ), state
 
     if req.kind is RequestKind.TASK_OFFLOADING:
-        return _handle_task(req, state, ctx)
+        task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
+        candidates = [
+            _task_decision(ctx, mode, task)
+            for mode in (Mode.SMBS, Mode.RIS, Mode.RS)
+            if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps
+        ]
+        if not candidates:
+            return ModeDecision(None, Action.INFEASIBLE, 0.0), state
+        return min(candidates, key=lambda d: d.latency_s), state
 
-    raise RequestError(f"unhandled request kind {req.kind!r}")
-
-
-def _handle_task(req: Request, state: CacheState, ctx: EngineContext):
-    task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
-    candidates = [
-        _task_decision(ctx, mode, task)
-        for mode in (Mode.SMBS, Mode.RIS, Mode.RS)
-        if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps
-    ]
-    if not candidates:
-        return ModeDecision(None, Action.INFEASIBLE, 0.0), state.copy()
-    return min(candidates, key=lambda d: d.latency_s), state.copy()
+    # content delivery or caching
+    cid = req.content_id
+    if req.kind is RequestKind.CONTENT_DELIVERY and state.contains(cid):
+        state.bump_popularity(cid)
+        state.touch(cid)
+        return _sized_decision(
+            ctx, Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS),
+            req.size_bits,
+        ), state
+    forward = _choose_forwarder(ctx, objective)
+    if forward.mode is None:  # no forwarder satisfies the constraint
+        return forward, state
+    count = state.bump_popularity(cid)
+    action = Action.FORWARD_VIA_GATEWAY
+    if req.kind is RequestKind.CACHING or count >= state.popularity_threshold:
+        state.insert(cid)
+        action = Action.FORWARD_AND_CACHE
+    return _sized_decision(
+        ctx, forward.mode, action, forward.objective_value, req.size_bits
+    ), state
 
 
 # =====================================================================
@@ -294,10 +274,7 @@ def _forced_decision(req: Request, ctx: EngineContext, mode: Mode):
         action = Action.FORWARD_AND_CACHE
     else:
         action = Action.FORWARD_VIA_GATEWAY
-    latency, energy = _airtime_fields(ctx, mode, req.size_bits)
-    return ModeDecision(
-        mode, action, ctx.capacity_bps(mode), latency_s=latency, energy_J=energy
-    )
+    return _sized_decision(ctx, mode, action, ctx.capacity_bps(mode), req.size_bits)
 
 
 def replay_trace(
@@ -367,13 +344,13 @@ TRACE_COLUMNS = "t,kind,content_id,size_bits,objective,qos_bps"
 
 
 def parse_objective(token, qos_min_bps):
-    """Objective named by a trace or CLI token; min_energy needs a qos value."""
+    """Objective named by a trace or CLI token; min_energy needs a positive qos."""
     kind = OBJECTIVE_TOKENS.get(token)
     if kind is None:
         raise RequestError(f"unknown objective {token!r}")
     if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-        if qos_min_bps is None:
-            raise RequestError("min_energy needs a qos_bps value")
+        if qos_min_bps is None or not qos_min_bps > 0:
+            raise RequestError("min_energy needs a positive qos_bps value")
         return Objective(kind, qos_min_bps)
     return Objective(kind)
 

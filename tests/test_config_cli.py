@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hapslink import (
@@ -80,10 +82,22 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+# (config text, the "[section] key" its error must name)
+NON_FINITE_CONFIGS = (
+    ("[smbs]\ncache_capacity = inf\n", r"\[smbs\] cache_capacity"),
+    ("[ris]\nN_list = 10000, 1e400\n", r"\[ris\] N_list"),
+    ("[geometry]\nD = nan\n", r"\[geometry\] D"),
+    ("[radio]\nB = -inf\n", r"\[radio\] B"),
+)
+
+
 def test_bad_value_names_key(tmp_path):
     path = write_config(tmp_path, "[radio]\nf = very fast\n")
     with pytest.raises(ConfigError, match=r"\[radio\] f"):
         load_config(path)
+    for text, key in NON_FINITE_CONFIGS:
+        with pytest.raises(ConfigError, match=key + ": .*finite"):
+            load_config(write_config(tmp_path, text))
 
 
 def test_geometry_validation_surfaces(tmp_path):
@@ -238,6 +252,31 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "[radio]\nwarp_factor = 9\n")
     assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+    for text, key in NON_FINITE_CONFIGS:
+        cfg_path = write_config(tmp_path, text)
+        assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
+        assert re.search("error: " + key, capsys.readouterr().err)
+
+
+def test_cli_frequency_outside_model_window_exits_1(tmp_path, capsys):
+    # the dry-air attenuation model only covers 1-50 GHz
+    cfg_path = write_config(tmp_path, "[radio]\nf = 100e9\n")
+    assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
+    assert "error: [radio] f = 1e+11 Hz is outside" in capsys.readouterr().err
+
+
+def test_cli_sweep_outside_its_range_exits_1(tmp_path, capsys):
+    # offsets must stay in the corridor [0, D]; task sizes cannot be negative
+    cfg_path = write_config(
+        tmp_path, "[sweep]\nvariable = x\nstart = 0\nstop = 70000\nstep = 1000\n"
+    )
+    assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
+    assert "error: [sweep] stop = 70000 is outside [0, 60000]" in capsys.readouterr().err
+    cfg_path = write_config(
+        tmp_path, "[sweep]\nvariable = S\nstart = -1e6\nstop = 1e6\nstep = 1e5\n"
+    )
+    assert main(["sweep-latency", "--config", cfg_path]) == EXIT_INVALID
+    assert "error: [sweep] start = -1e+06 is outside" in capsys.readouterr().err
 
 
 def test_cli_rs_alpha_key_rejected(tmp_path, capsys):
@@ -329,6 +368,20 @@ def test_cli_replay_bad_trace_exits_1(tmp_path, capsys):
     trace.write_text("0,content_delivery,a,1e6,,\nnot,a,valid,row\n")
     assert main(["replay", str(trace)]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_replay_non_finite_trace_exits_1(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text("0,content_delivery,a,1e6,,\n1,content_delivery,a,nan,,\n")
+    out = tmp_path / "d.csv"
+    assert main(["replay", str(trace), "--out", str(out)]) == EXIT_INVALID
+    assert "error: line 2: size_bits must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_select_non_finite_exits_1(capsys):
+    assert main(["select", "--kind", "communication", "--size-bits", "inf"]) == EXIT_INVALID
+    assert "error: size_bits must be finite" in capsys.readouterr().err
 
 
 def test_cli_replay_missing_trace_exits_1(tmp_path, capsys):

@@ -330,6 +330,12 @@ def test_cache_invariants_random_traffic(data):
     state = CacheState(capacity=capacity, popularity_threshold=threshold)
     n = data.draw(st.integers(min_value=1, max_value=50))
     ids = ["a", "b", "c", "d", "e", "f"]
+    objectives = st.sampled_from([
+        None,
+        Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
+        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 5e7),
+        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 1e12),  # unreachable
+    ])
     for i in range(n):
         kind = data.draw(st.sampled_from(
             [RequestKind.CONTENT_DELIVERY, RequestKind.CACHING,
@@ -339,9 +345,18 @@ def test_cache_invariants_random_traffic(data):
             req = Request(t=float(i), kind=kind, size_bits=1e5)
         else:
             req = Request(t=float(i), kind=kind,
-                          content_id=data.draw(st.sampled_from(ids)), size_bits=1e5)
+                          content_id=data.draw(st.sampled_from(ids)), size_bits=1e5,
+                          objective=data.draw(objectives))
         cached_before = set(state.entries)
+        entries_before = dict(state.entries)
+        popularity_before = dict(state.popularity)
+        given_state = state
         decision, state = handle_request(req, state, ctx)
+        # the state is updated in place and handed back
+        assert state is given_state
+        if decision.action is Action.INFEASIBLE:
+            assert dict(state.entries) == entries_before
+            assert dict(state.popularity) == popularity_before
         assert len(state.entries) <= capacity
         if decision.action is Action.SERVE_DIRECT and req.content_id:
             # a hit must have been cached before the request arrived
@@ -389,6 +404,16 @@ def test_parse_rejects_garbage():
         parse_trace_line("0,communication,,,min_energy,")
     with pytest.raises(RequestError, match="line 17"):
         parse_trace_line("0,communication,,,min_energy,", lineno=17)
+    for line, field_name in (
+        ("nan,communication,,,,", "t"),
+        ("0,content_delivery,a,nan,,", "size_bits"),
+        ("0,task_offloading,,1e400,,", "size_bits"),
+        ("0,communication,,,max_capacity,inf", "qos_min_bps"),
+    ):
+        with pytest.raises(RequestError, match=f"line 4: {field_name} must be finite"):
+            parse_trace_line(line, lineno=4)
+    with pytest.raises(RequestError, match="positive qos_bps"):
+        parse_trace_line("0,communication,,,min_energy,-5")
 
 
 def test_load_trace_reports_line_numbers(tmp_path):
