@@ -25,6 +25,10 @@ SWEEP_VARIABLES = ("x", "S")
 DEFAULT_X_SWEEP = (0.0, 60000.0, 500.0)
 DEFAULT_S_SWEEP = (0.0, 5e6, 5e4)
 
+# Largest grid a sweep may walk; a finer step is refused before any
+# point is built.
+MAX_GRID_POINTS = 1_000_000
+
 
 class ConfigError(ValueError):
     """Bad configuration; message names the offending section/key."""
@@ -43,10 +47,17 @@ class SweepSpec:
                 f"[sweep] variable must be one of {SWEEP_VARIABLES}, "
                 f"got {self.variable!r}"
             )
-        if self.step <= 0:
+        if not self.step > 0:
             raise ConfigError(f"[sweep] step must be positive, got {self.step}")
         if self.stop < self.start:
             raise ConfigError("[sweep] stop must not precede start")
+        # counted, not built: a float, so a tiny step cannot overflow it
+        points = (self.stop - self.start) / self.step + 1
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"[sweep] step = {self.step:g} gives {points:.3g} grid points; "
+                f"at most {MAX_GRID_POINTS} are allowed"
+            )
 
     def grid(self):
         values = []
@@ -123,10 +134,6 @@ def _int(raw):
 
 def _float_list(raw):
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _int_list(raw):
-    return tuple(int(float(tok)) for tok in raw.split(",") if tok.strip())
 
 
 _KNOWN_KEYS = {
@@ -239,12 +246,31 @@ def load_config(path=None) -> ScenarioConfig:
             f"[{DRY_AIR_F_MIN_HZ:.0e}, {DRY_AIR_F_MAX_HZ:.0e}] Hz"
         )
 
-    ris_N_list = _get(parser, "ris", "N_list", _int_list, base.ris_N_list)
+    # pressure 0 is allowed: it turns gaseous attenuation off
+    if not radio.pressure_Pa >= 0:
+        raise ConfigError(
+            f"[radio] pressure_Pa cannot be negative, got {radio.pressure_Pa:g}"
+        )
+    if not radio.temperature_C > -273.0:
+        raise ConfigError(
+            f"[radio] temperature_C must be above -273, got {radio.temperature_C:g}"
+        )
+
+    ris_N_list = _get(parser, "ris", "N_list", _float_list, base.ris_N_list)
     smbs_F_H_list = _get(parser, "smbs", "F_H_list", _float_list, base.smbs_F_H_list)
     if not ris_N_list:
         raise ConfigError("[ris] N_list must not be empty")
     if not smbs_F_H_list:
         raise ConfigError("[smbs] F_H_list must not be empty")
+    for n in ris_N_list:
+        if not (n >= 1 and n == int(n)):
+            raise ConfigError(
+                f"[ris] N_list entries must be positive integers, got {n:g}"
+            )
+    ris_N_list = tuple(int(n) for n in ris_N_list)
+    for fh in smbs_F_H_list:
+        if not fh > 0:
+            raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")
 
     threshold = _get(
         parser, "engine", "popularity_threshold", _int, base.popularity_threshold

@@ -19,13 +19,10 @@ from enum import Enum
 
 from .propagation import (
     SPEED_OF_LIGHT,
-    Link,
+    LinkBudget,
     RadioParams,
     ScenarioGeometry,
     db_to_linear,
-    dry_air_specific_attenuation,
-    link_snr_linear,
-    noise_power_dBm,
     slant_distance,
 )
 
@@ -106,43 +103,148 @@ class ModeConfigs:
 
 
 # =====================================================================
+# Corridor: every payload's link budget at one (D, H, radio)
+# =====================================================================
+
+class Corridor:
+    """The x-invariant part of every payload's link budget along one
+    gateway - gNB corridor, computed once; per-offset methods then do only
+    the arithmetic that depends on the platform offset x.
+
+    Each capacity law lives here; the geometry-taking functions below are
+    one-line wrappers. Constant prefixes keep the left-to-right order of
+    the full expressions, so results are bit-identical either way.
+    """
+
+    def __init__(self, D, H, radio: RadioParams):
+        if D <= 0:
+            raise ValueError(f"ground distance D must be positive, got {D}")
+        if H <= 0:
+            raise ValueError(f"altitude H must be positive, got {H}")
+        self.D = D
+        self.H = H
+        self.budget = budget = LinkBudget(radio)
+        # relay hops: gateway -> platform, platform -> gNB; SMBS access hop
+        self._hop1_dB = radio.P0_max + radio.G0_max + radio.G_RS
+        self._hop2_dB = radio.P0_max + radio.G_RS + radio.G_gNB
+        self._access_dB = radio.P_gNB + radio.G_gNB + radio.G_H_rx
+        # reflected path: p_w * G0 * G_gNB, then (N beta)^2, then
+        # (lambda / 4 pi)^4, over d1^2 d2^2 noise_w and the fixed losses
+        self._ris_gain = (
+            db_to_linear(radio.P0_max - 30.0)
+            * db_to_linear(radio.G0_max)
+            * db_to_linear(radio.G_gNB)
+        )
+        self._ris_lam4 = (SPEED_OF_LIGHT / radio.f / (4.0 * math.pi)) ** 4
+        self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
+        atmosphere_db = budget.gamma0 * _ris_reference_path_m(D, H) / 1000.0
+        self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
+
+    def distances(self, x):
+        """Slant ranges (gateway -> platform, gNB -> platform) at offset x."""
+        if not 0 <= x <= self.D:
+            raise ValueError(
+                f"platform offset x={x} outside the corridor [0, {self.D}]"
+            )
+        return slant_distance(x, self.H), slant_distance(self.D - x, self.H)
+
+    def rs_hop_snrs(self, x):
+        """Linear SNR of each relay hop if it got the whole power budget.
+
+        Hop 1 is gateway -> platform (gains G0_max / G_RS), hop 2 is
+        platform -> gNB (gains G_RS / G_gNB). Scale by alpha and 1 - alpha
+        to apply a power split.
+        """
+        d1, d2 = self.distances(x)
+        snr = self.budget.snr_linear
+        return snr(d1, self._hop1_dB), snr(d2, self._hop2_dB)
+
+    def ris_snr(self, x, ris: RisConfig):
+        """Cascade SNR of the reflected gateway -> platform -> gNB path.
+
+        Coherent combining over N elements gives amplitude ~ N * beta /
+        (d1 * d2), so SNR ~ (N * beta)^2 * (lambda / 4 pi)^4 / (d1^2 * d2^2).
+        Scintillation is charged once per hop. Gaseous absorption is charged
+        over a fixed reference path (the cascade length at the placement
+        roots) instead of the live path: across the corridor the path length
+        varies by well under a tenth of a dB here, and a distance-tracking
+        term would drag the capacity peaks off the product-distance roots
+        that the placement formula pins down.
+        """
+        d1, d2 = self.distances(x)
+        snr = (
+            self._ris_gain
+            * (ris.N * ris.beta) ** 2
+            * self._ris_lam4
+            / (d1 * d1 * d2 * d2 * self._noise_w)
+        )
+        return snr / self._ris_loss
+
+    def ris_capacity(self, x, ris: RisConfig):
+        """Reflected-path spectral efficiency, bps/Hz. No half-duplex penalty:
+        the surface is passive and reflection is concurrent with transmission."""
+        return math.log2(1.0 + self.ris_snr(x, ris))
+
+    def smbs_capacity(self, x):
+        """Single-hop gNB -> platform spectral efficiency, bps/Hz."""
+        d2 = self.distances(x)[1]
+        return math.log2(1.0 + self.budget.snr_linear(d2, self._access_dB))
+
+    def capacity_bps_hz(self, mode: Mode, x, configs: ModeConfigs):
+        """What each payload delivers at offset x, bps/Hz; the relay at its
+        optimal split."""
+        if mode is Mode.RS:
+            return relay_optimal_split(*self.rs_hop_snrs(x))[1]
+        if mode is Mode.RIS:
+            return self.ris_capacity(x, configs.ris)
+        if mode is Mode.SMBS:
+            return self.smbs_capacity(x)
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _corridor(geom: ScenarioGeometry, radio: RadioParams):
+    return Corridor(geom.D, geom.H, radio)
+
+
+# =====================================================================
 # Relay (RS)
 # =====================================================================
 
-def rs_hop_snrs_full_power(geom: ScenarioGeometry, radio: RadioParams):
-    """Linear SNR of each relay hop if it got the whole power budget.
-
-    Hop 1 is gateway -> platform (gains G0_max / G_RS), hop 2 is
-    platform -> gNB (gains G_RS / G_gNB). Scale by alpha and 1 - alpha
-    to apply a power split.
-    """
-    hop1 = Link(geom.d_gateway, radio.P0_max, radio.G0_max, radio.G_RS)
-    hop2 = Link(geom.d_gnb, radio.P0_max, radio.G_RS, radio.G_gNB)
-    return link_snr_linear(hop1, radio), link_snr_linear(hop2, radio)
-
-
-def rs_capacity(geom, radio, alpha):
+def relay_capacity(snr1, snr2, alpha):
     """Half-duplex decode-and-forward spectral efficiency in bps/Hz.
 
     C = 1/2 * min over hops of log2(1 + hop SNR), with the power split
-    alpha / (1 - alpha) applied to the hop SNRs.
+    alpha / (1 - alpha) applied to the full-power hop SNRs.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
     return 0.5 * math.log2(1.0 + min(alpha * snr1, (1.0 - alpha) * snr2))
 
 
-def rs_optimal_split(geom, radio):
+def relay_optimal_split(snr1, snr2):
     """Best power split and the relay capacity it buys: (alpha, bps/Hz).
 
     min(a * snr1, (1 - a) * snr2) peaks where the two terms meet, at
     a* = snr2 / (snr1 + snr2), leaving C = 1/2 log2(1 + snr1 snr2 /
     (snr1 + snr2)): the equal-SNR allocation of two-hop decode-and-forward.
     """
-    snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
     total = snr1 + snr2
     return snr2 / total, 0.5 * math.log2(1.0 + snr1 * snr2 / total)
+
+
+def rs_hop_snrs_full_power(geom: ScenarioGeometry, radio: RadioParams):
+    """Full-power linear SNR of each relay hop; see Corridor.rs_hop_snrs."""
+    return _corridor(geom, radio).rs_hop_snrs(geom.x)
+
+
+def rs_capacity(geom, radio, alpha):
+    """Relay spectral efficiency at split alpha, bps/Hz."""
+    return relay_capacity(*rs_hop_snrs_full_power(geom, radio), alpha)
+
+
+def rs_optimal_split(geom, radio):
+    """(alpha*, bps/Hz) of the relay at this geometry; see relay_optimal_split."""
+    return relay_optimal_split(*rs_hop_snrs_full_power(geom, radio))
 
 
 # =====================================================================
@@ -174,42 +276,13 @@ def _ris_reference_path_m(D, H):
 
 
 def ris_snr_linear(geom: ScenarioGeometry, radio: RadioParams, ris: RisConfig):
-    """Cascade SNR of the reflected gateway -> platform -> gNB path.
-
-    Coherent combining over N elements gives amplitude ~ N * beta /
-    (d1 * d2), so SNR ~ (N * beta)^2 * (lambda / 4 pi)^4 / (d1^2 * d2^2).
-    Scintillation is charged once per hop. Gaseous absorption is charged
-    over a fixed reference path (the cascade length at the placement
-    roots) instead of the live path: across the corridor the path length
-    varies by well under a tenth of a dB here, and a distance-tracking
-    term would drag the capacity peaks off the product-distance roots
-    that the placement formula pins down.
-    """
-    lam = SPEED_OF_LIGHT / radio.f
-    p_w = db_to_linear(radio.P0_max - 30.0)
-    noise_w = db_to_linear(noise_power_dBm(radio.B, radio.noise_figure) - 30.0)
-    d1 = geom.d_gateway
-    d2 = geom.d_gnb
-    snr = (
-        p_w
-        * db_to_linear(radio.G0_max)
-        * db_to_linear(radio.G_gNB)
-        * (ris.N * ris.beta) ** 2
-        * (lam / (4.0 * math.pi)) ** 4
-        / (d1 * d1 * d2 * d2 * noise_w)
-    )
-    gamma0 = dry_air_specific_attenuation(
-        radio.f, radio.pressure_Pa, radio.temperature_C
-    )
-    atmosphere_db = gamma0 * _ris_reference_path_m(geom.D, geom.H) / 1000.0
-    losses_db = atmosphere_db + 2.0 * radio.scintillation_dB
-    return snr / db_to_linear(losses_db)
+    """Cascade SNR of the reflected path; see Corridor.ris_snr."""
+    return _corridor(geom, radio).ris_snr(geom.x, ris)
 
 
 def ris_capacity(geom, radio, ris: RisConfig):
-    """Reflected-path spectral efficiency, bps/Hz. No half-duplex penalty:
-    the surface is passive and reflection is concurrent with transmission."""
-    return math.log2(1.0 + ris_snr_linear(geom, radio, ris))
+    """Reflected-path spectral efficiency, bps/Hz; see Corridor.ris_capacity."""
+    return _corridor(geom, radio).ris_capacity(geom.x, ris)
 
 
 # =====================================================================
@@ -218,8 +291,7 @@ def ris_capacity(geom, radio, ris: RisConfig):
 
 def smbs_access_capacity(geom: ScenarioGeometry, radio: RadioParams):
     """Single-hop gNB -> platform spectral efficiency, bps/Hz."""
-    link = Link(geom.d_gnb, radio.P_gNB, radio.G_gNB, radio.G_H_rx)
-    return math.log2(1.0 + link_snr_linear(link, radio))
+    return _corridor(geom, radio).smbs_capacity(geom.x)
 
 
 # =====================================================================
@@ -245,12 +317,6 @@ def energy_efficiency(capacity_bps, payload_power_W):
 
 def mode_capacity_bps_hz(mode: Mode, geom, radio, configs: ModeConfigs):
     """What each payload delivers at this geometry, bps/Hz; the relay at
-    its optimal split. Selection, the engine, offloading and placement
-    all read capacity here."""
-    if mode is Mode.RS:
-        return rs_optimal_split(geom, radio)[1]
-    if mode is Mode.RIS:
-        return ris_capacity(geom, radio, configs.ris)
-    if mode is Mode.SMBS:
-        return smbs_access_capacity(geom, radio)
-    raise ValueError(f"unknown mode {mode!r}")
+    its optimal split. Selection, the engine and offloading read capacity
+    here; sweeps and placement read it from one Corridor."""
+    return _corridor(geom, radio).capacity_bps_hz(mode, geom.x, configs)

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .modes import (
     Action,
+    Corridor,
     Mode,
     ModeConfigs,
     mode_capacity_bps_hz,
@@ -140,11 +141,11 @@ def optimize_placement_numeric(
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
-    D, H = geom_template.D, geom_template.H
+    D = geom_template.D
+    corridor = Corridor(D, geom_template.H, radio)
 
     def objective(x):
-        geom = ScenarioGeometry(D=D, H=H, x=x)
-        return mode_capacity_bps_hz(mode, geom, radio, configs)
+        return corridor.capacity_bps_hz(mode, x, configs)
 
     n_cells = max(1, math.ceil(D / grid_step))
     xs = [min(D, i * grid_step) for i in range(n_cells + 1)]

@@ -145,16 +145,39 @@ def dry_air_specific_attenuation(f, pressure_Pa=101300.0, temperature_C=15.0):
     return gamma * f_ghz ** 2 * rp ** 2 * 1e-3
 
 
-def total_link_loss_dB(d, radio: RadioParams):
-    """FSPL + gaseous attenuation over the whole slant path + scintillation.
+class LinkBudget:
+    """The distance-free part of one radio's hop budget, computed once.
 
-    The platform sits inside the bulk atmosphere, so the full path is
-    charged the specific attenuation (no layered integration).
+    Holds the dry-air specific attenuation gamma0 (dB/km) and the noise
+    floor (dBm), so a hop costs only its distance-dependent terms.
     """
-    gamma0 = dry_air_specific_attenuation(
-        radio.f, radio.pressure_Pa, radio.temperature_C
-    )
-    return fspl_dB(d, radio.f) + gamma0 * d / 1000.0 + radio.scintillation_dB
+
+    def __init__(self, radio: RadioParams):
+        self.radio = radio
+        self.gamma0 = dry_air_specific_attenuation(
+            radio.f, radio.pressure_Pa, radio.temperature_C
+        )
+        self.noise_dBm = noise_power_dBm(radio.B, radio.noise_figure)
+
+    def loss_dB(self, d):
+        """FSPL + gaseous attenuation over the whole slant path + scintillation.
+
+        The platform sits inside the bulk atmosphere, so the full path is
+        charged the specific attenuation (no layered integration).
+        """
+        radio = self.radio
+        return fspl_dB(d, radio.f) + self.gamma0 * d / 1000.0 + radio.scintillation_dB
+
+    def snr_linear(self, d, gains_dB):
+        """Received SNR of a hop of length d as a linear ratio; gains_dB is
+        tx power + tx gain + rx gain, summed in that order."""
+        snr_db = gains_dB - self.loss_dB(d) - self.noise_dBm
+        return 10.0 ** (snr_db / 10.0)
+
+
+def total_link_loss_dB(d, radio: RadioParams):
+    """FSPL + gaseous attenuation + scintillation over a hop of length d."""
+    return LinkBudget(radio).loss_dB(d)
 
 
 def noise_power_dBm(B, noise_figure):
@@ -166,14 +189,9 @@ def noise_power_dBm(B, noise_figure):
 
 def link_snr_linear(link: Link, radio: RadioParams):
     """Received SNR of one hop as a linear ratio."""
-    snr_db = (
-        link.tx_power
-        + link.tx_gain
-        + link.rx_gain
-        - total_link_loss_dB(link.distance, radio)
-        - noise_power_dBm(radio.B, radio.noise_figure)
+    return LinkBudget(radio).snr_linear(
+        link.distance, link.tx_power + link.tx_gain + link.rx_gain
     )
-    return 10.0 ** (snr_db / 10.0)
 
 
 def propagation_delay_s(path_m):

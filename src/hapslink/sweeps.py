@@ -9,20 +9,15 @@ the CLI reports alongside the CSV.
 from dataclasses import dataclass, field, replace
 
 from .config import ScenarioConfig
-from .engine import _fmt
 from .modes import (
+    Corridor,
     Mode,
     energy_efficiency,
-    mode_capacity_bps_hz,
-    ris_capacity,
-    rs_capacity,
+    relay_capacity,
+    relay_optimal_split,
 )
 from .offload import ComputeTask, offload_path_m, task_latency
-from .optimizer import (
-    optimal_ris_positions,
-    optimize_alpha,
-    optimize_placement_numeric,
-)
+from .optimizer import optimal_ris_positions, optimize_placement_numeric
 from .propagation import ScenarioGeometry
 
 
@@ -33,9 +28,10 @@ class SweepResult:
     notes: dict = field(default_factory=dict)
 
     def to_csv(self):
+        # same cells as engine._fmt; sweep rows never hold None
+        template = ",".join(["{:.8e}"] * len(self.header)).format
         lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines.extend(template(*row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def column(self, name):
@@ -45,6 +41,10 @@ class SweepResult:
 
 def _geom_at(cfg: ScenarioConfig, x):
     return ScenarioGeometry(D=cfg.geom.D, H=cfg.geom.H, x=x)
+
+
+def _corridor(cfg: ScenarioConfig):
+    return Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
 
 
 def _ris_variants(cfg: ScenarioConfig):
@@ -62,12 +62,13 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     header = ["x_m", "rs_alpha05_bps_hz", "rs_alpha_opt_bps_hz", "alpha_opt"]
     header += [f"ris_N{n}_bps_hz" for n in cfg.ris_N_list]
     surfaces = _ris_variants(cfg)
+    corridor = _corridor(cfg)
     rows = []
     for x in spec.grid():
-        geom = _geom_at(cfg, x)
-        alpha_opt, cap_opt = optimize_alpha(geom, cfg.radio, cfg.rs)
-        row = [x, rs_capacity(geom, cfg.radio, alpha=0.5), cap_opt, alpha_opt]
-        row += [ris_capacity(geom, cfg.radio, ris) for ris in surfaces]
+        snr1, snr2 = corridor.rs_hop_snrs(x)
+        alpha_opt, cap_opt = relay_optimal_split(snr1, snr2)
+        row = [x, relay_capacity(snr1, snr2, 0.5), cap_opt, alpha_opt]
+        row += [corridor.ris_capacity(x, ris) for ris in surfaces]
         rows.append(tuple(row))
 
     cap05 = [r[1] for r in rows]
@@ -94,20 +95,21 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     header = ["x_m", "ee_rs_alpha05_bits_per_J", "ee_rs_alpha_opt_bits_per_J"]
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
     surfaces = _ris_variants(cfg)
+    corridor = _corridor(cfg)
     rows = []
     for x in spec.grid():
-        geom = _geom_at(cfg, x)
-        _, cap_opt = optimize_alpha(geom, cfg.radio, cfg.rs)
+        snr1, snr2 = corridor.rs_hop_snrs(x)
+        _, cap_opt = relay_optimal_split(snr1, snr2)
         row = [
             x,
             energy_efficiency(
-                rs_capacity(geom, cfg.radio, alpha=0.5) * cfg.radio.B,
+                relay_capacity(snr1, snr2, 0.5) * cfg.radio.B,
                 cfg.rs.payload_power_W,
             ),
             energy_efficiency(cap_opt * cfg.radio.B, cfg.rs.payload_power_W),
         ]
         for ris in surfaces:
-            cap = ris_capacity(geom, cfg.radio, ris)
+            cap = corridor.ris_capacity(x, ris)
             power = ris.N * ris.per_element_power_W
             row.append(energy_efficiency(cap * cfg.radio.B, power))
         rows.append(tuple(row))
@@ -137,8 +139,8 @@ def latency_sweep_placements(cfg: ScenarioConfig):
     return smbs_geom, rs_geom, ris_geom
 
 
-def _latency_leg(cfg: ScenarioConfig, mode, geom, rate):
-    capacity = mode_capacity_bps_hz(mode, geom, cfg.radio, cfg.configs) * cfg.radio.B
+def _latency_leg(cfg: ScenarioConfig, corridor, mode, geom, rate):
+    capacity = corridor.capacity_bps_hz(mode, geom.x, cfg.configs) * cfg.radio.B
     return offload_path_m(mode, geom), capacity, rate
 
 
@@ -152,9 +154,13 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += ["rs_s", "ris_s"]
 
     # (path_m, capacity_bps, compute rate) per column; only S varies by row
-    legs = [_latency_leg(cfg, Mode.SMBS, smbs_geom, fh) for fh in cfg.smbs_F_H_list]
-    legs.append(_latency_leg(cfg, Mode.RS, rs_geom, cfg.cloud.F_C))
-    legs.append(_latency_leg(cfg, Mode.RIS, ris_geom, cfg.cloud.F_C))
+    corridor = _corridor(cfg)
+    legs = [
+        _latency_leg(cfg, corridor, Mode.SMBS, smbs_geom, fh)
+        for fh in cfg.smbs_F_H_list
+    ]
+    legs.append(_latency_leg(cfg, corridor, Mode.RS, rs_geom, cfg.cloud.F_C))
+    legs.append(_latency_leg(cfg, corridor, Mode.RIS, ris_geom, cfg.cloud.F_C))
     rows = []
     for s in spec.grid():
         task = ComputeTask(s, cfg.cycles_per_bit)

@@ -49,6 +49,7 @@ x = 10000
 [radio]
 f = 3e9
 G_H_rx = 10
+pressure_Pa = 0
 
 [ris]
 N = 20000
@@ -62,6 +63,7 @@ popularity_threshold = 2
     assert cfg.geom.x == 10000.0
     assert cfg.radio.f == 3e9
     assert cfg.radio.G_H_rx == 10.0
+    assert cfg.radio.pressure_Pa == 0.0  # gaseous attenuation off
     assert cfg.ris.N == 20000
     assert cfg.ris_N_list == (10000, 20000)
     assert cfg.popularity_threshold == 2
@@ -277,6 +279,28 @@ def test_cli_sweep_outside_its_range_exits_1(tmp_path, capsys):
     )
     assert main(["sweep-latency", "--config", cfg_path]) == EXIT_INVALID
     assert "error: [sweep] start = -1e+06 is outside" in capsys.readouterr().err
+
+
+# values the physics cannot take: each used to end in a traceback
+OUT_OF_RANGE_CONFIGS = {
+    "pressure_Pa": ("sweep-capacity", "[radio]\npressure_Pa = -1\n", r"\[radio\] pressure_Pa"),
+    "temperature_C": (
+        "sweep-capacity", "[radio]\ntemperature_C = -273\n", r"\[radio\] temperature_C"
+    ),
+    "N_list_negative": ("sweep-capacity", "[ris]\nN_list = 100, -5\n", r"\[ris\] N_list"),
+    "N_list_fraction": ("sweep-capacity", "[ris]\nN_list = 1.5\n", r"\[ris\] N_list"),
+    "F_H_list": ("sweep-latency", "[smbs]\nF_H_list = 1e9, 0\n", r"\[smbs\] F_H_list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CONFIGS))
+def test_cli_out_of_range_key_exits_1(tmp_path, capsys, case):
+    command, text, key = OUT_OF_RANGE_CONFIGS[case]
+    cfg_path = write_config(tmp_path, text)
+    assert main([command, "--config", cfg_path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert re.search("^error: " + key, err)
+    assert "Traceback" not in err
 
 
 def test_cli_rs_alpha_key_rejected(tmp_path, capsys):

@@ -1,0 +1,217 @@
+"""Sweep outputs pinned byte for byte, and the per-corridor link budget
+checked for exact agreement with the per-point scalar laws."""
+
+import math
+import os
+import time
+
+import pytest
+from hypothesis import given, strategies as st
+
+from hapslink import (
+    ConfigError,
+    Mode,
+    ModeConfigs,
+    RadioParams,
+    RisConfig,
+    ScenarioGeometry,
+    SweepSpec,
+    db_to_linear,
+    dry_air_specific_attenuation,
+    fspl_dB,
+    load_config,
+    mode_capacity_bps_hz,
+    noise_power_dBm,
+    ris_capacity,
+    ris_placement_roots,
+    ris_snr_linear,
+    slant_distance,
+    smbs_access_capacity,
+    sweep_capacity,
+    sweep_ee,
+    sweep_latency,
+)
+from hapslink.cli import EXIT_INVALID, main
+from hapslink.config import MAX_GRID_POINTS
+from hapslink.modes import Corridor, rs_hop_snrs_full_power
+from hapslink.propagation import SPEED_OF_LIGHT
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# stderr notes of the three sweeps at the default config and grid
+GOLDEN_NOTES = {
+    "capacity": {
+        "alpha05_max_degradation_pct": 12.673784460473247,
+        "alpha05_degradation_at_stop_pct": 8.694916691760879,
+        "ris_roots_m": (7639.320225002102, 52360.6797749979),
+    },
+    "ee": {
+        "ris_N10000_ee_spread_pct": 7.830880236573701,
+        "ris_N30000_ee_spread_pct": 4.217349682492855,
+        "ris_N50000_ee_spread_pct": 3.3665298928655663,
+    },
+    "latency": {
+        "smbs_FH1GHz_crossover_S_bits": 62033.97787598333,
+        "smbs_FH2GHz_crossover_S_bits": 175899.8820141773,
+        "smbs_FH3GHz_crossover_S_bits": 453171.4768792636,
+    },
+}
+
+SWEEPS = {"capacity": sweep_capacity, "ee": sweep_ee, "latency": sweep_latency}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_golden_sweep_output(name):
+    result = SWEEPS[name](load_config(None))
+    with open(os.path.join(DATA, f"golden_sweep_{name}.csv"), encoding="utf-8") as fh:
+        assert result.to_csv() == fh.read()
+    assert result.notes == GOLDEN_NOTES[name]
+
+
+# ---------------------------------------------------------------
+# Corridor: exactly the per-point path
+# ---------------------------------------------------------------
+
+def _reference_snr(d, tx_power, tx_gain, rx_gain, radio):
+    # the per-hop budget written out in full, in its original order
+    gamma0 = dry_air_specific_attenuation(radio.f, radio.pressure_Pa, radio.temperature_C)
+    loss = fspl_dB(d, radio.f) + gamma0 * d / 1000.0 + radio.scintillation_dB
+    snr_db = (
+        tx_power + tx_gain + rx_gain - loss - noise_power_dBm(radio.B, radio.noise_figure)
+    )
+    return 10.0 ** (snr_db / 10.0)
+
+
+def _reference_ris_snr(geom, radio, ris):
+    lam = SPEED_OF_LIGHT / radio.f
+    p_w = db_to_linear(radio.P0_max - 30.0)
+    noise_w = db_to_linear(noise_power_dBm(radio.B, radio.noise_figure) - 30.0)
+    d1, d2 = geom.d_gateway, geom.d_gnb
+    snr = (
+        p_w
+        * db_to_linear(radio.G0_max)
+        * db_to_linear(radio.G_gNB)
+        * (ris.N * ris.beta) ** 2
+        * (lam / (4.0 * math.pi)) ** 4
+        / (d1 * d1 * d2 * d2 * noise_w)
+    )
+    gamma0 = dry_air_specific_attenuation(radio.f, radio.pressure_Pa, radio.temperature_C)
+    root = ris_placement_roots(geom.D, geom.H)[0]
+    path = slant_distance(root, geom.H) + slant_distance(geom.D - root, geom.H)
+    return snr / db_to_linear(gamma0 * path / 1000.0 + 2.0 * radio.scintillation_dB)
+
+
+SURFACES = (RisConfig(N=10000), RisConfig(N=50000), RisConfig(N=777, beta=0.3))
+
+
+def _assert_corridor_exact(D, H, radio, x):
+    configs = ModeConfigs.defaults()
+    corridor = Corridor(D, H, radio)
+    geom = ScenarioGeometry(D=D, H=H, x=x)
+
+    snrs = corridor.rs_hop_snrs(x)
+    assert snrs == rs_hop_snrs_full_power(geom, radio)
+    assert snrs == (
+        _reference_snr(geom.d_gateway, radio.P0_max, radio.G0_max, radio.G_RS, radio),
+        _reference_snr(geom.d_gnb, radio.P0_max, radio.G_RS, radio.G_gNB, radio),
+    )
+    access = _reference_snr(geom.d_gnb, radio.P_gNB, radio.G_gNB, radio.G_H_rx, radio)
+    assert corridor.smbs_capacity(x) == smbs_access_capacity(geom, radio)
+    assert corridor.smbs_capacity(x) == math.log2(1.0 + access)
+    for ris in SURFACES:
+        assert corridor.ris_snr(x, ris) == ris_snr_linear(geom, radio, ris)
+        assert corridor.ris_snr(x, ris) == _reference_ris_snr(geom, radio, ris)
+        assert corridor.ris_capacity(x, ris) == ris_capacity(geom, radio, ris)
+    for mode in Mode:
+        assert corridor.capacity_bps_hz(mode, x, configs) == mode_capacity_bps_hz(
+            mode, geom, radio, configs
+        )
+
+
+# (D, H, f); the last two have H >= D/2, where the surface roots
+# collapse to the midpoint D/2
+CORRIDORS = (
+    (60000.0, 20000.0, 2e9),
+    (150000.0, 16500.0, 28e9),
+    (20000.0, 8000.0, 1e9),
+    (30000.0, 15000.0, 50e9),
+    (10000.0, 20000.0, 3.5e9),
+)
+
+# powers and gains whose sums and products round differently under a
+# different association, so a reordered constant prefix shows
+ODD_GAINS = dict(
+    P0_max=33.4, G0_max=46.2, G_RS=37.3, G_gNB=47.2, P_gNB=36.1, G_H_rx=2.9,
+    noise_figure=6.7, scintillation_dB=0.3, B=3.3e7,
+)
+
+
+@pytest.mark.parametrize("D,H,f", CORRIDORS)
+def test_corridor_matches_per_point_path_on_grid(D, H, f):
+    xs = [D * i / 16 for i in range(17)] + list(ris_placement_roots(D, H))
+    for radio in (RadioParams(f=f), RadioParams(f=f, **ODD_GAINS)):
+        for x in xs:
+            _assert_corridor_exact(D, H, radio, x)
+
+
+_dB = st.floats(min_value=-20.0, max_value=60.0)
+
+
+@given(
+    D=st.floats(min_value=1e3, max_value=3e5),
+    H=st.floats(min_value=1e3, max_value=5e4),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    radio=st.builds(
+        RadioParams,
+        f=st.floats(min_value=1e9, max_value=50e9),
+        B=st.floats(min_value=1e5, max_value=1e9),
+        noise_figure=st.floats(min_value=0.0, max_value=15.0),
+        P_gNB=_dB, G_gNB=_dB, P0_max=_dB, G0_max=_dB, G_RS=_dB, G_H_rx=_dB,
+        scintillation_dB=st.floats(min_value=0.0, max_value=3.0),
+    ),
+)
+def test_corridor_matches_per_point_path(D, H, frac, radio):
+    _assert_corridor_exact(D, H, radio, min(D, frac * D))
+
+
+def test_corridor_rejects_offsets_outside_it():
+    corridor = Corridor(60000.0, 20000.0, RadioParams())
+    configs = ModeConfigs.defaults()
+    for x in (-1.0, 60000.5):
+        with pytest.raises(ValueError, match="outside the corridor"):
+            corridor.rs_hop_snrs(x)
+        with pytest.raises(ValueError, match="outside the corridor"):
+            corridor.ris_capacity(x, configs.ris)
+        with pytest.raises(ValueError, match="outside the corridor"):
+            corridor.smbs_capacity(x)
+        for mode in Mode:
+            with pytest.raises(ValueError, match="outside the corridor"):
+                corridor.capacity_bps_hz(mode, x, configs)
+    with pytest.raises(ValueError, match="D must be positive"):
+        Corridor(0.0, 20000.0, RadioParams())
+    with pytest.raises(ValueError, match="H must be positive"):
+        Corridor(60000.0, 0.0, RadioParams())
+
+
+# ---------------------------------------------------------------
+# grid size
+# ---------------------------------------------------------------
+
+def test_grid_cap_refuses_before_building():
+    with pytest.raises(ConfigError, match=r"step = 1e-06 gives 6e\+10 grid points"):
+        SweepSpec("x", 0.0, 60000.0, 1e-6)
+    # a grid of exactly the cap is allowed, one more point is not
+    SweepSpec("S", 0.0, float(MAX_GRID_POINTS - 1), 1.0)
+    with pytest.raises(ConfigError, match="1e\\+06 grid points"):
+        SweepSpec("S", 0.0, float(MAX_GRID_POINTS), 1.0)
+    with pytest.raises(ConfigError, match="grid points"):
+        SweepSpec("x", 0.0, 60000.0, 1e-320)  # the count overflows to inf
+    with pytest.raises(ConfigError, match="step must be positive"):
+        SweepSpec("S", 0.0, 1.0, float("nan"))
+
+
+def test_cli_grid_over_the_cap_exits_1(capsys):
+    start = time.perf_counter()
+    assert main(["sweep-capacity", "--grid", "1e-6"]) == EXIT_INVALID
+    assert time.perf_counter() - start < 1.0
+    assert "error: [sweep] step = 1e-06 gives 6e+10 grid points" in capsys.readouterr().err
