@@ -4,25 +4,29 @@ Link budgets over the gateway - platform - gNB triangle
 
 Walks one platform offset through the corridor and prints every piece
 of the budget: slant ranges, spreading loss, gaseous absorption,
-scintillation, and the resulting SNR seen by each payload.
+scintillation, the resulting SNR seen by each payload, and what each
+payload delivers there.
 """
 
 import math
 
 from hapslink import (
-    Link,
+    Corridor,
+    LinkBudget,
+    Mode,
+    ModeConfigs,
     RadioParams,
     ScenarioGeometry,
     dry_air_specific_attenuation,
     elevation_angle,
     fspl_dB,
-    link_snr_linear,
     linear_to_db,
     noise_power_dBm,
-    total_link_loss_dB,
 )
 
 radio = RadioParams()
+# the distance-free part of every hop: dry-air gamma0 and the noise floor
+budget = LinkBudget(radio)
 
 # the platform hovers at 20 km; the gateway sits at x = 0 and the gNB
 # at x = 60 km
@@ -37,7 +41,7 @@ print(f"  gNB slant      d2 = {geom.d_gnb:10.1f} m")
 print("\nper-distance losses at f = 2 GHz")
 for name, d in (("gateway", geom.d_gateway), ("gNB", geom.d_gnb)):
     print(f"  {name:8s} fspl = {fspl_dB(d, radio.f):7.2f} dB, "
-          f"total = {total_link_loss_dB(d, radio):7.2f} dB")
+          f"total = {budget.loss_dB(d):7.2f} dB")
 
 # the dry-air specific attenuation is tiny at 2 GHz but grows fast
 # toward the oxygen line complex near 60 GHz
@@ -50,16 +54,26 @@ for f_ghz in (2, 10, 30, 50):
 print(f"\nnoise floor over B = {radio.B:.0e} Hz: "
       f"{noise_power_dBm(radio.B, radio.noise_figure):.2f} dBm")
 
-# raw per-hop SNRs with the stock antennas
+# raw per-hop SNRs with the stock antennas: distance, then tx power +
+# tx gain + rx gain
 hops = {
-    "gNB -> platform (base-station payload)": Link(
-        geom.d_gnb, radio.P_gNB, radio.G_gNB, radio.G_H_rx),
-    "gateway -> platform (relay hop 1)": Link(
-        geom.d_gateway, radio.P0_max, radio.G0_max, radio.G_RS),
-    "platform -> gNB (relay hop 2)": Link(
-        geom.d_gnb, radio.P0_max, radio.G_RS, radio.G_gNB),
+    "gNB -> platform (base-station payload)": (
+        geom.d_gnb, radio.P_gNB + radio.G_gNB + radio.G_H_rx),
+    "gateway -> platform (relay hop 1)": (
+        geom.d_gateway, radio.P0_max + radio.G0_max + radio.G_RS),
+    "platform -> gNB (relay hop 2)": (
+        geom.d_gnb, radio.P0_max + radio.G_RS + radio.G_gNB),
 }
 print("\nfull-power hop SNRs")
-for name, link in hops.items():
-    snr = link_snr_linear(link, radio)
+for name, (d, gains_dB) in hops.items():
+    snr = budget.snr_linear(d, gains_dB)
     print(f"  {name:42s} {linear_to_db(snr):7.2f} dB")
+
+# the corridor holds every x-invariant term of the three payloads'
+# budgets; asking it at one offset is all the selection logic does
+corridor = Corridor(geom.D, geom.H, radio)
+configs = ModeConfigs.defaults()
+print(f"\nwhat each payload delivers at x = {geom.x / 1000:.0f} km")
+for mode in Mode:
+    cap = corridor.capacity_bps_hz(mode, geom.x, configs)
+    print(f"  {mode.value:4s} {cap:6.3f} bps/Hz = {cap * radio.B / 1e6:6.1f} Mbit/s")

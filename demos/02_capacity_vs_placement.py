@@ -8,7 +8,7 @@ three element counts. The surface peaks right above the closed-form
 offsets; the relay wants to sit on top of the gNB.
 """
 
-from hapslink import load_config, optimal_ris_positions, sweep_capacity
+from hapslink import load_config, ris_placement_roots, sweep_capacity
 
 cfg = load_config(None)
 result = sweep_capacity(cfg)
@@ -26,7 +26,7 @@ for name in result.header[1:]:
     i = max(range(len(col)), key=lambda k: col[k])
     print(f"  {name:24s} {col[i]:6.3f} bps/Hz at x = {xs[i] / 1000:5.1f} km")
 
-roots = optimal_ris_positions(cfg.geom.D, cfg.geom.H)
+roots = ris_placement_roots(cfg.geom.D, cfg.geom.H)
 print(f"\nclosed-form surface optima: {roots[0] / 1000:.2f} and "
       f"{roots[1] / 1000:.2f} km")
 print(f"fixed alpha = 0.5 gives up at most "

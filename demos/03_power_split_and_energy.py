@@ -11,35 +11,34 @@ payload against a passive surface drawing 7.8 mW per element.
 import numpy as np
 
 from hapslink import (
+    Corridor,
     RadioParams,
-    RsConfig,
-    ScenarioGeometry,
     load_config,
-    optimize_alpha,
-    rs_capacity,
+    relay_capacity,
+    relay_optimal_split,
     sweep_ee,
 )
 
-radio = RadioParams()
-rs = RsConfig()
+# one corridor: 60 km from gateway to gNB, platform at 20 km
+corridor = Corridor(60000.0, 20000.0, RadioParams())
 
 # the split only matters because the two hops are asymmetric: the
 # gateway antenna is much stronger than the relay's own
 for x_km in (10, 30, 50, 60):
-    geom = ScenarioGeometry(D=60000.0, H=20000.0, x=x_km * 1000.0)
-    alpha, cap = optimize_alpha(geom, radio, rs)
-    cap_half = rs_capacity(geom, radio, alpha=0.5)
+    snrs = corridor.rs_hop_snrs(x_km * 1000.0)  # full-power hop SNRs
+    alpha, cap = relay_optimal_split(*snrs)
+    cap_half = relay_capacity(*snrs, alpha=0.5)
     print(f"x = {x_km:2d} km: alpha_opt = {alpha:8.6f}, "
           f"C(alpha_opt) = {cap:5.3f} bps/Hz, C(0.5) = {cap_half:5.3f} "
           f"({100 * (1 - cap_half / cap):4.1f}% loss)")
 
 # sanity check: the optimized split really equalizes the weighted hops
-geom = ScenarioGeometry(D=60000.0, H=20000.0, x=60000.0)
-alpha, _ = optimize_alpha(geom, radio, rs)
+snrs = corridor.rs_hop_snrs(60000.0)
+alpha, _ = relay_optimal_split(*snrs)
 grid = np.linspace(1e-4, 1 - 1e-4, 9999)
-caps = [rs_capacity(geom, radio, alpha=a) for a in grid]
+caps = [relay_capacity(*snrs, alpha=a) for a in grid]
 print(f"\nbrute-force argmax at x = D: {grid[int(np.argmax(caps))]:.6f} "
-      f"(optimizer said {alpha:.6f})")
+      f"(closed form says {alpha:.6f})")
 
 # energy efficiency across the corridor
 cfg = load_config(None)

@@ -12,6 +12,7 @@ the break-even size grows with the onboard clock.
 from hapslink import (
     CloudConfig,
     ComputeTask,
+    Corridor,
     Mode,
     load_config,
     offload_latency,
@@ -21,13 +22,17 @@ from hapslink.sweeps import latency_sweep_placements
 
 cfg = load_config(None)
 
-# single task, all three payloads, each at its own best placement
+# single task, all three payloads, each at its own best placement; the
+# corridor gives the rate each one ships the task at
 smbs_geom, rs_geom, ris_geom = latency_sweep_placements(cfg)
+corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
 task = ComputeTask(size_bits=1e6, cycles_per_bit=cfg.cycles_per_bit)
 cloud = CloudConfig()
 for mode, geom in ((Mode.SMBS, smbs_geom), (Mode.RS, rs_geom), (Mode.RIS, ris_geom)):
+    rate = corridor.capacity_bps_hz(mode, geom.x, cfg.configs) * cfg.radio.B
     t = offload_latency(mode, geom, cfg.radio, cfg.configs, task, cloud)
-    print(f"1 Mbit task via {mode.value:4s}: {1e3 * t:7.3f} ms")
+    print(f"1 Mbit task via {mode.value:4s} at x = {geom.x / 1000:5.2f} km: "
+          f"{rate / 1e6:6.1f} Mbit/s, {1e3 * t:7.3f} ms")
 
 # the full sweep: latency is exactly affine in S, so a single
 # crossover against the best relayed path exists per onboard clock

@@ -32,19 +32,17 @@ from .engine import (
 )
 from .modes import (
     Action,
+    Corridor,
     Mode,
     ModeConfigs,
     RisConfig,
     RsConfig,
     SmbsConfig,
     energy_efficiency,
-    mode_capacity_bps_hz,
     mode_payload_power_W,
-    ris_capacity,
+    relay_capacity,
+    relay_optimal_split,
     ris_placement_roots,
-    ris_snr_linear,
-    rs_capacity,
-    smbs_access_capacity,
 )
 from .offload import (
     CloudConfig,
@@ -59,13 +57,10 @@ from .optimizer import (
     ObjectiveKind,
     PlacementResult,
     golden_section_max,
-    optimal_ris_positions,
-    optimize_alpha,
     optimize_placement_numeric,
-    select_mode_for_communication,
 )
 from .propagation import (
-    Link,
+    LinkBudget,
     RadioParams,
     ScenarioGeometry,
     db_to_linear,
@@ -73,11 +68,9 @@ from .propagation import (
     elevation_angle,
     fspl_dB,
     linear_to_db,
-    link_snr_linear,
     noise_power_dBm,
     propagation_delay_s,
     slant_distance,
-    total_link_loss_dB,
 )
 from .sweeps import SweepResult, sweep_capacity, sweep_ee, sweep_latency
 

@@ -7,7 +7,8 @@ Subcommands:
   select           decide the mode for a single request
   replay           run a request trace through the selection engine
 
-Exit codes: 0 success, 1 invalid input, 2 infeasible objective.
+Exit codes: 0 success, 1 invalid input (including a scenario the model
+cannot evaluate), 2 infeasible objective.
 """
 
 import argparse
@@ -19,7 +20,6 @@ from .engine import (
     CacheState,
     EngineContext,
     Request,
-    RequestError,
     RequestKind,
     decisions_to_csv,
     handle_request,
@@ -195,10 +195,10 @@ def main(argv=None):
         if args.command == "replay":
             return _cmd_replay(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, RequestError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as err:
+    except (ValueError, ArithmeticError, OSError) as err:
+        # ConfigError and RequestError are ValueErrors; so are the model's
+        # own refusals, and a scenario whose numbers overflow or vanish
+        # ends in an ArithmeticError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_INVALID

@@ -128,8 +128,11 @@ def _get(parser, section, key, cast, current):
     raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a finite number")
 
 
-def _int(raw):
-    return int(float(raw))
+def _get_int(parser, section, key, current):
+    value = _get(parser, section, key, float, current)
+    if value != int(value):
+        raise ConfigError(f"[{section}] {key} must be an integer, got {value:g}")
+    return int(value)
 
 
 def _float_list(raw):
@@ -219,7 +222,7 @@ def load_config(path=None) -> ScenarioConfig:
             ),
         )
         ris = RisConfig(
-            N=_get(parser, "ris", "N", _int, base.ris.N),
+            N=_get_int(parser, "ris", "N", base.ris.N),
             beta=_get(parser, "ris", "beta", float, base.ris.beta),
             per_element_power_W=_get(
                 parser, "ris", "per_element_power_W", float,
@@ -231,8 +234,8 @@ def load_config(path=None) -> ScenarioConfig:
             payload_power_W=_get(
                 parser, "smbs", "payload_power_W", float, base.smbs.payload_power_W
             ),
-            cache_capacity=_get(
-                parser, "smbs", "cache_capacity", _int, base.smbs.cache_capacity
+            cache_capacity=_get_int(
+                parser, "smbs", "cache_capacity", base.smbs.cache_capacity
             ),
         )
         cloud = CloudConfig(F_C=_get(parser, "cloud", "F_C", float, base.cloud.F_C))
@@ -272,8 +275,8 @@ def load_config(path=None) -> ScenarioConfig:
         if not fh > 0:
             raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")
 
-    threshold = _get(
-        parser, "engine", "popularity_threshold", _int, base.popularity_threshold
+    threshold = _get_int(
+        parser, "engine", "popularity_threshold", base.popularity_threshold
     )
     cycles = _get(parser, "engine", "cycles_per_bit", float, base.cycles_per_bit)
     if threshold < 1:

@@ -18,7 +18,6 @@ from .offload import (
     CloudConfig,
     ComputeTask,
     compute_rate,
-    offload_path_m,
     task_latency,
     transmission_latency,
 )
@@ -133,8 +132,8 @@ class CacheState:
 class EngineContext:
     """Everything handle_request needs besides the cache: where the
     platform sits and how each payload performs there. The payload rows
-    (mode, capacity_bps, payload_W) are computed once, at construction,
-    so no request re-runs the link budget."""
+    (mode, capacity_bps, payload_W, path_m) are computed once, at
+    construction, so no request re-runs the link budget or the geometry."""
 
     geom: ScenarioGeometry
     radio: RadioParams
@@ -142,22 +141,19 @@ class EngineContext:
     cloud: CloudConfig = CloudConfig()
     cycles_per_bit: float = 4.0
     rows: tuple = field(init=False, repr=False, compare=False)
+    row: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = payload_rows(self.geom, self.radio, self.configs)
-        object.__setattr__(self, "rows", rows)  # frozen: set once here
-
-    def _row(self, mode: Mode):
-        return next(row for row in self.rows if row[0] is mode)
+        # frozen: set once here
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row", {r[0]: r for r in rows})
 
     def capacity_bps(self, mode: Mode):
-        return self._row(mode)[1]
+        return self.row[mode][1]
 
     def payload_power_W(self, mode: Mode):
-        return self._row(mode)[2]
-
-    def path_m(self, mode: Mode):
-        return offload_path_m(mode, self.geom)
+        return self.row[mode][2]
 
 
 _DEFAULT_OBJECTIVE = Objective(ObjectiveKind.MAX_CAPACITY)
@@ -168,9 +164,10 @@ def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_
     when no size is given."""
     if size_bits is None:
         return ModeDecision(mode, action, value)
-    airtime = transmission_latency(size_bits, ctx.capacity_bps(mode))
-    latency = propagation_delay_s(ctx.path_m(mode)) + airtime
-    energy = ctx.payload_power_W(mode) * airtime
+    _, capacity, power, path = ctx.row[mode]
+    airtime = transmission_latency(size_bits, capacity)
+    latency = propagation_delay_s(path) + airtime
+    energy = power * airtime
     return ModeDecision(mode, action, value, latency_s=latency, energy_J=energy)
 
 
@@ -182,11 +179,11 @@ def _choose_forwarder(ctx: EngineContext, objective: Objective):
 def _task_decision(ctx: EngineContext, mode: Mode, task: ComputeTask):
     """Offload task through mode: latency is the objective value, energy
     is payload power over the airtime."""
-    capacity = ctx.capacity_bps(mode)
+    _, capacity, power, path = ctx.row[mode]
     rate = compute_rate(mode, ctx.configs, ctx.cloud)
-    latency = task_latency(ctx.path_m(mode), capacity, task, rate)
+    latency = task_latency(path, capacity, task, rate)
     action = Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD
-    energy = ctx.payload_power_W(mode) * transmission_latency(task.size_bits, capacity)
+    energy = power * transmission_latency(task.size_bits, capacity)
     return ModeDecision(mode, action, latency, latency_s=latency, energy_J=energy)
 
 
@@ -222,26 +219,32 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
             return ModeDecision(None, Action.INFEASIBLE, 0.0), state
         return min(candidates, key=lambda d: d.latency_s), state
 
-    # content delivery or caching
+    # content delivery or caching; each decision is built before the state
+    # changes, so one whose figures overflow leaves the state untouched
     cid = req.content_id
     if req.kind is RequestKind.CONTENT_DELIVERY and state.contains(cid):
-        state.bump_popularity(cid)
-        state.touch(cid)
-        return _sized_decision(
+        decision = _sized_decision(
             ctx, Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS),
             req.size_bits,
-        ), state
+        )
+        state.bump_popularity(cid)
+        state.touch(cid)
+        return decision, state
     forward = _choose_forwarder(ctx, objective)
     if forward.mode is None:  # no forwarder satisfies the constraint
         return forward, state
-    count = state.bump_popularity(cid)
-    action = Action.FORWARD_VIA_GATEWAY
-    if req.kind is RequestKind.CACHING or count >= state.popularity_threshold:
-        state.insert(cid)
-        action = Action.FORWARD_AND_CACHE
-    return _sized_decision(
+    cache = (
+        req.kind is RequestKind.CACHING
+        or state.popularity.get(cid, 0) + 1 >= state.popularity_threshold
+    )
+    action = Action.FORWARD_AND_CACHE if cache else Action.FORWARD_VIA_GATEWAY
+    decision = _sized_decision(
         ctx, forward.mode, action, forward.objective_value, req.size_bits
-    ), state
+    )
+    state.bump_popularity(cid)
+    if cache:
+        state.insert(cid)
+    return decision, state
 
 
 # =====================================================================
@@ -298,19 +301,23 @@ def replay_trace(
     content_requests = 0
     last_t = None
     for index, req in enumerate(requests):
+        # one validation per request, in handle_request on the selection
+        # path; the order check comes after it, so a malformed request is
+        # reported as such. An out-of-order request aborts the replay, so
+        # what it did to this replay's own state copy is never seen.
         try:
-            validate_request(req)
+            if force_mode is None:
+                decision, state = handle_request(req, state, ctx)
+            else:
+                validate_request(req)
+                decision = _forced_decision(req, ctx, force_mode)
             if last_t is not None and req.t < last_t:
                 raise RequestError(
                     f"timestamps must be non-decreasing ({req.t} after {last_t})"
                 )
-        except RequestError as err:
+        except ValueError as err:  # a malformed request or one the model refuses
             raise RequestError(f"request {index}: {err}") from None
         last_t = req.t
-        if force_mode is not None:
-            decision = _forced_decision(req, ctx, force_mode)
-        else:
-            decision, state = handle_request(req, state, ctx)
         decisions.append(decision)
         if decision.mode is not None:
             mode_counts[decision.mode.value] += 1
@@ -320,6 +327,8 @@ def replay_trace(
             content_requests += 1
             if decision.action is Action.SERVE_DIRECT:
                 hits += 1
+    if not math.isfinite(total_energy):
+        raise ValueError(f"total_energy_J overflows to {total_energy}")
     hit_rate = hits / content_requests if content_requests else 0.0
     summary = ReplaySummary(
         mode_counts=mode_counts,

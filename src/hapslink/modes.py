@@ -21,7 +21,6 @@ from .propagation import (
     SPEED_OF_LIGHT,
     LinkBudget,
     RadioParams,
-    ScenarioGeometry,
     db_to_linear,
     slant_distance,
 )
@@ -111,9 +110,8 @@ class Corridor:
     gateway - gNB corridor, computed once; per-offset methods then do only
     the arithmetic that depends on the platform offset x.
 
-    Each capacity law lives here; the geometry-taking functions below are
-    one-line wrappers. Constant prefixes keep the left-to-right order of
-    the full expressions, so results are bit-identical either way.
+    This is the one place each capacity law lives. Constant prefixes keep
+    the left-to-right order of the full per-hop expressions.
     """
 
     def __init__(self, D, H, radio: RadioParams):
@@ -192,7 +190,8 @@ class Corridor:
 
     def capacity_bps_hz(self, mode: Mode, x, configs: ModeConfigs):
         """What each payload delivers at offset x, bps/Hz; the relay at its
-        optimal split."""
+        optimal split. Selection, the engine, offloading, placement and the
+        sweeps all read capacity here."""
         if mode is Mode.RS:
             return relay_optimal_split(*self.rs_hop_snrs(x))[1]
         if mode is Mode.RIS:
@@ -200,10 +199,6 @@ class Corridor:
         if mode is Mode.SMBS:
             return self.smbs_capacity(x)
         raise ValueError(f"unknown mode {mode!r}")
-
-
-def _corridor(geom: ScenarioGeometry, radio: RadioParams):
-    return Corridor(geom.D, geom.H, radio)
 
 
 # =====================================================================
@@ -230,21 +225,6 @@ def relay_optimal_split(snr1, snr2):
     """
     total = snr1 + snr2
     return snr2 / total, 0.5 * math.log2(1.0 + snr1 * snr2 / total)
-
-
-def rs_hop_snrs_full_power(geom: ScenarioGeometry, radio: RadioParams):
-    """Full-power linear SNR of each relay hop; see Corridor.rs_hop_snrs."""
-    return _corridor(geom, radio).rs_hop_snrs(geom.x)
-
-
-def rs_capacity(geom, radio, alpha):
-    """Relay spectral efficiency at split alpha, bps/Hz."""
-    return relay_capacity(*rs_hop_snrs_full_power(geom, radio), alpha)
-
-
-def rs_optimal_split(geom, radio):
-    """(alpha*, bps/Hz) of the relay at this geometry; see relay_optimal_split."""
-    return relay_optimal_split(*rs_hop_snrs_full_power(geom, radio))
 
 
 # =====================================================================
@@ -275,25 +255,6 @@ def _ris_reference_path_m(D, H):
     return slant_distance(root, H) + slant_distance(D - root, H)
 
 
-def ris_snr_linear(geom: ScenarioGeometry, radio: RadioParams, ris: RisConfig):
-    """Cascade SNR of the reflected path; see Corridor.ris_snr."""
-    return _corridor(geom, radio).ris_snr(geom.x, ris)
-
-
-def ris_capacity(geom, radio, ris: RisConfig):
-    """Reflected-path spectral efficiency, bps/Hz; see Corridor.ris_capacity."""
-    return _corridor(geom, radio).ris_capacity(geom.x, ris)
-
-
-# =====================================================================
-# Base-station payload (SMBS)
-# =====================================================================
-
-def smbs_access_capacity(geom: ScenarioGeometry, radio: RadioParams):
-    """Single-hop gNB -> platform spectral efficiency, bps/Hz."""
-    return _corridor(geom, radio).smbs_capacity(geom.x)
-
-
 # =====================================================================
 # Power and efficiency
 # =====================================================================
@@ -313,10 +274,3 @@ def energy_efficiency(capacity_bps, payload_power_W):
     if payload_power_W <= 0:
         raise ValueError("payload power must be positive for an efficiency ratio")
     return capacity_bps / payload_power_W
-
-
-def mode_capacity_bps_hz(mode: Mode, geom, radio, configs: ModeConfigs):
-    """What each payload delivers at this geometry, bps/Hz; the relay at
-    its optimal split. Selection, the engine and offloading read capacity
-    here; sweeps and placement read it from one Corridor."""
-    return _corridor(geom, radio).capacity_bps_hz(mode, geom.x, configs)

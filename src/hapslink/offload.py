@@ -9,7 +9,7 @@ ground cloud's F_C. Result-return traffic is not modeled.
 
 from dataclasses import dataclass
 
-from .modes import Mode, ModeConfigs, mode_capacity_bps_hz
+from .modes import Corridor, Mode, ModeConfigs
 from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
 
 
@@ -81,7 +81,8 @@ def offload_latency(
     cloud: CloudConfig,
 ):
     """End-to-end offload latency in seconds, affine in the task size."""
-    capacity_bps = mode_capacity_bps_hz(mode, geom, radio, configs) * radio.B
+    corridor = Corridor(geom.D, geom.H, radio)
+    capacity_bps = corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B
     return task_latency(
         offload_path_m(mode, geom), capacity_bps, task,
         compute_rate(mode, configs, cloud),

@@ -1,6 +1,6 @@
-"""Power split, platform placement and objective-driven mode selection.
+"""Platform placement and objective-driven mode selection.
 
-The relay power split alpha has a closed form (see optimize_alpha), so
+The relay power split has a closed form (modes.relay_optimal_split), so
 no search runs for it. The platform placement x does need a search: a
 grid over the corridor guards against the reflected path's two peaks,
 and golden section then refines the single peak inside the winning cell.
@@ -11,16 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .modes import (
-    Action,
-    Corridor,
-    Mode,
-    ModeConfigs,
-    mode_capacity_bps_hz,
-    mode_payload_power_W,
-    ris_placement_roots,
-    rs_optimal_split,
-)
+from .modes import Action, Corridor, Mode, ModeConfigs, mode_payload_power_W
+from .offload import offload_path_m
 from .propagation import RadioParams, ScenarioGeometry
 
 GOLDEN_RATIO = (math.sqrt(5.0) + 1.0) / 2.0
@@ -61,7 +53,8 @@ class ModeDecision:
     for max_capacity, bits per joule for max_energy_efficiency, payload
     watts for min_energy_subject_to_qos. mode is None only for infeasible
     outcomes. latency_s and energy_J are filled when a payload size is
-    known.
+    known. A figure that overflowed (a huge payload, extreme powers) is
+    refused here rather than reported as inf or nan.
     """
 
     mode: Optional[Mode]
@@ -69,6 +62,12 @@ class ModeDecision:
     objective_value: float
     latency_s: Optional[float] = None
     energy_J: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("objective_value", "latency_s", "energy_J"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} overflows to {value}")
 
 
 # =====================================================================
@@ -99,32 +98,8 @@ def golden_section_max(fn, lo, hi, tol):
 
 
 # =====================================================================
-# Power split
-# =====================================================================
-
-def optimize_alpha(geom: ScenarioGeometry, radio: RadioParams, rs):
-    """Best relay power split for this geometry; returns (alpha_opt, capacity).
-
-    Exact, not searched: the bottleneck min(alpha * snr1, (1 - alpha) *
-    snr2) crests where the weighted hops are equal, alpha = snr2 / (snr1 +
-    snr2). The split does not depend on the relay config rs, which is
-    accepted for call compatibility.
-    """
-    return rs_optimal_split(geom, radio)
-
-
-# =====================================================================
 # Placement
 # =====================================================================
-
-def optimal_ris_positions(D, H):
-    """Closed-form best offsets for the reflected path.
-
-    Two roots for H < D/2; the degenerate geometries (H >= D/2) collapse
-    to the single midpoint value D/2.
-    """
-    return ris_placement_roots(D, H)
-
 
 def optimize_placement_numeric(
     mode: Mode,
@@ -164,14 +139,16 @@ def optimize_placement_numeric(
 # Mode selection for a communication demand
 # =====================================================================
 
-def payload_rows(geom, radio, configs, enabled=_PASSIVE_ORDER):
-    """(mode, capacity_bps, payload_W) per enabled payload, most passive first."""
+def payload_rows(geom: ScenarioGeometry, radio: RadioParams, configs: ModeConfigs):
+    """(mode, capacity_bps, payload_W, path_m) per payload at this geometry,
+    most passive first, read from one Corridor."""
+    corridor = Corridor(geom.D, geom.H, radio)
     return tuple(
         (mode,
-         mode_capacity_bps_hz(mode, geom, radio, configs) * radio.B,
-         mode_payload_power_W(mode, configs))
+         corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B,
+         mode_payload_power_W(mode, configs),
+         offload_path_m(mode, geom))
         for mode in _PASSIVE_ORDER
-        if mode in enabled
     )
 
 
@@ -179,35 +156,20 @@ def _action_for(mode: Mode) -> Action:
     return Action.SERVE_DIRECT if mode is Mode.SMBS else Action.FORWARD_VIA_GATEWAY
 
 
-def select_mode_for_communication(
-    objective: Objective,
-    geom: ScenarioGeometry,
-    radio: RadioParams,
-    configs: ModeConfigs,
-    enabled=(Mode.RIS, Mode.RS, Mode.SMBS),
-) -> ModeDecision:
-    """Pick the payload that best serves one communication demand at the
-    platform's current position. Ties fall to the more passive payload."""
-    enabled = tuple(enabled)
-    if not enabled:
-        raise ValueError("at least one mode must be enabled")
-    return choose_payload(objective, payload_rows(geom, radio, configs, enabled))
-
-
 def choose_payload(objective: Objective, rows) -> ModeDecision:
     """Best of payload_rows-style rows under the objective; ties fall to
     the earlier (more passive) row."""
     kind = objective.kind
     if kind is ObjectiveKind.MAX_CAPACITY:
-        mode, capacity, _ = max(rows, key=lambda m: m[1])
+        mode, capacity, _, _ = max(rows, key=lambda m: m[1])
         return ModeDecision(mode, _action_for(mode), capacity)
     if kind is ObjectiveKind.MAX_ENERGY_EFFICIENCY:
-        mode, capacity, power = max(rows, key=lambda m: m[1] / m[2])
+        mode, capacity, power, _ = max(rows, key=lambda m: m[1] / m[2])
         return ModeDecision(mode, _action_for(mode), capacity / power)
     if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
         feasible = [m for m in rows if m[1] >= objective.qos_min_bps]
         if not feasible:
             return ModeDecision(None, Action.INFEASIBLE, 0.0)
-        mode, _, power = min(feasible, key=lambda m: m[2])
+        mode, _, power, _ = min(feasible, key=lambda m: m[2])
         return ModeDecision(mode, _action_for(mode), power)
     raise ValueError(f"unknown objective kind {kind!r}")

@@ -73,20 +73,6 @@ class RadioParams:
             raise ValueError("scintillation margin cannot be negative")
 
 
-@dataclass(frozen=True)
-class Link:
-    """One directed hop: distance plus the powers/gains at its two ends."""
-
-    distance: float  # m
-    tx_power: float  # dBm
-    tx_gain: float   # dB
-    rx_gain: float   # dB
-
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError("link distance must be positive")
-
-
 # =====================================================================
 # Geometry
 # =====================================================================
@@ -175,23 +161,11 @@ class LinkBudget:
         return 10.0 ** (snr_db / 10.0)
 
 
-def total_link_loss_dB(d, radio: RadioParams):
-    """FSPL + gaseous attenuation + scintillation over a hop of length d."""
-    return LinkBudget(radio).loss_dB(d)
-
-
 def noise_power_dBm(B, noise_figure):
     """Thermal noise floor -174 + 10*log10(B) + NF in dBm."""
     if B <= 0:
         raise ValueError("bandwidth must be positive")
     return -174.0 + 10.0 * math.log10(B) + noise_figure
-
-
-def link_snr_linear(link: Link, radio: RadioParams):
-    """Received SNR of one hop as a linear ratio."""
-    return LinkBudget(radio).snr_linear(
-        link.distance, link.tx_power + link.tx_gain + link.rx_gain
-    )
 
 
 def propagation_delay_s(path_m):

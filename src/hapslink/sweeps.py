@@ -15,9 +15,10 @@ from .modes import (
     energy_efficiency,
     relay_capacity,
     relay_optimal_split,
+    ris_placement_roots,
 )
 from .offload import ComputeTask, offload_path_m, task_latency
-from .optimizer import optimal_ris_positions, optimize_placement_numeric
+from .optimizer import optimize_placement_numeric
 from .propagation import ScenarioGeometry
 
 
@@ -43,10 +44,6 @@ def _geom_at(cfg: ScenarioConfig, x):
     return ScenarioGeometry(D=cfg.geom.D, H=cfg.geom.H, x=x)
 
 
-def _corridor(cfg: ScenarioConfig):
-    return Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-
-
 def _ris_variants(cfg: ScenarioConfig):
     """The configured surface with each swept element count."""
     return [replace(cfg.ris, N=n) for n in cfg.ris_N_list]
@@ -62,7 +59,7 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     header = ["x_m", "rs_alpha05_bps_hz", "rs_alpha_opt_bps_hz", "alpha_opt"]
     header += [f"ris_N{n}_bps_hz" for n in cfg.ris_N_list]
     surfaces = _ris_variants(cfg)
-    corridor = _corridor(cfg)
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
     rows = []
     for x in spec.grid():
         snr1, snr2 = corridor.rs_hop_snrs(x)
@@ -80,7 +77,7 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     notes = {
         "alpha05_max_degradation_pct": max(degradation),
         "alpha05_degradation_at_stop_pct": degradation[-1],
-        "ris_roots_m": optimal_ris_positions(cfg.geom.D, cfg.geom.H),
+        "ris_roots_m": ris_placement_roots(cfg.geom.D, cfg.geom.H),
     }
     return SweepResult(tuple(header), tuple(rows), notes)
 
@@ -95,7 +92,7 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     header = ["x_m", "ee_rs_alpha05_bits_per_J", "ee_rs_alpha_opt_bits_per_J"]
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
     surfaces = _ris_variants(cfg)
-    corridor = _corridor(cfg)
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
     rows = []
     for x in spec.grid():
         snr1, snr2 = corridor.rs_hop_snrs(x)
@@ -135,7 +132,7 @@ def latency_sweep_placements(cfg: ScenarioConfig):
     smbs_geom = _geom_at(cfg, cfg.geom.D)
     rs_place = optimize_placement_numeric(Mode.RS, cfg.geom, cfg.radio, cfg.configs)
     rs_geom = _geom_at(cfg, rs_place.x_opt)
-    ris_geom = _geom_at(cfg, optimal_ris_positions(cfg.geom.D, cfg.geom.H)[0])
+    ris_geom = _geom_at(cfg, ris_placement_roots(cfg.geom.D, cfg.geom.H)[0])
     return smbs_geom, rs_geom, ris_geom
 
 
@@ -154,7 +151,7 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += ["rs_s", "ris_s"]
 
     # (path_m, capacity_bps, compute rate) per column; only S varies by row
-    corridor = _corridor(cfg)
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
     legs = [
         _latency_leg(cfg, corridor, Mode.SMBS, smbs_geom, fh)
         for fh in cfg.smbs_F_H_list

@@ -2,6 +2,7 @@ import pytest
 
 from hapslink import (
     CloudConfig,
+    Corridor,
     ModeConfigs,
     RadioParams,
     ScenarioGeometry,
@@ -14,6 +15,12 @@ H_DEFAULT = 20000.0
 @pytest.fixture
 def radio():
     return RadioParams()
+
+
+@pytest.fixture
+def corridor(radio):
+    """The default 60 km corridor at 20 km altitude, stock radio."""
+    return Corridor(D_DEFAULT, H_DEFAULT, radio)
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ import pytest
 from hapslink import (
     CacheState,
     CloudConfig,
+    Corridor,
     EngineContext,
     Mode,
     Objective,
@@ -30,19 +31,16 @@ from hapslink import (
     handle_request,
     load_config,
     load_trace,
-    mode_capacity_bps_hz,
-    optimize_alpha,
     optimize_placement_numeric,
+    relay_optimal_split,
     replay_trace,
-    ris_capacity,
     ris_placement_roots,
-    ris_snr_linear,
-    select_mode_for_communication,
     sweep_capacity,
     sweep_ee,
     sweep_latency,
 )
-from hapslink.modes import RisConfig, rs_hop_snrs_full_power
+from hapslink.modes import RisConfig
+from hapslink.optimizer import choose_payload, payload_rows
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_TRACE = os.path.join(DATA_DIR, "golden_trace.txt")
@@ -78,6 +76,10 @@ def geom_at(cfg, x):
     return ScenarioGeometry(D=cfg.geom.D, H=cfg.geom.H, x=x)
 
 
+def corridor_of(cfg, radio=None):
+    return Corridor(cfg.geom.D, cfg.geom.H, radio or cfg.radio)
+
+
 # ---------------------------------------------------------------
 # 1. reflected-path placement matches the closed-form offsets
 # ---------------------------------------------------------------
@@ -87,7 +89,8 @@ def test_criterion_01_ris_placement_roots():
     step = 10.0
     with timed("c1"):
         xs = [i * step for i in range(int(cfg.geom.D / step) + 1)]
-        caps = [ris_capacity(geom_at(cfg, x), cfg.radio, cfg.ris) for x in xs]
+        corridor = corridor_of(cfg)
+        caps = [corridor.ris_capacity(x, cfg.ris) for x in xs]
         best = max(range(len(xs)), key=lambda i: caps[i])
     elapsed = DURATIONS["c1"]
     roots = ris_placement_roots(cfg.geom.D, cfg.geom.H)
@@ -113,10 +116,8 @@ def test_criterion_02_rs_placement_at_gnb():
     step = 100.0
     with timed("c2"):
         xs = [i * step for i in range(int(cfg.geom.D / step) + 1)]
-        caps = [
-            mode_capacity_bps_hz(Mode.RS, geom_at(cfg, x), cfg.radio, cfg.configs)
-            for x in xs
-        ]
+        corridor = corridor_of(cfg)
+        caps = [corridor.capacity_bps_hz(Mode.RS, x, cfg.configs) for x in xs]
         best = max(range(len(xs)), key=lambda i: caps[i])
     assert abs(xs[best] - cfg.geom.D) <= step
     print(f"PASS 2: relay capacity argmax {xs[best]:.0f} m is within one "
@@ -135,10 +136,10 @@ def test_criterion_03_alpha_optimizer_oracle():
         for _ in range(10):
             D = rng.uniform(40000.0, 80000.0)
             H = rng.uniform(18000.0, 22000.0)
-            geom = ScenarioGeometry(D=D, H=H, x=rng.uniform(0.05 * D, 0.95 * D))
-            snr1, snr2 = rs_hop_snrs_full_power(geom, cfg.radio)
+            x = rng.uniform(0.05 * D, 0.95 * D)
+            snr1, snr2 = Corridor(D, H, cfg.radio).rs_hop_snrs(x)
             oracle = alphas[np.argmax(np.minimum(alphas * snr1, (1 - alphas) * snr2))]
-            alpha_opt, _ = optimize_alpha(geom, cfg.radio, cfg.rs)
+            alpha_opt, _ = relay_optimal_split(snr1, snr2)
             assert abs(alpha_opt - oracle) <= 2e-4
 
         result = sweep_capacity(cfg)
@@ -159,10 +160,10 @@ def test_criterion_03_alpha_optimizer_oracle():
 def test_criterion_04_ris_scaling_law():
     cfg = load_config(None)
     with timed("c4"):
-        geom = cfg.geom
+        corridor, x = corridor_of(cfg), cfg.geom.x
         for n in (1, 10, 10000):
-            snr_n = ris_snr_linear(geom, cfg.radio, RisConfig(N=n))
-            snr_2n = ris_snr_linear(geom, cfg.radio, RisConfig(N=2 * n))
+            snr_n = corridor.ris_snr(x, RisConfig(N=n))
+            snr_2n = corridor.ris_snr(x, RisConfig(N=2 * n))
             assert snr_2n / snr_n == pytest.approx(4.0, rel=1e-12)
 
         result = sweep_capacity(cfg)
@@ -342,13 +343,14 @@ def test_criterion_09_gain_shift_invariance():
     )
     objective = Objective(ObjectiveKind.MAX_CAPACITY)
     spec = cfg.sweep_for("x")
+    base, boosted = corridor_of(cfg), corridor_of(cfg, shifted)
     for x in spec.grid():
         geom = geom_at(cfg, x)
-        before = select_mode_for_communication(objective, geom, cfg.radio, cfg.configs)
-        after = select_mode_for_communication(objective, geom, shifted, cfg.configs)
+        before = choose_payload(objective, payload_rows(geom, cfg.radio, cfg.configs))
+        after = choose_payload(objective, payload_rows(geom, shifted, cfg.configs))
         assert before.mode is after.mode
-        a_before, _ = optimize_alpha(geom, cfg.radio, cfg.rs)
-        a_after, _ = optimize_alpha(geom, shifted, cfg.rs)
+        a_before, _ = relay_optimal_split(*base.rs_hop_snrs(x))
+        a_after, _ = relay_optimal_split(*boosted.rs_hop_snrs(x))
         assert abs(a_before - a_after) <= 2e-4
 
     for mode in (Mode.RS, Mode.RIS, Mode.SMBS):

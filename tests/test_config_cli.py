@@ -1,17 +1,23 @@
+import contextlib
+import io
+import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hapslink import (
     ConfigError,
     DEFAULT_S_SWEEP,
     DEFAULT_X_SWEEP,
     ENV_CONFIG_VAR,
+    RequestKind,
     SweepSpec,
     load_config,
     sweep_capacity,
 )
 from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
+from hapslink.engine import OBJECTIVE_TOKENS
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +106,13 @@ def test_bad_value_names_key(tmp_path):
     for text, key in NON_FINITE_CONFIGS:
         with pytest.raises(ConfigError, match=key + ": .*finite"):
             load_config(write_config(tmp_path, text))
+
+
+def test_integer_keys_accept_exponent_notation(tmp_path):
+    path = write_config(tmp_path, "[ris]\nN = 5e4\n\n[smbs]\ncache_capacity = 3.0\n")
+    cfg = load_config(path)
+    assert cfg.ris.N == 50000 and isinstance(cfg.ris.N, int)
+    assert cfg.smbs.cache_capacity == 3 and isinstance(cfg.smbs.cache_capacity, int)
 
 
 def test_geometry_validation_surfaces(tmp_path):
@@ -290,6 +303,15 @@ OUT_OF_RANGE_CONFIGS = {
     "N_list_negative": ("sweep-capacity", "[ris]\nN_list = 100, -5\n", r"\[ris\] N_list"),
     "N_list_fraction": ("sweep-capacity", "[ris]\nN_list = 1.5\n", r"\[ris\] N_list"),
     "F_H_list": ("sweep-latency", "[smbs]\nF_H_list = 1e9, 0\n", r"\[smbs\] F_H_list"),
+    # integer keys: a fraction used to be truncated without a word
+    "N_fraction": ("sweep-capacity", "[ris]\nN = 1.5\n", r"\[ris\] N must be an integer"),
+    "cache_capacity_fraction": (
+        "sweep-capacity", "[smbs]\ncache_capacity = 2.7\n", r"\[smbs\] cache_capacity"
+    ),
+    "popularity_threshold_fraction": (
+        "sweep-capacity", "[engine]\npopularity_threshold = 2.9\n",
+        r"\[engine\] popularity_threshold",
+    ),
 }
 
 
@@ -411,3 +433,108 @@ def test_cli_select_non_finite_exits_1(capsys):
 def test_cli_replay_missing_trace_exits_1(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "ghost.trace")]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------
+# CLI: scenarios the model cannot evaluate
+# ---------------------------------------------------------------
+
+# a 20 000 km corridor: the reflected path's capacity underflows to zero
+FAR_CORRIDOR = "[geometry]\nD = 2e7\nH = 20000\nx = 1000\n"
+# a 1e9 m corridor: the surface's reference-path loss overflows
+HUGE_CORRIDOR = "[geometry]\nD = 1e9\nx = 5e8\n"
+ONE_TASK = "0.0,task_offloading,,1e6,,\n"
+
+MODEL_ERROR_CASES = {
+    "far_replay": (FAR_CORRIDOR, ["replay"]),
+    "far_sweep_latency": (FAR_CORRIDOR, ["sweep-latency"]),
+    "far_sweep_ee": (FAR_CORRIDOR, ["sweep-ee", "--grid", "1e5"]),
+    "huge_replay": (HUGE_CORRIDOR, ["replay"]),
+    "huge_select": (HUGE_CORRIDOR, ["select", "--kind", "communication"]),
+    "huge_sweep_latency": (HUGE_CORRIDOR, ["sweep-latency"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERROR_CASES))
+def test_cli_model_error_exits_1(tmp_path, capsys, case):
+    text, args = MODEL_ERROR_CASES[case]
+    args = args + ["--config", write_config(tmp_path, text)]
+    if args[0] == "replay":
+        trace = tmp_path / "one.trace"
+        trace.write_text(ONE_TASK)
+        args.append(str(trace))
+    assert main(args) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------
+# CLI: hostile trace bytes
+# ---------------------------------------------------------------
+
+# "{i}" stands for the line's index, so time stays in order unless a
+# garbage timestamp is drawn
+_SIZE = st.sampled_from(["0", "1e4", "2.5e7", "1.7e308"])
+_CONTENT_ID = st.sampled_from(["a", "b", "vid 9"])
+_GOAL = st.sampled_from([
+    ",", "max_capacity,", "max_energy_efficiency,", "min_energy,5e7", "min_energy,1e12",
+    ",1e12",
+])
+_VALID = st.one_of(
+    st.tuples(st.sampled_from(["content_delivery", "caching"]), _CONTENT_ID,
+              st.one_of(st.just(""), _SIZE)),
+    st.tuples(st.just("communication"), st.just(""), st.one_of(st.just(""), _SIZE)),
+    st.tuples(st.just("task_offloading"), st.just(""), _SIZE),
+).flatmap(lambda f: _GOAL.map(lambda goal: "{i}," + ",".join(f) + "," + goal))
+_GARBAGE = st.tuples(
+    st.sampled_from(["{i}", "-1", "nan", "-inf", "1e400", "t", ""]),
+    st.sampled_from([k.value for k in RequestKind] + ["teleport", ""]),
+    st.sampled_from(["", "a", "vid 9"]),
+    st.sampled_from(["", "-5", "nan", "inf", "1e400", "bits"]),
+    st.sampled_from(["", *OBJECTIVE_TOKENS, "up"]),
+    st.sampled_from(["", "0", "-1", "inf", "q"]),
+).map(",".join)
+_LINE = st.one_of(
+    _VALID.map(str.encode),
+    _VALID.map(str.encode),
+    _GARBAGE.map(str.encode),
+    st.sampled_from([b"", b"# comment", b"1,2", b"1,communication,,,,,", b"\xff\xfe"]),
+    st.binary(max_size=16),
+)
+
+
+def _finite_or_blank(cell):
+    return cell == "" or math.isfinite(float(cell))
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=st.lists(_LINE, max_size=8))
+@example(lines=[b"{i},task_offloading,,1.7e308,,"])  # computation time overflowed
+def test_cli_replay_survives_hostile_trace_bytes(tmp_path, lines):
+    trace = tmp_path / "hostile.trace"
+    trace.write_bytes(
+        b"\n".join(line.replace(b"{i}", str(i).encode()) for i, line in enumerate(lines))
+    )
+    out = tmp_path / "decisions.csv"
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["replay", str(trace), "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_INVALID)
+    if code == EXIT_INVALID:
+        assert err.startswith("error:")
+        return
+    header, *rows = out.read_text().splitlines()
+    numeric = [i for i, name in enumerate(header.split(",")) if name not in
+               ("kind", "mode", "action")]
+    for row in rows:
+        cells = row.split(",")
+        assert all(_finite_or_blank(cells[i]) for i in numeric), row
+    totals = [line.split(" = ")[1] for line in err.splitlines() if " = " in line]
+    assert len(totals) == 3  # requests, total_energy_J, cache_hit_rate
+    assert all(_finite_or_blank(value) for value in totals), err

@@ -1,8 +1,10 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hapslink import engine, offload, optimizer, propagation
 from hapslink import (
     Action,
     CacheState,
@@ -24,8 +26,12 @@ from hapslink import (
     parse_trace_line,
     replay_trace,
 )
+from hapslink.cli import EXIT_OK, main
+from hapslink.modes import RisConfig
 
 from conftest import geom_at
+
+GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "golden_trace.txt")
 
 
 @pytest.fixture
@@ -72,6 +78,23 @@ def test_rejects_negative_size(ctx):
     req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=-5.0)
     with pytest.raises(RequestError):
         handle_request(req, fresh_state(), ctx)
+
+
+def test_overflowing_request_is_refused_before_the_state_changes():
+    # a surface that draws 5e304 W turns a 1 Tbit forward into inf joules
+    configs = ModeConfigs.defaults()
+    hungry = ModeConfigs(
+        rs=configs.rs, ris=RisConfig(per_element_power_W=1e300), smbs=configs.smbs
+    )
+    ctx = EngineContext(geom=geom_at(30000.0), radio=RadioParams(), configs=hungry)
+    state = fresh_state(threshold=1)
+    for kind in (RequestKind.CONTENT_DELIVERY, RequestKind.CACHING):
+        req = Request(t=0, kind=kind, content_id="big", size_bits=1e12)
+        with pytest.raises(ValueError, match="energy_J overflows"):
+            handle_request(req, state, ctx)
+        assert not state.entries and not state.popularity
+    with pytest.raises(RequestError, match="request 0: energy_J overflows"):
+        replay_trace([content(0.0, "big", size=1e12)], state, ctx)
 
 
 def test_error_leaves_state_untouched(ctx):
@@ -310,6 +333,61 @@ def test_forced_surface_cheaper_than_forced_relay(ctx):
     ris = replay_trace(reqs, fresh_state(), ctx, force_mode=Mode.RIS)
     rs = replay_trace(reqs, fresh_state(), ctx, force_mode=Mode.RS)
     assert ris.summary.total_energy_J < rs.summary.total_energy_J
+
+
+def test_replay_validates_each_request_once(ctx, monkeypatch, tmp_path):
+    requests = load_trace(GOLDEN_TRACE)
+    calls = []
+    real = engine.validate_request
+
+    def counting(req):
+        calls.append(req)
+        return real(req)
+
+    monkeypatch.setattr(engine, "validate_request", counting)
+    replay_trace(requests, fresh_state(), ctx)
+    assert len(calls) == len(requests) == 20
+    calls.clear()
+    replay_trace(requests, fresh_state(), ctx, force_mode=Mode.RS)
+    assert len(calls) == len(requests)
+    # the forced path is still validated
+    with pytest.raises(RequestError, match="request 1: content_delivery request needs"):
+        replay_trace(
+            [content(0.0, "a"), Request(t=1.0, kind=RequestKind.CONTENT_DELIVERY)],
+            fresh_state(), ctx, force_mode=Mode.RIS,
+        )
+    # the CLI parses (one call per line) and then replays (one more)
+    calls.clear()
+    assert main(["replay", GOLDEN_TRACE, "--out", str(tmp_path / "d.csv")]) == EXIT_OK
+    assert len(calls) == 2 * len(requests)
+
+
+def test_context_runs_the_link_budget_once(monkeypatch):
+    real = propagation.dry_air_specific_attenuation
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(propagation, "dry_air_specific_attenuation", counting)
+    ctx = EngineContext(
+        geom=geom_at(30000.0), radio=RadioParams(), configs=ModeConfigs.defaults()
+    )
+    assert len(calls) == 1
+
+    # after construction no request re-runs the link budget or the geometry
+    def refuse(*args):
+        raise AssertionError("recomputed after construction")
+
+    monkeypatch.setattr(propagation, "dry_air_specific_attenuation", refuse)
+    for module in (engine, offload, optimizer):
+        if hasattr(module, "offload_path_m"):
+            monkeypatch.setattr(module, "offload_path_m", refuse)
+    requests = load_trace(GOLDEN_TRACE)
+    replay_trace(requests, fresh_state(), ctx)
+    for mode in Mode:
+        replay_trace(requests, fresh_state(), ctx, force_mode=mode)
 
 
 # ---------------------------------------------------------------

@@ -4,24 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hapslink import (
+    Corridor,
     Mode,
     ModeConfigs,
     RadioParams,
     RisConfig,
-    ScenarioGeometry,
     SmbsConfig,
     energy_efficiency,
     mode_payload_power_W,
-    ris_capacity,
+    relay_capacity,
     ris_placement_roots,
-    ris_snr_linear,
-    rs_capacity,
-    smbs_access_capacity,
 )
-from hapslink.modes import rs_hop_snrs_full_power
 from hapslink.propagation import fspl_dB, noise_power_dBm
 
-from conftest import geom_at
+from conftest import D_DEFAULT, H_DEFAULT
 
 
 # ---------------------------------------------------------------
@@ -53,51 +49,49 @@ def test_rs_symmetric_geometry_balances(radio):
     # equal end gains and the midpoint make the two hops identical, so
     # the even split hits C = 1/2 log2(1 + snr/2)
     sym_radio = RadioParams(G0_max=20.0, G_gNB=20.0)
-    geom = geom_at(30000.0)
-    snr1, snr2 = rs_hop_snrs_full_power(geom, sym_radio)
+    snr1, snr2 = Corridor(D_DEFAULT, H_DEFAULT, sym_radio).rs_hop_snrs(30000.0)
     assert snr1 == pytest.approx(snr2, rel=1e-12)
-    cap = rs_capacity(geom, sym_radio, alpha=0.5)
+    cap = relay_capacity(snr1, snr2, alpha=0.5)
     assert cap == pytest.approx(0.5 * math.log2(1 + 0.5 * snr1), rel=1e-12)
 
 
-def test_rs_capacity_vanishes_as_alpha_vanishes(radio, configs):
-    geom = geom_at(30000.0)
+def test_rs_capacity_vanishes_as_alpha_vanishes(corridor, configs):
+    snrs = corridor.rs_hop_snrs(30000.0)
     caps = [
-        rs_capacity(geom, radio, alpha=a)
+        relay_capacity(*snrs, alpha=a)
         for a in (1e-3, 1e-6, 1e-9, 1e-12)
     ]
     assert all(c2 < c1 for c1, c2 in zip(caps, caps[1:]))
     assert caps[-1] < 1e-6
 
 
-def test_rs_capacity_alpha05_frozen(radio, configs):
-    got = rs_capacity(geom_at(30000.0), radio, alpha=0.5)
+def test_rs_capacity_alpha05_frozen(corridor, configs):
+    got = relay_capacity(*corridor.rs_hop_snrs(30000.0), alpha=0.5)
     assert got == pytest.approx(4.259291804624754, rel=1e-12)
 
 
-def test_rs_rejects_alpha_out_of_range(radio, configs):
+def test_rs_rejects_alpha_out_of_range(corridor, configs):
+    snrs = corridor.rs_hop_snrs(30000.0)
     with pytest.raises(ValueError):
-        rs_capacity(geom_at(30000.0), radio, alpha=0.0)
+        relay_capacity(*snrs, alpha=0.0)
     with pytest.raises(ValueError):
-        rs_capacity(geom_at(30000.0), radio, alpha=1.2)
+        relay_capacity(*snrs, alpha=1.2)
 
 
 @given(alpha=st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_rs_min_structure(alpha):
     # the half-duplex capacity can never beat either individual hop
-    radio = RadioParams()
-    geom = geom_at(25000.0)
-    snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
-    cap = rs_capacity(geom, radio, alpha=alpha)
+    snr1, snr2 = Corridor(D_DEFAULT, H_DEFAULT, RadioParams()).rs_hop_snrs(25000.0)
+    cap = relay_capacity(snr1, snr2, alpha=alpha)
     assert cap <= 0.5 * math.log2(1 + alpha * snr1) + 1e-12
     assert cap <= 0.5 * math.log2(1 + (1 - alpha) * snr2) + 1e-12
 
 
-def test_rs_unimodal_in_alpha(radio, configs):
+def test_rs_unimodal_in_alpha(corridor, configs):
     # discrete slope changes sign exactly once over a fine alpha grid
-    geom = geom_at(40000.0)
+    snrs = corridor.rs_hop_snrs(40000.0)
     alphas = [i / 2000 for i in range(1, 2000)]
-    caps = [rs_capacity(geom, radio, alpha=a) for a in alphas]
+    caps = [relay_capacity(*snrs, alpha=a) for a in alphas]
     diffs = [b - a for a, b in zip(caps, caps[1:])]
     sign_changes = sum(
         1 for d1, d2 in zip(diffs, diffs[1:]) if (d1 > 0) != (d2 > 0)
@@ -109,23 +103,20 @@ def test_rs_unimodal_in_alpha(radio, configs):
 # reflecting surface
 # ---------------------------------------------------------------
 
-def test_ris_snr_quadruples_with_doubled_elements(radio):
-    geom = geom_at(20000.0)
+def test_ris_snr_quadruples_with_doubled_elements(corridor):
     for n in (1, 10, 10000):
-        lo = ris_snr_linear(geom, radio, RisConfig(N=n))
-        hi = ris_snr_linear(geom, radio, RisConfig(N=2 * n))
+        lo = corridor.ris_snr(20000.0, RisConfig(N=n))
+        hi = corridor.ris_snr(20000.0, RisConfig(N=2 * n))
         assert hi / lo == pytest.approx(4.0, rel=1e-12)
 
 
-def test_ris_capacity_monotone_in_N(radio):
-    geom = geom_at(20000.0)
-    caps = [ris_capacity(geom, radio, RisConfig(N=n)) for n in (10000, 30000, 50000)]
+def test_ris_capacity_monotone_in_N(corridor):
+    caps = [corridor.ris_capacity(20000.0, RisConfig(N=n)) for n in (10000, 30000, 50000)]
     assert caps[0] < caps[1] < caps[2]
 
 
-def test_ris_snr_vanishes_with_beta(radio):
-    geom = geom_at(20000.0)
-    tiny = ris_snr_linear(geom, radio, RisConfig(N=50000, beta=1e-9))
+def test_ris_snr_vanishes_with_beta(corridor):
+    tiny = corridor.ris_snr(20000.0, RisConfig(N=50000, beta=1e-9))
     assert tiny < 1e-12
 
 
@@ -142,45 +133,44 @@ def test_ris_placement_roots_collapse():
     assert ris_placement_roots(60000, 40000) == (30000.0,)
 
 
-def test_ris_capacity_frozen_at_root(radio, configs):
+def test_ris_capacity_frozen_at_root(corridor, configs):
     root = ris_placement_roots(60000, 20000)[0]
-    got = ris_capacity(geom_at(root), radio, configs.ris)
+    got = corridor.ris_capacity(root, configs.ris)
     assert got == pytest.approx(7.031361895295138, rel=1e-12)
 
 
-def test_ris_snr_symmetric_about_midpoint(radio, configs):
+def test_ris_snr_symmetric_about_midpoint(corridor, configs):
     for x in (5000.0, 12000.0, 29000.0):
-        a = ris_snr_linear(geom_at(x), radio, configs.ris)
-        b = ris_snr_linear(geom_at(60000.0 - x), radio, configs.ris)
+        a = corridor.ris_snr(x, configs.ris)
+        b = corridor.ris_snr(60000.0 - x, configs.ris)
         assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_ris_equal_capacity_at_both_roots(radio, configs):
+def test_ris_equal_capacity_at_both_roots(corridor, configs):
     r1, r2 = ris_placement_roots(60000, 20000)
-    c1 = ris_capacity(geom_at(r1), radio, configs.ris)
-    c2 = ris_capacity(geom_at(r2), radio, configs.ris)
+    c1 = corridor.ris_capacity(r1, configs.ris)
+    c2 = corridor.ris_capacity(r2, configs.ris)
     assert c1 == pytest.approx(c2, rel=1e-12)
 
 
-def test_ris_capacity_simple_snr_points(radio, configs):
+def test_ris_capacity_simple_snr_points(corridor, configs):
     # log2(1 + snr) endpoints sanity: tiny snr ~ 0 bps/Hz
-    geom = geom_at(30000.0)
     tiny = RisConfig(N=1, beta=1e-6)
-    assert ris_capacity(geom, radio, tiny) < 1e-9
+    assert corridor.ris_capacity(30000.0, tiny) < 1e-9
 
 
 # ---------------------------------------------------------------
 # base-station payload
 # ---------------------------------------------------------------
 
-def test_smbs_capacity_frozen_above_gnb(radio):
-    assert smbs_access_capacity(geom_at(60000.0), radio) == pytest.approx(
+def test_smbs_capacity_frozen_above_gnb(corridor):
+    assert corridor.smbs_capacity(60000.0) == pytest.approx(
         6.943870592632252, rel=1e-12
     )
 
 
-def test_smbs_capacity_decays_away_from_gnb(radio):
-    caps = [smbs_access_capacity(geom_at(x), radio) for x in (60000, 45000, 30000, 0)]
+def test_smbs_capacity_decays_away_from_gnb(corridor):
+    caps = [corridor.smbs_capacity(x) for x in (60000, 45000, 30000, 0)]
     assert all(c2 < c1 for c1, c2 in zip(caps, caps[1:]))
 
 
@@ -192,7 +182,7 @@ def test_smbs_toy_balanced_link_gives_one_bit():
         P_gNB=balanced, G_gNB=0.0, G_H_rx=0.0,
         pressure_Pa=0.0, scintillation_dB=0.0,
     )
-    cap = smbs_access_capacity(geom_at(60000.0), radio)
+    cap = Corridor(D_DEFAULT, H_DEFAULT, radio).smbs_capacity(60000.0)
     assert cap == pytest.approx(1.0, rel=1e-12)
 
 

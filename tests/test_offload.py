@@ -88,14 +88,15 @@ def test_offload_affine_in_size(s):
         assert (l2 - l1) - (l1 - l0) == pytest.approx(0.0, abs=1e-12 * max(l2, 1.0))
 
 
-def test_offload_slope_matches_components(radio, configs, cloud):
+def test_offload_slope_matches_components(radio, corridor, configs, cloud):
     geom = geom_at(30000.0)
     s = 1e6
     for mode, rate in ((Mode.SMBS, configs.smbs.F_H), (Mode.RIS, cloud.F_C)):
         l0 = offload_latency(mode, geom, radio, configs, ComputeTask(0.0), cloud)
         l1 = offload_latency(mode, geom, radio, configs, ComputeTask(s), cloud)
         slope = (l1 - l0) / s
-        tx_slope = transmission_latency(1.0, _capacity_bps(mode, geom, radio, configs))
+        capacity_bps = corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B
+        tx_slope = transmission_latency(1.0, capacity_bps)
         assert slope == pytest.approx(tx_slope + 4.0 / rate, rel=1e-12)
 
 
@@ -110,13 +111,7 @@ def test_offload_rs_slope_uses_the_engine_capacity(radio, configs, cloud):
     assert (l1 - l0) / s == pytest.approx(expected, rel=1e-12)
 
 
-def _capacity_bps(mode, geom, radio, configs):
-    from hapslink import mode_capacity_bps_hz
-
-    return mode_capacity_bps_hz(mode, geom, radio, configs) * radio.B
-
-
-def test_smbs_dominates_when_faster_everywhere(radio, cloud):
+def test_smbs_dominates_when_faster_everywhere(radio, corridor, cloud):
     # equal compute rates and a better channel: onboard wins at any size
     configs = ModeConfigs.defaults()
     fast = ModeConfigs(
@@ -124,8 +119,8 @@ def test_smbs_dominates_when_faster_everywhere(radio, cloud):
         smbs=SmbsConfig(F_H=cloud.F_C, payload_power_W=3000.0),
     )
     geom = geom_at(60000.0)
-    assert _capacity_bps(Mode.SMBS, geom, radio, fast) > _capacity_bps(
-        Mode.RIS, geom, radio, fast
+    assert corridor.capacity_bps_hz(Mode.SMBS, geom.x, fast) * radio.B > (
+        corridor.capacity_bps_hz(Mode.RIS, geom.x, fast) * radio.B
     )
     for s in (0.0, 1e4, 1e6, 1e9):
         task = ComputeTask(s)

@@ -5,26 +5,22 @@ import pytest
 
 from hapslink import (
     Action,
+    Corridor,
     Mode,
     ModeConfigs,
     Objective,
     ObjectiveKind,
     RadioParams,
     RisConfig,
-    RsConfig,
-    ScenarioGeometry,
     golden_section_max,
-    mode_capacity_bps_hz,
-    optimal_ris_positions,
-    optimize_alpha,
     optimize_placement_numeric,
-    ris_capacity,
-    rs_capacity,
-    select_mode_for_communication,
+    relay_capacity,
+    relay_optimal_split,
+    ris_placement_roots,
 )
-from hapslink.modes import rs_hop_snrs_full_power
+from hapslink.optimizer import choose_payload, payload_rows
 
-from conftest import geom_at
+from conftest import D_DEFAULT, H_DEFAULT, geom_at
 
 
 # ---------------------------------------------------------------
@@ -49,12 +45,13 @@ def test_golden_section_rejects_empty_interval():
 
 def test_alpha_symmetric_link_splits_evenly():
     radio = RadioParams(G0_max=20.0, G_gNB=20.0)
-    alpha, _ = optimize_alpha(geom_at(30000.0), radio, RsConfig())
+    snrs = Corridor(D_DEFAULT, H_DEFAULT, radio).rs_hop_snrs(30000.0)
+    alpha, _ = relay_optimal_split(*snrs)
     assert alpha == pytest.approx(0.5, abs=1e-5)
 
 
-def test_alpha_opt_frozen_above_gnb(radio, configs):
-    alpha, cap = optimize_alpha(geom_at(60000.0), radio, configs.rs)
+def test_alpha_opt_frozen_above_gnb(corridor, configs):
+    alpha, cap = relay_optimal_split(*corridor.rs_hop_snrs(60000.0))
     assert alpha == pytest.approx(0.015916159878747282, abs=1e-9)
     assert cap == pytest.approx(5.614032879239191, rel=1e-12)
 
@@ -62,9 +59,8 @@ def test_alpha_opt_frozen_above_gnb(radio, configs):
 def test_alpha_exact_at_extreme_asymmetry(radio, configs):
     # long corridor, platform next to the gateway: the strong first hop
     # needs almost none of the power budget
-    geom = ScenarioGeometry(D=150000.0, H=16500.0, x=500.0)
-    snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
-    alpha, cap = optimize_alpha(geom, radio, configs.rs)
+    snr1, snr2 = Corridor(150000.0, 16500.0, radio).rs_hop_snrs(500.0)
+    alpha, cap = relay_optimal_split(snr1, snr2)
     assert alpha == snr2 / (snr1 + snr2)
     assert alpha == pytest.approx(1.5e-5, rel=0.05)
     assert alpha * snr1 == pytest.approx((1.0 - alpha) * snr2, rel=1e-12)
@@ -73,11 +69,11 @@ def test_alpha_exact_at_extreme_asymmetry(radio, configs):
         assert cap >= 0.5 * math.log2(1.0 + min(a * snr1, (1.0 - a) * snr2))
 
 
-def test_alpha_opt_beats_even_split(radio, configs):
+def test_alpha_opt_beats_even_split(corridor, configs):
     for x in (0.0, 15000.0, 30000.0, 45000.0, 60000.0):
-        geom = geom_at(x)
-        _, cap_opt = optimize_alpha(geom, radio, configs.rs)
-        assert cap_opt >= rs_capacity(geom, radio, alpha=0.5)
+        snrs = corridor.rs_hop_snrs(x)
+        _, cap_opt = relay_optimal_split(*snrs)
+        assert cap_opt >= relay_capacity(*snrs, alpha=0.5)
 
 
 def test_alpha_matches_brute_force_grid(radio, configs):
@@ -88,22 +84,21 @@ def test_alpha_matches_brute_force_grid(radio, configs):
         D = rng.uniform(30000.0, 90000.0)
         H = rng.uniform(10000.0, 25000.0)
         x = rng.uniform(0.0, D)
-        geom = ScenarioGeometry(D=D, H=H, x=x)
-        snr1, snr2 = rs_hop_snrs_full_power(geom, radio)
+        snr1, snr2 = Corridor(D, H, radio).rs_hop_snrs(x)
 
         def cap(a):
             return 0.5 * math.log2(1.0 + min(a * snr1, (1.0 - a) * snr2))
 
         grid_best = max((i * 1e-4 for i in range(1, 10000)), key=cap)
-        alpha, _ = optimize_alpha(geom, radio, configs.rs)
+        alpha, _ = relay_optimal_split(snr1, snr2)
         assert abs(alpha - grid_best) <= 2e-4
 
 
-def test_alpha_never_worse_than_verification_grid(radio, configs):
-    geom = geom_at(22000.0)
-    alpha, cap = optimize_alpha(geom, radio, configs.rs)
+def test_alpha_never_worse_than_verification_grid(corridor, configs):
+    snrs = corridor.rs_hop_snrs(22000.0)
+    alpha, cap = relay_optimal_split(*snrs)
     for i in range(1, 1000):
-        grid_cap = rs_capacity(geom, radio, alpha=i / 1000)
+        grid_cap = relay_capacity(*snrs, alpha=i / 1000)
         assert cap >= grid_cap * (1.0 - 1e-9)
 
 
@@ -112,18 +107,18 @@ def test_alpha_never_worse_than_verification_grid(radio, configs):
 # ---------------------------------------------------------------
 
 def test_optimal_ris_positions_frozen():
-    r1, r2 = optimal_ris_positions(60000, 20000)
+    r1, r2 = ris_placement_roots(60000, 20000)
     assert r1 == pytest.approx(7639.320225002102, rel=1e-12)
     assert r2 == pytest.approx(52360.6797749979, rel=1e-12)
 
 
 def test_optimal_ris_positions_degenerate():
-    assert optimal_ris_positions(60000, 30000) == (30000.0,)
-    assert optimal_ris_positions(60000, 45000) == (30000.0,)
+    assert ris_placement_roots(60000, 30000) == (30000.0,)
+    assert ris_placement_roots(60000, 45000) == (30000.0,)
 
 
 def test_ris_roots_minimise_distance_product():
-    for root in optimal_ris_positions(60000, 20000):
+    for root in ris_placement_roots(60000, 20000):
         at_root = _distance_product_sq(root)
         assert at_root <= _distance_product_sq(root - 100.0)
         assert at_root <= _distance_product_sq(root + 100.0)
@@ -135,7 +130,7 @@ def _distance_product_sq(x, D=60000.0, H=20000.0):
     return d1_sq * d2_sq
 
 
-def test_placement_rs_lands_next_to_gnb(radio, configs):
+def test_placement_rs_lands_next_to_gnb(radio, corridor, configs):
     result = optimize_placement_numeric(Mode.RS, geom_at(0.0), radio, configs)
     # the true peak sits a shade inside the corridor: right above the gNB
     # the short hop stops improving while the long hop keeps paying
@@ -143,8 +138,7 @@ def test_placement_rs_lands_next_to_gnb(radio, configs):
     assert result.objective_value == pytest.approx(5.6140509329, rel=1e-9)
     # the exact crest: no point of a 1 cm scan around it does better
     for i in range(-500, 501):
-        geom = geom_at(59900.0 + i * 0.01)
-        cap = mode_capacity_bps_hz(Mode.RS, geom, radio, configs)
+        cap = corridor.capacity_bps_hz(Mode.RS, 59900.0 + i * 0.01, configs)
         assert result.objective_value >= cap * (1.0 - 1e-12)
 
 
@@ -155,16 +149,16 @@ def test_placement_smbs_on_top_of_gnb(radio, configs):
 
 def test_placement_ris_matches_closed_form(radio, configs):
     result = optimize_placement_numeric(Mode.RIS, geom_at(0.0), radio, configs)
-    roots = optimal_ris_positions(60000, 20000)
+    roots = ris_placement_roots(60000, 20000)
     assert min(abs(result.x_opt - r) for r in roots) <= 100.0
     # refinement should land much closer than the grid step
     assert min(abs(result.x_opt - r) for r in roots) <= 1e-2
 
 
-def test_placement_never_worse_than_grid(radio, configs):
+def test_placement_never_worse_than_grid(radio, corridor, configs):
     result = optimize_placement_numeric(Mode.RIS, geom_at(0.0), radio, configs)
     for x in range(0, 60001, 500):
-        cap = ris_capacity(geom_at(float(x)), radio, configs.ris)
+        cap = corridor.ris_capacity(float(x), configs.ris)
         assert result.objective_value >= cap * (1.0 - 1e-9)
 
 
@@ -178,8 +172,9 @@ def test_placement_rejects_bad_grid(radio, configs):
 # ---------------------------------------------------------------
 
 def test_select_max_capacity_midcorridor(radio, configs):
-    decision = select_mode_for_communication(
-        Objective(ObjectiveKind.MAX_CAPACITY), geom_at(30000.0), radio, configs
+    decision = choose_payload(
+        Objective(ObjectiveKind.MAX_CAPACITY),
+        payload_rows(geom_at(30000.0), radio, configs),
     )
     assert decision.mode is Mode.RIS
     assert decision.action is Action.FORWARD_VIA_GATEWAY
@@ -187,41 +182,43 @@ def test_select_max_capacity_midcorridor(radio, configs):
 
 
 def test_select_max_capacity_above_gnb(radio, configs):
-    decision = select_mode_for_communication(
-        Objective(ObjectiveKind.MAX_CAPACITY), geom_at(60000.0), radio, configs
+    decision = choose_payload(
+        Objective(ObjectiveKind.MAX_CAPACITY),
+        payload_rows(geom_at(60000.0), radio, configs),
     )
     assert decision.mode is Mode.SMBS
     assert decision.action is Action.SERVE_DIRECT
 
 
 def test_select_max_ee_prefers_surface(radio, configs):
-    decision = select_mode_for_communication(
-        Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY), geom_at(30000.0), radio, configs
+    decision = choose_payload(
+        Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
+        payload_rows(geom_at(30000.0), radio, configs),
     )
     assert decision.mode is Mode.RIS
 
 
 def test_select_min_energy_feasible(radio, configs):
-    decision = select_mode_for_communication(
+    decision = choose_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e8),
-        geom_at(30000.0), radio, configs,
+        payload_rows(geom_at(30000.0), radio, configs),
     )
     assert decision.mode is Mode.RIS
     assert decision.objective_value == pytest.approx(390.0, rel=1e-12)
 
 
 def test_select_min_energy_only_smbs_meets_qos(radio, configs):
-    decision = select_mode_for_communication(
+    decision = choose_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1.38e8),
-        geom_at(60000.0), radio, configs,
+        payload_rows(geom_at(60000.0), radio, configs),
     )
     assert decision.mode is Mode.SMBS
 
 
 def test_select_min_energy_infeasible(radio, configs):
-    decision = select_mode_for_communication(
+    decision = choose_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e12),
-        geom_at(30000.0), radio, configs,
+        payload_rows(geom_at(30000.0), radio, configs),
     )
     assert decision.mode is None
     assert decision.action is Action.INFEASIBLE
@@ -234,30 +231,17 @@ def test_select_tie_breaks_toward_passive(radio, configs):
         ris=RisConfig(N=50000, per_element_power_W=0.02),  # 1000 W
         smbs=configs.smbs,
     )
-    decision = select_mode_for_communication(
+    decision = choose_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e6),
-        geom_at(30000.0), radio, tied,
+        payload_rows(geom_at(30000.0), radio, tied),
     )
     assert decision.mode is Mode.RIS
 
 
-def test_select_respects_enabled_subset(radio, configs):
-    decision = select_mode_for_communication(
-        Objective(ObjectiveKind.MAX_CAPACITY), geom_at(30000.0), radio, configs,
-        enabled=(Mode.RS,),
-    )
-    assert decision.mode is Mode.RS
-    with pytest.raises(ValueError):
-        select_mode_for_communication(
-            Objective(ObjectiveKind.MAX_CAPACITY), geom_at(30000.0), radio, configs,
-            enabled=(),
-        )
-
-
 def test_select_deterministic(radio, configs):
     obj = Objective(ObjectiveKind.MAX_CAPACITY)
-    a = select_mode_for_communication(obj, geom_at(25000.0), radio, configs)
-    b = select_mode_for_communication(obj, geom_at(25000.0), radio, configs)
+    a = choose_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
+    b = choose_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
     assert a == b
 
 
@@ -277,10 +261,11 @@ def test_gain_shift_leaves_argmaxes_alone(radio, configs):
         G_RS=radio.G_RS + 7.0,
         G_H_rx=radio.G_H_rx + 7.0,
     )
+    base = Corridor(D_DEFAULT, H_DEFAULT, radio)
+    shifted = Corridor(D_DEFAULT, H_DEFAULT, boosted)
     for x in (10000.0, 30000.0, 52000.0):
-        geom = geom_at(x)
-        a0, _ = optimize_alpha(geom, radio, configs.rs)
-        a1, _ = optimize_alpha(geom, boosted, configs.rs)
+        a0, _ = relay_optimal_split(*base.rs_hop_snrs(x))
+        a1, _ = relay_optimal_split(*shifted.rs_hop_snrs(x))
         assert abs(a0 - a1) <= 2e-4
     base_place = optimize_placement_numeric(Mode.RIS, geom_at(0.0), radio, configs)
     boost_place = optimize_placement_numeric(Mode.RIS, geom_at(0.0), boosted, configs)

@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hapslink import (
-    Link,
+    LinkBudget,
     RadioParams,
     ScenarioGeometry,
     dry_air_specific_attenuation,
     elevation_angle,
     fspl_dB,
-    link_snr_linear,
     noise_power_dBm,
     slant_distance,
-    total_link_loss_dB,
 )
 from hapslink.propagation import SPEED_OF_LIGHT, propagation_delay_s
 
@@ -134,7 +132,7 @@ def test_dry_air_validity_window():
 def test_total_loss_is_fspl_without_atmosphere():
     radio = RadioParams(pressure_Pa=0.0, scintillation_dB=0.0)
     d = 36055.5127546399
-    assert total_link_loss_dB(d, radio) == pytest.approx(fspl_dB(d, radio.f), rel=1e-12)
+    assert LinkBudget(radio).loss_dB(d) == pytest.approx(fspl_dB(d, radio.f), rel=1e-12)
 
 
 def test_total_loss_composition():
@@ -146,14 +144,15 @@ def test_total_loss_composition():
         * d / 1000.0
         + radio.scintillation_dB
     )
-    assert total_link_loss_dB(d, radio) == pytest.approx(expected, rel=1e-14)
-    assert total_link_loss_dB(d, radio) == pytest.approx(130.35, abs=0.02)
+    budget = LinkBudget(radio)
+    assert budget.loss_dB(d) == pytest.approx(expected, rel=1e-14)
+    assert budget.loss_dB(d) == pytest.approx(130.35, abs=0.02)
 
 
 @given(st.floats(min_value=100.0, max_value=1e6))
 def test_total_loss_monotone_in_distance(d):
-    radio = RadioParams()
-    assert total_link_loss_dB(d * 1.01, radio) > total_link_loss_dB(d, radio)
+    budget = LinkBudget(RadioParams())
+    assert budget.loss_dB(d * 1.01) > budget.loss_dB(d)
 
 
 def test_noise_power_values():
@@ -181,17 +180,14 @@ def test_link_snr_constructed_balance():
     radio = RadioParams(pressure_Pa=0.0, scintillation_dB=0.0)
     d = 20000.0
     p = fspl_dB(d, radio.f) + noise_power_dBm(radio.B, radio.noise_figure)
-    link = Link(d, p, 0.0, 0.0)
-    assert link_snr_linear(link, radio) == pytest.approx(1.0, rel=1e-12)
+    assert LinkBudget(radio).snr_linear(d, p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_link_snr_3dB_doubles():
-    radio = RadioParams()
-    base = Link(20000.0, 10.0, 5.0, 5.0)
-    boosted = Link(20000.0, 10.0 + 10 * math.log10(2), 5.0, 5.0)
-    assert link_snr_linear(boosted, radio) == pytest.approx(
-        2 * link_snr_linear(base, radio), rel=1e-12
-    )
+    budget = LinkBudget(RadioParams())
+    base = budget.snr_linear(20000.0, 10.0 + 5.0 + 5.0)
+    boosted = budget.snr_linear(20000.0, 10.0 + 10 * math.log10(2) + 5.0 + 5.0)
+    assert boosted == pytest.approx(2 * base, rel=1e-12)
 
 
 @given(
@@ -201,25 +197,24 @@ def test_link_snr_3dB_doubles():
 )
 def test_link_snr_gain_shift_invariance(shift, tx_gain, rx_gain):
     # moving k dB from tx_gain to rx_gain cannot change the budget
-    radio = RadioParams()
-    a = Link(20000.0, 10.0, tx_gain, rx_gain)
-    b = Link(20000.0, 10.0, tx_gain - shift, rx_gain + shift)
-    assert link_snr_linear(a, radio) == pytest.approx(
-        link_snr_linear(b, radio), rel=1e-9
-    )
+    budget = LinkBudget(RadioParams())
+    a = budget.snr_linear(20000.0, 10.0 + tx_gain + rx_gain)
+    b = budget.snr_linear(20000.0, 10.0 + (tx_gain - shift) + (rx_gain + shift))
+    assert a == pytest.approx(b, rel=1e-9)
 
 
 def test_gateway_overhead_budget_assembles():
     # gateway under the platform: 33 dBm + 43.2 + 15 against loss and noise
     radio = RadioParams()
+    budget = LinkBudget(radio)
     d = 20000.0
-    link = Link(d, radio.P0_max, radio.G0_max, radio.G_RS)
     expected_db = (
         33.0 + 43.2 + 15.0
-        - total_link_loss_dB(d, radio)
+        - budget.loss_dB(d)
         - noise_power_dBm(radio.B, radio.noise_figure)
     )
-    assert link_snr_linear(link, radio) == pytest.approx(
+    gains_dB = radio.P0_max + radio.G0_max + radio.G_RS
+    assert budget.snr_linear(d, gains_dB) == pytest.approx(
         10 ** (expected_db / 10), rel=1e-12
     )
 

@@ -1,5 +1,6 @@
 """Sweep outputs pinned byte for byte, and the per-corridor link budget
-checked for exact agreement with the per-point scalar laws."""
+checked for exact agreement with the link-budget formulas written out
+in full."""
 
 import math
 import os
@@ -20,20 +21,17 @@ from hapslink import (
     dry_air_specific_attenuation,
     fspl_dB,
     load_config,
-    mode_capacity_bps_hz,
     noise_power_dBm,
-    ris_capacity,
+    relay_optimal_split,
     ris_placement_roots,
-    ris_snr_linear,
     slant_distance,
-    smbs_access_capacity,
     sweep_capacity,
     sweep_ee,
     sweep_latency,
 )
 from hapslink.cli import EXIT_INVALID, main
 from hapslink.config import MAX_GRID_POINTS
-from hapslink.modes import Corridor, rs_hop_snrs_full_power
+from hapslink.modes import Corridor
 from hapslink.propagation import SPEED_OF_LIGHT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -69,7 +67,7 @@ def test_golden_sweep_output(name):
 
 
 # ---------------------------------------------------------------
-# Corridor: exactly the per-point path
+# Corridor: exactly the written-out link budget
 # ---------------------------------------------------------------
 
 def _reference_snr(d, tx_power, tx_gain, rx_gain, radio):
@@ -110,22 +108,20 @@ def _assert_corridor_exact(D, H, radio, x):
     geom = ScenarioGeometry(D=D, H=H, x=x)
 
     snrs = corridor.rs_hop_snrs(x)
-    assert snrs == rs_hop_snrs_full_power(geom, radio)
     assert snrs == (
         _reference_snr(geom.d_gateway, radio.P0_max, radio.G0_max, radio.G_RS, radio),
         _reference_snr(geom.d_gnb, radio.P0_max, radio.G_RS, radio.G_gNB, radio),
     )
     access = _reference_snr(geom.d_gnb, radio.P_gNB, radio.G_gNB, radio.G_H_rx, radio)
-    assert corridor.smbs_capacity(x) == smbs_access_capacity(geom, radio)
     assert corridor.smbs_capacity(x) == math.log2(1.0 + access)
     for ris in SURFACES:
-        assert corridor.ris_snr(x, ris) == ris_snr_linear(geom, radio, ris)
         assert corridor.ris_snr(x, ris) == _reference_ris_snr(geom, radio, ris)
-        assert corridor.ris_capacity(x, ris) == ris_capacity(geom, radio, ris)
-    for mode in Mode:
-        assert corridor.capacity_bps_hz(mode, x, configs) == mode_capacity_bps_hz(
-            mode, geom, radio, configs
-        )
+    # the per-mode dispatch that selection, the engine and offloading read
+    assert corridor.capacity_bps_hz(Mode.RS, x, configs) == relay_optimal_split(*snrs)[1]
+    assert corridor.capacity_bps_hz(Mode.SMBS, x, configs) == math.log2(1.0 + access)
+    assert corridor.capacity_bps_hz(Mode.RIS, x, configs) == math.log2(
+        1.0 + _reference_ris_snr(geom, radio, configs.ris)
+    )
 
 
 # (D, H, f); the last two have H >= D/2, where the surface roots
