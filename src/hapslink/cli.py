@@ -7,12 +7,21 @@ Subcommands:
   select           decide the mode for a single request
   replay           run a request trace through the selection engine
 
+Each command writes its CSV all or nothing: a run that fails leaves no
+partial --out file and prints no rows. replay streams one row per
+request, so its memory does not grow with the number of requests.
+
 Exit codes: 0 success, 1 invalid input (including a scenario the model
 cannot evaluate), 2 infeasible objective.
 """
 
 import argparse
+import contextlib
+import errno
+import os
+import shutil
 import sys
+import tempfile
 
 from .config import ConfigError, load_config
 from .engine import (
@@ -23,9 +32,9 @@ from .engine import (
     RequestKind,
     decisions_to_csv,
     handle_request,
-    load_trace,
+    iter_trace,
     parse_objective,
-    replay_trace,
+    stream_replay,
 )
 from .modes import Action, Mode
 from .sweeps import sweep_capacity, sweep_ee, sweep_latency
@@ -83,12 +92,46 @@ def build_parser():
     return parser
 
 
-def _write_output(text, out_path):
-    if out_path:
+@contextlib.contextmanager
+def _all_or_nothing(out_path):
+    """A text file for the block to write the output into. The output
+    reaches out_path, or stdout when there is none, only if the block
+    completes: a run that fails leaves no partial file and prints nothing.
+
+    out_path is written to a temporary file beside it and renamed over
+    it, so its directory must be writable. An existing file keeps its
+    permission bits, and one the user may not write is refused, as an
+    in-place write would be. A path that names no regular file, such as
+    a device, is written in place: nothing may be renamed over it.
+    """
+    if not out_path:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as fh:
+            yield fh
+            fh.seek(0)
+            shutil.copyfileobj(fh, sys.stdout)
+        return
+    target = os.path.realpath(out_path)
+    if os.path.exists(target) and not os.path.isfile(target):
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        if os.path.exists(target) and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as err:  # name the output, not the temporary file
+        raise OSError(err.errno, err.strerror, out_path) from None
+    try:
+        with fh:
+            yield fh
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _emit_gnuplot(result, csv_path):
@@ -123,7 +166,8 @@ def _run_sweep(args, fn):
     out_path = args.out or cfg.output_path
     if args.emit_gnuplot and not out_path:
         raise ConfigError("--emit-gnuplot needs --out (or an [output] path)")
-    _write_output(result.to_csv(), out_path)
+    with _all_or_nothing(out_path) as fh:
+        fh.write(result.to_csv())
     if args.emit_gnuplot:
         _emit_gnuplot(result, out_path)
     _report_notes(result.notes)
@@ -151,7 +195,8 @@ def _cmd_select(args):
         popularity_threshold=cfg.popularity_threshold,
     )
     decision, _ = handle_request(req, state, ctx)
-    _write_output(decisions_to_csv([req], [decision]), args.out)
+    with _all_or_nothing(args.out) as fh:
+        fh.write(decisions_to_csv([req], [decision]))
     if decision.action is Action.INFEASIBLE:
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -159,19 +204,25 @@ def _cmd_select(args):
 
 def _cmd_replay(args):
     cfg = load_config(args.config)
-    requests = load_trace(args.trace)
-    ctx = EngineContext(
-        geom=cfg.geom, radio=cfg.radio, configs=cfg.configs,
-        cloud=cfg.cloud, cycles_per_bit=cfg.cycles_per_bit,
-    )
     state = CacheState(
         capacity=cfg.smbs.cache_capacity,
         popularity_threshold=cfg.popularity_threshold,
     )
     force = Mode(args.force_mode.upper()) if args.force_mode else None
-    result = replay_trace(requests, state, ctx, force_mode=force)
-    _write_output(decisions_to_csv(requests, result.decisions), args.out or cfg.output_path)
-    s = result.summary
+    with open(args.trace, "r", encoding="utf-8") as lines:
+        try:
+            ctx = EngineContext(
+                geom=cfg.geom, radio=cfg.radio, configs=cfg.configs,
+                cloud=cfg.cloud, cycles_per_bit=cfg.cycles_per_bit,
+            )
+        except (ValueError, ArithmeticError):
+            # a malformed trace line is reported before a scenario the
+            # model refuses
+            for _ in iter_trace(lines):
+                pass
+            raise
+        with _all_or_nothing(args.out or cfg.output_path) as out:
+            s = stream_replay(lines, state, ctx, out.write, force_mode=force)
     counts = " ".join(f"{m}={c}" for m, c in sorted(s.mode_counts.items()))
     print(f"# requests = {s.requests}", file=sys.stderr)
     print(f"# mode_counts: {counts}", file=sys.stderr)

@@ -135,6 +135,14 @@ def _get_int(parser, section, key, current):
     return int(value)
 
 
+def _section(section, cls, **values):
+    """cls(**values); a value it refuses is reported under [section]."""
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {err}") from None
+
+
 def _float_list(raw):
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
@@ -191,58 +199,53 @@ def load_config(path=None) -> ScenarioConfig:
     D = _get(parser, "geometry", "D", float, g.D)
     H = _get(parser, "geometry", "H", float, g.H)
     x = _get(parser, "geometry", "x", float, g.x)
-    try:
-        geom = ScenarioGeometry(D=D, H=H, x=x)
-    except ValueError as err:
-        raise ConfigError(f"[geometry] {err}") from None
+    geom = _section("geometry", ScenarioGeometry, D=D, H=H, x=x)
 
     r = base.radio
-    try:
-        radio = RadioParams(
-            f=_get(parser, "radio", "f", float, r.f),
-            B=_get(parser, "radio", "B", float, r.B),
-            noise_figure=_get(parser, "radio", "noise_figure", float, r.noise_figure),
-            P_gNB=_get(parser, "radio", "P_gNB", float, r.P_gNB),
-            G_gNB=_get(parser, "radio", "G_gNB", float, r.G_gNB),
-            P0_max=_get(parser, "radio", "P0_max", float, r.P0_max),
-            G0_max=_get(parser, "radio", "G0_max", float, r.G0_max),
-            G_RS=_get(parser, "radio", "G_RS", float, r.G_RS),
-            G_H_rx=_get(parser, "radio", "G_H_rx", float, r.G_H_rx),
-            scintillation_dB=_get(
-                parser, "radio", "scintillation_dB", float, r.scintillation_dB
-            ),
-            pressure_Pa=_get(parser, "radio", "pressure_Pa", float, r.pressure_Pa),
-            temperature_C=_get(
-                parser, "radio", "temperature_C", float, r.temperature_C
-            ),
-        )
-        rs = RsConfig(
-            payload_power_W=_get(
-                parser, "rs", "payload_power_W", float, base.rs.payload_power_W
-            ),
-        )
-        ris = RisConfig(
-            N=_get_int(parser, "ris", "N", base.ris.N),
-            beta=_get(parser, "ris", "beta", float, base.ris.beta),
-            per_element_power_W=_get(
-                parser, "ris", "per_element_power_W", float,
-                base.ris.per_element_power_W,
-            ),
-        )
-        smbs = SmbsConfig(
-            F_H=_get(parser, "smbs", "F_H", float, base.smbs.F_H),
-            payload_power_W=_get(
-                parser, "smbs", "payload_power_W", float, base.smbs.payload_power_W
-            ),
-            cache_capacity=_get_int(
-                parser, "smbs", "cache_capacity", base.smbs.cache_capacity
-            ),
-        )
-        cloud = CloudConfig(F_C=_get(parser, "cloud", "F_C", float, base.cloud.F_C))
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(str(err)) from None
+    radio = _section(
+        "radio", RadioParams,
+        f=_get(parser, "radio", "f", float, r.f),
+        B=_get(parser, "radio", "B", float, r.B),
+        noise_figure=_get(parser, "radio", "noise_figure", float, r.noise_figure),
+        P_gNB=_get(parser, "radio", "P_gNB", float, r.P_gNB),
+        G_gNB=_get(parser, "radio", "G_gNB", float, r.G_gNB),
+        P0_max=_get(parser, "radio", "P0_max", float, r.P0_max),
+        G0_max=_get(parser, "radio", "G0_max", float, r.G0_max),
+        G_RS=_get(parser, "radio", "G_RS", float, r.G_RS),
+        G_H_rx=_get(parser, "radio", "G_H_rx", float, r.G_H_rx),
+        scintillation_dB=_get(
+            parser, "radio", "scintillation_dB", float, r.scintillation_dB
+        ),
+        pressure_Pa=_get(parser, "radio", "pressure_Pa", float, r.pressure_Pa),
+        temperature_C=_get(parser, "radio", "temperature_C", float, r.temperature_C),
+    )
+    rs = _section(
+        "rs", RsConfig,
+        payload_power_W=_get(
+            parser, "rs", "payload_power_W", float, base.rs.payload_power_W
+        ),
+    )
+    ris = _section(
+        "ris", RisConfig,
+        N=_get_int(parser, "ris", "N", base.ris.N),
+        beta=_get(parser, "ris", "beta", float, base.ris.beta),
+        per_element_power_W=_get(
+            parser, "ris", "per_element_power_W", float, base.ris.per_element_power_W
+        ),
+    )
+    smbs = _section(
+        "smbs", SmbsConfig,
+        F_H=_get(parser, "smbs", "F_H", float, base.smbs.F_H),
+        payload_power_W=_get(
+            parser, "smbs", "payload_power_W", float, base.smbs.payload_power_W
+        ),
+        cache_capacity=_get_int(
+            parser, "smbs", "cache_capacity", base.smbs.cache_capacity
+        ),
+    )
+    cloud = _section(
+        "cloud", CloudConfig, F_C=_get(parser, "cloud", "F_C", float, base.cloud.F_C)
+    )
     if not DRY_AIR_F_MIN_HZ <= radio.f <= DRY_AIR_F_MAX_HZ:
         raise ConfigError(
             f"[radio] f = {radio.f:g} Hz is outside the dry-air model window "

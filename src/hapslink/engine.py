@@ -4,7 +4,13 @@ The platform classifies each incoming request (communication, content
 delivery, caching, task offloading), consults its cache and the per-mode
 capacity models, and emits one ModeDecision per request. State is a
 popularity-counting LRU cache; processing a trace is a deterministic
-fold of handle_request over the requests.
+fold of one decide step over the requests.
+
+For one EngineContext a decision is a function of the request's kind,
+size, objective and QoS floor and of the cache branch it takes, so the
+trace replay parses each distinct trace-line tail once, memoises its
+decisions (with their rendered CSV cells) beside it, and streams one row
+per request.
 """
 
 import math
@@ -25,7 +31,7 @@ from .optimizer import (
     ModeDecision,
     Objective,
     ObjectiveKind,
-    choose_payload,
+    best_payload,
     payload_rows,
 )
 from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
@@ -171,11 +177,6 @@ def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_
     return ModeDecision(mode, action, value, latency_s=latency, energy_J=energy)
 
 
-def _choose_forwarder(ctx: EngineContext, objective: Objective):
-    """Best of the two forwarding payloads under the request's objective."""
-    return choose_payload(objective, [r for r in ctx.rows if r[0] is not Mode.SMBS])
-
-
 def _task_decision(ctx: EngineContext, mode: Mode, task: ComputeTask):
     """Offload task through mode: latency is the objective value, energy
     is payload power over the airtime."""
@@ -187,27 +188,66 @@ def _task_decision(ctx: EngineContext, mode: Mode, task: ComputeTask):
     return ModeDecision(mode, action, latency, latency_s=latency, energy_J=energy)
 
 
+def _forced_decision(req: Request, ctx: EngineContext, mode: Mode):
+    # diagnostic path: serve everything through one payload, cache bypassed
+    if req.kind is RequestKind.TASK_OFFLOADING:
+        task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
+        return _task_decision(ctx, mode, task)
+    if mode is Mode.SMBS:
+        action = Action.SERVE_DIRECT
+    elif req.kind is RequestKind.CACHING:
+        action = Action.FORWARD_AND_CACHE
+    else:
+        action = Action.FORWARD_VIA_GATEWAY
+    return _sized_decision(ctx, mode, action, ctx.capacity_bps(mode), req.size_bits)
+
+
 # =====================================================================
 # Request handling
 # =====================================================================
 
-def handle_request(req: Request, state: CacheState, ctx: EngineContext):
-    """Process one request; returns (decision, state), the same state object.
+# The cache branch a request takes; a forced replay's branch is the
+# forced Mode itself.
+_DIRECT = "direct"  # communication and tasks: the cache plays no part
+_HIT = "hit"
+_FORWARD = "forward"
+_CACHE = "forward_and_cache"
 
-    The state is updated in place. Validation runs before any mutation, so
-    a rejected request leaves it untouched, and so does an infeasible one.
-    """
-    validate_request(req)
-    objective = req.objective or _DEFAULT_OBJECTIVE
+# Most distinct trace-line tails the trace parser keeps; a full memo is
+# cleared, so its memory does not grow with the trace.
+_MEMO_LIMIT = 1024
 
-    if req.kind is RequestKind.COMMUNICATION:
-        chosen = choose_payload(objective, ctx.rows)
-        if chosen.mode is None:
-            return chosen, state
+
+def _branch(req: Request, state: CacheState, force_mode):
+    if force_mode is not None:
+        return force_mode
+    kind = req.kind
+    if kind is RequestKind.COMMUNICATION or kind is RequestKind.TASK_OFFLOADING:
+        return _DIRECT
+    if kind is RequestKind.CACHING:
+        return _CACHE
+    if state.contains(req.content_id):
+        return _HIT
+    if state.popularity.get(req.content_id, 0) + 1 >= state.popularity_threshold:
+        return _CACHE
+    return _FORWARD
+
+
+def _build(req: Request, branch, ctx: EngineContext):
+    """The decision for req on branch; it reads neither the cache nor t."""
+    if isinstance(branch, Mode):
+        return _forced_decision(req, ctx, branch)
+    if branch is _HIT:
         return _sized_decision(
-            ctx, chosen.mode, chosen.action, chosen.objective_value, req.size_bits
-        ), state
-
+            ctx, Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS),
+            req.size_bits,
+        )
+    objective = req.objective or _DEFAULT_OBJECTIVE
+    if req.kind is RequestKind.COMMUNICATION:
+        best = best_payload(objective, ctx.rows)
+        if best is None:
+            return ModeDecision(None, Action.INFEASIBLE, 0.0)
+        return _sized_decision(ctx, *best, req.size_bits)
     if req.kind is RequestKind.TASK_OFFLOADING:
         task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
         candidates = [
@@ -216,35 +256,57 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
             if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps
         ]
         if not candidates:
-            return ModeDecision(None, Action.INFEASIBLE, 0.0), state
-        return min(candidates, key=lambda d: d.latency_s), state
+            return ModeDecision(None, Action.INFEASIBLE, 0.0)
+        return min(candidates, key=lambda d: d.latency_s)
+    # the best of the two forwarding payloads
+    forward = best_payload(objective, [r for r in ctx.rows if r[0] is not Mode.SMBS])
+    if forward is None:  # no forwarder satisfies the constraint
+        return ModeDecision(None, Action.INFEASIBLE, 0.0)
+    mode, _, value = forward
+    action = Action.FORWARD_AND_CACHE if branch is _CACHE else Action.FORWARD_VIA_GATEWAY
+    return _sized_decision(ctx, mode, action, value, req.size_bits)
 
-    # content delivery or caching; each decision is built before the state
-    # changes, so one whose figures overflow leaves the state untouched
-    cid = req.content_id
-    if req.kind is RequestKind.CONTENT_DELIVERY and state.contains(cid):
-        decision = _sized_decision(
-            ctx, Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS),
-            req.size_bits,
-        )
-        state.bump_popularity(cid)
-        state.touch(cid)
-        return decision, state
-    forward = _choose_forwarder(ctx, objective)
-    if forward.mode is None:  # no forwarder satisfies the constraint
-        return forward, state
-    cache = (
-        req.kind is RequestKind.CACHING
-        or state.popularity.get(cid, 0) + 1 >= state.popularity_threshold
-    )
-    action = Action.FORWARD_AND_CACHE if cache else Action.FORWARD_VIA_GATEWAY
-    decision = _sized_decision(
-        ctx, forward.mode, action, forward.objective_value, req.size_bits
-    )
-    state.bump_popularity(cid)
-    if cache:
-        state.insert(cid)
-    return decision, state
+
+def _decide(req: Request, state: CacheState, ctx: EngineContext, force_mode=None,
+            decided=None):
+    """The decide step of handle_request and the trace replay, for a
+    validated request: (decision, CSV cells after t, branch).
+
+    decided maps a branch to (decision, cells) for the request's
+    trace-line tail, within one replay. With it the decision and its
+    rendered cells come from there, or are built and stored there;
+    without it the decision is built and the cells are None. A refusal
+    is never stored, so it is raised again for every request that meets
+    it. The decision is built before the state changes, so a refused or
+    infeasible request leaves the state untouched.
+    """
+    branch = _branch(req, state, force_mode)
+    if decided is None:
+        decision, cells = _build(req, branch, ctx), None
+    else:
+        entry = decided.get(branch)
+        if entry is None:
+            decision = _build(req, branch, ctx)
+            entry = decided[branch] = (decision, _render(req.kind, decision))
+        decision, cells = entry
+    if branch is _HIT:
+        state.bump_popularity(req.content_id)
+        state.touch(req.content_id)
+    elif (branch is _FORWARD or branch is _CACHE) and decision.mode is not None:
+        state.bump_popularity(req.content_id)
+        if branch is _CACHE:
+            state.insert(req.content_id)
+    return decision, cells, branch
+
+
+def handle_request(req: Request, state: CacheState, ctx: EngineContext):
+    """Process one request; returns (decision, state), the same state object.
+
+    The state is updated in place. Validation runs before any mutation, so
+    a rejected request leaves it untouched, and so does an infeasible one.
+    """
+    validate_request(req)
+    return _decide(req, state, ctx)[0], state
 
 
 # =====================================================================
@@ -266,18 +328,56 @@ class ReplayResult:
     summary: ReplaySummary
 
 
-def _forced_decision(req: Request, ctx: EngineContext, mode: Mode):
-    # diagnostic path: serve everything through one payload, cache bypassed
-    if req.kind is RequestKind.TASK_OFFLOADING:
-        task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
-        return _task_decision(ctx, mode, task)
-    if mode is Mode.SMBS:
-        action = Action.SERVE_DIRECT
-    elif req.kind is RequestKind.CACHING:
-        action = Action.FORWARD_AND_CACHE
-    else:
-        action = Action.FORWARD_VIA_GATEWAY
-    return _sized_decision(ctx, mode, action, ctx.capacity_bps(mode), req.size_bits)
+def _replay(pairs, state: CacheState, ctx: EngineContext, force_mode, emit):
+    """Fold the decide step over (request, decided) pairs in trace order,
+    handing each (request, decision, CSV cells after t) to emit; returns
+    the ReplaySummary. The state is updated in place.
+
+    decided is the decision memo of the request's trace-line tail, which
+    the parser has validated; a request without one is validated here.
+    Timestamps must be non-decreasing; the first refused request aborts
+    the replay with its index. force_mode routes every request through a
+    single payload with no cache interaction, for energy comparisons, not
+    as a selection policy.
+    """
+    mode_counts = dict.fromkeys(Mode, 0)
+    total_energy = 0.0
+    hits = 0
+    content_requests = 0
+    last_t = None
+    index = -1
+    for index, (req, decided) in enumerate(pairs):
+        # validation first, so a malformed request is reported as such; an
+        # out-of-order request aborts the replay, so what it did to the
+        # state is never seen
+        try:
+            if decided is None:
+                validate_request(req)
+            decision, cells, branch = _decide(req, state, ctx, force_mode, decided)
+            if last_t is not None and req.t < last_t:
+                raise RequestError(
+                    f"timestamps must be non-decreasing ({req.t} after {last_t})"
+                )
+        except ValueError as err:  # a malformed request or one the model refuses
+            raise RequestError(f"request {index}: {err}") from None
+        last_t = req.t
+        emit(req, decision, cells)
+        if decision.mode is not None:
+            mode_counts[decision.mode] += 1
+        if decision.energy_J is not None:
+            total_energy += decision.energy_J
+        if req.kind is RequestKind.CONTENT_DELIVERY:
+            content_requests += 1
+            if branch is _HIT:
+                hits += 1
+    if not math.isfinite(total_energy):
+        raise ValueError(f"total_energy_J overflows to {total_energy}")
+    return ReplaySummary(
+        mode_counts={m.value: n for m, n in mode_counts.items()},
+        total_energy_J=total_energy,
+        cache_hit_rate=hits / content_requests if content_requests else 0.0,
+        requests=index + 1,
+    )
 
 
 def replay_trace(
@@ -286,7 +386,8 @@ def replay_trace(
     ctx: EngineContext,
     force_mode: Optional[Mode] = None,
 ):
-    """Fold handle_request over a request trace.
+    """Fold the decide step over a request trace, on a copy of
+    initial_state, keeping every decision.
 
     Timestamps must be non-decreasing; the first malformed request aborts
     the replay with its index. force_mode routes every request through a
@@ -295,48 +396,36 @@ def replay_trace(
     """
     state = initial_state.copy()
     decisions = []
-    mode_counts = {m.value: 0 for m in Mode}
-    total_energy = 0.0
-    hits = 0
-    content_requests = 0
-    last_t = None
-    for index, req in enumerate(requests):
-        # one validation per request, in handle_request on the selection
-        # path; the order check comes after it, so a malformed request is
-        # reported as such. An out-of-order request aborts the replay, so
-        # what it did to this replay's own state copy is never seen.
-        try:
-            if force_mode is None:
-                decision, state = handle_request(req, state, ctx)
-            else:
-                validate_request(req)
-                decision = _forced_decision(req, ctx, force_mode)
-            if last_t is not None and req.t < last_t:
-                raise RequestError(
-                    f"timestamps must be non-decreasing ({req.t} after {last_t})"
-                )
-        except ValueError as err:  # a malformed request or one the model refuses
-            raise RequestError(f"request {index}: {err}") from None
-        last_t = req.t
-        decisions.append(decision)
-        if decision.mode is not None:
-            mode_counts[decision.mode.value] += 1
-        if decision.energy_J is not None:
-            total_energy += decision.energy_J
-        if req.kind is RequestKind.CONTENT_DELIVERY:
-            content_requests += 1
-            if decision.action is Action.SERVE_DIRECT:
-                hits += 1
-    if not math.isfinite(total_energy):
-        raise ValueError(f"total_energy_J overflows to {total_energy}")
-    hit_rate = hits / content_requests if content_requests else 0.0
-    summary = ReplaySummary(
-        mode_counts=mode_counts,
-        total_energy_J=total_energy,
-        cache_hit_rate=hit_rate,
-        requests=len(decisions),
+    summary = _replay(
+        ((req, None) for req in requests), state, ctx, force_mode,
+        lambda req, decision, cells: decisions.append(decision),
     )
     return ReplayResult(tuple(decisions), state, summary)
+
+
+def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
+                  force_mode: Optional[Mode] = None):
+    """Replay trace lines straight to the decision CSV: write gets the
+    header, then one row per request as it is decided. Returns the
+    ReplaySummary; the state is updated in place.
+
+    Nothing is kept per request: memory grows with the number of
+    distinct content ids (the cache's popularity counter), not with the
+    number of requests. A malformed line is reported before any refused request: after a
+    refusal the rest of the trace is still parsed.
+    """
+    pairs = _parse_trace(lines)
+    write(DECISION_CSV_HEADER + "\n")
+
+    def emit(req, decision, cells):
+        write(f"{_fmt(req.t)},{cells}\n")
+
+    try:
+        return _replay(pairs, state, ctx, force_mode, emit)
+    except RequestError:
+        for _ in pairs:
+            pass
+        raise
 
 
 # =====================================================================
@@ -364,41 +453,51 @@ def parse_objective(token, qos_min_bps):
     return Objective(kind)
 
 
+_KINDS = {kind.value: kind for kind in RequestKind}
+
+
 def parse_trace_line(line, lineno=None):
     """One request per line: t,kind,content_id,size_bits,objective,qos_bps.
 
     Empty fields mean "not applicable". Returns None for comments and
     blank lines.
     """
-    where = f"line {lineno}: " if lineno is not None else ""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    parts = [p.strip() for p in stripped.split(",")]
-    if len(parts) != 6:
-        raise RequestError(f"{where}expected 6 fields ({TRACE_COLUMNS}), got {len(parts)}")
-    t_raw, kind_raw, content_id, size_raw, obj_raw, qos_raw = parts
+    return _parse_fields(stripped.split(","), lineno)
+
+
+def _parse_fields(fields, lineno):
+    """The request of a trace line split at its commas; an error names
+    lineno when it is given."""
     try:
-        t = float(t_raw)
-    except ValueError:
-        raise RequestError(f"{where}bad timestamp {t_raw!r}") from None
-    try:
-        kind = RequestKind(kind_raw)
-    except ValueError:
-        raise RequestError(f"{where}unknown kind {kind_raw!r}") from None
-    size_bits = None
-    if size_raw:
+        if len(fields) != 6:
+            raise RequestError(
+                f"expected 6 fields ({TRACE_COLUMNS}), got {len(fields)}"
+            )
+        t_raw, kind_raw, content_id, size_raw, obj_raw, qos_raw = [
+            f.strip() for f in fields
+        ]
         try:
-            size_bits = float(size_raw)
+            t = float(t_raw)
         except ValueError:
-            raise RequestError(f"{where}bad size_bits {size_raw!r}") from None
-    qos = None
-    if qos_raw:
-        try:
-            qos = float(qos_raw)
-        except ValueError:
-            raise RequestError(f"{where}bad qos_bps {qos_raw!r}") from None
-    try:
+            raise RequestError(f"bad timestamp {t_raw!r}") from None
+        kind = _KINDS.get(kind_raw)
+        if kind is None:
+            raise RequestError(f"unknown kind {kind_raw!r}")
+        size_bits = None
+        if size_raw:
+            try:
+                size_bits = float(size_raw)
+            except ValueError:
+                raise RequestError(f"bad size_bits {size_raw!r}") from None
+        qos = None
+        if qos_raw:
+            try:
+                qos = float(qos_raw)
+            except ValueError:
+                raise RequestError(f"bad qos_bps {qos_raw!r}") from None
         req = Request(
             t=t,
             kind=kind,
@@ -409,18 +508,66 @@ def parse_trace_line(line, lineno=None):
         )
         validate_request(req)
     except RequestError as err:
-        raise RequestError(f"{where}{err}") from None
+        if lineno is None:
+            raise
+        raise RequestError(f"line {lineno}: {err}") from None
     return req
 
 
+def _parse_trace(lines):
+    """(request, decided) for each request line, in order.
+
+    The tail is every field but t and content_id, plus whether content_id
+    is empty. From its second sighting on, a tail is parsed and
+    validated once; a later line with that tail pays only for its
+    timestamp. The memo keys the tail on its raw field text, so sizes 0
+    and -0 stay apart, and keeps beside the parsed request the dict,
+    decided, in which the decide step memoises that tail's decisions.
+    It holds at most _MEMO_LIMIT tails and is cleared when full. Raises
+    RequestError naming the first malformed line.
+    """
+    tails = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        parts = stripped.split(",")
+        key = entry = None
+        if len(parts) == 6:
+            content_id = parts[2].strip()
+            key = (parts[1], parts[3], parts[4], parts[5], not content_id)
+            entry = tails.get(key)
+        if entry:
+            template, decided = entry
+            try:
+                t = float(parts[0].strip())
+            except ValueError:
+                t = math.nan
+            if math.isfinite(t):
+                yield Request(
+                    t, template.kind, content_id or None, template.size_bits,
+                    template.objective, template.qos_min_bps,
+                ), decided
+                continue
+        # a new tail, or a line the parser rejects in its own words
+        req = _parse_fields(parts, lineno)
+        if len(tails) >= _MEMO_LIMIT:
+            tails.clear()
+        decided = {}
+        # a tail's request and decisions are kept from its second sighting
+        # on, so lines whose tails never repeat leave only their keys
+        tails[key] = (req, decided) if entry is not None else ()
+        yield req, decided
+
+
+def iter_trace(lines):
+    """The requests of trace lines, in order; see parse_trace_line."""
+    return (req for req, _ in _parse_trace(lines))
+
+
 def load_trace(path):
-    requests = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            req = parse_trace_line(line, lineno=lineno)
-            if req is not None:
-                requests.append(req)
-    return requests
+        return list(iter_trace(fh))
 
 
 # =====================================================================
@@ -436,24 +583,28 @@ def _fmt(value):
     return "" if value is None else f"{value:.8e}"
 
 
+def _render(kind: RequestKind, dec: ModeDecision):
+    """A decision's CSV cells after t: kind,mode,action,objective_value,
+    latency_s,energy_J."""
+    mode = dec.mode.value if dec.mode is not None else ""
+    return ",".join(
+        (
+            kind.value,
+            mode,
+            dec.action.value,
+            _fmt(dec.objective_value),
+            _fmt(dec.latency_s),
+            _fmt(dec.energy_J),
+        )
+    )
+
+
 def decisions_to_csv(requests, decisions):
     """Render replayed decisions in the documented CSV schema."""
     if len(requests) != len(decisions):
         raise ValueError("requests and decisions must align one-to-one")
     lines = [DECISION_CSV_HEADER]
-    for req, dec in zip(requests, decisions):
-        mode = dec.mode.value if dec.mode is not None else ""
-        lines.append(
-            ",".join(
-                (
-                    _fmt(req.t),
-                    req.kind.value,
-                    mode,
-                    dec.action.value,
-                    _fmt(dec.objective_value),
-                    _fmt(dec.latency_s),
-                    _fmt(dec.energy_J),
-                )
-            )
-        )
+    lines.extend(
+        f"{_fmt(req.t)},{_render(req.kind, dec)}" for req, dec in zip(requests, decisions)
+    )
     return "\n".join(lines) + "\n"

@@ -55,7 +55,9 @@ class RsConfig:
 
     def __post_init__(self):
         if self.payload_power_W <= 0:
-            raise ValueError("relay payload power must be positive")
+            raise ValueError(
+                f"payload_power_W must be positive, got {self.payload_power_W}"
+            )
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,15 @@ class RisConfig:
 
     def __post_init__(self):
         if self.N < 1 or int(self.N) != self.N:
-            raise ValueError(f"element count must be a positive integer, got {self.N}")
+            raise ValueError(
+                f"N (element count) must be a positive integer, got {self.N}"
+            )
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.per_element_power_W < 0:
-            raise ValueError("per-element power cannot be negative")
+        if not self.per_element_power_W > 0:
+            raise ValueError(
+                f"per_element_power_W must be positive, got {self.per_element_power_W}"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,11 +87,17 @@ class SmbsConfig:
 
     def __post_init__(self):
         if self.F_H <= 0:
-            raise ValueError("onboard compute rate must be positive")
+            raise ValueError(
+                f"F_H (onboard compute rate) must be positive, got {self.F_H}"
+            )
         if self.payload_power_W <= 0:
-            raise ValueError("payload power must be positive")
+            raise ValueError(
+                f"payload_power_W must be positive, got {self.payload_power_W}"
+            )
         if self.cache_capacity < 0:
-            raise ValueError("cache capacity cannot be negative")
+            raise ValueError(
+                f"cache_capacity cannot be negative, got {self.cache_capacity}"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,13 @@ class Corridor:
         self._ris_lam4 = (SPEED_OF_LIGHT / radio.f / (4.0 * math.pi)) ** 4
         self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
         atmosphere_db = budget.gamma0 * _ris_reference_path_m(D, H) / 1000.0
-        self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
+        try:
+            self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
+        except OverflowError:
+            raise ValueError(
+                f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
+                f"(gaseous absorption over D = {D:g} m) overflows"
+            ) from None
 
     def distances(self, x):
         """Slant ranges (gateway -> platform, gNB -> platform) at offset x."""

@@ -31,7 +31,9 @@ class CloudConfig:
 
     def __post_init__(self):
         if self.F_C <= 0:
-            raise ValueError("cloud compute rate must be positive")
+            raise ValueError(
+                f"F_C (cloud compute rate) must be positive, got {self.F_C}"
+            )
 
 
 def computation_latency(task: ComputeTask, F):

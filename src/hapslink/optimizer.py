@@ -156,20 +156,29 @@ def _action_for(mode: Mode) -> Action:
     return Action.SERVE_DIRECT if mode is Mode.SMBS else Action.FORWARD_VIA_GATEWAY
 
 
-def choose_payload(objective: Objective, rows) -> ModeDecision:
-    """Best of payload_rows-style rows under the objective; ties fall to
-    the earlier (more passive) row."""
+def best_payload(objective: Objective, rows):
+    """(mode, action, objective value) of the best of payload_rows-style
+    rows under the objective, or None when no row meets its QoS floor;
+    ties fall to the earlier (more passive) row."""
     kind = objective.kind
     if kind is ObjectiveKind.MAX_CAPACITY:
         mode, capacity, _, _ = max(rows, key=lambda m: m[1])
-        return ModeDecision(mode, _action_for(mode), capacity)
+        return mode, _action_for(mode), capacity
     if kind is ObjectiveKind.MAX_ENERGY_EFFICIENCY:
         mode, capacity, power, _ = max(rows, key=lambda m: m[1] / m[2])
-        return ModeDecision(mode, _action_for(mode), capacity / power)
+        return mode, _action_for(mode), capacity / power
     if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
         feasible = [m for m in rows if m[1] >= objective.qos_min_bps]
         if not feasible:
-            return ModeDecision(None, Action.INFEASIBLE, 0.0)
+            return None
         mode, _, power, _ = min(feasible, key=lambda m: m[2])
-        return ModeDecision(mode, _action_for(mode), power)
+        return mode, _action_for(mode), power
     raise ValueError(f"unknown objective kind {kind!r}")
+
+
+def choose_payload(objective: Objective, rows) -> ModeDecision:
+    """best_payload as a decision, INFEASIBLE when no row qualifies."""
+    best = best_payload(objective, rows)
+    if best is None:
+        return ModeDecision(None, Action.INFEASIBLE, 0.0)
+    return ModeDecision(*best)

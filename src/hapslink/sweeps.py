@@ -114,7 +114,13 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     notes = {}
     for j, n in enumerate(cfg.ris_N_list):
         col = [r[3 + j] for r in rows]
-        notes[f"ris_N{n}_ee_spread_pct"] = 100.0 * (max(col) / min(col) - 1.0)
+        name = f"ris_N{n}_ee_spread_pct"
+        if not min(col) > 0:
+            raise ValueError(
+                f"{name}: the surface's energy efficiency falls to {min(col):g} "
+                "bits/J on this corridor"
+            )
+        notes[name] = 100.0 * (max(col) / min(col) - 1.0)
     return SweepResult(tuple(header), tuple(rows), notes)
 
 

@@ -312,6 +312,17 @@ OUT_OF_RANGE_CONFIGS = {
         "sweep-capacity", "[engine]\npopularity_threshold = 2.9\n",
         r"\[engine\] popularity_threshold",
     ),
+    # every surface efficiency divides by it: used to end in a bare
+    # "float division by zero"
+    "per_element_power_W_zero": (
+        "sweep-ee", "[ris]\nper_element_power_W = 0\n", r"\[ris\] per_element_power_W"
+    ),
+    # a payload config refusal names its section and key
+    "rs_payload_power_W_zero": (
+        "sweep-capacity", "[rs]\npayload_power_W = 0\n", r"\[rs\] payload_power_W"
+    ),
+    "smbs_F_H_zero": ("sweep-latency", "[smbs]\nF_H = 0\n", r"\[smbs\] F_H"),
+    "cloud_F_C_zero": ("sweep-latency", "[cloud]\nF_C = 0\n", r"\[cloud\] F_C"),
 }
 
 
@@ -445,19 +456,26 @@ FAR_CORRIDOR = "[geometry]\nD = 2e7\nH = 20000\nx = 1000\n"
 HUGE_CORRIDOR = "[geometry]\nD = 1e9\nx = 5e8\n"
 ONE_TASK = "0.0,task_offloading,,1e6,,\n"
 
+# the message names the quantity that failed
+UNREACHABLE = r"capacity is zero"
+HUGE_LOSS = r"reference-path loss of .* dB \(gaseous absorption over D = 1e\+09 m\)"
+
 MODEL_ERROR_CASES = {
-    "far_replay": (FAR_CORRIDOR, ["replay"]),
-    "far_sweep_latency": (FAR_CORRIDOR, ["sweep-latency"]),
-    "far_sweep_ee": (FAR_CORRIDOR, ["sweep-ee", "--grid", "1e5"]),
-    "huge_replay": (HUGE_CORRIDOR, ["replay"]),
-    "huge_select": (HUGE_CORRIDOR, ["select", "--kind", "communication"]),
-    "huge_sweep_latency": (HUGE_CORRIDOR, ["sweep-latency"]),
+    "far_replay": (FAR_CORRIDOR, ["replay"], "request 0: .*" + UNREACHABLE),
+    "far_sweep_latency": (FAR_CORRIDOR, ["sweep-latency"], UNREACHABLE),
+    "far_sweep_ee": (
+        FAR_CORRIDOR, ["sweep-ee", "--grid", "1e5"],
+        r"ris_N10000_ee_spread_pct: the surface's energy efficiency falls to 0",
+    ),
+    "huge_replay": (HUGE_CORRIDOR, ["replay"], HUGE_LOSS),
+    "huge_select": (HUGE_CORRIDOR, ["select", "--kind", "communication"], HUGE_LOSS),
+    "huge_sweep_latency": (HUGE_CORRIDOR, ["sweep-latency"], HUGE_LOSS),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MODEL_ERROR_CASES))
 def test_cli_model_error_exits_1(tmp_path, capsys, case):
-    text, args = MODEL_ERROR_CASES[case]
+    text, args, name = MODEL_ERROR_CASES[case]
     args = args + ["--config", write_config(tmp_path, text)]
     if args[0] == "replay":
         trace = tmp_path / "one.trace"
@@ -465,7 +483,7 @@ def test_cli_model_error_exits_1(tmp_path, capsys, case):
         args.append(str(trace))
     assert main(args) == EXIT_INVALID
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert re.match("error: .*" + name, err), err
     assert "Traceback" not in err
 
 

@@ -1,0 +1,352 @@
+"""The streamed `hapslink replay`: byte-identical to a per-request
+reference, all-or-nothing output, a bounded decision memo, and trace
+lines that round-trip through the parser."""
+
+import contextlib
+import io
+import math
+import os
+import stat
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from hapslink import (
+    Action,
+    CacheState,
+    EngineContext,
+    Mode,
+    RequestError,
+    RequestKind,
+    decisions_to_csv,
+    handle_request,
+    load_config,
+    parse_trace_line,
+    replay_trace,
+)
+from hapslink import engine
+from hapslink.cli import EXIT_INVALID, EXIT_OK, main
+from hapslink.engine import OBJECTIVE_TOKENS, iter_trace, stream_replay
+
+GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "golden_trace.txt")
+
+# scenarios the differential test draws from: stock, a one-sighting
+# cache of two entries, a corridor where the surface is unreachable (a
+# task is refused mid-trace), and one the model refuses outright
+CONFIGS = {
+    "default": "",
+    "eager": "[smbs]\ncache_capacity = 2\n\n[engine]\npopularity_threshold = 1\n",
+    "far": "[geometry]\nD = 2e7\nH = 20000\nx = 1000\n",
+    "huge": "[geometry]\nD = 1e9\nx = 5e8\n",
+}
+FORCE = (None, "smbs", "rs", "ris")
+
+
+def _context(cfg):
+    return EngineContext(
+        geom=cfg.geom, radio=cfg.radio, configs=cfg.configs,
+        cloud=cfg.cloud, cycles_per_bit=cfg.cycles_per_bit,
+    )
+
+
+def _reference(trace, config, force):
+    """(exit code, stdout CSV, stderr) of a replay, computed without the
+    stream or the memo: the whole trace is parsed first, then each request
+    is decided on a fresh EngineContext."""
+    try:
+        cfg = load_config(config)
+        with open(trace, encoding="utf-8") as fh:
+            parsed = [parse_trace_line(line, lineno) for lineno, line in enumerate(fh, 1)]
+        requests = [req for req in parsed if req is not None]
+        mode = Mode(force.upper()) if force else None
+        state = CacheState(cfg.smbs.cache_capacity, cfg.popularity_threshold)
+        _context(cfg)  # a scenario the model refuses fails here
+        decisions = []
+        for index, req in enumerate(requests):
+            try:
+                if mode is None:
+                    decision, state = handle_request(req, state, _context(cfg))
+                else:
+                    decision = replay_trace(
+                        [req], state, _context(cfg), force_mode=mode
+                    ).decisions[0]
+            except RequestError as err:  # replay_trace numbers its one request
+                raise RequestError(f"request {index}: " + str(err)[len("request 0: "):])
+            except ValueError as err:
+                raise RequestError(f"request {index}: {err}")
+            if index and req.t < requests[index - 1].t:
+                raise RequestError(
+                    f"request {index}: timestamps must be non-decreasing "
+                    f"({req.t} after {requests[index - 1].t})"
+                )
+            decisions.append(decision)
+        counts = {m.value: 0 for m in Mode}
+        for d in decisions:
+            if d.mode is not None:
+                counts[d.mode.value] += 1
+        total = sum(d.energy_J for d in decisions if d.energy_J is not None)
+        if not math.isfinite(total):
+            raise ValueError(f"total_energy_J overflows to {total}")
+        content = [d for r, d in zip(requests, decisions)
+                   if r.kind is RequestKind.CONTENT_DELIVERY]
+        # a forced replay bypasses the cache, so it has no hits
+        hits = 0 if mode else sum(d.action is Action.SERVE_DIRECT for d in content)
+        rate = hits / len(content) if content else 0.0
+    except (ValueError, ArithmeticError, OSError) as err:
+        return EXIT_INVALID, "", f"error: {err}\n"
+    summary = "".join((
+        f"# requests = {len(requests)}\n",
+        "# mode_counts: " + " ".join(f"{m}={c}" for m, c in sorted(counts.items())) + "\n",
+        f"# total_energy_J = {total:.8e}\n",
+        f"# cache_hit_rate = {rate:.8e}\n",
+    ))
+    return EXIT_OK, decisions_to_csv(requests, decisions), summary
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# "{i}" stands for the line's index, so time runs forward unless another
+# timestamp is drawn; the small pools make tails repeat
+_T = st.sampled_from(["{i}", "{i}", "{i}", "0", " 2.5 ", "-1", "nan", "1e400", "t"])
+_SIZE = st.sampled_from(["", "0", "-0", "0.0", "1e6", "2.5e7", "1.7e308", "-5", "bits"])
+_ID = st.sampled_from(["", "a", "b", " a ", "vid 9"])
+_KIND = st.sampled_from(
+    ["content_delivery", "content_delivery", "caching", "communication",
+     "task_offloading", "teleport"]
+)
+_GOAL = st.sampled_from([
+    ",", ",", "max_capacity,", "max_energy_efficiency,", "min_energy,5e7",
+    "min_energy,1.5e8", "min_energy,", ",1.2e8", "up,",
+])
+_REQUEST_LINE = st.tuples(_T, _KIND, _ID, _SIZE, _GOAL).map(",".join)
+_LINE = st.one_of(
+    _REQUEST_LINE, _REQUEST_LINE, _REQUEST_LINE,
+    st.sampled_from(["", "# comment", "1,2", "1,communication,,,,,"]),
+)
+
+
+@settings(
+    max_examples=120, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    lines=st.lists(_LINE, max_size=12),
+    config=st.sampled_from(sorted(CONFIGS)),
+    force=st.sampled_from(FORCE),
+    to_stdout=st.booleans(),
+)
+# a refused request, then a malformed line: the line is the error
+@example(lines=["{i},task_offloading,,1.7e308,,", "t,caching,a,,,"],
+         config="default", force=None, to_stdout=False)
+# signed zero: the same tail but for its sign prints different energy
+@example(lines=["{i},communication,,0,,", "{i},communication,,-0,,"] * 2,
+         config="default", force=None, to_stdout=True)
+@example(lines=["{i},content_delivery,a,1e6,,"] * 4 + ["{i},content_delivery,b,1e6,,"],
+         config="eager", force="smbs", to_stdout=False)
+def test_streamed_replay_matches_per_request_reference(
+    tmp_path, lines, config, force, to_stdout
+):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(line.replace("{i}", str(i)) for i, line in enumerate(lines)))
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text(CONFIGS[config])
+    out = tmp_path / "decisions.csv"
+    out.unlink(missing_ok=True)
+    argv = ["replay", str(trace), "--config", str(cfg)]
+    if force:
+        argv += ["--force-mode", force]
+    if not to_stdout:
+        argv += ["--out", str(out)]
+
+    code, stdout, stderr = _cli(argv)
+    want_code, want_csv, want_err = _reference(str(trace), str(cfg), force)
+    assert (code, stderr) == (want_code, want_err)
+    written = not to_stdout and code == EXIT_OK
+    csv = out.read_text() if written else stdout
+    assert csv == (want_csv if code == EXIT_OK else "")
+    # no partial output, and no temporary file left beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["trace.txt", "scenario.ini"] + (["decisions.csv"] if written else [])
+    )
+
+
+# ---------------------------------------------------------------
+# all-or-nothing output
+# ---------------------------------------------------------------
+
+BAD_LAST_LINE = "0,content_delivery,a,1e6,,\n1,content_delivery,a,1e6,,\n2,nonsense,,,,\n"
+
+
+def test_failed_replay_prints_no_rows(tmp_path):
+    trace = tmp_path / "t.trace"
+    trace.write_text(BAD_LAST_LINE)
+    code, stdout, stderr = _cli(["replay", str(trace)])
+    assert code == EXIT_INVALID
+    assert stdout == ""
+    assert stderr == "error: line 3: unknown kind 'nonsense'\n"
+
+
+def test_failed_replay_keeps_the_previous_output(tmp_path):
+    trace = tmp_path / "t.trace"
+    trace.write_text(BAD_LAST_LINE)
+    out = tmp_path / "d.csv"
+    out.write_text("earlier run\n")
+    assert _cli(["replay", str(trace), "--out", str(out)])[0] == EXIT_INVALID
+    assert out.read_text() == "earlier run\n"
+    trace.write_text(BAD_LAST_LINE.rsplit("2,", 1)[0])
+    assert _cli(["replay", str(trace), "--out", str(out)])[0] == EXIT_OK
+    assert out.read_text().count("\n") == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "t.trace"]
+
+
+def test_replaced_output_keeps_its_permission_bits(tmp_path):
+    out = tmp_path / "d.csv"
+    out.write_text("earlier run\n")
+    out.chmod(0o640)
+    assert _cli(["replay", GOLDEN_TRACE, "--out", str(out)])[0] == EXIT_OK
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_text().startswith("t,kind,")
+
+
+def test_output_the_user_may_not_write_is_refused(tmp_path, monkeypatch):
+    # the rename could replace it, but an in-place write could not
+    out = tmp_path / "d.csv"
+    out.write_text("earlier run\n")
+    real = os.path.realpath(out)
+    monkeypatch.setattr(os, "access", lambda path, mode: os.path.realpath(path) != real)
+    code, stdout, stderr = _cli(["replay", GOLDEN_TRACE, "--out", str(out)])
+    assert (code, stdout) == (EXIT_INVALID, "")
+    assert stderr == f"error: [Errno 13] Permission denied: '{out}'\n"
+    assert out.read_text() == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_unwritable_output_names_the_path(tmp_path):
+    out = tmp_path / "missing" / "d.csv"
+    code, _, stderr = _cli(["replay", GOLDEN_TRACE, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_output_that_is_no_regular_file_is_written_in_place(tmp_path):
+    # nothing may be renamed over a directory or a device such as /dev/null
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    code, _, stderr = _cli(["replay", GOLDEN_TRACE, "--out", str(target)])
+    assert code == EXIT_INVALID
+    assert stderr == f"error: [Errno 21] Is a directory: '{target}'\n"
+    assert target.is_dir() and sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+
+
+def test_forced_smbs_counts_no_cache_hits(tmp_path):
+    # a forced replay bypasses the cache: serve_direct is not a hit there
+    out = str(tmp_path / "d.csv")
+    code, _, stderr = _cli(["replay", GOLDEN_TRACE, "--force-mode", "smbs", "--out", out])
+    assert code == EXIT_OK
+    assert "# cache_hit_rate = 0.00000000e+00\n" in stderr
+    code, _, stderr = _cli(["replay", GOLDEN_TRACE, "--out", out])
+    assert "# cache_hit_rate = 3.63636364e-01\n" in stderr
+
+
+# ---------------------------------------------------------------
+# the decision memo
+# ---------------------------------------------------------------
+
+def test_decision_memo_stays_within_its_cap(monkeypatch):
+    cfg = load_config(None)
+    limit = engine._MEMO_LIMIT
+    built = []
+    build = engine._build
+
+    def counting_build(req, branch, ctx):
+        built.append(req.size_bits)
+        return build(req, branch, ctx)
+
+    monkeypatch.setattr(engine, "_build", counting_build)
+    # a tail is kept from its second sighting on; a full memo still holds
+    # it, and one more distinct tail clears the memo, so it is decided again
+    sizes = [0, 0] + list(range(1, limit)) + [0, limit, 0]
+    lines = [f"{i},communication,,{size},," for i, size in enumerate(sizes)]
+    out = io.StringIO()
+    summary = stream_replay(lines, CacheState(), _context(cfg), out.write)
+    assert summary.requests == len(lines)
+    assert built == [0, 0] + list(range(1, limit)) + [limit, 0]
+    requests = [parse_trace_line(line) for line in lines]
+    reference = replay_trace(requests, CacheState(), _context(cfg))
+    assert out.getvalue() == decisions_to_csv(requests, reference.decisions)
+    assert summary == reference.summary
+
+
+def test_memo_keys_each_tail_on_the_branch_it_takes():
+    # one tail takes every cache branch in turn, and its memo keeps apart
+    # the decisions of each branch
+    cfg = load_config(None)
+    lines = ["0,content_delivery,a,1e6,,"] * 4
+    cold, warm = io.StringIO(), io.StringIO()
+    stream_replay(lines, CacheState(16, 3), _context(cfg), cold.write)
+    stream_replay(lines, CacheState(16, 1), _context(cfg), warm.write)
+    assert [row.split(",")[3] for row in cold.getvalue().split("\n")[1:-1]] == [
+        "forward_via_gateway", "forward_via_gateway", "forward_and_cache", "serve_direct"
+    ]
+    assert [row.split(",")[3] for row in warm.getvalue().split("\n")[1:-1]] == [
+        "forward_and_cache", "serve_direct", "serve_direct", "serve_direct"
+    ]
+
+
+# ---------------------------------------------------------------
+# trace lines round-trip
+# ---------------------------------------------------------------
+
+_TOKEN = {kind: token for token, kind in OBJECTIVE_TOKENS.items()}
+
+
+def _format(req):
+    """A parsed request written back as a trace line."""
+    def num(value):
+        return "" if value is None else repr(value)
+
+    objective = "" if req.objective is None else _TOKEN[req.objective.kind]
+    return ",".join((num(req.t), req.kind.value, req.content_id or "",
+                     num(req.size_bits), objective, num(req.qos_min_bps)))
+
+
+_PAD = st.sampled_from(["", " ", "\t", "　"])
+_NUMBER = st.one_of(
+    st.sampled_from(["", "0", "-0", "+1.5", "1_000", "1e-320", "1.7e308", "nan", "x"]),
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_CELL_ID = st.text(
+    st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
+    max_size=6,
+)
+_RAW_LINE = st.tuples(
+    _NUMBER, st.sampled_from([k.value for k in RequestKind] + ["Caching"]), _CELL_ID,
+    _NUMBER, st.sampled_from(["", *OBJECTIVE_TOKENS]), _NUMBER,
+).flatmap(lambda cells: _PAD.map(lambda pad: ",".join(pad + c + pad for c in cells)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_RAW_LINE, max_size=6))
+def test_every_parsed_line_round_trips(lines):
+    parsed = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            req = parse_trace_line(line, lineno)
+        except RequestError as err:
+            # the memoised trace parser stops at the same line, in the same words
+            with pytest.raises(RequestError) as caught:
+                list(iter_trace(lines))
+            assert str(caught.value) == str(err)
+            return
+        parsed.append(req)
+        text = _format(req)
+        again = parse_trace_line(text)
+        assert again == req
+        assert _format(again) == text
+    assert [_format(r) for r in iter_trace(lines)] == [_format(r) for r in parsed]
