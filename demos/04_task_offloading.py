@@ -9,6 +9,8 @@ two hops. Small tasks favor onboard compute, large ones the cloud, and
 the break-even size grows with the onboard clock.
 """
 
+from dataclasses import replace
+
 from hapslink import (
     CloudConfig,
     ComputeTask,
@@ -18,20 +20,20 @@ from hapslink import (
     offload_latency,
     sweep_latency,
 )
-from hapslink.sweeps import latency_sweep_placements
 
 cfg = load_config(None)
 
 # single task, all three payloads, each at its own best placement; the
-# corridor gives the rate each one ships the task at
-smbs_geom, rs_geom, ris_geom = latency_sweep_placements(cfg)
+# corridor gives that placement and the rate each one ships the task at
 corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
 task = ComputeTask(size_bits=1e6, cycles_per_bit=cfg.cycles_per_bit)
 cloud = CloudConfig()
-for mode, geom in ((Mode.SMBS, smbs_geom), (Mode.RS, rs_geom), (Mode.RIS, ris_geom)):
-    rate = corridor.capacity_bps_hz(mode, geom.x, cfg.configs) * cfg.radio.B
+for mode in (Mode.SMBS, Mode.RS, Mode.RIS):
+    x = corridor.best_offset(mode)
+    rate = corridor.capacity_bps_hz(mode, x, cfg.configs) * cfg.radio.B
+    geom = replace(cfg.geom, x=x)
     t = offload_latency(mode, geom, cfg.radio, cfg.configs, task, cloud)
-    print(f"1 Mbit task via {mode.value:4s} at x = {geom.x / 1000:5.2f} km: "
+    print(f"1 Mbit task via {mode.value:4s} at x = {x / 1000:5.2f} km: "
           f"{rate / 1e6:6.1f} Mbit/s, {1e3 * t:7.3f} ms")
 
 # the full sweep: latency is exactly affine in S, so a single

@@ -55,9 +55,6 @@ from .optimizer import (
     ModeDecision,
     Objective,
     ObjectiveKind,
-    PlacementResult,
-    golden_section_max,
-    optimize_placement_numeric,
 )
 from .propagation import (
     LinkBudget,

@@ -165,12 +165,21 @@ class EngineContext:
 _DEFAULT_OBJECTIVE = Objective(ObjectiveKind.MAX_CAPACITY)
 
 
+def _carrier(ctx: EngineContext, mode: Mode):
+    """(mode, capacity_bps, payload_W, path_m) of a payload that is to
+    move bits; one whose capacity underflowed to zero is refused by name."""
+    row = ctx.row[mode]
+    if not row[1] > 0:
+        raise ValueError(f"mode unreachable: {mode.value} capacity is zero")
+    return row
+
+
 def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_bits):
     """Decision to move size_bits via mode; latency and energy stay None
     when no size is given."""
     if size_bits is None:
         return ModeDecision(mode, action, value)
-    _, capacity, power, path = ctx.row[mode]
+    _, capacity, power, path = _carrier(ctx, mode)
     airtime = transmission_latency(size_bits, capacity)
     latency = propagation_delay_s(path) + airtime
     energy = power * airtime
@@ -180,7 +189,7 @@ def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_
 def _task_decision(ctx: EngineContext, mode: Mode, task: ComputeTask):
     """Offload task through mode: latency is the objective value, energy
     is payload power over the airtime."""
-    _, capacity, power, path = ctx.row[mode]
+    _, capacity, power, path = _carrier(ctx, mode)
     rate = compute_rate(mode, ctx.configs, ctx.cloud)
     latency = task_latency(path, capacity, task, rate)
     action = Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD

@@ -164,6 +164,12 @@ class Corridor:
             )
         return slant_distance(x, self.H), slant_distance(self.D - x, self.H)
 
+    def path_m(self, mode: Mode, x):
+        """Distance a task travels from the gNB at offset x: the access
+        hop alone for SMBS, both hops for the relay and the surface."""
+        d1, d2 = self.distances(x)
+        return d2 if mode is Mode.SMBS else d2 + d1
+
     def rs_hop_snrs(self, x):
         """Linear SNR of each relay hop if it got the whole power budget.
 
@@ -217,6 +223,47 @@ class Corridor:
         if mode is Mode.SMBS:
             return self.smbs_capacity(x)
         raise ValueError(f"unknown mode {mode!r}")
+
+    def best_offset(self, mode: Mode):
+        """The offset x in [0, D] at which mode's capacity peaks.
+
+        Each payload's crest has an exact characterisation, and neither N
+        nor any other payload setting moves it. SMBS capacity rises with
+        x, so its crest is D. The surface's SNR is exactly proportional to
+        1/(d1 d2)^2, so its crests are ris_placement_roots; this returns
+        the first. The relay at its optimal split delivers 1/2 log2(1 +
+        1/(1/snr1 + 1/snr2)). Each 1/snr_i is proportional to d_i^2 *
+        10^(gamma0 d_i / 10^4), convex and increasing in d_i, and d_i is
+        convex in x, so the sum is convex in x and its slope crosses zero
+        once. That slope is negative at 0 and positive at D; bisecting its
+        sign until the midpoint meets an endpoint (about 53 halvings)
+        brackets the crest to the last bit, and the better endpoint wins.
+        """
+        if mode is Mode.SMBS:
+            return self.D
+        if mode is Mode.RIS:
+            return ris_placement_roots(self.D, self.H)[0]
+        if mode is not Mode.RS:
+            raise ValueError(f"unknown mode {mode!r}")
+        D = self.D
+        snr = self.budget.snr_linear
+        # 1/snr ~ d^2 10^(gamma0 d / 10^4), so d ln(1/snr) / dd = 2/d + k
+        k = self.budget.gamma0 * math.log(10.0) / 1e4
+        lo, hi = 0.0, D
+        while True:
+            x = (lo + hi) / 2.0
+            if x == lo or x == hi:
+                break
+            d1, d2 = self.distances(x)
+            slope = (
+                (2.0 / d1 + k) * (x / d1) / snr(d1, self._hop1_dB)
+                - (2.0 / d2 + k) * ((D - x) / d2) / snr(d2, self._hop2_dB)
+            )
+            if slope < 0.0:
+                lo = x
+            else:
+                hi = x
+        return max(lo, hi, key=lambda x: relay_optimal_split(*self.rs_hop_snrs(x))[1])
 
 
 # =====================================================================

@@ -52,13 +52,6 @@ def transmission_latency(size_bits, capacity_bps):
     return size_bits / capacity_bps
 
 
-def offload_path_m(mode: Mode, geom: ScenarioGeometry):
-    """Distance the task travels: access hop only for SMBS, both hops otherwise."""
-    if mode is Mode.SMBS:
-        return geom.d_gnb
-    return geom.d_gnb + geom.d_gateway
-
-
 def compute_rate(mode: Mode, configs: ModeConfigs, cloud: CloudConfig):
     """Cycles/s where the task runs: onboard for SMBS, the cloud otherwise."""
     return configs.smbs.F_H if mode is Mode.SMBS else cloud.F_C
@@ -85,7 +78,9 @@ def offload_latency(
     """End-to-end offload latency in seconds, affine in the task size."""
     corridor = Corridor(geom.D, geom.H, radio)
     capacity_bps = corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B
+    if not capacity_bps > 0:
+        raise ValueError(f"mode unreachable: {mode.value} capacity is zero")
     return task_latency(
-        offload_path_m(mode, geom), capacity_bps, task,
+        corridor.path_m(mode, geom.x), capacity_bps, task,
         compute_rate(mode, configs, cloud),
     )

@@ -1,9 +1,10 @@
-"""Platform placement and objective-driven mode selection.
+"""Objective-driven payload selection.
 
-The relay power split has a closed form (modes.relay_optimal_split), so
-no search runs for it. The platform placement x does need a search: a
-grid over the corridor guards against the reflected path's two peaks,
-and golden section then refines the single peak inside the winning cell.
+Nothing here searches. The relay power split has a closed form
+(modes.relay_optimal_split), and each payload's best platform offset is
+fixed by where its capacity is stationary (modes.Corridor.best_offset),
+so selection only compares the payloads' rows at one geometry under the
+objective.
 """
 
 import math
@@ -12,10 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .modes import Action, Corridor, Mode, ModeConfigs, mode_payload_power_W
-from .offload import offload_path_m
 from .propagation import RadioParams, ScenarioGeometry
-
-GOLDEN_RATIO = (math.sqrt(5.0) + 1.0) / 2.0
 
 # Fixed tie-break: prefer the most passive payload.
 _PASSIVE_ORDER = (Mode.RIS, Mode.RS, Mode.SMBS)
@@ -36,13 +34,6 @@ class Objective:
         if self.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
             if self.qos_min_bps is None or self.qos_min_bps <= 0:
                 raise ValueError("a positive qos_min_bps is required for min_energy")
-
-
-@dataclass(frozen=True)
-class PlacementResult:
-    x_opt: float
-    objective_value: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -71,71 +62,6 @@ class ModeDecision:
 
 
 # =====================================================================
-# Golden-section search
-# =====================================================================
-
-def golden_section_max(fn, lo, hi, tol):
-    """Maximise a unimodal fn on [lo, hi]; returns (x, fn(x), iterations)."""
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    a, b = lo, hi
-    c = b - (b - a) / GOLDEN_RATIO
-    d = a + (b - a) / GOLDEN_RATIO
-    fc, fd = fn(c), fn(d)
-    iterations = 0
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / GOLDEN_RATIO
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / GOLDEN_RATIO
-            fd = fn(d)
-        iterations += 1
-    x = (a + b) / 2.0
-    return x, fn(x), iterations
-
-
-# =====================================================================
-# Placement
-# =====================================================================
-
-def optimize_placement_numeric(
-    mode: Mode,
-    geom_template: ScenarioGeometry,
-    radio: RadioParams,
-    configs: ModeConfigs,
-    grid_step=100.0,
-    refine_tol=1e-3,
-) -> PlacementResult:
-    """Grid scan over x in [0, D] plus golden refinement in the winning cell.
-
-    The grid guards against multiple peaks (the reflected path has two);
-    refinement then only ever sees the single peak inside one cell.
-    """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    D = geom_template.D
-    corridor = Corridor(D, geom_template.H, radio)
-
-    def objective(x):
-        return corridor.capacity_bps_hz(mode, x, configs)
-
-    n_cells = max(1, math.ceil(D / grid_step))
-    xs = [min(D, i * grid_step) for i in range(n_cells + 1)]
-    values = [objective(x) for x in xs]
-    best = max(range(len(xs)), key=lambda i: values[i])
-
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(len(xs) - 1, best + 1)]
-    x_opt, value, iterations = golden_section_max(objective, lo, hi, refine_tol)
-    if values[best] > value:  # keep the grid point if refinement lost it
-        x_opt, value = xs[best], values[best]
-    return PlacementResult(x_opt=x_opt, objective_value=value, iterations=iterations)
-
-
-# =====================================================================
 # Mode selection for a communication demand
 # =====================================================================
 
@@ -147,7 +73,7 @@ def payload_rows(geom: ScenarioGeometry, radio: RadioParams, configs: ModeConfig
         (mode,
          corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B,
          mode_payload_power_W(mode, configs),
-         offload_path_m(mode, geom))
+         corridor.path_m(mode, geom.x))
         for mode in _PASSIVE_ORDER
     )
 

@@ -6,7 +6,9 @@ handful of scalar observations (spreads, degradations, crossovers) that
 the CLI reports alongside the CSV.
 """
 
+import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .config import ScenarioConfig
 from .modes import (
@@ -17,16 +19,28 @@ from .modes import (
     relay_optimal_split,
     ris_placement_roots,
 )
-from .offload import ComputeTask, offload_path_m, task_latency
-from .optimizer import optimize_placement_numeric
-from .propagation import ScenarioGeometry
+from .offload import ComputeTask, task_latency
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's table and notes. A cell that overflowed (a huge task,
+    extreme powers) is refused here rather than written as inf or nan."""
+
     header: tuple
     rows: tuple
     notes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if all(map(math.isfinite, chain.from_iterable(self.rows))):
+            return
+        row = next(r for r in self.rows if not all(map(math.isfinite, r)))
+        name, value = next(
+            (n, v) for n, v in zip(self.header, row) if not math.isfinite(v)
+        )
+        raise ValueError(
+            f"[sweep] {name} overflows to {value} at {self.header[0]} = {row[0]:g}"
+        )
 
     def to_csv(self):
         # same cells as engine._fmt; sweep rows never hold None
@@ -38,10 +52,6 @@ class SweepResult:
     def column(self, name):
         idx = self.header.index(name)
         return [row[idx] for row in self.rows]
-
-
-def _geom_at(cfg: ScenarioConfig, x):
-    return ScenarioGeometry(D=cfg.geom.D, H=cfg.geom.H, x=x)
 
 
 def _ris_variants(cfg: ScenarioConfig):
@@ -128,29 +138,23 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
 # Offload latency vs task size
 # =====================================================================
 
-def latency_sweep_placements(cfg: ScenarioConfig):
-    """Per-mode placements used by the latency sweep.
-
-    Each mode sits at its own best offset: the base-station payload right
-    above the gNB, the relay at its numeric optimum, the surface at the
-    closed-form root.
-    """
-    smbs_geom = _geom_at(cfg, cfg.geom.D)
-    rs_place = optimize_placement_numeric(Mode.RS, cfg.geom, cfg.radio, cfg.configs)
-    rs_geom = _geom_at(cfg, rs_place.x_opt)
-    ris_geom = _geom_at(cfg, ris_placement_roots(cfg.geom.D, cfg.geom.H)[0])
-    return smbs_geom, rs_geom, ris_geom
-
-
-def _latency_leg(cfg: ScenarioConfig, corridor, mode, geom, rate):
-    capacity = corridor.capacity_bps_hz(mode, geom.x, cfg.configs) * cfg.radio.B
-    return offload_path_m(mode, geom), capacity, rate
+def _latency_leg(cfg: ScenarioConfig, corridor, mode, rate):
+    """(path_m, capacity_bps, compute rate) of mode at its best offset."""
+    x = corridor.best_offset(mode)
+    capacity = corridor.capacity_bps_hz(mode, x, cfg.configs) * cfg.radio.B
+    if not capacity > 0:
+        raise ValueError(f"mode unreachable: {mode.value} capacity is zero")
+    return corridor.path_m(mode, x), capacity, rate
 
 
 def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
-    """Offload latency over task size, one column per compute placement."""
+    """Offload latency over task size, one column per compute placement.
+
+    Each payload sits at its own best offset (Corridor.best_offset): the
+    base station right above the gNB, the relay at its crest, the surface
+    at the first closed-form root.
+    """
     spec = cfg.sweep_for("S", step)
-    smbs_geom, rs_geom, ris_geom = latency_sweep_placements(cfg)
 
     header = ["S_bits"]
     header += [f"smbs_FH{fh / 1e9:g}GHz_s" for fh in cfg.smbs_F_H_list]
@@ -158,12 +162,9 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
 
     # (path_m, capacity_bps, compute rate) per column; only S varies by row
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    legs = [
-        _latency_leg(cfg, corridor, Mode.SMBS, smbs_geom, fh)
-        for fh in cfg.smbs_F_H_list
-    ]
-    legs.append(_latency_leg(cfg, corridor, Mode.RS, rs_geom, cfg.cloud.F_C))
-    legs.append(_latency_leg(cfg, corridor, Mode.RIS, ris_geom, cfg.cloud.F_C))
+    legs = [_latency_leg(cfg, corridor, Mode.SMBS, fh) for fh in cfg.smbs_F_H_list]
+    legs.append(_latency_leg(cfg, corridor, Mode.RS, cfg.cloud.F_C))
+    legs.append(_latency_leg(cfg, corridor, Mode.RIS, cfg.cloud.F_C))
     rows = []
     for s in spec.grid():
         task = ComputeTask(s, cfg.cycles_per_bit)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -450,19 +451,27 @@ def test_cli_replay_missing_trace_exits_1(tmp_path, capsys):
 # CLI: scenarios the model cannot evaluate
 # ---------------------------------------------------------------
 
-# a 20 000 km corridor: the reflected path's capacity underflows to zero
+# a 20 000 km corridor: the reflected path's capacity underflows to zero,
+# and so does the base station's at x = 1000 m
 FAR_CORRIDOR = "[geometry]\nD = 2e7\nH = 20000\nx = 1000\n"
+# a 100 000 km corridor: even the relay's crest carries nothing
+REMOTE_CORRIDOR = "[geometry]\nD = 1e8\n"
 # a 1e9 m corridor: the surface's reference-path loss overflows
 HUGE_CORRIDOR = "[geometry]\nD = 1e9\nx = 5e8\n"
 ONE_TASK = "0.0,task_offloading,,1e6,,\n"
 
 # the message names the quantity that failed
-UNREACHABLE = r"capacity is zero"
+UNREACHABLE = r"mode unreachable: {} capacity is zero"
 HUGE_LOSS = r"reference-path loss of .* dB \(gaseous absorption over D = 1e\+09 m\)"
 
 MODEL_ERROR_CASES = {
-    "far_replay": (FAR_CORRIDOR, ["replay"], "request 0: .*" + UNREACHABLE),
-    "far_sweep_latency": (FAR_CORRIDOR, ["sweep-latency"], UNREACHABLE),
+    "far_replay": (
+        FAR_CORRIDOR, ["replay"], "request 0: " + UNREACHABLE.format("SMBS"),
+    ),
+    "far_sweep_latency": (FAR_CORRIDOR, ["sweep-latency"], UNREACHABLE.format("RIS")),
+    "remote_sweep_latency": (
+        REMOTE_CORRIDOR, ["sweep-latency"], UNREACHABLE.format("RS"),
+    ),
     "far_sweep_ee": (
         FAR_CORRIDOR, ["sweep-ee", "--grid", "1e5"],
         r"ris_N10000_ee_spread_pct: the surface's energy efficiency falls to 0",
@@ -481,7 +490,10 @@ def test_cli_model_error_exits_1(tmp_path, capsys, case):
         trace = tmp_path / "one.trace"
         trace.write_text(ONE_TASK)
         args.append(str(trace))
+    start = time.perf_counter()
     assert main(args) == EXIT_INVALID
+    # refused without walking the corridor
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert re.match("error: .*" + name, err), err
     assert "Traceback" not in err

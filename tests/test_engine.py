@@ -5,12 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hapslink import engine, offload, optimizer, propagation
+from hapslink import engine, propagation
 from hapslink import (
     Action,
     CacheState,
     CloudConfig,
     ComputeTask,
+    Corridor,
     EngineContext,
     Mode,
     ModeConfigs,
@@ -389,9 +390,7 @@ def test_context_runs_the_link_budget_once(monkeypatch):
         raise AssertionError("recomputed after construction")
 
     monkeypatch.setattr(propagation, "dry_air_specific_attenuation", refuse)
-    for module in (engine, offload, optimizer):
-        if hasattr(module, "offload_path_m"):
-            monkeypatch.setattr(module, "offload_path_m", refuse)
+    monkeypatch.setattr(Corridor, "distances", refuse)
     requests = load_trace(GOLDEN_TRACE)
     replay_trace(requests, fresh_state(), ctx)
     for mode in Mode:

@@ -14,8 +14,6 @@ from hapslink import (
     propagation_delay_s,
     transmission_latency,
 )
-from hapslink.offload import offload_path_m
-
 from conftest import geom_at
 
 
@@ -53,21 +51,23 @@ def test_propagation_latency_values():
     assert propagation_delay_s(0.0) == 0.0
 
 
-def test_offload_paths_triangle(radio):
+def test_offload_paths_triangle(corridor):
     # the direct access hop is always shorter than the relayed path
     for x in (1.0, 15000.0, 30000.0, 59999.0):
         geom = geom_at(x)
-        assert offload_path_m(Mode.SMBS, geom) < offload_path_m(Mode.RS, geom)
-        assert offload_path_m(Mode.RIS, geom) == offload_path_m(Mode.RS, geom)
+        assert corridor.path_m(Mode.SMBS, x) == geom.d_gnb
+        assert corridor.path_m(Mode.RS, x) == geom.d_gnb + geom.d_gateway
+        assert corridor.path_m(Mode.SMBS, x) < corridor.path_m(Mode.RS, x)
+        assert corridor.path_m(Mode.RIS, x) == corridor.path_m(Mode.RS, x)
 
 
-def test_offload_zero_size_is_pure_propagation(radio, configs, cloud):
+def test_offload_zero_size_is_pure_propagation(radio, corridor, configs, cloud):
     geom = geom_at(30000.0)
     task = ComputeTask(0.0)
     for mode in Mode:
         got = offload_latency(mode, geom, radio, configs, task, cloud)
         assert got == pytest.approx(
-            propagation_delay_s(offload_path_m(mode, geom)), rel=1e-12
+            propagation_delay_s(corridor.path_m(mode, geom.x)), rel=1e-12
         )
     smbs = offload_latency(Mode.SMBS, geom, radio, configs, task, cloud)
     assert smbs < offload_latency(Mode.RS, geom, radio, configs, task, cloud)
@@ -129,10 +129,10 @@ def test_smbs_dominates_when_faster_everywhere(radio, corridor, cloud):
         assert smbs <= offload_latency(Mode.RIS, geom, radio, fast, task, cloud)
 
 
-def test_latency_never_below_propagation(radio, configs, cloud):
+def test_latency_never_below_propagation(radio, corridor, configs, cloud):
     geom = geom_at(42000.0)
     for mode in Mode:
-        floor = propagation_delay_s(offload_path_m(mode, geom))
+        floor = propagation_delay_s(corridor.path_m(mode, geom.x))
         for s in (0.0, 123.0, 9e5):
             got = offload_latency(mode, geom, radio, configs, ComputeTask(s), cloud)
             assert got >= floor

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapslink import (
     Action,
@@ -12,8 +13,6 @@ from hapslink import (
     ObjectiveKind,
     RadioParams,
     RisConfig,
-    golden_section_max,
-    optimize_placement_numeric,
     relay_capacity,
     relay_optimal_split,
     ris_placement_roots,
@@ -21,22 +20,6 @@ from hapslink import (
 from hapslink.optimizer import choose_payload, payload_rows
 
 from conftest import D_DEFAULT, H_DEFAULT, geom_at
-
-
-# ---------------------------------------------------------------
-# golden-section search
-# ---------------------------------------------------------------
-
-def test_golden_section_on_parabola():
-    x, fx, iters = golden_section_max(lambda x: -(x - 3.7) ** 2, 0.0, 10.0, 1e-7)
-    assert x == pytest.approx(3.7, abs=1e-6)
-    assert fx == pytest.approx(0.0, abs=1e-12)
-    assert iters > 10
-
-
-def test_golden_section_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        golden_section_max(lambda x: x, 1.0, 1.0, 1e-6)
 
 
 # ---------------------------------------------------------------
@@ -130,41 +113,79 @@ def _distance_product_sq(x, D=60000.0, H=20000.0):
     return d1_sq * d2_sq
 
 
-def test_placement_rs_lands_next_to_gnb(radio, corridor, configs):
-    result = optimize_placement_numeric(Mode.RS, geom_at(0.0), radio, configs)
+def test_placement_rs_lands_next_to_gnb(corridor, configs):
+    x = corridor.best_offset(Mode.RS)
+    crest = corridor.capacity_bps_hz(Mode.RS, x, configs)
     # the true peak sits a shade inside the corridor: right above the gNB
     # the short hop stops improving while the long hop keeps paying
-    assert result.x_opt == pytest.approx(59899.98, abs=0.5)
-    assert result.objective_value == pytest.approx(5.6140509329, rel=1e-9)
+    assert x == pytest.approx(59899.98, abs=0.5)
+    assert crest == pytest.approx(5.6140509329, rel=1e-9)
     # the exact crest: no point of a 1 cm scan around it does better
     for i in range(-500, 501):
         cap = corridor.capacity_bps_hz(Mode.RS, 59900.0 + i * 0.01, configs)
-        assert result.objective_value >= cap * (1.0 - 1e-12)
+        assert crest >= cap * (1.0 - 1e-12)
 
 
-def test_placement_smbs_on_top_of_gnb(radio, configs):
-    result = optimize_placement_numeric(Mode.SMBS, geom_at(0.0), radio, configs)
-    assert result.x_opt == 60000.0
+def _inverse_snr_slope(corridor, x, h=1.0):
+    # central difference of 1/snr1 + 1/snr2, the relay's convex cost; a
+    # step much below 1 m drowns in the rounding of the two SNRs, one
+    # much above it in the difference's own truncation error
+    def cost(y):
+        snr1, snr2 = corridor.rs_hop_snrs(y)
+        return 1.0 / snr1 + 1.0 / snr2
+
+    return (cost(x + h) - cost(x - h)) / (2.0 * h)
 
 
-def test_placement_ris_matches_closed_form(radio, configs):
-    result = optimize_placement_numeric(Mode.RIS, geom_at(0.0), radio, configs)
-    roots = ris_placement_roots(60000, 20000)
-    assert min(abs(result.x_opt - r) for r in roots) <= 100.0
-    # refinement should land much closer than the grid step
-    assert min(abs(result.x_opt - r) for r in roots) <= 1e-2
+@pytest.mark.parametrize("D", [20e3, 60e3, 150e3, 1000e3])
+def test_rs_best_offset_brackets_the_crest(radio, D):
+    corridor = Corridor(D, H_DEFAULT, radio)
+    x = corridor.best_offset(Mode.RS)
+    assert 0.0 < x < D
+    assert _inverse_snr_slope(corridor, x - 1e-6) < 0.0 < _inverse_snr_slope(corridor, x + 1e-6)
 
 
-def test_placement_never_worse_than_grid(radio, corridor, configs):
-    result = optimize_placement_numeric(Mode.RIS, geom_at(0.0), radio, configs)
+@settings(max_examples=40, deadline=None)
+@given(
+    D=st.floats(min_value=1e3, max_value=1e6),
+    H=st.floats(min_value=1e3, max_value=5e4),
+    f=st.floats(min_value=1e9, max_value=50e9),
+    gains=st.tuples(*[st.floats(min_value=-20.0, max_value=20.0)] * 4),
+)
+def test_best_offset_beats_a_scan(D, H, f, gains):
+    shift0, shift_gnb, shift_rs, shift_h = gains
+    base = RadioParams()
+    radio = RadioParams(
+        f=f,
+        G0_max=base.G0_max + shift0,
+        G_gNB=base.G_gNB + shift_gnb,
+        G_RS=base.G_RS + shift_rs,
+        G_H_rx=base.G_H_rx + shift_h,
+    )
+    corridor = Corridor(D, H, radio)
+    configs = ModeConfigs.defaults()
+    assert corridor.best_offset(Mode.SMBS) == D
+    assert corridor.best_offset(Mode.RIS) == ris_placement_roots(D, H)[0]
+    scan = [D * (i / 199) for i in range(200)]
+    for mode in Mode:
+        crest = corridor.capacity_bps_hz(mode, corridor.best_offset(mode), configs)
+        for x in scan:
+            assert crest >= corridor.capacity_bps_hz(mode, x, configs) * (1.0 - 1e-12)
+
+
+def test_placement_smbs_on_top_of_gnb(corridor):
+    assert corridor.best_offset(Mode.SMBS) == 60000.0
+
+
+def test_placement_ris_matches_closed_form(corridor):
+    assert corridor.best_offset(Mode.RIS) == ris_placement_roots(60000, 20000)[0]
+
+
+def test_placement_never_worse_than_grid(corridor, configs):
+    crest = corridor.ris_capacity(corridor.best_offset(Mode.RIS), configs.ris)
     for x in range(0, 60001, 500):
         cap = corridor.ris_capacity(float(x), configs.ris)
-        assert result.objective_value >= cap * (1.0 - 1e-9)
-
-
-def test_placement_rejects_bad_grid(radio, configs):
-    with pytest.raises(ValueError):
-        optimize_placement_numeric(Mode.RS, geom_at(0.0), radio, configs, grid_step=0.0)
+        assert crest >= cap * (1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------
@@ -267,6 +288,5 @@ def test_gain_shift_leaves_argmaxes_alone(radio, configs):
         a0, _ = relay_optimal_split(*base.rs_hop_snrs(x))
         a1, _ = relay_optimal_split(*shifted.rs_hop_snrs(x))
         assert abs(a0 - a1) <= 2e-4
-    base_place = optimize_placement_numeric(Mode.RIS, geom_at(0.0), radio, configs)
-    boost_place = optimize_placement_numeric(Mode.RIS, geom_at(0.0), boosted, configs)
-    assert abs(base_place.x_opt - boost_place.x_opt) <= 100.0
+    for mode in Mode:
+        assert abs(base.best_offset(mode) - shifted.best_offset(mode)) <= 100.0

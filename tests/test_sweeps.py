@@ -16,6 +16,7 @@ from hapslink import (
     RadioParams,
     RisConfig,
     ScenarioGeometry,
+    SweepResult,
     SweepSpec,
     db_to_linear,
     dry_air_specific_attenuation,
@@ -211,3 +212,29 @@ def test_cli_grid_over_the_cap_exits_1(capsys):
     assert main(["sweep-capacity", "--grid", "1e-6"]) == EXIT_INVALID
     assert time.perf_counter() - start < 1.0
     assert "error: [sweep] step = 1e-06 gives 6e+10 grid points" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------
+# finiteness
+# ---------------------------------------------------------------
+
+def test_sweep_result_refuses_non_finite_cells():
+    SweepResult(("S_bits", "rs_s"), ((0.0, 1.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match=r"\[sweep\] rs_s overflows to inf at S_bits = 2"):
+        SweepResult(("S_bits", "rs_s"), ((0.0, 1.0), (2.0, math.inf)))
+    with pytest.raises(ValueError, match="ris_s overflows to nan"):
+        SweepResult(("x_m", "ris_s"), ((0.0, math.nan),))
+
+
+def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
+    # finite task sizes whose computation time overflows
+    config = tmp_path / "huge_tasks.toml"
+    config.write_text(
+        "[sweep]\nvariable = S\nstart = 0\nstop = 1.7e308\nstep = 1e307\n"
+    )
+    out = tmp_path / "latency.csv"
+    code = main(["sweep-latency", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: [sweep] smbs_FH1GHz_s overflows to inf at S_bits = 5e+307")
+    assert not out.exists()
