@@ -119,8 +119,10 @@ class ModeConfigs:
 
 class Corridor:
     """The x-invariant part of every payload's link budget along one
-    gateway - gNB corridor, computed once; per-offset methods then do only
-    the arithmetic that depends on the platform offset x.
+    gateway - gNB corridor, computed once; the column methods (hop_lengths,
+    columns) then do only the arithmetic that depends on the platform
+    offset x, over a whole list of offsets, and the per-offset methods are
+    one-element calls of them.
 
     This is the one place each capacity law lives. Constant prefixes keep
     the left-to-right order of the full per-hop expressions.
@@ -140,11 +142,19 @@ class Corridor:
         self._access_dB = radio.P_gNB + radio.G_gNB + radio.G_H_rx
         # reflected path: p_w * G0 * G_gNB, then (N beta)^2, then
         # (lambda / 4 pi)^4, over d1^2 d2^2 noise_w and the fixed losses
-        self._ris_gain = (
-            db_to_linear(radio.P0_max - 30.0)
-            * db_to_linear(radio.G0_max)
-            * db_to_linear(radio.G_gNB)
-        )
+        try:
+            self._ris_gain = (
+                db_to_linear(radio.P0_max - 30.0)
+                * db_to_linear(radio.G0_max)
+                * db_to_linear(radio.G_gNB)
+            )
+            if self._ris_gain == math.inf:
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(
+                f"the surface gain overflows: [radio] P0_max = {radio.P0_max:g} dBm "
+                "is too high"
+            ) from None
         self._ris_lam4 = (SPEED_OF_LIGHT / radio.f / (4.0 * math.pi)) ** 4
         self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
         atmosphere_db = budget.gamma0 * _ris_reference_path_m(D, H) / 1000.0
@@ -155,14 +165,38 @@ class Corridor:
                 f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
                 f"(gaseous absorption over D = {D:g} m) overflows"
             ) from None
+        # a relay hop's SNR peaks at the shortest hop, H, and is lowest at
+        # the longest, hypot(D, H); it must stay a positive finite ratio
+        longest = math.hypot(D, H)
+        for gains_dB in (self._hop1_dB, self._hop2_dB):
+            try:
+                weakest, _ = budget.snrs((longest, H), gains_dB)
+            except OverflowError:
+                raise ValueError(
+                    f"the relay hop SNR overflows: [radio] P0_max = {radio.P0_max:g} "
+                    "dBm is too high"
+                ) from None
+            if weakest == 0.0:
+                raise ValueError(
+                    f"the relay hop SNR underflows to 0 at a {longest:g} m hop: "
+                    f"[radio] P0_max = {radio.P0_max:g} dBm is too low"
+                )
 
     def distances(self, x):
         """Slant ranges (gateway -> platform, gNB -> platform) at offset x."""
-        if not 0 <= x <= self.D:
-            raise ValueError(
-                f"platform offset x={x} outside the corridor [0, {self.D}]"
-            )
-        return slant_distance(x, self.H), slant_distance(self.D - x, self.H)
+        d1s, d2s = self.hop_lengths((x,))
+        return d1s[0], d2s[0]
+
+    def hop_lengths(self, xs):
+        """Slant-range columns (gateway -> platform, gNB -> platform) over
+        the offsets xs, one hypot pair per offset; the corridor's bounds are
+        checked once for the whole column (min, max, and no nan)."""
+        D, H = self.D, self.H
+        if not (0 <= min(xs) and max(xs) <= D and all(map(math.isfinite, xs))):
+            x = next(x for x in xs if not 0 <= x <= D)
+            raise ValueError(f"platform offset x={x} outside the corridor [0, {D}]")
+        hypot = math.hypot
+        return [hypot(x, H) for x in xs], [hypot(D - x, H) for x in xs]
 
     def path_m(self, mode: Mode, x):
         """Distance a task travels from the gNB at offset x: the access
@@ -170,19 +204,28 @@ class Corridor:
         d1, d2 = self.distances(x)
         return d2 if mode is Mode.SMBS else d2 + d1
 
-    def rs_hop_snrs(self, x):
-        """Linear SNR of each relay hop if it got the whole power budget.
+    def columns(self, xs, surfaces=()):
+        """The relay's two full-power hop-SNR columns and one capacity
+        column (bps/Hz) per surface in surfaces, over the offsets xs.
 
-        Hop 1 is gateway -> platform (gains G0_max / G_RS), hop 2 is
-        platform -> gNB (gains G_RS / G_gNB). Scale by alpha and 1 - alpha
-        to apply a power split.
+        Each offset costs one pair of slant ranges and one product
+        d1^2 d2^2 noise_w, shared by every surface; each surface's
+        numerator is computed once. Hop 1 is gateway -> platform (gains
+        G0_max / G_RS), hop 2 platform -> gNB (gains G_RS / G_gNB); scale
+        by alpha and 1 - alpha to apply a power split. The surface pays no
+        half-duplex penalty: it is passive and reflects concurrently.
         """
-        d1, d2 = self.distances(x)
-        snr = self.budget.snr_linear
-        return snr(d1, self._hop1_dB), snr(d2, self._hop2_dB)
+        d1s, d2s = self.hop_lengths(xs)
+        snrs, log2 = self.budget.snrs, math.log2
+        return (
+            snrs(d1s, self._hop1_dB),
+            snrs(d2s, self._hop2_dB),
+            [[log2(1.0 + s) for s in col] for col in self._ris_snrs(d1s, d2s, surfaces)],
+        )
 
-    def ris_snr(self, x, ris: RisConfig):
-        """Cascade SNR of the reflected gateway -> platform -> gNB path.
+    def _ris_snrs(self, d1s, d2s, surfaces):
+        """Cascade SNR columns of the reflected gateway -> platform -> gNB
+        path, one per surface, each built when the one before is consumed.
 
         Coherent combining over N elements gives amplitude ~ N * beta /
         (d1 * d2), so SNR ~ (N * beta)^2 * (lambda / 4 pi)^4 / (d1^2 * d2^2).
@@ -193,19 +236,25 @@ class Corridor:
         term would drag the capacity peaks off the product-distance roots
         that the placement formula pins down.
         """
-        d1, d2 = self.distances(x)
-        snr = (
-            self._ris_gain
-            * (ris.N * ris.beta) ** 2
-            * self._ris_lam4
-            / (d1 * d1 * d2 * d2 * self._noise_w)
-        )
-        return snr / self._ris_loss
+        noise_w, loss = self._noise_w, self._ris_loss
+        denominators = [d1 * d1 * d2 * d2 * noise_w for d1, d2 in zip(d1s, d2s)]
+        for ris in surfaces:
+            numerator = self._ris_gain * (ris.N * ris.beta) ** 2 * self._ris_lam4
+            yield [numerator / den / loss for den in denominators]
+
+    def rs_hop_snrs(self, x):
+        """Linear SNR of each relay hop at offset x if it got the whole
+        power budget (see columns)."""
+        snr1s, snr2s, _ = self.columns((x,))
+        return snr1s[0], snr2s[0]
+
+    def ris_snr(self, x, ris: RisConfig):
+        """Cascade SNR of the reflected path at offset x (see _ris_snrs)."""
+        return next(self._ris_snrs(*self.hop_lengths((x,)), (ris,)))[0]
 
     def ris_capacity(self, x, ris: RisConfig):
-        """Reflected-path spectral efficiency, bps/Hz. No half-duplex penalty:
-        the surface is passive and reflection is concurrent with transmission."""
-        return math.log2(1.0 + self.ris_snr(x, ris))
+        """Reflected-path spectral efficiency at offset x, bps/Hz."""
+        return self.columns((x,), (ris,))[2][0][0]
 
     def smbs_capacity(self, x):
         """Single-hop gNB -> platform spectral efficiency, bps/Hz."""

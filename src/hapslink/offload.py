@@ -57,14 +57,27 @@ def compute_rate(mode: Mode, configs: ModeConfigs, cloud: CloudConfig):
     return configs.smbs.F_H if mode is Mode.SMBS else cloud.F_C
 
 
+def task_latencies(path_m, capacity_bps, sizes, cycles_per_bit, rate):
+    """Latency of each task size in sizes (bits): propagation over path_m,
+    transmission at capacity_bps, computation at rate cycles/s. The one
+    place the latency terms are summed; each check runs once per column,
+    in the order the per-term functions make them."""
+    prop = propagation_delay_s(path_m)
+    if capacity_bps <= 0:
+        raise ValueError("mode unreachable: capacity is zero")
+    if min(sizes) < 0:
+        raise ValueError("size cannot be negative")
+    if cycles_per_bit <= 0:
+        raise ValueError("cycles per bit must be positive")
+    if rate <= 0:
+        raise ValueError("compute rate must be positive")
+    return [prop + s / capacity_bps + s * cycles_per_bit / rate for s in sizes]
+
+
 def task_latency(path_m, capacity_bps, task: ComputeTask, rate):
-    """Propagation over path_m, transmission at capacity_bps, computation
-    at rate cycles/s: the one place the latency terms are summed."""
-    return (
-        propagation_delay_s(path_m)
-        + transmission_latency(task.size_bits, capacity_bps)
-        + computation_latency(task, rate)
-    )
+    """task_latencies of one task."""
+    sizes = (task.size_bits,)
+    return task_latencies(path_m, capacity_bps, sizes, task.cycles_per_bit, rate)[0]
 
 
 def offload_latency(

@@ -135,7 +135,9 @@ class LinkBudget:
     """The distance-free part of one radio's hop budget, computed once.
 
     Holds the dry-air specific attenuation gamma0 (dB/km) and the noise
-    floor (dBm), so a hop costs only its distance-dependent terms.
+    floor (dBm), so a hop costs only its distance-dependent terms. The
+    laws are written over a list of hop lengths (`losses_dB`, `snrs`);
+    the scalar methods are one-element calls of them.
     """
 
     def __init__(self, radio: RadioParams):
@@ -145,20 +147,35 @@ class LinkBudget:
         )
         self.noise_dBm = noise_power_dBm(radio.B, radio.noise_figure)
 
-    def loss_dB(self, d):
-        """FSPL + gaseous attenuation over the whole slant path + scintillation.
+    def losses_dB(self, ds):
+        """FSPL + gaseous attenuation over the whole slant path + scintillation,
+        for each hop length in ds (each positive: RadioParams checks f).
 
         The platform sits inside the bulk atmosphere, so the full path is
-        charged the specific attenuation (no layered integration).
+        charged the specific attenuation (no layered integration). The FSPL
+        term is fspl_dB's expression with its leading 4 pi bound once.
         """
-        radio = self.radio
-        return fspl_dB(d, radio.f) + self.gamma0 * d / 1000.0 + radio.scintillation_dB
+        log10 = math.log10
+        four_pi, f, c = 4.0 * math.pi, self.radio.f, SPEED_OF_LIGHT
+        gamma0, scint = self.gamma0, self.radio.scintillation_dB
+        return [
+            20.0 * log10(four_pi * d * f / c) + gamma0 * d / 1000.0 + scint
+            for d in ds
+        ]
+
+    def snrs(self, ds, gains_dB):
+        """Received SNR of hops of lengths ds as linear ratios; gains_dB is
+        tx power + tx gain + rx gain, summed in that order."""
+        noise = self.noise_dBm
+        return [10.0 ** ((gains_dB - loss - noise) / 10.0) for loss in self.losses_dB(ds)]
+
+    def loss_dB(self, d):
+        """losses_dB of one hop of length d."""
+        return self.losses_dB((d,))[0]
 
     def snr_linear(self, d, gains_dB):
-        """Received SNR of a hop of length d as a linear ratio; gains_dB is
-        tx power + tx gain + rx gain, summed in that order."""
-        snr_db = gains_dB - self.loss_dB(d) - self.noise_dBm
-        return 10.0 ** (snr_db / 10.0)
+        """snrs of one hop of length d."""
+        return self.snrs((d,), gains_dB)[0]
 
 
 def noise_power_dBm(B, noise_figure):

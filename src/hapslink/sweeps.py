@@ -8,7 +8,7 @@ the CLI reports alongside the CSV.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, repeat
 
 from .config import ScenarioConfig
 from .modes import (
@@ -19,7 +19,7 @@ from .modes import (
     relay_optimal_split,
     ris_placement_roots,
 )
-from .offload import ComputeTask, task_latency
+from .offload import task_latencies
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,13 @@ def _ris_variants(cfg: ScenarioConfig):
     return [replace(cfg.ris, N=n) for n in cfg.ris_N_list]
 
 
+def _relay_columns(snr1s, snr2s):
+    """The relay over the hop-SNR columns: capacity at alpha = 0.5 and at
+    the optimal split (bps/Hz), and the optimal alpha."""
+    alphas, cap_opts = zip(*map(relay_optimal_split, snr1s, snr2s))
+    return list(map(relay_capacity, snr1s, snr2s, repeat(0.5))), cap_opts, alphas
+
+
 # =====================================================================
 # Capacity vs placement
 # =====================================================================
@@ -68,18 +75,15 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     spec = cfg.sweep_for("x", step)
     header = ["x_m", "rs_alpha05_bps_hz", "rs_alpha_opt_bps_hz", "alpha_opt"]
     header += [f"ris_N{n}_bps_hz" for n in cfg.ris_N_list]
-    surfaces = _ris_variants(cfg)
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    rows = []
-    for x in spec.grid():
-        snr1, snr2 = corridor.rs_hop_snrs(x)
-        alpha_opt, cap_opt = relay_optimal_split(snr1, snr2)
-        row = [x, relay_capacity(snr1, snr2, 0.5), cap_opt, alpha_opt]
-        row += [corridor.ris_capacity(x, ris) for ris in surfaces]
-        rows.append(tuple(row))
+    xs = spec.grid()
+    snr1s, snr2s, ris_cols = corridor.columns(xs, _ris_variants(cfg))
+    cap05, capopt, alphas = _relay_columns(snr1s, snr2s)
+    # each column is freed once consumed, so a sweep's memory peak stays
+    # below that of the CSV rendered from its rows
+    del snr1s, snr2s
+    rows = tuple(zip(xs, cap05, capopt, alphas, *ris_cols))
 
-    cap05 = [r[1] for r in rows]
-    capopt = [r[2] for r in rows]
     degradation = [
         100.0 * (1.0 - c5 / co) if co > 0 else 0.0
         for c5, co in zip(cap05, capopt)
@@ -89,7 +93,7 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
         "alpha05_degradation_at_stop_pct": degradation[-1],
         "ris_roots_m": ris_placement_roots(cfg.geom.D, cfg.geom.H),
     }
-    return SweepResult(tuple(header), tuple(rows), notes)
+    return SweepResult(tuple(header), rows, notes)
 
 
 # =====================================================================
@@ -103,27 +107,21 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
     surfaces = _ris_variants(cfg)
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    rows = []
-    for x in spec.grid():
-        snr1, snr2 = corridor.rs_hop_snrs(x)
-        _, cap_opt = relay_optimal_split(snr1, snr2)
-        row = [
-            x,
-            energy_efficiency(
-                relay_capacity(snr1, snr2, 0.5) * cfg.radio.B,
-                cfg.rs.payload_power_W,
-            ),
-            energy_efficiency(cap_opt * cfg.radio.B, cfg.rs.payload_power_W),
-        ]
-        for ris in surfaces:
-            cap = corridor.ris_capacity(x, ris)
-            power = ris.N * ris.per_element_power_W
-            row.append(energy_efficiency(cap * cfg.radio.B, power))
-        rows.append(tuple(row))
+    xs = spec.grid()
+    snr1s, snr2s, ris_cols = corridor.columns(xs, surfaces)
+    cap05, capopt = _relay_columns(snr1s, snr2s)[:2]
+    del snr1s, snr2s
+    B = cfg.radio.B
+    payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]
+    payloads += [
+        (ris.N * ris.per_element_power_W, col) for ris, col in zip(surfaces, ris_cols)
+    ]
+    ee_cols = [[energy_efficiency(c * B, power) for c in col] for power, col in payloads]
+    del cap05, capopt, ris_cols, payloads
+    rows = tuple(zip(xs, *ee_cols))
 
     notes = {}
-    for j, n in enumerate(cfg.ris_N_list):
-        col = [r[3 + j] for r in rows]
+    for n, col in zip(cfg.ris_N_list, ee_cols[2:]):
         name = f"ris_N{n}_ee_spread_pct"
         if not min(col) > 0:
             raise ValueError(
@@ -131,7 +129,7 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
                 "bits/J on this corridor"
             )
         notes[name] = 100.0 * (max(col) / min(col) - 1.0)
-    return SweepResult(tuple(header), tuple(rows), notes)
+    return SweepResult(tuple(header), rows, notes)
 
 
 # =====================================================================
@@ -165,10 +163,10 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     legs = [_latency_leg(cfg, corridor, Mode.SMBS, fh) for fh in cfg.smbs_F_H_list]
     legs.append(_latency_leg(cfg, corridor, Mode.RS, cfg.cloud.F_C))
     legs.append(_latency_leg(cfg, corridor, Mode.RIS, cfg.cloud.F_C))
-    rows = []
-    for s in spec.grid():
-        task = ComputeTask(s, cfg.cycles_per_bit)
-        rows.append((s, *(task_latency(p, c, task, rate) for p, c, rate in legs)))
+    sizes = spec.grid()
+    rows = tuple(zip(sizes, *(
+        task_latencies(p, c, sizes, cfg.cycles_per_bit, rate) for p, c, rate in legs
+    )))
 
     notes = {}
     n_fh = len(cfg.smbs_F_H_list)
@@ -186,4 +184,4 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
                 crossing = s_col[i - 1] + frac * (s_col[i] - s_col[i - 1])
                 break
         notes[f"smbs_FH{fh / 1e9:g}GHz_crossover_S_bits"] = crossing
-    return SweepResult(tuple(header), tuple(rows), notes)
+    return SweepResult(tuple(header), rows, notes)

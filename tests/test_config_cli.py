@@ -463,6 +463,11 @@ ONE_TASK = "0.0,task_offloading,,1e6,,\n"
 # the message names the quantity that failed
 UNREACHABLE = r"mode unreachable: {} capacity is zero"
 HUGE_LOSS = r"reference-path loss of .* dB \(gaseous absorption over D = 1e\+09 m\)"
+# radio powers whose hop SNRs underflow to 0 or whose surface gain overflows
+FAINT_RADIO = "[radio]\nP0_max = -3300\n"
+LOUD_RADIO = "[radio]\nP0_max = 1e6\n"
+FAINT_HOP = r"the relay hop SNR underflows to 0 .*: \[radio\] P0_max = -3300 dBm is too low"
+LOUD_SURFACE = r"the surface gain overflows: \[radio\] P0_max = 1e\+06 dBm is too high"
 
 MODEL_ERROR_CASES = {
     "far_replay": (
@@ -479,6 +484,14 @@ MODEL_ERROR_CASES = {
     "huge_replay": (HUGE_CORRIDOR, ["replay"], HUGE_LOSS),
     "huge_select": (HUGE_CORRIDOR, ["select", "--kind", "communication"], HUGE_LOSS),
     "huge_sweep_latency": (HUGE_CORRIDOR, ["sweep-latency"], HUGE_LOSS),
+    "faint_sweep_capacity": (FAINT_RADIO, ["sweep-capacity"], FAINT_HOP),
+    "faint_sweep_ee": (FAINT_RADIO, ["sweep-ee"], FAINT_HOP),
+    "faint_sweep_latency": (FAINT_RADIO, ["sweep-latency"], FAINT_HOP),
+    "faint_select": (FAINT_RADIO, ["select", "--kind", "communication"], FAINT_HOP),
+    "loud_sweep_capacity": (LOUD_RADIO, ["sweep-capacity"], LOUD_SURFACE),
+    "loud_sweep_latency": (LOUD_RADIO, ["sweep-latency"], LOUD_SURFACE),
+    "loud_select": (LOUD_RADIO, ["select", "--kind", "communication"], LOUD_SURFACE),
+    "loud_replay": (LOUD_RADIO, ["replay"], LOUD_SURFACE),
 }
 
 

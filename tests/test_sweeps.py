@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hapslink import (
+    ComputeTask,
     ConfigError,
     Mode,
     ModeConfigs,
@@ -18,21 +19,27 @@ from hapslink import (
     ScenarioGeometry,
     SweepResult,
     SweepSpec,
+    computation_latency,
     db_to_linear,
     dry_air_specific_attenuation,
+    energy_efficiency,
     fspl_dB,
     load_config,
     noise_power_dBm,
+    propagation_delay_s,
+    relay_capacity,
     relay_optimal_split,
     ris_placement_roots,
     slant_distance,
     sweep_capacity,
     sweep_ee,
     sweep_latency,
+    transmission_latency,
 )
 from hapslink.cli import EXIT_INVALID, main
 from hapslink.config import MAX_GRID_POINTS
 from hapslink.modes import Corridor
+from hapslink.offload import task_latencies
 from hapslink.propagation import SPEED_OF_LIGHT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -125,6 +132,25 @@ def _assert_corridor_exact(D, H, radio, x):
     )
 
 
+def _assert_columns_exact(D, H, radio, xs):
+    # the column forms over a whole list of offsets, against the same
+    # written-out budget point by point
+    snr1s, snr2s, ris_cols = Corridor(D, H, radio).columns(xs, SURFACES)
+    geoms = [ScenarioGeometry(D=D, H=H, x=x) for x in xs]
+    assert snr1s == [
+        _reference_snr(g.d_gateway, radio.P0_max, radio.G0_max, radio.G_RS, radio)
+        for g in geoms
+    ]
+    assert snr2s == [
+        _reference_snr(g.d_gnb, radio.P0_max, radio.G_RS, radio.G_gNB, radio)
+        for g in geoms
+    ]
+    assert ris_cols == [
+        [math.log2(1.0 + _reference_ris_snr(g, radio, ris)) for g in geoms]
+        for ris in SURFACES
+    ]
+
+
 # (D, H, f); the last two have H >= D/2, where the surface roots
 # collapse to the midpoint D/2
 CORRIDORS = (
@@ -149,6 +175,7 @@ def test_corridor_matches_per_point_path_on_grid(D, H, f):
     for radio in (RadioParams(f=f), RadioParams(f=f, **ODD_GAINS)):
         for x in xs:
             _assert_corridor_exact(D, H, radio, x)
+        _assert_columns_exact(D, H, radio, xs)
 
 
 _dB = st.floats(min_value=-20.0, max_value=60.0)
@@ -157,7 +184,7 @@ _dB = st.floats(min_value=-20.0, max_value=60.0)
 @given(
     D=st.floats(min_value=1e3, max_value=3e5),
     H=st.floats(min_value=1e3, max_value=5e4),
-    frac=st.floats(min_value=0.0, max_value=1.0),
+    fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
     radio=st.builds(
         RadioParams,
         f=st.floats(min_value=1e9, max_value=50e9),
@@ -167,8 +194,11 @@ _dB = st.floats(min_value=-20.0, max_value=60.0)
         scintillation_dB=st.floats(min_value=0.0, max_value=3.0),
     ),
 )
-def test_corridor_matches_per_point_path(D, H, frac, radio):
-    _assert_corridor_exact(D, H, radio, min(D, frac * D))
+def test_corridor_matches_per_point_path(D, H, fracs, radio):
+    xs = [min(D, frac * D) for frac in fracs]
+    for x in xs:
+        _assert_corridor_exact(D, H, radio, x)
+    _assert_columns_exact(D, H, radio, xs)
 
 
 def test_corridor_rejects_offsets_outside_it():
@@ -184,10 +214,72 @@ def test_corridor_rejects_offsets_outside_it():
         for mode in Mode:
             with pytest.raises(ValueError, match="outside the corridor"):
                 corridor.capacity_bps_hz(mode, x, configs)
+    # one offset outside [0, D] refuses the whole column
+    for xs in ([0.0, 30000.0, -1.0], [60000.5, 0.0], [30000.0, 60000.5, 1.0],
+               [0.0, math.nan, 1.0]):
+        with pytest.raises(ValueError, match="outside the corridor"):
+            corridor.columns(xs, (configs.ris,))
+    # as does one negative task size among the latency column's sizes
+    with pytest.raises(ValueError, match="size cannot be negative"):
+        task_latencies(1e5, 1e8, [0.0, 1e6, -1.0], 4.0, 2e9)
     with pytest.raises(ValueError, match="D must be positive"):
         Corridor(0.0, 20000.0, RadioParams())
     with pytest.raises(ValueError, match="H must be positive"):
         Corridor(60000.0, 0.0, RadioParams())
+
+
+# ---------------------------------------------------------------
+# sweeps: the column forms against the scalar laws, point by point
+# ---------------------------------------------------------------
+
+@pytest.mark.parametrize("D", [60000.0, 150000.0])
+def test_sweeps_match_rows_rebuilt_per_point(tmp_path, D):
+    config = tmp_path / "corridor.ini"
+    config.write_text(f"[geometry]\nD = {D!r}\n")
+    cfg = load_config(str(config))
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
+    surfaces = [RisConfig(N=n) for n in cfg.ris_N_list]
+    B = cfg.radio.B
+
+    capacity, ee = [], []
+    for x in cfg.sweep_for("x", 10.0).grid():
+        snr1, snr2 = corridor.rs_hop_snrs(x)
+        alpha, cap_opt = relay_optimal_split(snr1, snr2)
+        cap05 = relay_capacity(snr1, snr2, 0.5)
+        ris_caps = [corridor.ris_capacity(x, ris) for ris in surfaces]
+        capacity.append((x, cap05, cap_opt, alpha, *ris_caps))
+        ee.append((
+            x,
+            energy_efficiency(cap05 * B, cfg.rs.payload_power_W),
+            energy_efficiency(cap_opt * B, cfg.rs.payload_power_W),
+            *(
+                energy_efficiency(c * B, ris.N * ris.per_element_power_W)
+                for c, ris in zip(ris_caps, surfaces)
+            ),
+        ))
+    assert sweep_capacity(cfg, 10.0).rows == tuple(capacity)
+    assert sweep_ee(cfg, 10.0).rows == tuple(ee)
+
+    legs = []
+    for mode, rate in (
+        *((Mode.SMBS, fh) for fh in cfg.smbs_F_H_list),
+        (Mode.RS, cfg.cloud.F_C),
+        (Mode.RIS, cfg.cloud.F_C),
+    ):
+        x = corridor.best_offset(mode)
+        cap = corridor.capacity_bps_hz(mode, x, cfg.configs) * B
+        legs.append((corridor.path_m(mode, x), cap, rate))
+    # the latency terms summed one by one, in their original order
+    latency = [
+        (s, *(
+            propagation_delay_s(p)
+            + transmission_latency(s, c)
+            + computation_latency(ComputeTask(s, cfg.cycles_per_bit), rate)
+            for p, c, rate in legs
+        ))
+        for s in cfg.sweep_for("S", 1000.0).grid()
+    ]
+    assert sweep_latency(cfg, 1000.0).rows == tuple(latency)
 
 
 # ---------------------------------------------------------------
