@@ -60,13 +60,22 @@ class SweepSpec:
             )
 
     def grid(self):
-        values = []
-        v = self.start
-        i = 0
-        while v <= self.stop + 1e-9 * max(1.0, abs(self.stop)):
-            values.append(min(v, self.stop))
-            i += 1
-            v = self.start + i * self.step
+        """start, start + step, ... through stop. A point past stop by at
+        most 1e-9 * max(1, |stop|) (float drift) ends the grid, clamped to
+        stop, when the point before it falls short of stop. The count is
+        fixed before any point is built, within one of the count the
+        constructor checked."""
+        start, stop, step = self.start, self.stop, self.step
+        bound = stop + 1e-9 * max(1.0, abs(stop))
+        n = math.floor((stop - start) / step) + 1
+        while n > 1 and start + (n - 1) * step > bound:  # the quotient rounded up
+            n -= 1
+        if start + (n - 1) * step < stop and start + n * step <= bound:
+            n += 1  # the quotient rounded down, or the points drift short of stop
+        values = [start + i * step for i in range(n)]
+        values[0] = start  # as given, so a start of -0.0 keeps its sign
+        if values[-1] > stop:
+            values[-1] = stop
         return values
 
 

@@ -4,13 +4,19 @@ The platform classifies each incoming request (communication, content
 delivery, caching, task offloading), consults its cache and the per-mode
 capacity models, and emits one ModeDecision per request. State is a
 popularity-counting LRU cache; processing a trace is a deterministic
-fold of one decide step over the requests.
+fold over the requests.
 
-For one EngineContext a decision is a function of the request's kind,
-size, objective and QoS floor and of the cache branch it takes, so the
-trace replay parses each distinct trace-line tail once, memoises its
-decisions (with their rendered CSV cells) beside it, and streams one row
-per request.
+One loop, _fold, is that fold: handle_request (one request),
+replay_trace (a list of requests) and stream_replay (trace lines, the
+CLI's replay) all pick the cache branch, get the decision and update the
+cache through it. For one EngineContext a decision is a function of the
+request's kind, size, objective and QoS floor and of the cache branch it
+takes, so on trace lines the loop memoises, per distinct line tail, the
+parsed request and each branch's decision with its rendered CSV cells.
+A line whose tail is memoised costs a split, a dict lookup, its
+timestamp and its row: no Request is built unless the tail is new, and
+no decision unless its branch is. Rows are joined and written a batch
+at a time.
 """
 
 import math
@@ -32,6 +38,7 @@ from .optimizer import (
     Objective,
     ObjectiveKind,
     best_payload,
+    check_figures,
     payload_rows,
 )
 from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
@@ -110,10 +117,6 @@ class CacheState:
     def contains(self, content_id):
         return content_id in self.entries
 
-    def touch(self, content_id):
-        # mark as most recently used
-        self.entries.move_to_end(content_id)
-
     def insert(self, content_id):
         if content_id in self.entries:
             self.entries.move_to_end(content_id)
@@ -123,11 +126,6 @@ class CacheState:
         while len(self.entries) >= self.capacity:
             self.entries.popitem(last=False)  # evict least recently used
         self.entries[content_id] = None
-
-    def bump_popularity(self, content_id):
-        count = self.popularity.get(content_id, 0) + 1
-        self.popularity[content_id] = count
-        return count
 
 
 # =====================================================================
@@ -186,14 +184,17 @@ def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_
     return ModeDecision(mode, action, value, latency_s=latency, energy_J=energy)
 
 
-def _task_decision(ctx: EngineContext, mode: Mode, task: ComputeTask):
-    """Offload task through mode: latency is the objective value, energy
-    is payload power over the airtime."""
+def _task_figures(ctx: EngineContext, mode: Mode, task: ComputeTask):
+    """(latency_s, energy_J) of offloading task through mode: latency is
+    the objective value, energy is payload power over the airtime."""
     _, capacity, power, path = _carrier(ctx, mode)
     rate = compute_rate(mode, ctx.configs, ctx.cloud)
     latency = task_latency(path, capacity, task, rate)
+    return latency, power * transmission_latency(task.size_bits, capacity)
+
+
+def _task_decision(mode: Mode, latency, energy):
     action = Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD
-    energy = power * transmission_latency(task.size_bits, capacity)
     return ModeDecision(mode, action, latency, latency_s=latency, energy_J=energy)
 
 
@@ -201,7 +202,7 @@ def _forced_decision(req: Request, ctx: EngineContext, mode: Mode):
     # diagnostic path: serve everything through one payload, cache bypassed
     if req.kind is RequestKind.TASK_OFFLOADING:
         task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
-        return _task_decision(ctx, mode, task)
+        return _task_decision(mode, *_task_figures(ctx, mode, task))
     if mode is Mode.SMBS:
         action = Action.SERVE_DIRECT
     elif req.kind is RequestKind.CACHING:
@@ -222,24 +223,12 @@ _HIT = "hit"
 _FORWARD = "forward"
 _CACHE = "forward_and_cache"
 
-# Most distinct trace-line tails the trace parser keeps; a full memo is
-# cleared, so its memory does not grow with the trace.
+# Most distinct trace-line tails a replay keeps; a full memo is cleared,
+# so its memory does not grow with the trace.
 _MEMO_LIMIT = 1024
 
-
-def _branch(req: Request, state: CacheState, force_mode):
-    if force_mode is not None:
-        return force_mode
-    kind = req.kind
-    if kind is RequestKind.COMMUNICATION or kind is RequestKind.TASK_OFFLOADING:
-        return _DIRECT
-    if kind is RequestKind.CACHING:
-        return _CACHE
-    if state.contains(req.content_id):
-        return _HIT
-    if state.popularity.get(req.content_id, 0) + 1 >= state.popularity_threshold:
-        return _CACHE
-    return _FORWARD
+# Rows a streamed replay joins into one write.
+_WRITE_BATCH = 256
 
 
 def _build(req: Request, branch, ctx: EngineContext):
@@ -259,14 +248,17 @@ def _build(req: Request, branch, ctx: EngineContext):
         return _sized_decision(ctx, *best, req.size_bits)
     if req.kind is RequestKind.TASK_OFFLOADING:
         task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
-        candidates = [
-            _task_decision(ctx, mode, task)
-            for mode in (Mode.SMBS, Mode.RIS, Mode.RS)
-            if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps
-        ]
-        if not candidates:
+        best = None
+        for mode in (Mode.SMBS, Mode.RIS, Mode.RS):
+            if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps:
+                latency, energy = _task_figures(ctx, mode, task)
+                # a losing candidate's overflow refuses the request too
+                check_figures(latency, latency, energy)
+                if best is None or latency < best[1]:
+                    best = (mode, latency, energy)
+        if best is None:
             return ModeDecision(None, Action.INFEASIBLE, 0.0)
-        return min(candidates, key=lambda d: d.latency_s)
+        return _task_decision(*best)
     # the best of the two forwarding payloads
     forward = best_payload(objective, [r for r in ctx.rows if r[0] is not Mode.SMBS])
     if forward is None:  # no forwarder satisfies the constraint
@@ -276,36 +268,159 @@ def _build(req: Request, branch, ctx: EngineContext):
     return _sized_decision(ctx, mode, action, value, req.size_bits)
 
 
-def _decide(req: Request, state: CacheState, ctx: EngineContext, force_mode=None,
-            decided=None):
-    """The decide step of handle_request and the trace replay, for a
-    validated request: (decision, CSV cells after t, branch).
+def _memo_entry(decision: ModeDecision, cells=None):
+    """(CSV cells after t, mode value, energy_J, decision): what the
+    replay reads of a decision."""
+    mode = decision.mode
+    return cells, None if mode is None else mode.value, decision.energy_J, decision
 
-    decided maps a branch to (decision, cells) for the request's
-    trace-line tail, within one replay. With it the decision and its
-    rendered cells come from there, or are built and stored there;
-    without it the decision is built and the cells are None. A refusal
-    is never stored, so it is raised again for every request that meets
-    it. The decision is built before the state changes, so a refused or
-    infeasible request leaves the state untouched.
+
+def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
+          keep=None, write=None):
+    """The one decide loop, behind handle_request, replay_trace and
+    stream_replay. It updates state in place and returns the
+    ReplaySummary.
+
+    items are Requests, each validated here and handed to keep with its
+    decision; or, when write is given, trace lines, whose decision CSV
+    (header, then one row per request) goes to write a batch of
+    _WRITE_BATCH rows at a time.
+
+    For each request the loop picks the cache branch (hit, forward, or
+    forward and cache; communication and tasks take none; a forced
+    replay's branch is the forced Mode, with no cache interaction), gets
+    the decision, then updates the cache. The decision is built before
+    the state changes, so a refused or infeasible request leaves the
+    state untouched.
+
+    A trace line's tail is every field but t and content_id, plus whether
+    content_id is empty. From its second sighting on, a tail's parsed
+    request is kept with a dict of its decisions per branch, each with
+    its rendered CSV cells, so a later line with that tail pays only for
+    its timestamp and builds no Request. The memo keys the tail on its
+    raw field text, so sizes 0 and -0 stay apart; a tail seen once
+    leaves only its key. The memo holds at most _MEMO_LIMIT tails and is
+    cleared when full. A refusal is never memoised.
+
+    Timestamps must be non-decreasing. The first refused request aborts
+    the loop with a RequestError naming its index, caused by the
+    refusal. A malformed line raises a RequestError naming its line, and
+    is the error reported even after a refused request: the rest of the
+    trace is parsed first.
     """
-    branch = _branch(req, state, force_mode)
-    if decided is None:
-        decision, cells = _build(req, branch, ctx), None
-    else:
-        entry = decided.get(branch)
-        if entry is None:
-            decision = _build(req, branch, ctx)
-            entry = decided[branch] = (decision, _render(req.kind, decision))
-        decision, cells = entry
-    if branch is _HIT:
-        state.bump_popularity(req.content_id)
-        state.touch(req.content_id)
-    elif (branch is _FORWARD or branch is _CACHE) and decision.mode is not None:
-        state.bump_popularity(req.content_id)
-        if branch is _CACHE:
-            state.insert(req.content_id)
-    return decision, cells, branch
+    items = iter(items)
+    lines = write is not None
+    content_kind, caching_kind = RequestKind.CONTENT_DELIVERY, RequestKind.CACHING
+    isfinite, nan = math.isfinite, math.nan
+    entries, popularity = state.entries, state.popularity
+    threshold = state.popularity_threshold
+    counts = dict.fromkeys([m.value for m in Mode] + [None], 0)
+    total_energy = 0.0
+    hits = content_requests = 0
+    last_t = None
+    index = -1
+    lineno = 0
+    tails = {}
+    rows = [DECISION_CSV_HEADER + "\n"] if lines else []
+    for item in items:
+        if lines:
+            lineno += 1
+            stripped = item.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            parts = stripped.split(",", 3)
+            tail = None
+            if len(parts) == 4:
+                content_id = parts[2].strip()
+                key = (parts[1], parts[3], not content_id)
+                tail = tails.get(key)
+            t = nan
+            if tail:
+                req, decided = tail
+                try:
+                    t = float(parts[0].strip())
+                except ValueError:
+                    pass
+            if not isfinite(t):
+                # a new tail, or a line the parser rejects in its own words
+                req = _parse_fields(stripped.split(","), lineno)
+                t = req.t
+                if len(tails) >= _MEMO_LIMIT:
+                    tails.clear()
+                decided = {}
+                # kept from its second sighting on, so lines whose tails
+                # never repeat leave only their keys
+                tails[key] = (req, decided) if tail is not None else ()
+        else:
+            req = item
+            t, content_id, decided = req.t, req.content_id, None
+        index += 1
+        kind = req.kind
+        try:
+            if force_mode is not None:
+                branch = force_mode
+            elif kind is content_kind:
+                if content_id in entries:
+                    branch = _HIT
+                elif popularity.get(content_id, 0) + 1 >= threshold:
+                    branch = _CACHE
+                else:
+                    branch = _FORWARD
+            elif kind is caching_kind:
+                branch = _CACHE
+            else:
+                branch = _DIRECT
+            if decided is None:  # a Request: the parser validated trace lines
+                validate_request(req)
+                entry = _memo_entry(_build(req, branch, ctx))
+            else:
+                entry = decided.get(branch)
+                if entry is None:
+                    decision = _build(req, branch, ctx)
+                    entry = decided[branch] = _memo_entry(decision, _render(kind, decision))
+            cells, mode, energy, decision = entry
+            if branch is _HIT:
+                popularity[content_id] = popularity.get(content_id, 0) + 1
+                entries.move_to_end(content_id)
+            elif (branch is _FORWARD or branch is _CACHE) and mode is not None:
+                popularity[content_id] = popularity.get(content_id, 0) + 1
+                if branch is _CACHE:
+                    state.insert(content_id)
+            if last_t is not None and t < last_t:
+                raise RequestError(
+                    f"timestamps must be non-decreasing ({t} after {last_t})"
+                )
+        except ValueError as err:  # a malformed request or one the model refuses
+            refusal = RequestError(f"request {index}: {err}")
+            if lines:
+                for _ in iter_trace(items, lineno + 1):
+                    pass
+            raise refusal from err
+        last_t = t
+        if lines:
+            rows.append(f"{t:.8e},{cells}\n")
+            if len(rows) >= _WRITE_BATCH:
+                write("".join(rows))
+                rows.clear()
+        else:
+            keep(decision)
+        counts[mode] += 1
+        if energy is not None:
+            total_energy += energy
+        if kind is content_kind:
+            content_requests += 1
+            if branch is _HIT:
+                hits += 1
+    if rows:
+        write("".join(rows))
+    if not isfinite(total_energy):
+        raise ValueError(f"total_energy_J overflows to {total_energy}")
+    return ReplaySummary(
+        mode_counts={m.value: counts[m.value] for m in Mode},
+        total_energy_J=total_energy,
+        cache_hit_rate=hits / content_requests if content_requests else 0.0,
+        requests=index + 1,
+    )
 
 
 def handle_request(req: Request, state: CacheState, ctx: EngineContext):
@@ -314,8 +429,12 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
     The state is updated in place. Validation runs before any mutation, so
     a rejected request leaves it untouched, and so does an infeasible one.
     """
-    validate_request(req)
-    return _decide(req, state, ctx)[0], state
+    decisions = []
+    try:
+        _fold((req,), state, ctx, keep=decisions.append)
+    except RequestError as err:  # raised as itself, not as request 0
+        raise err.__cause__ from None
+    return decisions[0], state
 
 
 # =====================================================================
@@ -337,58 +456,6 @@ class ReplayResult:
     summary: ReplaySummary
 
 
-def _replay(pairs, state: CacheState, ctx: EngineContext, force_mode, emit):
-    """Fold the decide step over (request, decided) pairs in trace order,
-    handing each (request, decision, CSV cells after t) to emit; returns
-    the ReplaySummary. The state is updated in place.
-
-    decided is the decision memo of the request's trace-line tail, which
-    the parser has validated; a request without one is validated here.
-    Timestamps must be non-decreasing; the first refused request aborts
-    the replay with its index. force_mode routes every request through a
-    single payload with no cache interaction, for energy comparisons, not
-    as a selection policy.
-    """
-    mode_counts = dict.fromkeys(Mode, 0)
-    total_energy = 0.0
-    hits = 0
-    content_requests = 0
-    last_t = None
-    index = -1
-    for index, (req, decided) in enumerate(pairs):
-        # validation first, so a malformed request is reported as such; an
-        # out-of-order request aborts the replay, so what it did to the
-        # state is never seen
-        try:
-            if decided is None:
-                validate_request(req)
-            decision, cells, branch = _decide(req, state, ctx, force_mode, decided)
-            if last_t is not None and req.t < last_t:
-                raise RequestError(
-                    f"timestamps must be non-decreasing ({req.t} after {last_t})"
-                )
-        except ValueError as err:  # a malformed request or one the model refuses
-            raise RequestError(f"request {index}: {err}") from None
-        last_t = req.t
-        emit(req, decision, cells)
-        if decision.mode is not None:
-            mode_counts[decision.mode] += 1
-        if decision.energy_J is not None:
-            total_energy += decision.energy_J
-        if req.kind is RequestKind.CONTENT_DELIVERY:
-            content_requests += 1
-            if branch is _HIT:
-                hits += 1
-    if not math.isfinite(total_energy):
-        raise ValueError(f"total_energy_J overflows to {total_energy}")
-    return ReplaySummary(
-        mode_counts={m.value: n for m, n in mode_counts.items()},
-        total_energy_J=total_energy,
-        cache_hit_rate=hits / content_requests if content_requests else 0.0,
-        requests=index + 1,
-    )
-
-
 def replay_trace(
     requests,
     initial_state: CacheState,
@@ -405,36 +472,22 @@ def replay_trace(
     """
     state = initial_state.copy()
     decisions = []
-    summary = _replay(
-        ((req, None) for req in requests), state, ctx, force_mode,
-        lambda req, decision, cells: decisions.append(decision),
-    )
+    summary = _fold(requests, state, ctx, force_mode, keep=decisions.append)
     return ReplayResult(tuple(decisions), state, summary)
 
 
 def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
                   force_mode: Optional[Mode] = None):
     """Replay trace lines straight to the decision CSV: write gets the
-    header, then one row per request as it is decided. Returns the
-    ReplaySummary; the state is updated in place.
+    header and the rows, a batch at a time, as they are decided. Returns
+    the ReplaySummary; the state is updated in place.
 
     Nothing is kept per request: memory grows with the number of
     distinct content ids (the cache's popularity counter), not with the
-    number of requests. A malformed line is reported before any refused request: after a
-    refusal the rest of the trace is still parsed.
+    number of requests. A malformed line is reported before any refused
+    request: after a refusal the rest of the trace is still parsed.
     """
-    pairs = _parse_trace(lines)
-    write(DECISION_CSV_HEADER + "\n")
-
-    def emit(req, decision, cells):
-        write(f"{_fmt(req.t)},{cells}\n")
-
-    try:
-        return _replay(pairs, state, ctx, force_mode, emit)
-    except RequestError:
-        for _ in pairs:
-            pass
-        raise
+    return _fold(lines, state, ctx, force_mode, write=write)
 
 
 # =====================================================================
@@ -523,55 +576,14 @@ def _parse_fields(fields, lineno):
     return req
 
 
-def _parse_trace(lines):
-    """(request, decided) for each request line, in order.
-
-    The tail is every field but t and content_id, plus whether content_id
-    is empty. From its second sighting on, a tail is parsed and
-    validated once; a later line with that tail pays only for its
-    timestamp. The memo keys the tail on its raw field text, so sizes 0
-    and -0 stay apart, and keeps beside the parsed request the dict,
-    decided, in which the decide step memoises that tail's decisions.
-    It holds at most _MEMO_LIMIT tails and is cleared when full. Raises
-    RequestError naming the first malformed line.
-    """
-    tails = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] == "#":
-            continue
-        parts = stripped.split(",")
-        key = entry = None
-        if len(parts) == 6:
-            content_id = parts[2].strip()
-            key = (parts[1], parts[3], parts[4], parts[5], not content_id)
-            entry = tails.get(key)
-        if entry:
-            template, decided = entry
-            try:
-                t = float(parts[0].strip())
-            except ValueError:
-                t = math.nan
-            if math.isfinite(t):
-                yield Request(
-                    t, template.kind, content_id or None, template.size_bits,
-                    template.objective, template.qos_min_bps,
-                ), decided
-                continue
-        # a new tail, or a line the parser rejects in its own words
-        req = _parse_fields(parts, lineno)
-        if len(tails) >= _MEMO_LIMIT:
-            tails.clear()
-        decided = {}
-        # a tail's request and decisions are kept from its second sighting
-        # on, so lines whose tails never repeat leave only their keys
-        tails[key] = (req, decided) if entry is not None else ()
-        yield req, decided
-
-
-def iter_trace(lines):
-    """The requests of trace lines, in order; see parse_trace_line."""
-    return (req for req, _ in _parse_trace(lines))
+def iter_trace(lines, start=1):
+    """The requests of trace lines, in order, the first line numbered
+    start; see parse_trace_line. Raises RequestError naming the first
+    malformed line."""
+    for lineno, line in enumerate(lines, start):
+        req = parse_trace_line(line, lineno)
+        if req is not None:
+            yield req
 
 
 def load_trace(path):

@@ -181,6 +181,15 @@ class Corridor:
                     f"the relay hop SNR underflows to 0 at a {longest:g} m hop: "
                     f"[radio] P0_max = {radio.P0_max:g} dBm is too low"
                 )
+        # the access hop's SNR peaks at its shortest, H; a zero SNR far
+        # from the gNB is a payload the engine refuses by name
+        try:
+            budget.snrs((H,), self._access_dB)
+        except OverflowError:
+            raise ValueError(
+                f"the access hop SNR overflows: [radio] P_gNB = {radio.P_gNB:g} dBm "
+                "is too high"
+            ) from None
 
     def distances(self, x):
         """Slant ranges (gateway -> platform, gNB -> platform) at offset x."""

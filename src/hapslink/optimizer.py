@@ -55,10 +55,19 @@ class ModeDecision:
     energy_J: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("objective_value", "latency_s", "energy_J"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} overflows to {value}")
+        check_figures(self.objective_value, self.latency_s, self.energy_J)
+
+
+def check_figures(objective_value, latency_s=None, energy_J=None):
+    """Refuse the first of a decision's figures that is not finite, by
+    name; None passes."""
+    for name, value in (
+        ("objective_value", objective_value),
+        ("latency_s", latency_s),
+        ("energy_J", energy_J),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} overflows to {value}")
 
 
 # =====================================================================

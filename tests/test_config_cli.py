@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from hapslink import (
     ConfigError,
@@ -187,6 +187,57 @@ def test_grid_includes_endpoint_without_drift():
     assert grid[0] == 0.0
     assert grid[-1] == 1.0
     assert grid[3] == pytest.approx(0.3, abs=1e-15)
+
+
+def _loop_grid(spec):
+    """The grid as the per-point while loop it was written as: the
+    reference for SweepSpec.grid."""
+    values = []
+    v = spec.start
+    i = 0
+    while v <= spec.stop + 1e-9 * max(1.0, abs(spec.stop)):
+        values.append(min(v, spec.stop))
+        i += 1
+        v = spec.start + i * spec.step
+    return values
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    start=st.one_of(st.sampled_from([0.0, -0.0, 0.1, 1e9]), st.floats(-1e6, 1e6)),
+    step=st.one_of(st.sampled_from([0.1, 0.2, 1 / 3, 10.0, 1000.0]), st.floats(1e-6, 1e4)),
+    points=st.integers(0, 300),
+    end=st.sampled_from(["product", "sum", "above", "below", "between"]),
+    frac=st.floats(0.0, 1.0),
+)
+@example(start=0.0, step=0.1, points=3, end="product", frac=0.0)
+@example(start=-0.0, step=0.25, points=0, end="product", frac=0.0)
+def test_grid_matches_the_per_point_loop(start, step, points, end, frac):
+    # stops reached by a product, by repeated addition (drift), just past
+    # or short of a grid point, or between two
+    stop = {
+        "product": start + points * step,
+        "sum": sum([step] * points, start),
+        "above": (start + points * step) * (1 + 1e-12) + 1e-12,
+        "below": (start + points * step) * (1 - 1e-12) - 1e-12,
+        "between": start + (points + frac) * step,
+    }[end]
+    assume(stop >= start)
+    # a step above the endpoint tolerance: the loop then puts at most one
+    # point past stop (see test_grid_stays_within_its_count)
+    assume(step > 2e-9 * max(1.0, abs(stop)))
+    spec = SweepSpec("S", start, stop, step)
+    assert list(map(repr, spec.grid())) == list(map(repr, _loop_grid(spec)))
+
+
+def test_grid_stays_within_its_count():
+    # a step finer than the endpoint tolerance: the per-point loop walked
+    # every point up to the tolerance past stop (1001 copies of stop
+    # here), and forever once start + step rounds back to start
+    assert SweepSpec("S", 1e6, 1e6, 1e-6).grid() == [1e6]
+    assert SweepSpec("S", 1e300, 1e300, 1e-300).grid() == [1e300]
+    grid = SweepSpec("S", 1e6, 1e6 + 1e-5, 1e-6).grid()
+    assert len(grid) == 11 and grid[-1] == 1e6 + 1e-5 and grid == sorted(grid)
 
 
 def test_sweep_spec_validation():
@@ -468,6 +519,8 @@ FAINT_RADIO = "[radio]\nP0_max = -3300\n"
 LOUD_RADIO = "[radio]\nP0_max = 1e6\n"
 FAINT_HOP = r"the relay hop SNR underflows to 0 .*: \[radio\] P0_max = -3300 dBm is too low"
 LOUD_SURFACE = r"the surface gain overflows: \[radio\] P0_max = 1e\+06 dBm is too high"
+LOUD_ACCESS_RADIO = "[radio]\nP_gNB = 1e6\n"
+LOUD_ACCESS = r"the access hop SNR overflows: \[radio\] P_gNB = 1e\+06 dBm is too high"
 
 MODEL_ERROR_CASES = {
     "far_replay": (
@@ -492,6 +545,10 @@ MODEL_ERROR_CASES = {
     "loud_sweep_latency": (LOUD_RADIO, ["sweep-latency"], LOUD_SURFACE),
     "loud_select": (LOUD_RADIO, ["select", "--kind", "communication"], LOUD_SURFACE),
     "loud_replay": (LOUD_RADIO, ["replay"], LOUD_SURFACE),
+    "loud_access_select": (
+        LOUD_ACCESS_RADIO, ["select", "--kind", "communication"], LOUD_ACCESS,
+    ),
+    "loud_access_replay": (LOUD_ACCESS_RADIO, ["replay"], LOUD_ACCESS),
 }
 
 

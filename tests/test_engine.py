@@ -1,4 +1,5 @@
 import collections
+import io
 import os
 import random
 
@@ -15,6 +16,7 @@ from hapslink import (
     EngineContext,
     Mode,
     ModeConfigs,
+    ModeDecision,
     Objective,
     ObjectiveKind,
     RadioParams,
@@ -29,7 +31,8 @@ from hapslink import (
     replay_trace,
 )
 from hapslink.cli import EXIT_OK, main
-from hapslink.modes import RisConfig
+from hapslink.engine import stream_replay
+from hapslink.modes import RisConfig, RsConfig
 
 from conftest import geom_at
 
@@ -245,6 +248,50 @@ def test_task_qos_filters_modes(ctx):
     )
     d, _ = handle_request(req, fresh_state(), ctx)
     assert d.action is Action.INFEASIBLE
+    # above the gateway a floor the base station misses leaves the two
+    # relayed paths; a zero-bit task pays propagation only, the same over
+    # both, and the tie goes to the surface, priced first
+    far = EngineContext(geom=geom_at(0.0), radio=RadioParams(), configs=ModeConfigs.defaults())
+    req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=0.0, qos_min_bps=7.5e7)
+    d, _ = handle_request(req, fresh_state(), far)
+    assert d.mode is Mode.RIS
+
+
+def test_task_builds_one_decision_per_new_tail(ctx, monkeypatch):
+    # the three payloads are priced as plain numbers; only the fastest
+    # becomes a ModeDecision
+    built = []
+    check = ModeDecision.__post_init__
+
+    def counting(self):
+        built.append(self.mode)
+        check(self)
+
+    monkeypatch.setattr(ModeDecision, "__post_init__", counting)
+    for size in (1e3, 1e6, 1e9):
+        req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=size)
+        decision, _ = handle_request(req, fresh_state(), ctx)
+        assert built == [decision.mode]
+        built.clear()
+    lines = [f"{i},task_offloading,,{1e3 * (i + 1)!r},," for i in range(6)]
+    stream_replay(lines, fresh_state(), ctx, io.StringIO().write)
+    assert len(built) == len(lines)
+
+
+def test_task_refused_when_a_losing_payload_overflows():
+    # the relay is slower than the surface, but its energy overflows: the
+    # request is refused all the same, as when every candidate was built
+    configs = ModeConfigs.defaults()
+    hungry = ModeConfigs(
+        rs=RsConfig(payload_power_W=1e308), ris=configs.ris, smbs=configs.smbs
+    )
+    ctx = EngineContext(geom=geom_at(30000.0), radio=RadioParams(), configs=hungry)
+    req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=1e9)
+    with pytest.raises(ValueError, match="^energy_J overflows to inf$"):
+        handle_request(req, fresh_state(), ctx)
+    # a floor the relay misses leaves the surface
+    req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=1e9, qos_min_bps=1.2e8)
+    assert handle_request(req, fresh_state(), ctx)[0].mode is Mode.RIS
 
 
 def test_energy_is_power_times_airtime(ctx):

@@ -136,21 +136,34 @@ _LINE = st.one_of(
 )
 @given(
     lines=st.lists(_LINE, max_size=12),
+    copies=st.one_of(st.just(1), st.integers(1, 40)),
     config=st.sampled_from(sorted(CONFIGS)),
     force=st.sampled_from(FORCE),
     to_stdout=st.booleans(),
 )
 # a refused request, then a malformed line: the line is the error
-@example(lines=["{i},task_offloading,,1.7e308,,", "t,caching,a,,,"],
+@example(lines=["{i},task_offloading,,1.7e308,,", "t,caching,a,,,"], copies=1,
          config="default", force=None, to_stdout=False)
 # signed zero: the same tail but for its sign prints different energy
-@example(lines=["{i},communication,,0,,", "{i},communication,,-0,,"] * 2,
+@example(lines=["{i},communication,,0,,", "{i},communication,,-0,,"] * 2, copies=1,
          config="default", force=None, to_stdout=True)
 @example(lines=["{i},content_delivery,a,1e6,,"] * 4 + ["{i},content_delivery,b,1e6,,"],
-         config="eager", force="smbs", to_stdout=False)
+         copies=1, config="eager", force="smbs", to_stdout=False)
+# a repeated tail whose content_id goes missing is parsed, and refused
+@example(lines=["{i},content_delivery,a,1e6,,"] * 2 + ["{i},content_delivery,,1e6,,"],
+         copies=1, config="default", force=None, to_stdout=False)
+# rows past one write batch, then a refusal and a later malformed line
+@example(lines=["{i},content_delivery,a,1e6,,", "{i},communication,,1e6,,"], copies=150,
+         config="default", force=None, to_stdout=True)
+@example(lines=["{i},content_delivery,a,1e6,,"] * 299
+         + ["{i},task_offloading,,1.7e308,,", "{i},caching,b,1e6,,", "t,caching,a,,,"],
+         copies=1, config="eager", force=None, to_stdout=False)
 def test_streamed_replay_matches_per_request_reference(
-    tmp_path, lines, config, force, to_stdout
+    tmp_path, lines, copies, config, force, to_stdout
 ):
+    # copies repeats the drawn lines, so traces run past one write batch
+    # (engine._WRITE_BATCH rows) and their tails repeat
+    lines = lines * copies
     trace = tmp_path / "trace.txt"
     trace.write_text("\n".join(line.replace("{i}", str(i)) for i, line in enumerate(lines)))
     cfg = tmp_path / "scenario.ini"
@@ -189,6 +202,61 @@ def test_failed_replay_prints_no_rows(tmp_path):
     assert code == EXIT_INVALID
     assert stdout == ""
     assert stderr == "error: line 3: unknown kind 'nonsense'\n"
+
+
+def _long_trace(k, tail):
+    """A comment, then k in-order requests over a few ids and kinds, then
+    the lines of tail, whose "{i}" stands for the request index."""
+    kinds = ("{i},content_delivery,c{c},1e6,,", "{i},communication,,2e6,,",
+             "{i},caching,c{c},5e6,,", "{i},task_offloading,,1e5,,")
+    body = [kinds[i % 4].format(i=i, c=i % 5) for i in range(k)]
+    return "\n".join(["# t,kind,content_id,size_bits,objective,qos_bps"] + body
+                     + [line.replace("{i}", str(k + j)) for j, line in enumerate(tail)])
+
+
+# request k overflows: its task's computation time is inf
+_REFUSED = "{i},task_offloading,,1.7e308,,"
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+@pytest.mark.parametrize("k", [3, engine._WRITE_BATCH - 1, engine._WRITE_BATCH, 700])
+def test_refusal_past_a_write_batch_leaves_no_output(tmp_path, k, to_stdout):
+    trace = tmp_path / "t.trace"
+    trace.write_text(_long_trace(k, [_REFUSED] + ["{i},communication,,1e6,,"] * 300))
+    out = tmp_path / "d.csv"
+    code, stdout, stderr = _cli(["replay", str(trace)] + ([] if to_stdout else ["--out", str(out)]))
+    assert (code, stdout) == (EXIT_INVALID, "")
+    assert stderr == f"error: request {k}: objective_value overflows to inf\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+@pytest.mark.parametrize("k", [3, engine._WRITE_BATCH, 700])
+def test_malformed_line_after_a_refusal_is_the_error(tmp_path, k, to_stdout):
+    # the refusal at request k is reported only if the rest of the trace
+    # parses; the comment line shifts line numbers one past request indices
+    good = ["{i},content_delivery,c1,1e6,,", "{i},task_offloading,,1e5,,"] * 200
+    trace = tmp_path / "t.trace"
+    trace.write_text(_long_trace(k, [_REFUSED] + good + ["{i},nonsense,,,,"] + good))
+    bad_line = 1 + k + 1 + len(good) + 1
+    out = tmp_path / "d.csv"
+    code, stdout, stderr = _cli(["replay", str(trace)] + ([] if to_stdout else ["--out", str(out)]))
+    assert (code, stdout) == (EXIT_INVALID, "")
+    assert stderr == f"error: line {bad_line}: unknown kind 'nonsense'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+    # without the malformed line, the refusal is the error
+    trace.write_text(_long_trace(k, [_REFUSED] + good + good))
+    assert _cli(["replay", str(trace), "--out", str(out)])[2] == (
+        f"error: request {k}: objective_value overflows to inf\n"
+    )
+
+
+def test_stream_of_a_list_drains_on_from_the_refused_line():
+    cfg = load_config(None)
+    lines = ["# header", "0,task_offloading,,1.7e308,,", "1,communication,,,,",
+             "2,nonsense,,,,"]
+    with pytest.raises(RequestError, match=r"^line 4: unknown kind 'nonsense'$"):
+        stream_replay(lines, CacheState(), _context(cfg), io.StringIO().write)
 
 
 def test_failed_replay_keeps_the_previous_output(tmp_path):
