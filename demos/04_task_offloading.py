@@ -9,8 +9,6 @@ two hops. Small tasks favor onboard compute, large ones the cloud, and
 the break-even size grows with the onboard clock.
 """
 
-from dataclasses import replace
-
 from hapslink import (
     CloudConfig,
     ComputeTask,
@@ -18,6 +16,7 @@ from hapslink import (
     Mode,
     load_config,
     offload_latency,
+    replace,
     sweep_latency,
 )
 

@@ -7,6 +7,7 @@ platform - gNB triangle, and a request-driven engine that picks the
 payload per request.
 """
 
+from ._record import replace
 from .config import (
     DEFAULT_S_SWEEP,
     DEFAULT_X_SWEEP,

@@ -9,9 +9,9 @@ keys are rejected with the offending name, not ignored.
 import configparser
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
 from .propagation import DRY_AIR_F_MAX_HZ, DRY_AIR_F_MIN_HZ, RadioParams, ScenarioGeometry
@@ -34,8 +34,7 @@ class ConfigError(ValueError):
     """Bad configuration; message names the offending section/key."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     variable: str
     start: float
     stop: float
@@ -79,8 +78,7 @@ class SweepSpec:
         return values
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     geom: ScenarioGeometry = ScenarioGeometry(D=60000.0, H=20000.0, x=30000.0)
     radio: RadioParams = RadioParams()
     rs: RsConfig = RsConfig()

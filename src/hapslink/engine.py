@@ -21,10 +21,10 @@ at a time.
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from ._record import Record
 from .modes import Action, Mode, ModeConfigs
 from .offload import (
     CloudConfig,
@@ -55,8 +55,7 @@ class RequestError(ValueError):
     """Malformed request; carries a human-readable diagnostic."""
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(Record):
     t: float
     kind: RequestKind
     content_id: Optional[str] = None
@@ -74,6 +73,8 @@ def validate_request(req: Request):
         raise RequestError(f"{req.kind.value} request needs a content_id")
     if not needs_content and req.content_id:
         raise RequestError(f"{req.kind.value} request must not carry a content_id")
+    if req.t is None:
+        raise RequestError("t must be finite, got None")
     for name in ("t", "size_bits", "qos_min_bps"):
         value = getattr(req, name)
         if value is not None and not math.isfinite(value):
@@ -91,28 +92,45 @@ def validate_request(req: Request):
 # Cache state
 # =====================================================================
 
-@dataclass
 class CacheState:
     """LRU cache plus a cumulative per-id popularity counter.
 
     entries keeps insertion/use order (least recently used first);
     popularity counts every sighting of an id, cached or not. An id is
     promoted into the cache once its counter reaches popularity_threshold.
+    The state is mutable; two states are equal when all four attributes
+    are, entry order included.
     """
 
-    capacity: int = 16
-    popularity_threshold: int = 3
-    entries: "OrderedDict[str, None]" = field(default_factory=OrderedDict)
-    popularity: dict = field(default_factory=dict)
+    def __init__(self, capacity=16, popularity_threshold=3, entries=None,
+                 popularity=None):
+        if not capacity >= 0:
+            raise ValueError(f"capacity cannot be negative, got {capacity}")
+        if not popularity_threshold >= 1:
+            raise ValueError(
+                f"popularity_threshold must be at least 1, got {popularity_threshold}"
+            )
+        self.capacity = capacity
+        self.popularity_threshold = popularity_threshold
+        self.entries = OrderedDict() if entries is None else entries
+        self.popularity = {} if popularity is None else popularity
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        cells = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"CacheState({cells})"
 
     def copy(self):
-        clone = CacheState(
-            capacity=self.capacity,
-            popularity_threshold=self.popularity_threshold,
+        return CacheState(
+            self.capacity, self.popularity_threshold,
+            OrderedDict(self.entries), dict(self.popularity),
         )
-        clone.entries = OrderedDict(self.entries)
-        clone.popularity = dict(self.popularity)
-        return clone
 
     def contains(self, content_id):
         return content_id in self.entries
@@ -132,8 +150,7 @@ class CacheState:
 # Engine context
 # =====================================================================
 
-@dataclass(frozen=True)
-class EngineContext:
+class EngineContext(Record):
     """Everything handle_request needs besides the cache: where the
     platform sits and how each payload performs there. The payload rows
     (mode, capacity_bps, payload_W, path_m) are computed once, at
@@ -144,12 +161,10 @@ class EngineContext:
     configs: ModeConfigs
     cloud: CloudConfig = CloudConfig()
     cycles_per_bit: float = 4.0
-    rows: tuple = field(init=False, repr=False, compare=False)
-    row: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = payload_rows(self.geom, self.radio, self.configs)
-        # frozen: set once here
+        # derived, not fields: set once here
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "row", {r[0]: r for r in rows})
 
@@ -441,16 +456,14 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
 # Trace replay
 # =====================================================================
 
-@dataclass(frozen=True)
-class ReplaySummary:
+class ReplaySummary(Record):
     mode_counts: dict
     total_energy_J: float
     cache_hit_rate: float
     requests: int
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(Record):
     decisions: tuple
     final_state: CacheState
     summary: ReplaySummary

@@ -14,9 +14,9 @@ backhaul:
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .propagation import (
     SPEED_OF_LIGHT,
     LinkBudget,
@@ -49,8 +49,7 @@ class Action(Enum):
 # Per-mode configuration
 # =====================================================================
 
-@dataclass(frozen=True)
-class RsConfig:
+class RsConfig(Record):
     payload_power_W: float = 1000.0
 
     def __post_init__(self):
@@ -60,8 +59,7 @@ class RsConfig:
             )
 
 
-@dataclass(frozen=True)
-class RisConfig:
+class RisConfig(Record):
     N: int = 50000                # reflecting element count
     beta: float = 1.0             # per-element reflection amplitude
     per_element_power_W: float = 0.0078
@@ -79,8 +77,7 @@ class RisConfig:
             )
 
 
-@dataclass(frozen=True)
-class SmbsConfig:
+class SmbsConfig(Record):
     F_H: float = 2e9              # onboard compute rate, cycles/s
     payload_power_W: float = 3000.0
     cache_capacity: int = 16
@@ -100,8 +97,7 @@ class SmbsConfig:
             )
 
 
-@dataclass(frozen=True)
-class ModeConfigs:
+class ModeConfigs(Record):
     """Bundle of the three payload configs, as the selection logic wants them."""
 
     rs: RsConfig

@@ -7,14 +7,12 @@ forwarding (RS or RIS) pays the full relayed path and computes at the
 ground cloud's F_C. Result-return traffic is not modeled.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .modes import Corridor, Mode, ModeConfigs
 from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
 
 
-@dataclass(frozen=True)
-class ComputeTask:
+class ComputeTask(Record):
     size_bits: float
     cycles_per_bit: float = 4.0
 
@@ -25,8 +23,7 @@ class ComputeTask:
             raise ValueError("cycles per bit must be positive")
 
 
-@dataclass(frozen=True)
-class CloudConfig:
+class CloudConfig(Record):
     F_C: float = 4e9  # ground cloud compute rate, cycles/s
 
     def __post_init__(self):

@@ -8,10 +8,10 @@ objective.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from ._record import Record
 from .modes import Action, Corridor, Mode, ModeConfigs, mode_payload_power_W
 from .propagation import RadioParams, ScenarioGeometry
 
@@ -25,8 +25,7 @@ class ObjectiveKind(Enum):
     MIN_ENERGY_SUBJECT_TO_QOS = "min_energy_subject_to_qos"
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(Record):
     kind: ObjectiveKind = ObjectiveKind.MAX_CAPACITY
     qos_min_bps: Optional[float] = None
 
@@ -36,8 +35,7 @@ class Objective:
                 raise ValueError("a positive qos_min_bps is required for min_energy")
 
 
-@dataclass(frozen=True)
-class ModeDecision:
+class ModeDecision(Record):
     """Outcome of one selection: which payload, doing what, scoring how much.
 
     objective_value carries the chosen objective's figure: capacity in bps

@@ -7,7 +7,8 @@ no randomness.
 """
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 SPEED_OF_LIGHT = 2.998e8  # m/s, used for both loss and propagation delay
 
@@ -20,8 +21,7 @@ DRY_AIR_F_MAX_HZ = 50e9
 # Scenario containers
 # =====================================================================
 
-@dataclass(frozen=True)
-class ScenarioGeometry:
+class ScenarioGeometry(Record):
     """Ground layout: gateway at x=0, gNB at x=D, platform at offset x, height H."""
 
     D: float  # gateway -> gNB ground distance, m
@@ -49,8 +49,7 @@ class ScenarioGeometry:
         return slant_distance(self.D - self.x, self.H)
 
 
-@dataclass(frozen=True)
-class RadioParams:
+class RadioParams(Record):
     """Carrier, powers, gains and environment shared by every mode."""
 
     f: float = 2e9                # carrier frequency, Hz

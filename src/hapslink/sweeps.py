@@ -7,9 +7,9 @@ the CLI reports alongside the CSV.
 """
 
 import math
-from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 
+from ._record import Record, replace
 from .config import ScenarioConfig
 from .modes import (
     Corridor,
@@ -22,14 +22,16 @@ from .modes import (
 from .offload import task_latencies
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """A sweep's table and notes. A cell that overflowed (a huge task,
     extreme powers) is refused here rather than written as inf or nan."""
 
     header: tuple
     rows: tuple
-    notes: dict = field(default_factory=dict)
+    notes: dict  # a new {} when not given
+
+    def __init__(self, header, rows, notes=None):
+        super().__init__(header, rows, {} if notes is None else notes)
 
     def __post_init__(self):
         if all(map(math.isfinite, chain.from_iterable(self.rows))):

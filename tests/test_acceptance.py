@@ -10,7 +10,6 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from hapslink import (
     load_config,
     load_trace,
     relay_optimal_split,
+    replace,
     replay_trace,
     ris_placement_roots,
     sweep_capacity,

@@ -578,3 +578,36 @@ def test_csv_requires_alignment(ctx):
     reqs = [content(0.0, "x")]
     with pytest.raises(ValueError):
         decisions_to_csv(reqs, [])
+
+
+# ---------------------------------------------------------------
+# timestamps and cache bounds the engine refuses by name
+# ---------------------------------------------------------------
+
+@pytest.mark.parametrize("t", [None, float("nan"), float("inf")])
+def test_replay_refuses_a_missing_or_non_finite_t(ctx, t):
+    reqs = [
+        Request(t=0.0, kind=RequestKind.COMMUNICATION),
+        Request(t=t, kind=RequestKind.COMMUNICATION),
+    ]
+    with pytest.raises(RequestError, match=f"^request 1: t must be finite, got {t}$"):
+        replay_trace(reqs, fresh_state(), ctx)
+
+
+def test_lone_request_without_t_is_refused(ctx):
+    state = fresh_state()
+    with pytest.raises(RequestError, match="^t must be finite, got None$"):
+        handle_request(Request(t=None, kind=RequestKind.COMMUNICATION), state, ctx)
+    assert state == fresh_state()
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ({"capacity": -1}, "capacity cannot be negative, got -1"),
+    ({"capacity": float("nan")}, "capacity cannot be negative, got nan"),
+    ({"popularity_threshold": 0}, "popularity_threshold must be at least 1, got 0"),
+    ({"popularity_threshold": -3}, "popularity_threshold must be at least 1, got -3"),
+])
+def test_cache_state_refuses_bounds_by_name(bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CacheState(**bounds)
+
