@@ -25,6 +25,7 @@ from .engine import (
     Request,
     RequestError,
     RequestKind,
+    build_engine,
     decisions_to_csv,
     handle_request,
     load_trace,

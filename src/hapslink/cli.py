@@ -26,10 +26,9 @@ import tempfile
 from .config import ConfigError, load_config
 from .engine import (
     OBJECTIVE_TOKENS,
-    CacheState,
-    EngineContext,
     Request,
     RequestKind,
+    build_engine,
     decisions_to_csv,
     handle_request,
     iter_trace,
@@ -186,14 +185,7 @@ def _cmd_select(args):
         ),
         qos_min_bps=args.qos_bps,
     )
-    ctx = EngineContext(
-        geom=cfg.geom, radio=cfg.radio, configs=cfg.configs,
-        cloud=cfg.cloud, cycles_per_bit=cfg.cycles_per_bit,
-    )
-    state = CacheState(
-        capacity=cfg.smbs.cache_capacity,
-        popularity_threshold=cfg.popularity_threshold,
-    )
+    ctx, state = build_engine(cfg)
     decision, _ = handle_request(req, state, ctx)
     with _all_or_nothing(args.out) as fh:
         fh.write(decisions_to_csv([req], [decision]))
@@ -204,17 +196,10 @@ def _cmd_select(args):
 
 def _cmd_replay(args):
     cfg = load_config(args.config)
-    state = CacheState(
-        capacity=cfg.smbs.cache_capacity,
-        popularity_threshold=cfg.popularity_threshold,
-    )
     force = Mode(args.force_mode.upper()) if args.force_mode else None
     with open(args.trace, "r", encoding="utf-8") as lines:
         try:
-            ctx = EngineContext(
-                geom=cfg.geom, radio=cfg.radio, configs=cfg.configs,
-                cloud=cfg.cloud, cycles_per_bit=cfg.cycles_per_bit,
-            )
+            ctx, state = build_engine(cfg)
         except (ValueError, ArithmeticError):
             # a malformed trace line is reported before a scenario the
             # model refuses

@@ -12,6 +12,7 @@ import os
 from typing import Optional
 
 from ._record import Record
+from .engine import CacheState, EngineContext
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
 from .propagation import DRY_AIR_F_MAX_HZ, DRY_AIR_F_MIN_HZ, RadioParams, ScenarioGeometry
@@ -87,8 +88,8 @@ class ScenarioConfig(Record):
     cloud: CloudConfig = CloudConfig()
     ris_N_list: tuple = (10000, 30000, 50000)
     smbs_F_H_list: tuple = (1e9, 2e9, 3e9)
-    popularity_threshold: int = 3
-    cycles_per_bit: float = 4.0
+    popularity_threshold: int = CacheState.popularity_threshold
+    cycles_per_bit: float = EngineContext.cycles_per_bit
     sweep: Optional[SweepSpec] = None
     output_path: Optional[str] = None
 
@@ -122,52 +123,45 @@ class ScenarioConfig(Record):
 # =====================================================================
 
 def _get(parser, section, key, cast, current):
+    """[section] key read as cast, or current when the file does not set
+    it. cast is float, _float_list, or int: a whole number, which may be
+    written 5e4 but not 1.5."""
     if not parser.has_option(section, key):
         return current
     raw = parser.get(section, key)
     try:
-        value = cast(raw)
+        value = (float if cast is int else cast)(raw)
         values = value if isinstance(value, tuple) else (value,)
-        if all(math.isfinite(v) for v in values):
-            return value
-    except (ValueError, TypeError, OverflowError):  # int() of inf overflows
-        pass
-    raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a finite number")
-
-
-def _get_int(parser, section, key, current):
-    value = _get(parser, section, key, float, current)
-    if value != int(value):
+        finite = all(math.isfinite(v) for v in values)
+    except (ValueError, TypeError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a finite number")
+    if cast is int and value != int(value):
         raise ConfigError(f"[{section}] {key} must be an integer, got {value:g}")
-    return int(value)
-
-
-def _section(section, cls, **values):
-    """cls(**values); a value it refuses is reported under [section]."""
-    try:
-        return cls(**values)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {err}") from None
+    return int(value) if cast is int else value
 
 
 def _float_list(raw):
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-_KNOWN_KEYS = {
-    "geometry": {"D", "H", "x"},
-    "radio": {
-        "f", "B", "noise_figure", "P_gNB", "G_gNB", "P0_max", "G0_max",
-        "G_RS", "G_H_rx", "scintillation_dB", "pressure_Pa", "temperature_C",
-    },
-    "rs": {"payload_power_W"},
-    "ris": {"N", "beta", "per_element_power_W", "N_list"},
-    "smbs": {"F_H", "payload_power_W", "cache_capacity", "F_H_list"},
-    "cloud": {"F_C"},
-    "engine": {"popularity_threshold", "cycles_per_bit"},
-    "sweep": {"variable", "start", "stop", "step"},
-    "output": {"path"},
+# INI section -> the ScenarioConfig field whose record it builds; read in
+# this order, each key in its record's field order
+_SECTIONS = {
+    "geometry": "geom", "radio": "radio", "rs": "rs", "ris": "ris",
+    "smbs": "smbs", "cloud": "cloud",
 }
+
+_KNOWN_KEYS = {
+    section: set(ScenarioConfig.__annotations__[field]._fields)
+    for section, field in _SECTIONS.items()
+}
+_KNOWN_KEYS["ris"].add("N_list")
+_KNOWN_KEYS["smbs"].add("F_H_list")
+_KNOWN_KEYS["engine"] = {"popularity_threshold", "cycles_per_bit"}
+_KNOWN_KEYS["sweep"] = set(SweepSpec._fields)
+_KNOWN_KEYS["output"] = {"path"}
 
 
 def _reject_unknown(parser):
@@ -202,57 +196,21 @@ def load_config(path=None) -> ScenarioConfig:
         raise ConfigError(f"cannot parse {path}: {err}") from None
     _reject_unknown(parser)
 
-    g = base.geom
-    D = _get(parser, "geometry", "D", float, g.D)
-    H = _get(parser, "geometry", "H", float, g.H)
-    x = _get(parser, "geometry", "x", float, g.x)
-    geom = _section("geometry", ScenarioGeometry, D=D, H=H, x=x)
-
-    r = base.radio
-    radio = _section(
-        "radio", RadioParams,
-        f=_get(parser, "radio", "f", float, r.f),
-        B=_get(parser, "radio", "B", float, r.B),
-        noise_figure=_get(parser, "radio", "noise_figure", float, r.noise_figure),
-        P_gNB=_get(parser, "radio", "P_gNB", float, r.P_gNB),
-        G_gNB=_get(parser, "radio", "G_gNB", float, r.G_gNB),
-        P0_max=_get(parser, "radio", "P0_max", float, r.P0_max),
-        G0_max=_get(parser, "radio", "G0_max", float, r.G0_max),
-        G_RS=_get(parser, "radio", "G_RS", float, r.G_RS),
-        G_H_rx=_get(parser, "radio", "G_H_rx", float, r.G_H_rx),
-        scintillation_dB=_get(
-            parser, "radio", "scintillation_dB", float, r.scintillation_dB
-        ),
-        pressure_Pa=_get(parser, "radio", "pressure_Pa", float, r.pressure_Pa),
-        temperature_C=_get(parser, "radio", "temperature_C", float, r.temperature_C),
-    )
-    rs = _section(
-        "rs", RsConfig,
-        payload_power_W=_get(
-            parser, "rs", "payload_power_W", float, base.rs.payload_power_W
-        ),
-    )
-    ris = _section(
-        "ris", RisConfig,
-        N=_get_int(parser, "ris", "N", base.ris.N),
-        beta=_get(parser, "ris", "beta", float, base.ris.beta),
-        per_element_power_W=_get(
-            parser, "ris", "per_element_power_W", float, base.ris.per_element_power_W
-        ),
-    )
-    smbs = _section(
-        "smbs", SmbsConfig,
-        F_H=_get(parser, "smbs", "F_H", float, base.smbs.F_H),
-        payload_power_W=_get(
-            parser, "smbs", "payload_power_W", float, base.smbs.payload_power_W
-        ),
-        cache_capacity=_get_int(
-            parser, "smbs", "cache_capacity", base.smbs.cache_capacity
-        ),
-    )
-    cloud = _section(
-        "cloud", CloudConfig, F_C=_get(parser, "cloud", "F_C", float, base.cloud.F_C)
-    )
+    # each section's record, with the fields the file sets read as their
+    # annotation (int or float) says; a value the record refuses is
+    # reported under [section]
+    records = {}
+    for section, field in _SECTIONS.items():
+        record = getattr(base, field)
+        cls = type(record)
+        values = {}
+        for key, cast in cls.__annotations__.items():
+            values[key] = _get(parser, section, key, cast, getattr(record, key))
+        try:
+            records[field] = cls(**values)
+        except ValueError as err:
+            raise ConfigError(f"[{section}] {err}") from None
+    radio = records["radio"]
     if not DRY_AIR_F_MIN_HZ <= radio.f <= DRY_AIR_F_MAX_HZ:
         raise ConfigError(
             f"[radio] f = {radio.f:g} Hz is outside the dry-air model window "
@@ -285,8 +243,8 @@ def load_config(path=None) -> ScenarioConfig:
         if not fh > 0:
             raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")
 
-    threshold = _get_int(
-        parser, "engine", "popularity_threshold", base.popularity_threshold
+    threshold = _get(
+        parser, "engine", "popularity_threshold", int, base.popularity_threshold
     )
     cycles = _get(parser, "engine", "cycles_per_bit", float, base.cycles_per_bit)
     if threshold < 1:
@@ -296,17 +254,15 @@ def load_config(path=None) -> ScenarioConfig:
 
     sweep = None
     if parser.has_section("sweep"):
-        for key in ("variable", "start", "stop", "step"):
+        for key in SweepSpec._fields:
             if not parser.has_option("sweep", key):
                 raise ConfigError(f"[sweep] missing key {key!r}")
         sweep = SweepSpec(
-            variable=parser.get("sweep", "variable").strip(),
-            start=_get(parser, "sweep", "start", float, 0.0),
-            stop=_get(parser, "sweep", "stop", float, 0.0),
-            step=_get(parser, "sweep", "step", float, 1.0),
+            parser.get("sweep", "variable").strip(),
+            *[_get(parser, "sweep", key, float, None) for key in ("start", "stop", "step")],
         )
         # offsets stay inside the corridor; task sizes cannot be negative
-        upper = geom.D if sweep.variable == "x" else math.inf
+        upper = records["geom"].D if sweep.variable == "x" else math.inf
         for key, value in (("start", sweep.start), ("stop", sweep.stop)):
             if not 0 <= value <= upper:
                 raise ConfigError(
@@ -314,17 +270,10 @@ def load_config(path=None) -> ScenarioConfig:
                     f"for variable {sweep.variable}"
                 )
 
-    output_path = None
-    if parser.has_option("output", "path"):
-        output_path = parser.get("output", "path").strip() or None
+    output_path = parser.get("output", "path", fallback="").strip() or None
 
     return ScenarioConfig(
-        geom=geom,
-        radio=radio,
-        rs=rs,
-        ris=ris,
-        smbs=smbs,
-        cloud=cloud,
+        **records,
         ris_N_list=ris_N_list,
         smbs_F_H_list=smbs_F_H_list,
         popularity_threshold=threshold,

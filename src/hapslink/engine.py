@@ -25,12 +25,12 @@ from enum import Enum
 from typing import Optional
 
 from ._record import Record
-from .modes import Action, Mode, ModeConfigs
+from .modes import Action, Mode, ModeConfigs, SmbsConfig
 from .offload import (
     CloudConfig,
     ComputeTask,
     compute_rate,
-    task_latency,
+    task_latencies,
     transmission_latency,
 )
 from .optimizer import (
@@ -65,9 +65,14 @@ class Request(Record):
 
 
 def validate_request(req: Request):
-    """Reject structurally broken requests before any state is touched."""
+    """Reject structurally broken requests before any state is touched;
+    a field of the wrong type is refused by name."""
     if not isinstance(req.kind, RequestKind):
         raise RequestError(f"unknown request kind {req.kind!r}")
+    if req.content_id is not None and not isinstance(req.content_id, str):
+        raise RequestError(f"content_id must be a string, got {req.content_id!r}")
+    if req.objective is not None and not isinstance(req.objective, Objective):
+        raise RequestError(f"objective must be an Objective, got {req.objective!r}")
     needs_content = req.kind in (RequestKind.CONTENT_DELIVERY, RequestKind.CACHING)
     if needs_content and not req.content_id:
         raise RequestError(f"{req.kind.value} request needs a content_id")
@@ -77,7 +82,16 @@ def validate_request(req: Request):
         raise RequestError("t must be finite, got None")
     for name in ("t", "size_bits", "qos_min_bps"):
         value = getattr(req, name)
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise RequestError(f"{name} must be a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            raise RequestError(f"{name} must be finite, got an int of "
+                               f"{value.bit_length()} bits") from None
+        if not finite:
             raise RequestError(f"{name} must be finite, got {value}")
     if req.kind is RequestKind.TASK_OFFLOADING:
         if req.size_bits is None:
@@ -102,7 +116,10 @@ class CacheState:
     are, entry order included.
     """
 
-    def __init__(self, capacity=16, popularity_threshold=3, entries=None,
+    popularity_threshold = 3  # the default, which ScenarioConfig reads too
+
+    def __init__(self, capacity=SmbsConfig.cache_capacity,
+                 popularity_threshold=popularity_threshold, entries=None,
                  popularity=None):
         if not capacity >= 0:
             raise ValueError(f"capacity cannot be negative, got {capacity}")
@@ -160,9 +177,13 @@ class EngineContext(Record):
     radio: RadioParams
     configs: ModeConfigs
     cloud: CloudConfig = CloudConfig()
-    cycles_per_bit: float = 4.0
+    cycles_per_bit: float = ComputeTask.cycles_per_bit
 
     def __post_init__(self):
+        if not 0 < self.cycles_per_bit < math.inf:
+            raise ValueError(
+                f"cycles_per_bit must be positive and finite, got {self.cycles_per_bit}"
+            )
         rows = payload_rows(self.geom, self.radio, self.configs)
         # derived, not fields: set once here
         object.__setattr__(self, "rows", rows)
@@ -175,7 +196,20 @@ class EngineContext(Record):
         return self.row[mode][2]
 
 
-_DEFAULT_OBJECTIVE = Objective(ObjectiveKind.MAX_CAPACITY)
+def build_engine(cfg):
+    """(EngineContext, CacheState) of a ScenarioConfig: the context of its
+    geometry, payloads and cycles per bit, and an empty cache of its size
+    and popularity threshold."""
+    ctx = EngineContext(cfg.geom, cfg.radio, cfg.configs, cfg.cloud, cfg.cycles_per_bit)
+    return ctx, CacheState(cfg.smbs.cache_capacity, cfg.popularity_threshold)
+
+
+# the objectives without a QoS floor, shared by every request naming one
+_FLOORLESS = {
+    kind: Objective(kind)
+    for kind in (ObjectiveKind.MAX_CAPACITY, ObjectiveKind.MAX_ENERGY_EFFICIENCY)
+}
+_DEFAULT_OBJECTIVE = _FLOORLESS[ObjectiveKind.MAX_CAPACITY]
 
 
 def _carrier(ctx: EngineContext, mode: Mode):
@@ -199,13 +233,14 @@ def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_
     return ModeDecision(mode, action, value, latency_s=latency, energy_J=energy)
 
 
-def _task_figures(ctx: EngineContext, mode: Mode, task: ComputeTask):
-    """(latency_s, energy_J) of offloading task through mode: latency is
-    the objective value, energy is payload power over the airtime."""
+def _task_figures(ctx: EngineContext, mode: Mode, size_bits):
+    """(latency_s, energy_J) of offloading a task of size_bits through
+    mode: latency is the objective value, energy is payload power over
+    the airtime."""
     _, capacity, power, path = _carrier(ctx, mode)
     rate = compute_rate(mode, ctx.configs, ctx.cloud)
-    latency = task_latency(path, capacity, task, rate)
-    return latency, power * transmission_latency(task.size_bits, capacity)
+    latency = task_latencies(path, capacity, (size_bits,), ctx.cycles_per_bit, rate)[0]
+    return latency, power * transmission_latency(size_bits, capacity)
 
 
 def _task_decision(mode: Mode, latency, energy):
@@ -216,8 +251,7 @@ def _task_decision(mode: Mode, latency, energy):
 def _forced_decision(req: Request, ctx: EngineContext, mode: Mode):
     # diagnostic path: serve everything through one payload, cache bypassed
     if req.kind is RequestKind.TASK_OFFLOADING:
-        task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
-        return _task_decision(mode, *_task_figures(ctx, mode, task))
+        return _task_decision(mode, *_task_figures(ctx, mode, req.size_bits))
     if mode is Mode.SMBS:
         action = Action.SERVE_DIRECT
     elif req.kind is RequestKind.CACHING:
@@ -262,11 +296,10 @@ def _build(req: Request, branch, ctx: EngineContext):
             return ModeDecision(None, Action.INFEASIBLE, 0.0)
         return _sized_decision(ctx, *best, req.size_bits)
     if req.kind is RequestKind.TASK_OFFLOADING:
-        task = ComputeTask(req.size_bits, ctx.cycles_per_bit)
         best = None
         for mode in (Mode.SMBS, Mode.RIS, Mode.RS):
             if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps:
-                latency, energy = _task_figures(ctx, mode, task)
+                latency, energy = _task_figures(ctx, mode, req.size_bits)
                 # a losing candidate's overflow refuses the request too
                 check_figures(latency, latency, energy)
                 if best is None or latency < best[1]:
@@ -372,6 +405,8 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
         index += 1
         kind = req.kind
         try:
+            if decided is None:  # a Request: the parser validated trace lines
+                validate_request(req)
             if force_mode is not None:
                 branch = force_mode
             elif kind is content_kind:
@@ -385,8 +420,7 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
                 branch = _CACHE
             else:
                 branch = _DIRECT
-            if decided is None:  # a Request: the parser validated trace lines
-                validate_request(req)
+            if decided is None:
                 entry = _memo_entry(_build(req, branch, ctx))
             else:
                 entry = decided.get(branch)
@@ -525,7 +559,7 @@ def parse_objective(token, qos_min_bps):
         if qos_min_bps is None or not qos_min_bps > 0:
             raise RequestError("min_energy needs a positive qos_bps value")
         return Objective(kind, qos_min_bps)
-    return Objective(kind)
+    return _FLOORLESS[kind]
 
 
 _KINDS = {kind.value: kind for kind in RequestKind}

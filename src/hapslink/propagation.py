@@ -66,10 +66,14 @@ class RadioParams(Record):
     temperature_C: float = 15.0
 
     def __post_init__(self):
-        if self.f <= 0 or self.B <= 0:
-            raise ValueError("carrier frequency and bandwidth must be positive")
+        if self.f <= 0:
+            raise ValueError(f"f (carrier frequency) must be positive, got {self.f}")
+        if self.B <= 0:
+            raise ValueError(f"B (bandwidth) must be positive, got {self.B}")
         if self.scintillation_dB < 0:
-            raise ValueError("scintillation margin cannot be negative")
+            raise ValueError(
+                f"scintillation_dB cannot be negative, got {self.scintillation_dB}"
+            )
 
 
 # =====================================================================

@@ -18,7 +18,6 @@ from hapslink import (
     CacheState,
     CloudConfig,
     Corridor,
-    EngineContext,
     Mode,
     Objective,
     ObjectiveKind,
@@ -26,6 +25,7 @@ from hapslink import (
     Request,
     RequestKind,
     ScenarioGeometry,
+    build_engine,
     decisions_to_csv,
     handle_request,
     load_config,
@@ -62,13 +62,6 @@ def timed(key):
     start = time.perf_counter()
     yield
     DURATIONS[key] = time.perf_counter() - start
-
-
-def default_ctx(cfg):
-    return EngineContext(
-        geom=cfg.geom, radio=cfg.radio, configs=cfg.configs,
-        cloud=cfg.cloud, cycles_per_bit=cfg.cycles_per_bit,
-    )
 
 
 def geom_at(cfg, x):
@@ -240,15 +233,11 @@ def test_criterion_06_latency_affine_and_crossovers():
 
 def test_criterion_07_determinism_and_invariants():
     cfg = load_config(None)
-    ctx = default_ctx(cfg)
+    ctx, empty = build_engine(cfg)
     requests = load_trace(GOLDEN_TRACE)
 
-    def run_csv():
-        state = CacheState(
-            capacity=cfg.smbs.cache_capacity,
-            popularity_threshold=cfg.popularity_threshold,
-        )
-        return decisions_to_csv(requests, replay_trace(requests, state, ctx).decisions)
+    def run_csv():  # replay_trace replays on a copy of the empty cache
+        return decisions_to_csv(requests, replay_trace(requests, empty, ctx).decisions)
 
     first, second = run_csv(), run_csv()
     assert first == second
@@ -306,14 +295,10 @@ def test_criterion_07_determinism_and_invariants():
 
 def test_criterion_08_energy_benefit():
     cfg = load_config(None)
-    ctx = default_ctx(cfg)
+    ctx, state = build_engine(cfg)
     requests = load_trace(GOLDEN_TRACE)
 
     def total(force=None):
-        state = CacheState(
-            capacity=cfg.smbs.cache_capacity,
-            popularity_threshold=cfg.popularity_threshold,
-        )
         return replay_trace(
             requests, state, ctx, force_mode=force
         ).summary.total_energy_J

@@ -1,6 +1,8 @@
+import configparser
 import contextlib
 import io
 import math
+import os
 import re
 import time
 
@@ -8,15 +10,24 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from hapslink import (
+    CloudConfig,
     ConfigError,
     DEFAULT_S_SWEEP,
     DEFAULT_X_SWEEP,
     ENV_CONFIG_VAR,
+    RadioParams,
     RequestKind,
+    RisConfig,
+    RsConfig,
+    ScenarioConfig,
+    ScenarioGeometry,
+    SmbsConfig,
     SweepSpec,
     load_config,
+    replace,
     sweep_capacity,
 )
+from hapslink import config
 from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from hapslink.engine import OBJECTIVE_TOKENS
 
@@ -140,6 +151,205 @@ def test_empty_n_list_rejected(tmp_path):
     path = write_config(tmp_path, "[ris]\nN_list = ,\n")
     with pytest.raises(ConfigError, match="N_list"):
         load_config(path)
+
+
+# files with two faults each -> the one error the loader reports. The
+# order is: unknown sections and keys (in file order), then the records
+# in geometry, radio, rs, ris, smbs, cloud order, each key in field
+# order, then the radio window checks, the lists, [engine], [sweep].
+TWO_FAULT_CONFIGS = {
+    "geometry_then_radio": (
+        "[radio]\nB = xyz\n[geometry]\nD = abc\n",
+        "[geometry] D: cannot parse 'abc' as a finite number",
+    ),
+    "geometry_range_then_radio": (
+        "[radio]\nB = 0\n[geometry]\nH = -1\n",
+        "[geometry] altitude H must be positive, got -1.0",
+    ),
+    "one_section_field_order": (
+        "[radio]\nB = abc\nf = def\n",
+        "[radio] f: cannot parse 'def' as a finite number",
+    ),
+    "one_section_record": (
+        "[smbs]\nF_H = 0\npayload_power_W = 0\n",
+        "[smbs] F_H (onboard compute rate) must be positive, got 0.0",
+    ),
+    "integer_before_record": (
+        "[smbs]\nF_H = 0\ncache_capacity = 2.5\n",
+        "[smbs] cache_capacity must be an integer, got 2.5",
+    ),
+    "unknown_key_first": (
+        "[radio]\nf = abc\nwarp = 9\n", "unknown key 'warp' in section [radio]",
+    ),
+    "unknown_section_first": (
+        "[geometry]\nD = nan\n[antenna]\nG = 3\n", "unknown section [antenna]",
+    ),
+    "f_window_after_rs": (
+        "[radio]\nf = 100e9\n[rs]\npayload_power_W = 0\n",
+        "[rs] payload_power_W must be positive, got 0.0",
+    ),
+    "f_parse_before_rs": (
+        "[rs]\npayload_power_W = abc\n[radio]\nf = abc\n",
+        "[radio] f: cannot parse 'abc' as a finite number",
+    ),
+    "f_window_then_rs_unknown": (
+        "[radio]\nf = 100e9\n[rs]\nalpha = 0.5\n", "unknown key 'alpha' in section [rs]",
+    ),
+    "pressure_then_temperature": (
+        "[radio]\ntemperature_C = -300\npressure_Pa = -1\n",
+        "[radio] pressure_Pa cannot be negative, got -1",
+    ),
+    "temperature_before_lists": (
+        "[ris]\nN_list = -5\n[radio]\ntemperature_C = -300\n",
+        "[radio] temperature_C must be above -273, got -300",
+    ),
+    "ris_list_before_smbs_list": (
+        "[smbs]\nF_H_list = 0\n[ris]\nN_list = 1.5\n",
+        "[ris] N_list entries must be positive integers, got 1.5",
+    ),
+    "record_before_list": (
+        "[ris]\nN_list = ,\nN = 1.5\n", "[ris] N must be an integer, got 1.5",
+    ),
+    "engine_threshold_first": (
+        "[engine]\ncycles_per_bit = 0\npopularity_threshold = 0\n",
+        "[engine] popularity_threshold must be at least 1",
+    ),
+    "engine_before_sweep": (
+        "[sweep]\nvariable = x\n[engine]\ncycles_per_bit = abc\n",
+        "[engine] cycles_per_bit: cannot parse 'abc' as a finite number",
+    ),
+    "sweep_missing_before_value": (
+        "[sweep]\nvariable = y\nstart = abc\n", "[sweep] missing key 'stop'",
+    ),
+    "geometry_before_cloud": (
+        "[cloud]\nF_C = 0\n[geometry]\nx = 90000\n",
+        "[geometry] platform offset x=90000.0 outside the corridor [0, 60000.0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULT_CONFIGS))
+def test_first_of_two_faults_is_reported(tmp_path, case):
+    text, message = TWO_FAULT_CONFIGS[case]
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, text))
+    assert str(err.value) == message
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_config_example_loads_the_defaults(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Configuration file\n.*?```ini\n(.*?)```", text, re.DOTALL)[1]
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(block)
+    shown = {(section, key) for section in parser.sections() for key in parser[section]}
+    known = {(section, key) for section, keys in config._KNOWN_KEYS.items() for key in keys}
+    assert shown == known
+    cfg = load_config(write_config(tmp_path, block))
+    assert replace(cfg, sweep=None, output_path=None) == ScenarioConfig()
+
+
+# section -> (ScenarioConfig field, record class): the sections a file
+# overrides record by record
+RECORD_SECTIONS = {
+    "geometry": ("geom", ScenarioGeometry),
+    "radio": ("radio", RadioParams),
+    "rs": ("rs", RsConfig),
+    "ris": ("ris", RisConfig),
+    "smbs": ("smbs", SmbsConfig),
+    "cloud": ("cloud", CloudConfig),
+}
+RECORD_KEYS = [
+    (section, key) for section, (_, cls) in RECORD_SECTIONS.items() for key in cls._fields
+]
+_NUMBER_TEXT = st.one_of(
+    st.floats(-1e12, 1e12).map(repr),
+    st.integers(-5, 10 ** 6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "", "1.5", "5e4", "0"]),
+)
+
+
+def _plausible(section, key):
+    """Text for [section] key: often near its default, so that some files
+    load, sometimes anything."""
+    field, _ = RECORD_SECTIONS[section]
+    default = getattr(getattr(ScenarioConfig(), field), key)
+    near = st.sampled_from([0.5, 0.9, 1.0, 1.1, 2.0]).map(lambda k: repr(default * k))
+    return st.one_of(near, near, _NUMBER_TEXT)
+
+
+_ENTRIES = st.lists(st.sampled_from(RECORD_KEYS), max_size=5, unique=True).flatmap(
+    lambda keys: st.tuples(*[st.tuples(st.just(k), _plausible(*k)) for k in keys])
+)
+
+
+def _direct(entries):
+    """What a file of entries ((section, key), text) should give: the
+    ScenarioConfig built from the records made directly from the values,
+    or ("section", "key") for a refusal naming that key, or ("section",
+    message) for a value the record itself refuses."""
+    cfg = ScenarioConfig()
+    texts = dict(entries)
+    for section, (field, cls) in RECORD_SECTIONS.items():
+        record = getattr(cfg, field)
+        values = {}
+        for key in cls._fields:
+            if (section, key) not in texts:
+                continue
+            try:
+                value = float(texts[section, key])
+            except ValueError:
+                return section, key
+            if not math.isfinite(value):
+                return section, key
+            if isinstance(getattr(record, key), int):
+                if value != int(value):
+                    return section, key
+                value = int(value)
+            values[key] = value
+        try:
+            cfg = replace(cfg, **{field: replace(record, **values)})
+        except ValueError as err:
+            return section, str(err)
+    if not 1e9 <= cfg.radio.f <= 5e10:
+        return "radio", "f"
+    if not cfg.radio.pressure_Pa >= 0:
+        return "radio", "pressure_Pa"
+    if not cfg.radio.temperature_C > -273:
+        return "radio", "temperature_C"
+    return cfg
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=_ENTRIES)
+@example(entries=((("radio", "B"), "0"),))
+@example(entries=((("geometry", "D"), "1000.0"),))
+def test_random_config_files_load_as_the_records_or_name_the_key(tmp_path, entries):
+    sections = {}
+    for (section, key), text in entries:
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    path = write_config(
+        tmp_path, "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+    )
+    expected = _direct(entries)
+    if isinstance(expected, ScenarioConfig):
+        assert load_config(path) == expected
+        return
+    section, named = expected
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    message = str(err.value)
+    if named in RECORD_SECTIONS[section][1]._fields:
+        assert message.startswith(f"[{section}] {named}"), message
+    else:  # the record's own refusal, which names one of its fields
+        assert message == f"[{section}] {named}"
+        field_names = "|".join(RECORD_SECTIONS[section][1]._fields)
+        assert re.search(rf"\b({field_names})\b", named), message
 
 
 # ---------------------------------------------------------------

@@ -2,9 +2,10 @@ import collections
 import io
 import os
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hapslink import engine, propagation
 from hapslink import (
@@ -259,7 +260,7 @@ def test_task_qos_filters_modes(ctx):
 
 def test_task_builds_one_decision_per_new_tail(ctx, monkeypatch):
     # the three payloads are priced as plain numbers; only the fastest
-    # becomes a ModeDecision
+    # becomes a ModeDecision, and no ComputeTask is built
     built = []
     check = ModeDecision.__post_init__
 
@@ -267,7 +268,11 @@ def test_task_builds_one_decision_per_new_tail(ctx, monkeypatch):
         built.append(self.mode)
         check(self)
 
+    def no_task(self):
+        raise AssertionError("a ComputeTask was built")
+
     monkeypatch.setattr(ModeDecision, "__post_init__", counting)
+    monkeypatch.setattr(ComputeTask, "__post_init__", no_task)
     for size in (1e3, 1e6, 1e9):
         req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=size)
         decision, _ = handle_request(req, fresh_state(), ctx)
@@ -523,6 +528,16 @@ def test_parse_objective_tokens():
     assert req.objective.qos_min_bps == 5e7
 
 
+def test_parse_objective_shares_the_floorless_objectives():
+    for token in ("max_capacity", "max_energy_efficiency"):
+        first = engine.parse_objective(token, None)
+        assert first == Objective(engine.OBJECTIVE_TOKENS[token])
+        assert engine.parse_objective(token, 5e7) is first
+    floored = engine.parse_objective("min_energy", 5e7)
+    assert floored == Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 5e7)
+    assert engine.parse_objective("min_energy", 5e7) is not floored
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(RequestError, match="6 fields"):
         parse_trace_line("1,communication")
@@ -611,3 +626,94 @@ def test_cache_state_refuses_bounds_by_name(bounds, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         CacheState(**bounds)
 
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -4.0])
+def test_context_refuses_a_bad_cycles_per_bit(value):
+    with pytest.raises(ValueError, match=f"^cycles_per_bit must be positive and finite, got {value}$"):
+        EngineContext(geom=geom_at(30000.0), radio=RadioParams(),
+                      configs=ModeConfigs.defaults(), cycles_per_bit=value)
+
+
+# ---------------------------------------------------------------
+# request fields of the wrong type, from library callers
+# ---------------------------------------------------------------
+
+@pytest.mark.parametrize("fields, message", [
+    ({"t": "1"}, "t must be a number, got '1'"),
+    ({"t": True}, "t must be a number, got True"),
+    ({"size_bits": "1e5"}, "size_bits must be a number, got '1e5'"),
+    ({"size_bits": 10 ** 400}, "size_bits must be finite, got an int of 1329 bits"),
+    ({"qos_min_bps": [5e7]}, "qos_min_bps must be a number, got [50000000.0]"),
+    ({"objective": "max_capacity"}, "objective must be an Objective, got 'max_capacity'"),
+    ({"content_id": 7}, "content_id must be a string, got 7"),
+    # refused before the cache is looked up, where a list is unhashable
+    ({"kind": RequestKind.CONTENT_DELIVERY, "content_id": ["a"]},
+     "content_id must be a string, got ['a']"),
+    ({"kind": "communication"}, "unknown request kind 'communication'"),
+])
+def test_replay_refuses_a_wrongly_typed_field_by_name(ctx, fields, message):
+    reqs = [
+        Request(t=0.0, kind=RequestKind.COMMUNICATION),
+        Request(**{"t": 1.0, "kind": RequestKind.COMMUNICATION, **fields}),
+    ]
+    state = fresh_state()
+    with pytest.raises(RequestError, match=f"^request 1: {re.escape(message)}$"):
+        replay_trace(reqs, state, ctx)
+    assert state == fresh_state()
+
+
+# what a refusal may name: a request field (t also as "timestamps"), or
+# the decision figure that overflowed
+_REFUSAL_NAMES = re.compile(
+    r"\b(t|timestamps|kind|content_id|size_bits|objective|qos_min_bps"
+    r"|objective_value|latency_s|energy_J)\b"
+)
+_ANYTHING = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10 ** 400), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(), max_size=1),
+)
+_NUMBER = st.one_of(st.none(), st.floats(), st.integers(-10, 10 ** 7), _ANYTHING)
+_REQUEST = st.builds(
+    Request,
+    t=st.one_of(st.integers(0, 3).map(float), _NUMBER),
+    kind=st.one_of(st.sampled_from(RequestKind), _ANYTHING),
+    content_id=st.one_of(st.none(), st.sampled_from(["a", "b", ""]), _ANYTHING),
+    size_bits=st.one_of(st.floats(0, 1e9), _NUMBER),
+    objective=st.one_of(
+        st.none(),
+        st.sampled_from([
+            Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
+            Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 5e7),
+        ]),
+        _ANYTHING,
+    ),
+    qos_min_bps=st.one_of(st.none(), st.floats(1.0, 1e9), _NUMBER),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # ctx is immutable
+@given(requests=st.lists(_REQUEST, max_size=6))
+@example(requests=[Request(t=0.0, kind=RequestKind.CACHING, content_id=["a"])])
+def test_replay_refuses_any_bad_field_by_name(ctx, requests):
+    # a whole replay: every failure is a RequestError naming the request
+    # and a field, and the initial state is never touched
+    state = fresh_state(capacity=2, threshold=2)
+    try:
+        result = replay_trace(requests, state, ctx)
+    except RequestError as err:
+        found = re.match(r"request (\d+): (.*)", str(err), re.DOTALL)
+        assert found and int(found[1]) < len(requests), err
+        assert _REFUSAL_NAMES.search(found[2]), err
+    else:
+        assert len(result.decisions) == len(requests)
+    assert state == fresh_state(capacity=2, threshold=2)
+    # one request at a time: a refused request leaves the state unchanged
+    for req in requests:
+        before = state.copy()
+        try:
+            handle_request(req, state, ctx)
+        except ValueError as err:  # the refusal itself, not "request 0: ..."
+            assert _REFUSAL_NAMES.search(str(err)), err
+            assert state == before
