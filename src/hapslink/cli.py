@@ -43,33 +43,32 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="scenario config file (or set HAPSLINK_CONFIG)")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--grid", type=float, help="override the sweep step")
-    parser.add_argument(
-        "--emit-gnuplot", action="store_true",
-        help="also write a gnuplot script next to the CSV (requires --out)",
-    )
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hapslink",
         description="Multi-payload aerial backhaul simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("sweep-capacity", "per-mode capacity over platform offset"),
-        ("sweep-ee", "per-mode energy efficiency over platform offset"),
-        ("sweep-latency", "offload latency over task size"),
+    commands = {}
+    for name, help_text, sweep in (
+        ("sweep-capacity", "per-mode capacity over platform offset", sweep_capacity),
+        ("sweep-ee", "per-mode energy efficiency over platform offset", sweep_ee),
+        ("sweep-latency", "offload latency over task size", sweep_latency),
+        ("select", "decide the mode for one request", None),
+        ("replay", "replay a request trace", None),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        p.set_defaults(sweep=sweep)
+        p.add_argument("--config", help="scenario config file (or set HAPSLINK_CONFIG)")
+        p.add_argument("--out", help="output CSV path (default: stdout)")
+        if sweep is not None:
+            p.add_argument("--grid", type=float, help="override the sweep step")
+            p.add_argument(
+                "--emit-gnuplot", action="store_true",
+                help="also write a gnuplot script next to the CSV (requires --out)",
+            )
 
-    p = sub.add_parser("select", help="decide the mode for one request")
-    _add_common(p)
+    p = commands["select"]
     p.add_argument(
         "--kind", required=True,
         choices=[k.value for k in RequestKind],
@@ -80,8 +79,7 @@ def build_parser():
     p.add_argument("--qos-bps", type=float, default=None)
     p.add_argument("--t", type=float, default=0.0)
 
-    p = sub.add_parser("replay", help="replay a request trace")
-    _add_common(p)
+    p = commands["replay"]
     p.add_argument("trace", help="request trace file")
     p.add_argument(
         "--force-mode", default=None,
@@ -159,9 +157,9 @@ def _report_notes(notes):
         print(f"# {key} = {value}", file=sys.stderr)
 
 
-def _run_sweep(args, fn):
+def _run_sweep(args):
     cfg = load_config(args.config)
-    result = fn(cfg, step=args.grid)
+    result = args.sweep(cfg, step=args.grid)
     out_path = args.out or cfg.output_path
     if args.emit_gnuplot and not out_path:
         raise ConfigError("--emit-gnuplot needs --out (or an [output] path)")
@@ -217,27 +215,19 @@ def _cmd_replay(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "sweep-capacity":
-            return _run_sweep(args, sweep_capacity)
-        if args.command == "sweep-ee":
-            return _run_sweep(args, sweep_ee)
-        if args.command == "sweep-latency":
-            return _run_sweep(args, sweep_latency)
+        if args.sweep is not None:
+            return _run_sweep(args)
         if args.command == "select":
             return _cmd_select(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_replay(args)
     except (ValueError, ArithmeticError, OSError) as err:
         # ConfigError and RequestError are ValueErrors; so are the model's
         # own refusals, and a scenario whose numbers overflow or vanish
         # ends in an ArithmeticError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    return EXIT_INVALID
 
 
 if __name__ == "__main__":

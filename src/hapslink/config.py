@@ -187,7 +187,8 @@ def load_config(path=None) -> ScenarioConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
 
-    parser = configparser.ConfigParser()
+    # a % is text, and no header spells the default section: [DEFAULT] is unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive (B vs b, N vs n)
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Optional
 
 from ._record import Record
-from .modes import Action, Mode, ModeConfigs, SmbsConfig
+from .modes import Action, Mode, ModeConfigs, SmbsConfig, carrier
 from .offload import (
     CloudConfig,
     ComputeTask,
@@ -212,55 +212,6 @@ _FLOORLESS = {
 _DEFAULT_OBJECTIVE = _FLOORLESS[ObjectiveKind.MAX_CAPACITY]
 
 
-def _carrier(ctx: EngineContext, mode: Mode):
-    """(mode, capacity_bps, payload_W, path_m) of a payload that is to
-    move bits; one whose capacity underflowed to zero is refused by name."""
-    row = ctx.row[mode]
-    if not row[1] > 0:
-        raise ValueError(f"mode unreachable: {mode.value} capacity is zero")
-    return row
-
-
-def _sized_decision(ctx: EngineContext, mode: Mode, action: Action, value, size_bits):
-    """Decision to move size_bits via mode; latency and energy stay None
-    when no size is given."""
-    if size_bits is None:
-        return ModeDecision(mode, action, value)
-    _, capacity, power, path = _carrier(ctx, mode)
-    airtime = transmission_latency(size_bits, capacity)
-    latency = propagation_delay_s(path) + airtime
-    energy = power * airtime
-    return ModeDecision(mode, action, value, latency_s=latency, energy_J=energy)
-
-
-def _task_figures(ctx: EngineContext, mode: Mode, size_bits):
-    """(latency_s, energy_J) of offloading a task of size_bits through
-    mode: latency is the objective value, energy is payload power over
-    the airtime."""
-    _, capacity, power, path = _carrier(ctx, mode)
-    rate = compute_rate(mode, ctx.configs, ctx.cloud)
-    latency = task_latencies(path, capacity, (size_bits,), ctx.cycles_per_bit, rate)[0]
-    return latency, power * transmission_latency(size_bits, capacity)
-
-
-def _task_decision(mode: Mode, latency, energy):
-    action = Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD
-    return ModeDecision(mode, action, latency, latency_s=latency, energy_J=energy)
-
-
-def _forced_decision(req: Request, ctx: EngineContext, mode: Mode):
-    # diagnostic path: serve everything through one payload, cache bypassed
-    if req.kind is RequestKind.TASK_OFFLOADING:
-        return _task_decision(mode, *_task_figures(ctx, mode, req.size_bits))
-    if mode is Mode.SMBS:
-        action = Action.SERVE_DIRECT
-    elif req.kind is RequestKind.CACHING:
-        action = Action.FORWARD_AND_CACHE
-    else:
-        action = Action.FORWARD_VIA_GATEWAY
-    return _sized_decision(ctx, mode, action, ctx.capacity_bps(mode), req.size_bits)
-
-
 # =====================================================================
 # Request handling
 # =====================================================================
@@ -281,39 +232,55 @@ _WRITE_BATCH = 256
 
 
 def _build(req: Request, branch, ctx: EngineContext):
-    """The decision for req on branch; it reads neither the cache nor t."""
-    if isinstance(branch, Mode):
-        return _forced_decision(req, ctx, branch)
-    if branch is _HIT:
-        return _sized_decision(
-            ctx, Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS),
-            req.size_bits,
-        )
-    objective = req.objective or _DEFAULT_OBJECTIVE
-    if req.kind is RequestKind.COMMUNICATION:
-        best = best_payload(objective, ctx.rows)
-        if best is None:
-            return ModeDecision(None, Action.INFEASIBLE, 0.0)
-        return _sized_decision(ctx, *best, req.size_bits)
-    if req.kind is RequestKind.TASK_OFFLOADING:
+    """The decision for req on branch; it reads neither the cache nor t.
+    A task runs on the fastest of its candidates, the forced payload or
+    else those that meet its QoS floor. Latency and energy are filled
+    when a size is given."""
+    kind, size = req.kind, req.size_bits
+    task = kind is RequestKind.TASK_OFFLOADING
+    if task:
+        floor = req.qos_min_bps
+        candidates = (branch,) if isinstance(branch, Mode) else [
+            m for m in (Mode.SMBS, Mode.RIS, Mode.RS)
+            if floor is None or ctx.capacity_bps(m) >= floor
+        ]
         best = None
-        for mode in (Mode.SMBS, Mode.RIS, Mode.RS):
-            if req.qos_min_bps is None or ctx.capacity_bps(mode) >= req.qos_min_bps:
-                latency, energy = _task_figures(ctx, mode, req.size_bits)
-                # a losing candidate's overflow refuses the request too
-                check_figures(latency, latency, energy)
-                if best is None or latency < best[1]:
-                    best = (mode, latency, energy)
-        if best is None:
-            return ModeDecision(None, Action.INFEASIBLE, 0.0)
-        return _task_decision(*best)
-    # the best of the two forwarding payloads
-    forward = best_payload(objective, [r for r in ctx.rows if r[0] is not Mode.SMBS])
-    if forward is None:  # no forwarder satisfies the constraint
+        for mode in candidates:
+            _, capacity, power, path = carrier(ctx.row[mode])
+            rate = compute_rate(mode, ctx.configs, ctx.cloud)
+            latency = task_latencies(path, capacity, (size,), ctx.cycles_per_bit, rate)[0]
+            # a losing candidate's overflow refuses the request too
+            check_figures(latency, latency, power * transmission_latency(size, capacity))
+            if best is None or latency < best[2]:
+                onboard = mode is Mode.SMBS
+                action = Action.COMPUTE_ONBOARD if onboard else Action.COMPUTE_AT_CLOUD
+                best = mode, action, latency
+    elif isinstance(branch, Mode):  # the diagnostic path: cache bypassed
+        if branch is Mode.SMBS:
+            action = Action.SERVE_DIRECT
+        elif kind is RequestKind.CACHING:
+            action = Action.FORWARD_AND_CACHE
+        else:
+            action = Action.FORWARD_VIA_GATEWAY
+        best = branch, action, ctx.capacity_bps(branch)
+    elif branch is _HIT:
+        best = Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS)
+    else:
+        rows = ctx.rows
+        if kind is not RequestKind.COMMUNICATION:  # a cache miss: the forwarders
+            rows = [r for r in rows if r[0] is not Mode.SMBS]
+        best = best_payload(req.objective or _DEFAULT_OBJECTIVE, rows)
+        if best is not None and branch is _CACHE:
+            best = best[0], Action.FORWARD_AND_CACHE, best[2]
+    if best is None:  # no payload meets the QoS floor
         return ModeDecision(None, Action.INFEASIBLE, 0.0)
-    mode, _, value = forward
-    action = Action.FORWARD_AND_CACHE if branch is _CACHE else Action.FORWARD_VIA_GATEWAY
-    return _sized_decision(ctx, mode, action, value, req.size_bits)
+    mode, action, value = best
+    if size is None:
+        return ModeDecision(mode, action, value)
+    _, capacity, power, path = carrier(ctx.row[mode])
+    airtime = transmission_latency(size, capacity)
+    latency = value if task else propagation_delay_s(path) + airtime
+    return ModeDecision(mode, action, value, latency, power * airtime)
 
 
 def _memo_entry(decision: ModeDecision, cells=None):
@@ -342,13 +309,12 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
     state untouched.
 
     A trace line's tail is every field but t and content_id, plus whether
-    content_id is empty. From its second sighting on, a tail's parsed
-    request is kept with a dict of its decisions per branch, each with
-    its rendered CSV cells, so a later line with that tail pays only for
-    its timestamp and builds no Request. The memo keys the tail on its
-    raw field text, so sizes 0 and -0 stay apart; a tail seen once
-    leaves only its key. The memo holds at most _MEMO_LIMIT tails and is
-    cleared when full. A refusal is never memoised.
+    content_id is empty. A tail's parsed request is kept with a dict of
+    its decisions per branch, each with its rendered CSV cells, so a
+    later line with that tail pays only for its timestamp and builds no
+    Request. The memo keys the tail on its raw field text, so sizes 0
+    and -0 stay apart. It holds at most _MEMO_LIMIT tails and is cleared
+    when full. A refusal is never memoised.
 
     Timestamps must be non-decreasing. The first refused request aborts
     the loop with a RequestError naming its index, caused by the
@@ -396,9 +362,7 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
                 if len(tails) >= _MEMO_LIMIT:
                     tails.clear()
                 decided = {}
-                # kept from its second sighting on, so lines whose tails
-                # never repeat leave only their keys
-                tails[key] = (req, decided) if tail is not None else ()
+                tails[key] = req, decided
         else:
             req = item
             t, content_id, decided = req.t, req.content_id, None

@@ -76,6 +76,11 @@ class RisConfig(Record):
                 f"per_element_power_W must be positive, got {self.per_element_power_W}"
             )
 
+    @property
+    def payload_power_W(self):
+        """The surface's draw: every element's power. Not a field."""
+        return self.N * self.per_element_power_W
+
 
 class SmbsConfig(Record):
     F_H: float = 2e9              # onboard compute rate, cycles/s
@@ -152,7 +157,15 @@ class Corridor:
                 "is too high"
             ) from None
         self._ris_lam4 = (SPEED_OF_LIGHT / radio.f / (4.0 * math.pi)) ** 4
-        self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
+        try:
+            self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
+            if self._noise_w == 0.0:
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(
+                f"the noise floor of {budget.noise_dBm:.4g} dBm leaves the float range: "
+                f"[radio] noise_figure = {radio.noise_figure:g} dB"
+            ) from None
         atmosphere_db = budget.gamma0 * _ris_reference_path_m(D, H) / 1000.0
         try:
             self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
@@ -244,7 +257,15 @@ class Corridor:
         noise_w, loss = self._noise_w, self._ris_loss
         denominators = [d1 * d1 * d2 * d2 * noise_w for d1, d2 in zip(d1s, d2s)]
         for ris in surfaces:
-            numerator = self._ris_gain * (ris.N * ris.beta) ** 2 * self._ris_lam4
+            try:
+                numerator = self._ris_gain * (ris.N * ris.beta) ** 2 * self._ris_lam4
+                if numerator == math.inf:
+                    raise OverflowError
+            except OverflowError:
+                raise ValueError(
+                    f"the reflected path's gain overflows: a surface of N = {ris.N:g} "
+                    "elements is too large"
+                ) from None
             yield [numerator / den / loss for den in denominators]
 
     def rs_hop_snrs(self, x):
@@ -277,6 +298,12 @@ class Corridor:
         if mode is Mode.SMBS:
             return self.smbs_capacity(x)
         raise ValueError(f"unknown mode {mode!r}")
+
+    def row(self, mode: Mode, x, configs: ModeConfigs):
+        """What mode delivers at offset x, the one place a payload's row
+        is built: (mode, capacity_bps, payload_W, path_m)."""
+        capacity = self.capacity_bps_hz(mode, x, configs) * self.budget.radio.B
+        return mode, capacity, mode_payload_power_W(mode, configs), self.path_m(mode, x)
 
     def best_offset(self, mode: Mode):
         """The offset x in [0, D] at which mode's capacity peaks.
@@ -382,10 +409,18 @@ def mode_payload_power_W(mode: Mode, configs: ModeConfigs):
     if mode is Mode.RS:
         return configs.rs.payload_power_W
     if mode is Mode.RIS:
-        return configs.ris.N * configs.ris.per_element_power_W
+        return configs.ris.payload_power_W
     if mode is Mode.SMBS:
         return configs.smbs.payload_power_W
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def carrier(row):
+    """A Corridor.row whose payload is to move bits; one whose capacity
+    underflowed to zero is refused by name."""
+    if not row[1] > 0:
+        raise ValueError(f"mode unreachable: {row[0].value} capacity is zero")
+    return row
 
 
 def energy_efficiency(capacity_bps, payload_power_W):

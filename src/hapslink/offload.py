@@ -8,7 +8,7 @@ ground cloud's F_C. Result-return traffic is not modeled.
 """
 
 from ._record import Record
-from .modes import Corridor, Mode, ModeConfigs
+from .modes import Corridor, Mode, ModeConfigs, carrier
 from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
 
 
@@ -87,10 +87,5 @@ def offload_latency(
 ):
     """End-to-end offload latency in seconds, affine in the task size."""
     corridor = Corridor(geom.D, geom.H, radio)
-    capacity_bps = corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B
-    if not capacity_bps > 0:
-        raise ValueError(f"mode unreachable: {mode.value} capacity is zero")
-    return task_latency(
-        corridor.path_m(mode, geom.x), capacity_bps, task,
-        compute_rate(mode, configs, cloud),
-    )
+    _, capacity_bps, _, path_m = carrier(corridor.row(mode, geom.x, configs))
+    return task_latency(path_m, capacity_bps, task, compute_rate(mode, configs, cloud))

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Optional
 
 from ._record import Record
-from .modes import Action, Corridor, Mode, ModeConfigs, mode_payload_power_W
+from .modes import Action, Corridor, Mode, ModeConfigs
 from .propagation import RadioParams, ScenarioGeometry
 
 # Fixed tie-break: prefer the most passive payload.
@@ -73,16 +73,10 @@ def check_figures(objective_value, latency_s=None, energy_J=None):
 # =====================================================================
 
 def payload_rows(geom: ScenarioGeometry, radio: RadioParams, configs: ModeConfigs):
-    """(mode, capacity_bps, payload_W, path_m) per payload at this geometry,
-    most passive first, read from one Corridor."""
+    """Each payload's Corridor.row (mode, capacity_bps, payload_W, path_m)
+    at this geometry, most passive first, read from one Corridor."""
     corridor = Corridor(geom.D, geom.H, radio)
-    return tuple(
-        (mode,
-         corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B,
-         mode_payload_power_W(mode, configs),
-         corridor.path_m(mode, geom.x))
-        for mode in _PASSIVE_ORDER
-    )
+    return tuple(corridor.row(mode, geom.x, configs) for mode in _PASSIVE_ORDER)
 
 
 def _action_for(mode: Mode) -> Action:

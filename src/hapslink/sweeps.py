@@ -14,6 +14,7 @@ from .config import ScenarioConfig
 from .modes import (
     Corridor,
     Mode,
+    carrier,
     energy_efficiency,
     relay_capacity,
     relay_optimal_split,
@@ -115,9 +116,7 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     del snr1s, snr2s
     B = cfg.radio.B
     payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]
-    payloads += [
-        (ris.N * ris.per_element_power_W, col) for ris, col in zip(surfaces, ris_cols)
-    ]
+    payloads += [(ris.payload_power_W, col) for ris, col in zip(surfaces, ris_cols)]
     ee_cols = [[energy_efficiency(c * B, power) for c in col] for power, col in payloads]
     del cap05, capopt, ris_cols, payloads
     rows = tuple(zip(xs, *ee_cols))
@@ -138,15 +137,6 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
 # Offload latency vs task size
 # =====================================================================
 
-def _latency_leg(cfg: ScenarioConfig, corridor, mode, rate):
-    """(path_m, capacity_bps, compute rate) of mode at its best offset."""
-    x = corridor.best_offset(mode)
-    capacity = corridor.capacity_bps_hz(mode, x, cfg.configs) * cfg.radio.B
-    if not capacity > 0:
-        raise ValueError(f"mode unreachable: {mode.value} capacity is zero")
-    return corridor.path_m(mode, x), capacity, rate
-
-
 def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     """Offload latency over task size, one column per compute placement.
 
@@ -160,14 +150,18 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += [f"smbs_FH{fh / 1e9:g}GHz_s" for fh in cfg.smbs_F_H_list]
     header += ["rs_s", "ris_s"]
 
-    # (path_m, capacity_bps, compute rate) per column; only S varies by row
+    # (payload row at its best offset, compute rate) per column
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    legs = [_latency_leg(cfg, corridor, Mode.SMBS, fh) for fh in cfg.smbs_F_H_list]
-    legs.append(_latency_leg(cfg, corridor, Mode.RS, cfg.cloud.F_C))
-    legs.append(_latency_leg(cfg, corridor, Mode.RIS, cfg.cloud.F_C))
+    smbs, rs, ris = (
+        carrier(corridor.row(mode, corridor.best_offset(mode), cfg.configs))
+        for mode in (Mode.SMBS, Mode.RS, Mode.RIS)
+    )
+    legs = [(smbs, fh) for fh in cfg.smbs_F_H_list]
+    legs += [(rs, cfg.cloud.F_C), (ris, cfg.cloud.F_C)]
     sizes = spec.grid()
     rows = tuple(zip(sizes, *(
-        task_latencies(p, c, sizes, cfg.cycles_per_bit, rate) for p, c, rate in legs
+        task_latencies(path, capacity, sizes, cfg.cycles_per_bit, rate)
+        for (_, capacity, _, path), rate in legs
     )))
 
     notes = {}

@@ -11,11 +11,16 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from hapslink import (
     CloudConfig,
+    ComputeTask,
     ConfigError,
+    Corridor,
     DEFAULT_S_SWEEP,
     DEFAULT_X_SWEEP,
     ENV_CONFIG_VAR,
+    Mode,
     RadioParams,
+    Request,
+    RequestError,
     RequestKind,
     RisConfig,
     RsConfig,
@@ -23,9 +28,13 @@ from hapslink import (
     ScenarioGeometry,
     SmbsConfig,
     SweepSpec,
+    build_engine,
     load_config,
+    offload_latency,
     replace,
+    replay_trace,
     sweep_capacity,
+    sweep_latency,
 )
 from hapslink import config
 from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
@@ -100,6 +109,31 @@ def test_unknown_key_rejected(tmp_path):
     path = write_config(tmp_path, "[radio]\nbandwidth = 2e7\n")
     with pytest.raises(ConfigError, match="bandwidth"):
         load_config(path)
+
+
+def test_values_are_read_literally(tmp_path):
+    # a % is text, not interpolation: the path is written as given, and a
+    # number holding one is refused by its key
+    out = tmp_path / "out%.csv"
+    path = write_config(tmp_path, f"[output]\npath = {out}\n")
+    assert main(["sweep-latency", "--config", path, "--grid", "1e6"]) == EXIT_OK
+    assert out.read_text().startswith("S_bits,")
+    for raw in ("2e7%", "%(f)s"):
+        path = write_config(tmp_path, f"[radio]\nf = 2e9\nB = {raw}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"[radio] B: cannot parse {raw!r} as a finite number"
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\n",
+    "[DEFAULT]\nD = 1000\n",
+    "[DEFAULT]\nD = 1000\n\n[radio]\nB = 2e7\n",
+], ids=["empty", "alone", "beside_radio"])
+def test_default_section_is_refused(tmp_path, text):
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, text))
+    assert str(err.value) == "unknown section [DEFAULT]"
 
 
 # (config text, the "[section] key" its error must name)
@@ -269,7 +303,12 @@ RECORD_KEYS = [
 _NUMBER_TEXT = st.one_of(
     st.floats(-1e12, 1e12).map(repr),
     st.integers(-5, 10 ** 6).map(str),
-    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "", "1.5", "5e4", "0"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "", "1.5", "5e4", "0",
+                     "2e7%", "%(f)s", "%"]),
+)
+# where a [DEFAULT] section goes among the file's sections, and its body
+_DEFAULT_SECTION = st.one_of(
+    st.none(), st.tuples(st.integers(0, 6), st.sampled_from(["", "D = 1000\n"]))
 )
 
 
@@ -326,16 +365,26 @@ def _direct(entries):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(entries=_ENTRIES)
-@example(entries=((("radio", "B"), "0"),))
-@example(entries=((("geometry", "D"), "1000.0"),))
-def test_random_config_files_load_as_the_records_or_name_the_key(tmp_path, entries):
+@given(entries=_ENTRIES, default=_DEFAULT_SECTION)
+@example(entries=((("radio", "B"), "0"),), default=None)
+@example(entries=((("geometry", "D"), "1000.0"),), default=None)
+@example(entries=((("radio", "B"), "2e7%"),), default=None)
+@example(entries=((("radio", "B"), "2e7"),), default=(0, "D = 1000\n"))
+def test_random_config_files_load_as_the_records_or_name_the_key(
+    tmp_path, entries, default
+):
     sections = {}
     for (section, key), text in entries:
         sections.setdefault(section, []).append(f"{key} = {text}\n")
-    path = write_config(
-        tmp_path, "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
-    )
+    blocks = [f"[{s}]\n" + "".join(lines) for s, lines in sections.items()]
+    if default is not None:  # refused wherever it stands, whatever it holds
+        at, body = default
+        blocks.insert(at, "[DEFAULT]\n" + body)
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, "".join(blocks)))
+        assert str(err.value) == "unknown section [DEFAULT]"
+        return
+    path = write_config(tmp_path, "".join(blocks))
     expected = _direct(entries)
     if isinstance(expected, ScenarioConfig):
         assert load_config(path) == expected
@@ -616,6 +665,18 @@ def test_cli_gnuplot_needs_out(tmp_path, capsys):
     assert "plot" in script
 
 
+@pytest.mark.parametrize("command", [
+    ["select", "--kind", "communication"], ["replay", "requests.trace"],
+])
+@pytest.mark.parametrize("flag", [["--emit-gnuplot"], ["--grid", "1000"]])
+def test_cli_sweep_flags_belong_to_the_sweeps(capsys, command, flag):
+    # select and replay walk no grid and write no plot
+    with pytest.raises(SystemExit) as exit_:
+        main(command + flag)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------
 # CLI: select and replay
 # ---------------------------------------------------------------
@@ -731,6 +792,19 @@ FAINT_HOP = r"the relay hop SNR underflows to 0 .*: \[radio\] P0_max = -3300 dBm
 LOUD_SURFACE = r"the surface gain overflows: \[radio\] P0_max = 1e\+06 dBm is too high"
 LOUD_ACCESS_RADIO = "[radio]\nP_gNB = 1e6\n"
 LOUD_ACCESS = r"the access hop SNR overflows: \[radio\] P_gNB = 1e\+06 dBm is too high"
+# a noise floor whose power overflows or underflows to 0, and surfaces
+# whose reflected gain overflows
+NOISY_RADIO = "[radio]\nnoise_figure = 1e308\n"
+QUIET_RADIO = "[radio]\nnoise_figure = -1e308\n"
+NOISE_FLOOR = (
+    r"the noise floor of {0} dBm leaves the float range: "
+    r"\[radio\] noise_figure = {0} dB"
+)
+NOISY = NOISE_FLOOR.format(r"1e\+308")
+QUIET = NOISE_FLOOR.format(r"-1e\+308")
+HUGE_SURFACE = "[ris]\nN = 1e200\n"
+HUGE_SURFACES = "[ris]\nN_list = 1e200\n"
+SURFACE_GAIN = r"the reflected path's gain overflows: a surface of N = 1e\+200 elements"
 
 MODEL_ERROR_CASES = {
     "far_replay": (
@@ -759,6 +833,21 @@ MODEL_ERROR_CASES = {
         LOUD_ACCESS_RADIO, ["select", "--kind", "communication"], LOUD_ACCESS,
     ),
     "loud_access_replay": (LOUD_ACCESS_RADIO, ["replay"], LOUD_ACCESS),
+    "noisy_sweep_capacity": (NOISY_RADIO, ["sweep-capacity"], NOISY),
+    "noisy_sweep_ee": (NOISY_RADIO, ["sweep-ee"], NOISY),
+    "noisy_sweep_latency": (NOISY_RADIO, ["sweep-latency"], NOISY),
+    "noisy_select": (NOISY_RADIO, ["select", "--kind", "communication"], NOISY),
+    "noisy_replay": (NOISY_RADIO, ["replay"], NOISY),
+    "quiet_sweep_capacity": (QUIET_RADIO, ["sweep-capacity"], QUIET),
+    "quiet_select": (QUIET_RADIO, ["select", "--kind", "communication"], QUIET),
+    "quiet_replay": (QUIET_RADIO, ["replay"], QUIET),
+    "huge_surface_sweep_latency": (HUGE_SURFACE, ["sweep-latency"], SURFACE_GAIN),
+    "huge_surface_select": (
+        HUGE_SURFACE, ["select", "--kind", "communication"], SURFACE_GAIN,
+    ),
+    "huge_surface_replay": (HUGE_SURFACE, ["replay"], SURFACE_GAIN),
+    "huge_surfaces_sweep_capacity": (HUGE_SURFACES, ["sweep-capacity"], SURFACE_GAIN),
+    "huge_surfaces_sweep_ee": (HUGE_SURFACES, ["sweep-ee"], SURFACE_GAIN),
 }
 
 
@@ -777,6 +866,95 @@ def test_cli_model_error_exits_1(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert re.match("error: .*" + name, err), err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------
+# one payload row behind the engine, offloading and the latency sweep
+# ---------------------------------------------------------------
+
+def _value_or_refusal(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def _forced_task_latency(cfg, mode, size):
+    """latency_s of a task of size bits forced through mode on cfg's
+    engine, or the text of the engine's refusal."""
+    ctx, state = build_engine(cfg)
+    req = Request(t=0.0, kind=RequestKind.TASK_OFFLOADING, size_bits=size)
+    try:
+        return replay_trace([req], state, ctx, force_mode=mode).decisions[0].latency_s
+    except RequestError as err:  # "request 0: <the refusal>"
+        return str(err.__cause__)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    D=st.floats(1e3, 3e7), H=st.floats(1e3, 5e4), frac=st.floats(0.0, 1.0),
+    size=st.one_of(st.just(0.0), st.floats(0.0, 1e9)),
+)
+@example(D=2e7, H=2e4, frac=5e-5, size=1e6)  # FAR_CORRIDOR: SMBS here, RIS anywhere
+@example(D=1e8, H=2e4, frac=0.5, size=5e6)  # REMOTE_CORRIDOR: the relay too
+def test_forced_task_latency_is_the_offload_and_sweep_figure(D, H, frac, size):
+    base = replace(ScenarioConfig(), sweep=SweepSpec("S", size, size, 1.0))
+    corridor = Corridor(D, H, base.radio)
+    task = ComputeTask(size, base.cycles_per_bit)
+    at_crest = {}
+    for mode in Mode:
+        # at the drawn offset, then at the mode's crest, where the sweep puts it
+        for x in (frac * D, corridor.best_offset(mode)):
+            cfg = replace(base, geom=ScenarioGeometry(D, H, x))
+            forced = _forced_task_latency(cfg, mode, size)
+            oracle = _value_or_refusal(
+                offload_latency, mode, cfg.geom, cfg.radio, cfg.configs, task, cfg.cloud
+            )
+            assert forced == oracle  # the same float, or the same refusal
+        at_crest[mode] = forced
+    swept = replace(base, geom=ScenarioGeometry(D, H, D))
+    sweep = _value_or_refusal(sweep_latency, swept)
+    if isinstance(sweep, str):  # the first column's payload that carries nothing
+        order = (Mode.SMBS, Mode.RS, Mode.RIS)
+        assert sweep == next(at_crest[m] for m in order if isinstance(at_crest[m], str))
+        return
+    assert sweep.column("S_bits") == [size]
+    assert sweep.column(f"smbs_FH{base.smbs.F_H / 1e9:g}GHz_s") == [at_crest[Mode.SMBS]]
+    assert sweep.column("rs_s") == [at_crest[Mode.RS]]
+    assert sweep.column("ris_s") == [at_crest[Mode.RIS]]
+
+
+def test_unreachable_payload_is_refused_in_the_same_words(tmp_path, capsys):
+    # select, replay, sweep-latency and offload_latency word the refusal
+    # of a payload that carries nothing alike
+    config = write_config(tmp_path, FAR_CORRIDOR)
+    cfg = load_config(config)
+    trace = tmp_path / "one.trace"
+    trace.write_text(ONE_TASK)
+    task = ComputeTask(1e6, cfg.cycles_per_bit)
+
+    def refusal(mode, x):
+        geom = replace(cfg.geom, x=x)
+        with pytest.raises(ValueError) as err:
+            offload_latency(mode, geom, cfg.radio, cfg.configs, task, cfg.cloud)
+        return str(err.value)
+
+    def error(*args):
+        assert main([*args, "--config", config]) == EXIT_INVALID
+        return capsys.readouterr().err
+
+    smbs = refusal(Mode.SMBS, cfg.geom.x)
+    assert smbs == "mode unreachable: SMBS capacity is zero"
+    assert error("select", "--kind", "task_offloading", "--size-bits", "1e6") == (
+        f"error: {smbs}\n"
+    )
+    assert error("replay", str(trace)) == f"error: request 0: {smbs}\n"
+    # the sweep puts each payload at its crest: there only the surface fails
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
+    ris = refusal(Mode.RIS, corridor.best_offset(Mode.RIS))
+    assert ris == "mode unreachable: RIS capacity is zero"
+    assert error("sweep-latency") == f"error: {ris}\n"
 
 
 # ---------------------------------------------------------------

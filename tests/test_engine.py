@@ -1,4 +1,3 @@
-import collections
 import io
 import os
 import random
@@ -411,16 +410,14 @@ def test_replay_validates_each_request_once(ctx, monkeypatch, tmp_path):
             fresh_state(), ctx, force_mode=Mode.RIS,
         )
     # the CLI validates in the parser, and the replay trusts the parser:
-    # each tail (every field but t and content_id) is validated at its
-    # first sighting and, if it comes again, once more when it is kept
+    # each tail (every field but t and content_id) is validated once, at
+    # its first sighting, when it is kept
     with open(GOLDEN_TRACE) as fh:
         rows = [line.strip().split(",") for line in fh if line.strip()[:1].isdigit()]
-    tails = collections.Counter(
-        (kind, size, obj, qos, not cid) for _, kind, cid, size, obj, qos in rows
-    )
+    tails = {(kind, size, obj, qos, not cid) for _, kind, cid, size, obj, qos in rows}
     calls.clear()
     assert main(["replay", GOLDEN_TRACE, "--out", str(tmp_path / "d.csv")]) == EXIT_OK
-    assert len(calls) == sum(min(n, 2) for n in tails.values()) == 17
+    assert len(calls) == len(tails) == 14
 
 
 def test_context_runs_the_link_budget_once(monkeypatch):

@@ -336,14 +336,14 @@ def test_decision_memo_stays_within_its_cap(monkeypatch):
         return build(req, branch, ctx)
 
     monkeypatch.setattr(engine, "_build", counting_build)
-    # a tail is kept from its second sighting on; a full memo still holds
+    # a tail is kept from its first sighting on; a full memo still holds
     # it, and one more distinct tail clears the memo, so it is decided again
     sizes = [0, 0] + list(range(1, limit)) + [0, limit, 0]
     lines = [f"{i},communication,,{size},," for i, size in enumerate(sizes)]
     out = io.StringIO()
     summary = stream_replay(lines, CacheState(), _context(cfg), out.write)
     assert summary.requests == len(lines)
-    assert built == [0, 0] + list(range(1, limit)) + [limit, 0]
+    assert built == [0] + list(range(1, limit)) + [limit, 0]
     requests = [parse_trace_line(line) for line in lines]
     reference = replay_trace(requests, CacheState(), _context(cfg))
     assert out.getvalue() == decisions_to_csv(requests, reference.decisions)
