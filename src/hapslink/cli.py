@@ -151,12 +151,6 @@ def _emit_gnuplot(result, csv_path):
         fh.write(script)
 
 
-def _report_notes(notes):
-    for key in sorted(notes):
-        value = notes[key]
-        print(f"# {key} = {value}", file=sys.stderr)
-
-
 def _run_sweep(args):
     cfg = load_config(args.config)
     result = args.sweep(cfg, step=args.grid)
@@ -167,7 +161,8 @@ def _run_sweep(args):
         fh.write(result.to_csv())
     if args.emit_gnuplot:
         _emit_gnuplot(result, out_path)
-    _report_notes(result.notes)
+    for key in sorted(result.notes):
+        print(f"# {key} = {result.notes[key]}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -15,8 +15,7 @@ takes, so on trace lines the loop memoises, per distinct line tail, the
 parsed request and each branch's decision with its rendered CSV cells.
 A line whose tail is memoised costs a split, a dict lookup, its
 timestamp and its row: no Request is built unless the tail is new, and
-no decision unless its branch is. Rows are joined and written a batch
-at a time.
+no decision unless its branch is. Each row is written as it is decided.
 """
 
 import math
@@ -149,9 +148,6 @@ class CacheState:
             OrderedDict(self.entries), dict(self.popularity),
         )
 
-    def contains(self, content_id):
-        return content_id in self.entries
-
     def insert(self, content_id):
         if content_id in self.entries:
             self.entries.move_to_end(content_id)
@@ -227,9 +223,6 @@ _CACHE = "forward_and_cache"
 # so its memory does not grow with the trace.
 _MEMO_LIMIT = 1024
 
-# Rows a streamed replay joins into one write.
-_WRITE_BATCH = 256
-
 
 def _build(req: Request, branch, ctx: EngineContext):
     """The decision for req on branch; it reads neither the cache nor t.
@@ -298,8 +291,7 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
 
     items are Requests, each validated here and handed to keep with its
     decision; or, when write is given, trace lines, whose decision CSV
-    (header, then one row per request) goes to write a batch of
-    _WRITE_BATCH rows at a time.
+    goes to write: the header, then each row as it is decided.
 
     For each request the loop picks the cache branch (hit, forward, or
     forward and cache; communication and tasks take none; a forced
@@ -335,7 +327,8 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
     index = -1
     lineno = 0
     tails = {}
-    rows = [DECISION_CSV_HEADER + "\n"] if lines else []
+    if lines:
+        write(DECISION_CSV_HEADER + "\n")
     for item in items:
         if lines:
             lineno += 1
@@ -411,10 +404,7 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
             raise refusal from err
         last_t = t
         if lines:
-            rows.append(f"{t:.8e},{cells}\n")
-            if len(rows) >= _WRITE_BATCH:
-                write("".join(rows))
-                rows.clear()
+            write(f"{t:.8e},{cells}\n")
         else:
             keep(decision)
         counts[mode] += 1
@@ -424,8 +414,6 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
             content_requests += 1
             if branch is _HIT:
                 hits += 1
-    if rows:
-        write("".join(rows))
     if not isfinite(total_energy):
         raise ValueError(f"total_energy_J overflows to {total_energy}")
     return ReplaySummary(
@@ -490,8 +478,8 @@ def replay_trace(
 def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
                   force_mode: Optional[Mode] = None):
     """Replay trace lines straight to the decision CSV: write gets the
-    header and the rows, a batch at a time, as they are decided. Returns
-    the ReplaySummary; the state is updated in place.
+    header, then each row as it is decided. Returns the ReplaySummary;
+    the state is updated in place.
 
     Nothing is kept per request: memory grows with the number of
     distinct content ids (the cache's popularity counter), not with the

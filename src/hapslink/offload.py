@@ -71,12 +71,6 @@ def task_latencies(path_m, capacity_bps, sizes, cycles_per_bit, rate):
     return [prop + s / capacity_bps + s * cycles_per_bit / rate for s in sizes]
 
 
-def task_latency(path_m, capacity_bps, task: ComputeTask, rate):
-    """task_latencies of one task."""
-    sizes = (task.size_bits,)
-    return task_latencies(path_m, capacity_bps, sizes, task.cycles_per_bit, rate)[0]
-
-
 def offload_latency(
     mode: Mode,
     geom: ScenarioGeometry,
@@ -88,4 +82,6 @@ def offload_latency(
     """End-to-end offload latency in seconds, affine in the task size."""
     corridor = Corridor(geom.D, geom.H, radio)
     _, capacity_bps, _, path_m = carrier(corridor.row(mode, geom.x, configs))
-    return task_latency(path_m, capacity_bps, task, compute_rate(mode, configs, cloud))
+    rate = compute_rate(mode, configs, cloud)
+    sizes = (task.size_bits,)
+    return task_latencies(path_m, capacity_bps, sizes, task.cycles_per_bit, rate)[0]

@@ -102,10 +102,3 @@ def best_payload(objective: Objective, rows):
         return mode, _action_for(mode), power
     raise ValueError(f"unknown objective kind {kind!r}")
 
-
-def choose_payload(objective: Objective, rows) -> ModeDecision:
-    """best_payload as a decision, INFEASIBLE when no row qualifies."""
-    best = best_payload(objective, rows)
-    if best is None:
-        return ModeDecision(None, Action.INFEASIBLE, 0.0)
-    return ModeDecision(*best)

@@ -62,11 +62,19 @@ def _ris_variants(cfg: ScenarioConfig):
     return [replace(cfg.ris, N=n) for n in cfg.ris_N_list]
 
 
-def _relay_columns(snr1s, snr2s):
-    """The relay over the hop-SNR columns: capacity at alpha = 0.5 and at
-    the optimal split (bps/Hz), and the optimal alpha."""
-    alphas, cap_opts = zip(*map(relay_optimal_split, snr1s, snr2s))
-    return list(map(relay_capacity, snr1s, snr2s, repeat(0.5))), cap_opts, alphas
+def _placement_columns(cfg: ScenarioConfig, step):
+    """The placement grid xs and the columns over it: the relay's capacity
+    at alpha = 0.5 and at the optimal split (bps/Hz), the optimal alpha,
+    and one capacity column (bps/Hz) per configured surface size. The
+    hop-SNR columns are freed on return, so a sweep's memory peak stays
+    below that of the CSV rendered from its rows."""
+    spec = cfg.sweep_for("x", step)
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
+    xs = spec.grid()
+    snr1s, snr2s, ris_cols = corridor.columns(xs, _ris_variants(cfg))
+    alphas, capopt = zip(*map(relay_optimal_split, snr1s, snr2s))
+    cap05 = list(map(relay_capacity, snr1s, snr2s, repeat(0.5)))
+    return xs, cap05, capopt, alphas, ris_cols
 
 
 # =====================================================================
@@ -75,16 +83,9 @@ def _relay_columns(snr1s, snr2s):
 
 def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     """Relay (fixed and optimal split) and reflected-path capacity over x."""
-    spec = cfg.sweep_for("x", step)
     header = ["x_m", "rs_alpha05_bps_hz", "rs_alpha_opt_bps_hz", "alpha_opt"]
     header += [f"ris_N{n}_bps_hz" for n in cfg.ris_N_list]
-    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    xs = spec.grid()
-    snr1s, snr2s, ris_cols = corridor.columns(xs, _ris_variants(cfg))
-    cap05, capopt, alphas = _relay_columns(snr1s, snr2s)
-    # each column is freed once consumed, so a sweep's memory peak stays
-    # below that of the CSV rendered from its rows
-    del snr1s, snr2s
+    xs, cap05, capopt, alphas, ris_cols = _placement_columns(cfg, step)
     rows = tuple(zip(xs, cap05, capopt, alphas, *ris_cols))
 
     degradation = [
@@ -105,17 +106,13 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
 
 def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     """Bits per joule over x for the relay and each configured surface size."""
-    spec = cfg.sweep_for("x", step)
     header = ["x_m", "ee_rs_alpha05_bits_per_J", "ee_rs_alpha_opt_bits_per_J"]
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
-    surfaces = _ris_variants(cfg)
-    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    xs = spec.grid()
-    snr1s, snr2s, ris_cols = corridor.columns(xs, surfaces)
-    cap05, capopt = _relay_columns(snr1s, snr2s)[:2]
-    del snr1s, snr2s
+    xs, cap05, capopt, alphas, ris_cols = _placement_columns(cfg, step)
+    del alphas  # not an EE column: freed before the EE columns are built
     B = cfg.radio.B
     payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]
+    surfaces = _ris_variants(cfg)
     payloads += [(ris.payload_power_W, col) for ris, col in zip(surfaces, ris_cols)]
     ee_cols = [[energy_efficiency(c * B, power) for c in col] for power, col in payloads]
     del cap05, capopt, ris_cols, payloads

@@ -121,16 +121,16 @@ def test_threshold_two_caches_on_second_request(ctx):
     state = fresh_state(threshold=2)
     d1, state = handle_request(content(0, "x"), state, ctx)
     assert d1.action is Action.FORWARD_VIA_GATEWAY
-    assert not state.contains("x")
+    assert "x" not in state.entries
     d2, state = handle_request(content(1, "x"), state, ctx)
     assert d2.action is Action.FORWARD_AND_CACHE
-    assert state.contains("x")
+    assert "x" in state.entries
 
 
 def test_hit_serves_direct_from_smbs(ctx):
     state = fresh_state(threshold=1)
     _, state = handle_request(content(0, "x"), state, ctx)
-    assert state.contains("x")
+    assert "x" in state.entries
     d, state = handle_request(content(1, "x"), state, ctx)
     assert d.mode is Mode.SMBS
     assert d.action is Action.SERVE_DIRECT
@@ -162,7 +162,7 @@ def test_caching_request_inserts_immediately(ctx):
     d, state = handle_request(req, state, ctx)
     assert d.action is Action.FORWARD_AND_CACHE
     assert d.mode in (Mode.RS, Mode.RIS)
-    assert state.contains("push")
+    assert "push" in state.entries
     assert state.popularity["push"] == 1
 
 
@@ -173,16 +173,16 @@ def test_lru_eviction_order(ctx):
     # touch "a" so "b" becomes the eviction candidate
     _, state = handle_request(content(2.0, "a"), state, ctx)
     _, state = handle_request(content(3.0, "c"), state, ctx)
-    assert state.contains("a")
-    assert state.contains("c")
-    assert not state.contains("b")
+    assert "a" in state.entries
+    assert "c" in state.entries
+    assert "b" not in state.entries
     assert len(state.entries) == 2
 
 
 def test_zero_capacity_cache_never_stores(ctx):
     state = fresh_state(capacity=0, threshold=1)
     d, state = handle_request(content(0, "x"), state, ctx)
-    assert not state.contains("x")
+    assert "x" not in state.entries
     # still a forward decision, never a phantom hit
     assert d.action in (Action.FORWARD_VIA_GATEWAY, Action.FORWARD_AND_CACHE)
 

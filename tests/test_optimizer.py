@@ -17,7 +17,7 @@ from hapslink import (
     relay_optimal_split,
     ris_placement_roots,
 )
-from hapslink.optimizer import choose_payload, payload_rows
+from hapslink.optimizer import best_payload, payload_rows
 
 from conftest import D_DEFAULT, H_DEFAULT, geom_at
 
@@ -193,56 +193,55 @@ def test_placement_never_worse_than_grid(corridor, configs):
 # ---------------------------------------------------------------
 
 def test_select_max_capacity_midcorridor(radio, configs):
-    decision = choose_payload(
+    mode, action, value = best_payload(
         Objective(ObjectiveKind.MAX_CAPACITY),
         payload_rows(geom_at(30000.0), radio, configs),
     )
-    assert decision.mode is Mode.RIS
-    assert decision.action is Action.FORWARD_VIA_GATEWAY
-    assert decision.objective_value == pytest.approx(136046417.8623018, rel=1e-9)
+    assert mode is Mode.RIS
+    assert action is Action.FORWARD_VIA_GATEWAY
+    assert value == pytest.approx(136046417.8623018, rel=1e-9)
 
 
 def test_select_max_capacity_above_gnb(radio, configs):
-    decision = choose_payload(
+    mode, action, _ = best_payload(
         Objective(ObjectiveKind.MAX_CAPACITY),
         payload_rows(geom_at(60000.0), radio, configs),
     )
-    assert decision.mode is Mode.SMBS
-    assert decision.action is Action.SERVE_DIRECT
+    assert mode is Mode.SMBS
+    assert action is Action.SERVE_DIRECT
 
 
 def test_select_max_ee_prefers_surface(radio, configs):
-    decision = choose_payload(
+    mode, _, _ = best_payload(
         Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
         payload_rows(geom_at(30000.0), radio, configs),
     )
-    assert decision.mode is Mode.RIS
+    assert mode is Mode.RIS
 
 
 def test_select_min_energy_feasible(radio, configs):
-    decision = choose_payload(
+    mode, _, value = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e8),
         payload_rows(geom_at(30000.0), radio, configs),
     )
-    assert decision.mode is Mode.RIS
-    assert decision.objective_value == pytest.approx(390.0, rel=1e-12)
+    assert mode is Mode.RIS
+    assert value == pytest.approx(390.0, rel=1e-12)
 
 
 def test_select_min_energy_only_smbs_meets_qos(radio, configs):
-    decision = choose_payload(
+    mode, _, _ = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1.38e8),
         payload_rows(geom_at(60000.0), radio, configs),
     )
-    assert decision.mode is Mode.SMBS
+    assert mode is Mode.SMBS
 
 
 def test_select_min_energy_infeasible(radio, configs):
-    decision = choose_payload(
+    best = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e12),
         payload_rows(geom_at(30000.0), radio, configs),
     )
-    assert decision.mode is None
-    assert decision.action is Action.INFEASIBLE
+    assert best is None
 
 
 def test_select_tie_breaks_toward_passive(radio, configs):
@@ -252,17 +251,17 @@ def test_select_tie_breaks_toward_passive(radio, configs):
         ris=RisConfig(N=50000, per_element_power_W=0.02),  # 1000 W
         smbs=configs.smbs,
     )
-    decision = choose_payload(
+    mode, _, _ = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e6),
         payload_rows(geom_at(30000.0), radio, tied),
     )
-    assert decision.mode is Mode.RIS
+    assert mode is Mode.RIS
 
 
 def test_select_deterministic(radio, configs):
     obj = Objective(ObjectiveKind.MAX_CAPACITY)
-    a = choose_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
-    b = choose_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
+    a = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
+    b = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
     assert a == b
 
 

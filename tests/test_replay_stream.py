@@ -162,7 +162,7 @@ def test_streamed_replay_matches_per_request_reference(
     tmp_path, lines, copies, config, force, to_stdout
 ):
     # copies repeats the drawn lines, so traces run past one write batch
-    # (engine._WRITE_BATCH rows) and their tails repeat
+    # (256 rows) and their tails repeat
     lines = lines * copies
     trace = tmp_path / "trace.txt"
     trace.write_text("\n".join(line.replace("{i}", str(i)) for i, line in enumerate(lines)))
@@ -219,7 +219,7 @@ _REFUSED = "{i},task_offloading,,1.7e308,,"
 
 
 @pytest.mark.parametrize("to_stdout", [False, True])
-@pytest.mark.parametrize("k", [3, engine._WRITE_BATCH - 1, engine._WRITE_BATCH, 700])
+@pytest.mark.parametrize("k", [3, 255, 256, 700])
 def test_refusal_past_a_write_batch_leaves_no_output(tmp_path, k, to_stdout):
     trace = tmp_path / "t.trace"
     trace.write_text(_long_trace(k, [_REFUSED] + ["{i},communication,,1e6,,"] * 300))
@@ -231,7 +231,7 @@ def test_refusal_past_a_write_batch_leaves_no_output(tmp_path, k, to_stdout):
 
 
 @pytest.mark.parametrize("to_stdout", [False, True])
-@pytest.mark.parametrize("k", [3, engine._WRITE_BATCH, 700])
+@pytest.mark.parametrize("k", [3, 256, 700])
 def test_malformed_line_after_a_refusal_is_the_error(tmp_path, k, to_stdout):
     # the refusal at request k is reported only if the rest of the trace
     # parses; the comment line shifts line numbers one past request indices
