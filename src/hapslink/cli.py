@@ -131,14 +131,15 @@ def _all_or_nothing(out_path):
         raise
 
 
-def _emit_gnuplot(result, csv_path):
-    gp_path = csv_path + ".gp"
+def _gnuplot_script(result, csv_path):
+    """The gnuplot script of the CSV at csv_path; gnuplot reads '' as ' in a '-string."""
     cols = result.header
+    data = csv_path.replace("'", "''")
     plots = ", ".join(
-        f"'{csv_path}' using 1:{i + 2} with lines title '{name}'"
+        f"'{data}' using 1:{i + 2} with lines title '{name}'"
         for i, name in enumerate(cols[1:])
     )
-    script = "\n".join(
+    return "\n".join(
         (
             "set datafile separator ','",
             f"set xlabel '{cols[0]}'",
@@ -147,8 +148,6 @@ def _emit_gnuplot(result, csv_path):
             "pause -1",
         )
     ) + "\n"
-    with open(gp_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(script)
 
 
 def _run_sweep(args):
@@ -159,8 +158,9 @@ def _run_sweep(args):
         raise ConfigError("--emit-gnuplot needs --out (or an [output] path)")
     with _all_or_nothing(out_path) as fh:
         fh.write(result.to_csv())
-    if args.emit_gnuplot:
-        _emit_gnuplot(result, out_path)
+        if args.emit_gnuplot:  # written before the CSV is renamed into place
+            with _all_or_nothing(out_path + ".gp") as gp:
+                gp.write(_gnuplot_script(result, out_path))
     for key in sorted(result.notes):
         print(f"# {key} = {result.notes[key]}", file=sys.stderr)
     return EXIT_OK

@@ -192,7 +192,12 @@ def load_config(path=None) -> ScenarioConfig:
     parser.optionxform = str  # keys are case-sensitive (B vs b, N vs n)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+            lines = fh.readlines()
+        parser.read_file(lines, path)
+    except configparser.ParsingError as err:  # its own text spans several lines
+        lineno = getattr(err, "lineno", None) or err.errors[0][0]
+        raise ConfigError(f"cannot parse {path}: line {lineno}: "
+                          f"{lines[lineno - 1].strip()!r}") from None
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from None
     _reject_unknown(parser)

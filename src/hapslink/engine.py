@@ -136,8 +136,6 @@ class CacheState:
             return vars(self) == vars(other)
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self):
         cells = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"CacheState({cells})"

@@ -14,6 +14,7 @@ backhaul:
 """
 
 import math
+import sys
 from enum import Enum
 
 from ._record import Record
@@ -118,6 +119,37 @@ class ModeConfigs(Record):
 # Corridor: every payload's link budget at one (D, H, radio)
 # =====================================================================
 
+# Each link-budget figure Corridor checks, as the coefficient of each
+# [radio] input's dB value (10 log10 B for B) in the figure's dB sum
+_RX = {"noise_figure": -1.0, "B": -1.0, "scintillation_dB": -1.0}  # per hop
+_NOISE = {"noise_figure": 1.0, "B": 1.0}
+_SURFACE_GAIN = {"P0_max": 1.0, "G0_max": 1.0, "G_gNB": 1.0}
+_HOP1 = {"P0_max": 1.0, "G0_max": 1.0, "G_RS": 1.0, **_RX}
+_HOP2 = {"P0_max": 1.0, "G_RS": 1.0, "G_gNB": 1.0, **_RX}
+_HOPS = {key: _HOP1.get(key, 0.0) + _HOP2.get(key, 0.0) for key in _HOP1 | _HOP2}
+_ACCESS = {"P_gNB": 1.0, "G_gNB": 1.0, "G_H_rx": 1.0, **_RX}
+_UNITS = {"P0_max": "dBm", "P_gNB": "dBm", "B": "Hz"}
+
+
+def _refusal(text, radio: RadioParams, figure, overflow=True, other=None):
+    """The ValueError for a figure that left the positive normal float
+    range (upward when overflow): text, then the [radio] input with the
+    largest dB share in figure and, unless overflow is None, whether it
+    is too high or too low. other, a (dB share, message) pair for an
+    input outside [radio], is the error instead when its share is larger."""
+    def share(key):
+        value = getattr(radio, key)
+        return figure[key] * (10.0 * math.log10(value) if key == "B" else value)
+    key = max(figure, key=lambda k: abs(share(k)))
+    if other is not None and abs(other[0]) > abs(share(key)):
+        return ValueError(other[1])
+    name = f"{text}: [radio] {key} = {getattr(radio, key):g} {_UNITS.get(key, 'dB')}"
+    if overflow is None:
+        return ValueError(name)
+    high = overflow == (figure[key] > 0)
+    return ValueError(f"{name} is too {'high' if high else 'low'}")
+
+
 class Corridor:
     """The x-invariant part of every payload's link budget along one
     gateway - gNB corridor, computed once; the column methods (hop_lengths,
@@ -141,6 +173,7 @@ class Corridor:
         self._hop1_dB = radio.P0_max + radio.G0_max + radio.G_RS
         self._hop2_dB = radio.P0_max + radio.G_RS + radio.G_gNB
         self._access_dB = radio.P_gNB + radio.G_gNB + radio.G_H_rx
+        # each figure below must stay a positive normal float (_refusal)
         # reflected path: p_w * G0 * G_gNB, then (N beta)^2, then
         # (lambda / 4 pi)^4, over d1^2 d2^2 noise_w and the fixed losses
         try:
@@ -152,53 +185,46 @@ class Corridor:
             if self._ris_gain == math.inf:
                 raise OverflowError
         except OverflowError:
-            raise ValueError(
-                f"the surface gain overflows: [radio] P0_max = {radio.P0_max:g} dBm "
-                "is too high"
-            ) from None
+            raise _refusal("the surface gain overflows", radio, _SURFACE_GAIN) from None
         self._ris_lam4 = (SPEED_OF_LIGHT / radio.f / (4.0 * math.pi)) ** 4
         try:
             self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
-            if self._noise_w == 0.0:
+            if self._noise_w < sys.float_info.min:
                 raise OverflowError
         except OverflowError:
-            raise ValueError(
-                f"the noise floor of {budget.noise_dBm:.4g} dBm leaves the float range: "
-                f"[radio] noise_figure = {radio.noise_figure:g} dB"
-            ) from None
+            text = f"the noise floor of {budget.noise_dBm:.4g} dBm leaves the float range"
+            raise _refusal(text, radio, _NOISE, overflow=None) from None
         atmosphere_db = budget.gamma0 * _ris_reference_path_m(D, H) / 1000.0
         try:
             self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
         except OverflowError:
-            raise ValueError(
-                f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
-                f"(gaseous absorption over D = {D:g} m) overflows"
-            ) from None
+            text = (f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
+                    f"(gaseous absorption over D = {D:g} m) overflows")
+            scint = {"scintillation_dB": 2.0}
+            raise _refusal(text, radio, scint, other=(atmosphere_db, text)) from None
         # a relay hop's SNR peaks at the shortest hop, H, and is lowest at
-        # the longest, hypot(D, H); it must stay a positive finite ratio
+        # the longest, hypot(D, H); so does the product of the two SNRs,
+        # which the relay's closed form takes
         longest = math.hypot(D, H)
-        for gains_dB in (self._hop1_dB, self._hop2_dB):
+        peaks = []
+        for gains_dB, figure in ((self._hop1_dB, _HOP1), (self._hop2_dB, _HOP2)):
             try:
-                weakest, _ = budget.snrs((longest, H), gains_dB)
+                far, near = budget.snrs((longest, H), gains_dB)
             except OverflowError:
-                raise ValueError(
-                    f"the relay hop SNR overflows: [radio] P0_max = {radio.P0_max:g} "
-                    "dBm is too high"
-                ) from None
-            if weakest == 0.0:
-                raise ValueError(
-                    f"the relay hop SNR underflows to 0 at a {longest:g} m hop: "
-                    f"[radio] P0_max = {radio.P0_max:g} dBm is too low"
-                )
+                raise _refusal("the relay hop SNR overflows", radio, figure) from None
+            if far < sys.float_info.min:
+                text = f"the relay hop SNR underflows to {far:g} at a {longest:g} m hop"
+                raise _refusal(text, radio, figure, overflow=False)
+            peaks.append(near)
+        if peaks[0] * peaks[1] == math.inf:
+            text = f"the product of the relay hop SNRs at {H:g} m overflows"
+            raise _refusal(text, radio, _HOPS)
         # the access hop's SNR peaks at its shortest, H; a zero SNR far
         # from the gNB is a payload the engine refuses by name
         try:
             budget.snrs((H,), self._access_dB)
         except OverflowError:
-            raise ValueError(
-                f"the access hop SNR overflows: [radio] P_gNB = {radio.P_gNB:g} dBm "
-                "is too high"
-            ) from None
+            raise _refusal("the access hop SNR overflows", radio, _ACCESS) from None
 
     def distances(self, x):
         """Slant ranges (gateway -> platform, gNB -> platform) at offset x."""
@@ -262,10 +288,11 @@ class Corridor:
                 if numerator == math.inf:
                     raise OverflowError
             except OverflowError:
-                raise ValueError(
-                    f"the reflected path's gain overflows: a surface of N = {ris.N:g} "
-                    "elements is too large"
-                ) from None
+                text = "the reflected path's gain overflows"
+                surface = f"{text}: a surface of N = {ris.N:g} elements is too large"
+                share = 20.0 * math.log10(ris.N * ris.beta)
+                raise _refusal(text, self.budget.radio, _SURFACE_GAIN,
+                               other=(share, surface)) from None
             yield [numerator / den / loss for den in denominators]
 
     def rs_hop_snrs(self, x):

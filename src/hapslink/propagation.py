@@ -145,9 +145,12 @@ class LinkBudget:
 
     def __init__(self, radio: RadioParams):
         self.radio = radio
-        self.gamma0 = dry_air_specific_attenuation(
-            radio.f, radio.pressure_Pa, radio.temperature_C
-        )
+        p, t = radio.pressure_Pa, radio.temperature_C
+        try:
+            self.gamma0 = dry_air_specific_attenuation(radio.f, p, t)
+        except OverflowError:
+            raise ValueError(f"the dry-air attenuation overflows: [radio] pressure_Pa = "
+                             f"{p:g} Pa, temperature_C = {t:g}") from None
         self.noise_dBm = noise_power_dBm(radio.B, radio.noise_figure)
 
     def losses_dB(self, ds):

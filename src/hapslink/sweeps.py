@@ -156,17 +156,15 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     legs = [(smbs, fh) for fh in cfg.smbs_F_H_list]
     legs += [(rs, cfg.cloud.F_C), (ris, cfg.cloud.F_C)]
     sizes = spec.grid()
-    rows = tuple(zip(sizes, *(
+    cols = [
         task_latencies(path, capacity, sizes, cfg.cycles_per_bit, rate)
         for (_, capacity, _, path), rate in legs
-    )))
+    ]
+    rows = tuple(zip(sizes, *cols))
 
     notes = {}
-    n_fh = len(cfg.smbs_F_H_list)
-    relay_best = [min(r[1 + n_fh], r[2 + n_fh]) for r in rows]
-    s_col = [r[0] for r in rows]
-    for j, fh in enumerate(cfg.smbs_F_H_list):
-        smbs_col = [r[1 + j] for r in rows]
+    relay_best = list(map(min, cols[-2], cols[-1]))
+    for fh, smbs_col in zip(cfg.smbs_F_H_list, cols):
         crossing = None
         for i in range(1, len(rows)):
             before = smbs_col[i - 1] - relay_best[i - 1]
@@ -174,7 +172,7 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
             if before < 0 <= after:
                 # linear interpolation inside the bracketing cell
                 frac = before / (before - after)
-                crossing = s_col[i - 1] + frac * (s_col[i] - s_col[i - 1])
+                crossing = sizes[i - 1] + frac * (sizes[i] - sizes[i - 1])
                 break
         notes[f"smbs_FH{fh / 1e9:g}GHz_crossover_S_bits"] = crossing
     return SweepResult(tuple(header), rows, notes)

@@ -634,6 +634,30 @@ OUT_OF_RANGE_CONFIGS = {
     ),
     "smbs_F_H_zero": ("sweep-latency", "[smbs]\nF_H = 0\n", r"\[smbs\] F_H"),
     "cloud_F_C_zero": ("sweep-latency", "[cloud]\nF_C = 0\n", r"\[cloud\] F_C"),
+    "F_H_list_empty": (
+        "sweep-latency", "[smbs]\nF_H_list = ,\n", r"\[smbs\] F_H_list must not be empty"
+    ),
+    "cycles_per_bit_zero": (
+        "sweep-latency", "[engine]\ncycles_per_bit = 0\n",
+        r"\[engine\] cycles_per_bit must be positive",
+    ),
+    # the dry-air attenuation overflows: it used to end in a bare
+    # "math range error" or "(34, 'Numerical result out of range')"
+    "pressure_Pa_overflow": (
+        "sweep-capacity", "[radio]\npressure_Pa = 4e8\n",
+        r"the dry-air attenuation overflows: \[radio\] pressure_Pa = 4e\+08 Pa, "
+        r"temperature_C = 15$",
+    ),
+    "temperature_C_near_absolute_zero": (
+        "sweep-ee", "[radio]\ntemperature_C = -272.9\n",
+        r"the dry-air attenuation overflows: \[radio\] pressure_Pa = 101300 Pa, "
+        r"temperature_C = -272.9$",
+    ),
+    "temperature_C_overflow": (
+        "sweep-latency", "[radio]\ntemperature_C = 1e300\n",
+        r"the dry-air attenuation overflows: \[radio\] pressure_Pa = 101300 Pa, "
+        r"temperature_C = 1e\+300$",
+    ),
 }
 
 
@@ -654,6 +678,16 @@ def test_cli_rs_alpha_key_rejected(tmp_path, capsys):
     assert "'alpha'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("D = 5\n", "line 1: 'D = 5'"),
+    ("[radio]\n  f\n", "line 2: 'f'"),
+], ids=["no_section_header", "continues_no_key"])
+def test_cli_unparsable_config_is_one_error_line(tmp_path, capsys, text, where):
+    cfg_path = write_config(tmp_path, text)
+    assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: cannot parse {cfg_path}: {where}\n"
+
+
 def test_cli_gnuplot_needs_out(tmp_path, capsys):
     assert main(["sweep-capacity", "--emit-gnuplot"]) == EXIT_INVALID
     out = str(tmp_path / "cap.csv")
@@ -663,6 +697,26 @@ def test_cli_gnuplot_needs_out(tmp_path, capsys):
     script = open(out + ".gp").read()
     assert out in script
     assert "plot" in script
+
+
+def test_cli_gnuplot_failure_leaves_no_csv(tmp_path, capsys):
+    out = tmp_path / "cap.csv"
+    (tmp_path / "cap.csv.gp").mkdir()  # the script cannot be written
+    argv = ["sweep-capacity", "--out", str(out), "--grid", "30000", "--emit-gnuplot"]
+    assert main(argv) == EXIT_INVALID
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cap.csv.gp"]
+
+
+def test_cli_gnuplot_doubles_quotes_in_the_path(tmp_path):
+    # gnuplot reads '' as one ' inside a single-quoted string
+    folder = tmp_path / "it's"
+    folder.mkdir()
+    out = str(folder / "cap.csv")
+    argv = ["sweep-capacity", "--out", out, "--grid", "30000", "--emit-gnuplot"]
+    assert main(argv) == EXIT_OK
+    quoted = out.replace("'", "''")
+    assert f"plot '{quoted}' using 1:2 with lines" in open(out + ".gp").read()
 
 
 @pytest.mark.parametrize("command", [
@@ -805,6 +859,10 @@ QUIET = NOISE_FLOOR.format(r"-1e\+308")
 HUGE_SURFACE = "[ris]\nN = 1e200\n"
 HUGE_SURFACES = "[ris]\nN_list = 1e200\n"
 SURFACE_GAIN = r"the reflected path's gain overflows: a surface of N = 1e\+200 elements"
+# each link-budget figure is refused by the [radio] input with the largest
+# dB share in it, not by the one a fixed message used to blame
+RELAY_PRODUCT = r"the product of the relay hop SNRs at 20000 m overflows: "
+TOO_HIGH = r"\[radio\] {} is too high$"
 
 MODEL_ERROR_CASES = {
     "far_replay": (
@@ -848,6 +906,52 @@ MODEL_ERROR_CASES = {
     "huge_surface_replay": (HUGE_SURFACE, ["replay"], SURFACE_GAIN),
     "huge_surfaces_sweep_capacity": (HUGE_SURFACES, ["sweep-capacity"], SURFACE_GAIN),
     "huge_surfaces_sweep_ee": (HUGE_SURFACES, ["sweep-ee"], SURFACE_GAIN),
+    "subnormal_noise_select": (
+        "[radio]\nnoise_figure = -3050\n", ["select", "--kind", "communication"],
+        r"the noise floor of -3151 dBm leaves the float range: "
+        r"\[radio\] noise_figure = -3050 dB$",
+    ),
+    "narrow_band_sweep_capacity": (
+        "[radio]\nB = 1e-300\n", ["sweep-capacity"],
+        r"the noise floor of -3169 dBm leaves the float range: \[radio\] B = 1e-300 Hz$",
+    ),
+    "quiet_receiver_select": (
+        "[radio]\nnoise_figure = -2000\n", ["select", "--kind", "communication"],
+        RELAY_PRODUCT + r"\[radio\] noise_figure = -2000 dB is too low$",
+    ),
+    "quiet_receiver_sweep_capacity": (
+        "[radio]\nnoise_figure = -2000\n", ["sweep-capacity"],
+        RELAY_PRODUCT + r"\[radio\] noise_figure = -2000 dB is too low$",
+    ),
+    "loud_gateway_sweep_capacity": (
+        "[radio]\nP0_max = 1600\n", ["sweep-capacity"],
+        RELAY_PRODUCT + TOO_HIGH.format("P0_max = 1600 dBm"),
+    ),
+    "louder_gateway_sweep_capacity": (
+        "[radio]\nP0_max = 3000\n", ["sweep-capacity"],
+        RELAY_PRODUCT + TOO_HIGH.format("P0_max = 3000 dBm"),
+    ),
+    "relay_gain_select": (
+        "[radio]\nG_RS = 4000\n", ["select", "--kind", "communication"],
+        r"the relay hop SNR overflows: " + TOO_HIGH.format("G_RS = 4000 dB"),
+    ),
+    "gateway_gain_select": (
+        "[radio]\nG0_max = 4000\n", ["select", "--kind", "communication"],
+        r"the surface gain overflows: " + TOO_HIGH.format("G0_max = 4000 dB"),
+    ),
+    "gnb_gain_sweep_capacity": (
+        "[radio]\nG_gNB = 4000\n", ["sweep-capacity"],
+        r"the surface gain overflows: " + TOO_HIGH.format("G_gNB = 4000 dB"),
+    ),
+    "access_gain_replay": (
+        "[radio]\nG_H_rx = 4000\n", ["replay"],
+        r"the access hop SNR overflows: " + TOO_HIGH.format("G_H_rx = 4000 dB"),
+    ),
+    "scintillation_select": (
+        "[radio]\nscintillation_dB = 1e300\n", ["select", "--kind", "communication"],
+        r"the surface's reference-path loss of 0\.516 dB \(gaseous absorption over "
+        r"D = 60000 m\) overflows: " + TOO_HIGH.format(r"scintillation_dB = 1e\+300 dB"),
+    ),
 }
 
 

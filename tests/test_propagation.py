@@ -149,6 +149,15 @@ def test_total_loss_composition():
     assert budget.loss_dB(d) == pytest.approx(130.35, abs=0.02)
 
 
+def test_link_budget_refuses_an_attenuation_that_overflows():
+    # a library caller gets the message the CLI prints, not "math range error"
+    with pytest.raises(ValueError, match=(
+        r"^the dry-air attenuation overflows: "
+        r"\[radio\] pressure_Pa = 4e\+08 Pa, temperature_C = 15$"
+    )):
+        LinkBudget(RadioParams(pressure_Pa=4e8))
+
+
 @given(st.floats(min_value=100.0, max_value=1e6))
 def test_total_loss_monotone_in_distance(d):
     budget = LinkBudget(RadioParams())

@@ -251,6 +251,25 @@ def test_malformed_line_after_a_refusal_is_the_error(tmp_path, k, to_stdout):
     )
 
 
+def test_memoised_tail_with_a_bad_timestamp_names_its_line(tmp_path):
+    # the second line repeats the first one's tail, so only its t is parsed
+    trace = tmp_path / "t.trace"
+    trace.write_text("0,communication,,1e6,,\nx,communication,,1e6,,\n")
+    assert _cli(["replay", str(trace)]) == (
+        EXIT_INVALID, "", "error: line 2: bad timestamp 'x'\n"
+    )
+
+
+def test_total_energy_that_overflows_is_refused(tmp_path):
+    # each row's energy is finite (about 9.6e307 J); their sum is not
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text("[smbs]\npayload_power_W = 1e300\n")
+    trace = tmp_path / "t.trace"
+    trace.write_text("0,communication,,1e16,,\n1,communication,,1e16,,\n")
+    argv = ["replay", str(trace), "--config", str(cfg), "--force-mode", "smbs"]
+    assert _cli(argv) == (EXIT_INVALID, "", "error: total_energy_J overflows to inf\n")
+
+
 def test_stream_of_a_list_drains_on_from_the_refused_line():
     cfg = load_config(None)
     lines = ["# header", "0,task_offloading,,1.7e308,,", "1,communication,,,,",
@@ -309,6 +328,26 @@ def test_output_that_is_no_regular_file_is_written_in_place(tmp_path):
     assert code == EXIT_INVALID
     assert stderr == f"error: [Errno 21] Is a directory: '{target}'\n"
     assert target.is_dir() and sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", GOLDEN_TRACE], ["sweep-capacity", "--grid", "30000"],
+])
+def test_output_to_a_device_is_written_in_place(monkeypatch, argv):
+    # a rename over /dev/null would replace the device with a file: refuse
+    # it here, so a regression fails this test and leaves the device alone
+    rename = os.replace
+
+    def guarded(src, dst, *args, **kwargs):
+        if os.path.realpath(dst) == "/dev/null":
+            raise PermissionError(f"renamed {src} over /dev/null")
+        return rename(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", guarded)
+    code, stdout, _ = _cli(argv + ["--out", "/dev/null"])
+    assert (code, stdout) == (EXIT_OK, "")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+    assert not os.path.exists(f"/dev/null.{os.getpid()}.tmp")
 
 
 def test_forced_smbs_counts_no_cache_hits(tmp_path):
