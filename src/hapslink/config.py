@@ -47,8 +47,10 @@ class SweepSpec(Record):
                 f"[sweep] variable must be one of {SWEEP_VARIABLES}, "
                 f"got {self.variable!r}"
             )
-        if not self.step > 0:
-            raise ConfigError(f"[sweep] step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ConfigError(
+                f"[sweep] step must be positive and finite, got {self.step}"
+            )
         if self.stop < self.start:
             raise ConfigError("[sweep] stop must not precede start")
         # counted, not built: a float, so a tiny step cannot overflow it

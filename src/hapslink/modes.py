@@ -155,7 +155,8 @@ class Corridor:
     gateway - gNB corridor, computed once; the column methods (hop_lengths,
     columns) then do only the arithmetic that depends on the platform
     offset x, over a whole list of offsets, and the per-offset methods are
-    one-element calls of them.
+    one-element calls of them, but for ris_snr, the bare SNR whose
+    capacity columns computes in the same pass.
 
     This is the one place each capacity law lives. Constant prefixes keep
     the left-to-right order of the full per-hop expressions.
@@ -198,8 +199,11 @@ class Corridor:
         try:
             self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
         except OverflowError:
+            # with one root (H >= D/2) the reference path is 2 hypot(D/2, H)
+            one_root = len(ris_placement_roots(D, H)) == 1
+            longer = f"H = {H:g}" if one_root else f"D = {D:g}"
             text = (f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
-                    f"(gaseous absorption over D = {D:g} m) overflows")
+                    f"(gaseous absorption over {longer} m) overflows")
             scint = {"scintillation_dB": 2.0}
             raise _refusal(text, radio, scint, other=(atmosphere_db, text)) from None
         # a relay hop's SNR peaks at the shortest hop, H, and is lowest at
@@ -254,22 +258,50 @@ class Corridor:
 
         Each offset costs one pair of slant ranges and one product
         d1^2 d2^2 noise_w, shared by every surface; each surface's
-        numerator is computed once. Hop 1 is gateway -> platform (gains
+        numerator is computed once, and its capacity, log2(1 + ris_snr),
+        in the same pass as its SNR. Hop 1 is gateway -> platform (gains
         G0_max / G_RS), hop 2 platform -> gNB (gains G_RS / G_gNB); scale
         by alpha and 1 - alpha to apply a power split. The surface pays no
         half-duplex penalty: it is passive and reflects concurrently.
         """
         d1s, d2s = self.hop_lengths(xs)
-        snrs, log2 = self.budget.snrs, math.log2
+        snrs, log2, loss = self.budget.snrs, math.log2, self._ris_loss
+        noise_w = self._noise_w
+        denominators = [d1 * d1 * d2 * d2 * noise_w for d1, d2 in zip(d1s, d2s)]
         return (
             snrs(d1s, self._hop1_dB),
             snrs(d2s, self._hop2_dB),
-            [[log2(1.0 + s) for s in col] for col in self._ris_snrs(d1s, d2s, surfaces)],
+            [
+                [log2(1.0 + numerator / den / loss) for den in denominators]
+                for numerator in map(self._ris_numerator, surfaces)
+            ],
         )
 
-    def _ris_snrs(self, d1s, d2s, surfaces):
-        """Cascade SNR columns of the reflected gateway -> platform -> gNB
-        path, one per surface, each built when the one before is consumed.
+    def _ris_numerator(self, ris: RisConfig):
+        """The part of the reflected path's SNR that does not depend on
+        the offset, p_w G0 G_gNB (N beta)^2 (lambda / 4 pi)^4; a surface
+        whose gain overflows is refused by name."""
+        try:
+            numerator = self._ris_gain * (ris.N * ris.beta) ** 2 * self._ris_lam4
+            if numerator == math.inf:
+                raise OverflowError
+        except OverflowError:
+            text = "the reflected path's gain overflows"
+            surface = f"{text}: a surface of N = {ris.N:g} elements is too large"
+            share = 20.0 * math.log10(ris.N * ris.beta)
+            raise _refusal(text, self.budget.radio, _SURFACE_GAIN,
+                           other=(share, surface)) from None
+        return numerator
+
+    def rs_hop_snrs(self, x):
+        """Linear SNR of each relay hop at offset x if it got the whole
+        power budget (see columns)."""
+        snr1s, snr2s, _ = self.columns((x,))
+        return snr1s[0], snr2s[0]
+
+    def ris_snr(self, x, ris: RisConfig):
+        """Cascade SNR of the reflected gateway -> platform -> gNB path at
+        offset x; columns computes log2(1 + this) over a whole grid.
 
         Coherent combining over N elements gives amplitude ~ N * beta /
         (d1 * d2), so SNR ~ (N * beta)^2 * (lambda / 4 pi)^4 / (d1^2 * d2^2).
@@ -280,30 +312,9 @@ class Corridor:
         term would drag the capacity peaks off the product-distance roots
         that the placement formula pins down.
         """
-        noise_w, loss = self._noise_w, self._ris_loss
-        denominators = [d1 * d1 * d2 * d2 * noise_w for d1, d2 in zip(d1s, d2s)]
-        for ris in surfaces:
-            try:
-                numerator = self._ris_gain * (ris.N * ris.beta) ** 2 * self._ris_lam4
-                if numerator == math.inf:
-                    raise OverflowError
-            except OverflowError:
-                text = "the reflected path's gain overflows"
-                surface = f"{text}: a surface of N = {ris.N:g} elements is too large"
-                share = 20.0 * math.log10(ris.N * ris.beta)
-                raise _refusal(text, self.budget.radio, _SURFACE_GAIN,
-                               other=(share, surface)) from None
-            yield [numerator / den / loss for den in denominators]
-
-    def rs_hop_snrs(self, x):
-        """Linear SNR of each relay hop at offset x if it got the whole
-        power budget (see columns)."""
-        snr1s, snr2s, _ = self.columns((x,))
-        return snr1s[0], snr2s[0]
-
-    def ris_snr(self, x, ris: RisConfig):
-        """Cascade SNR of the reflected path at offset x (see _ris_snrs)."""
-        return next(self._ris_snrs(*self.hop_lengths((x,)), (ris,)))[0]
+        d1, d2 = self.distances(x)
+        den = d1 * d1 * d2 * d2 * self._noise_w
+        return self._ris_numerator(ris) / den / self._ris_loss
 
     def ris_capacity(self, x, ris: RisConfig):
         """Reflected-path spectral efficiency at offset x, bps/Hz."""
@@ -384,9 +395,20 @@ def relay_capacity(snr1, snr2, alpha):
     C = 1/2 * min over hops of log2(1 + hop SNR), with the power split
     alpha / (1 - alpha) applied to the full-power hop SNRs.
     """
+    return relay_capacities((snr1,), (snr2,), alpha)[0]
+
+
+def relay_capacities(snr1s, snr2s, alpha):
+    """relay_capacity over two full-power hop-SNR columns at one split
+    alpha, checked once."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return 0.5 * math.log2(1.0 + min(alpha * snr1, (1.0 - alpha) * snr2))
+    rest, log2 = 1.0 - alpha, math.log2
+    # min(alpha * s1, rest * s2), without a call per element
+    return [
+        0.5 * log2(1.0 + (b if (b := rest * s2) < (a := alpha * s1) else a))
+        for s1, s2 in zip(snr1s, snr2s)
+    ]
 
 
 def relay_optimal_split(snr1, snr2):
@@ -396,8 +418,18 @@ def relay_optimal_split(snr1, snr2):
     a* = snr2 / (snr1 + snr2), leaving C = 1/2 log2(1 + snr1 snr2 /
     (snr1 + snr2)): the equal-SNR allocation of two-hop decode-and-forward.
     """
-    total = snr1 + snr2
-    return snr2 / total, 0.5 * math.log2(1.0 + snr1 * snr2 / total)
+    alphas, capacities = relay_optimal_splits((snr1,), (snr2,))
+    return alphas[0], capacities[0]
+
+
+def relay_optimal_splits(snr1s, snr2s):
+    """relay_optimal_split over two full-power hop-SNR columns: the
+    column of best splits and the column of capacities they buy."""
+    log2 = math.log2
+    return (
+        [s2 / (s1 + s2) for s1, s2 in zip(snr1s, snr2s)],
+        [0.5 * log2(1.0 + s1 * s2 / (s1 + s2)) for s1, s2 in zip(snr1s, snr2s)],
+    )
 
 
 # =====================================================================
@@ -452,6 +484,12 @@ def carrier(row):
 
 def energy_efficiency(capacity_bps, payload_power_W):
     """Delivered bits per joule of payload energy."""
+    return energy_efficiencies((capacity_bps,), 1, payload_power_W)[0]  # 1 Hz: c * 1 is c
+
+
+def energy_efficiencies(spectral_efficiencies, B, payload_power_W):
+    """energy_efficiency of each spectral efficiency (bps/Hz) carried over
+    a bandwidth of B Hz by one payload, its power checked once."""
     if payload_power_W <= 0:
         raise ValueError("payload power must be positive for an efficiency ratio")
-    return capacity_bps / payload_power_W
+    return [c * B / payload_power_W for c in spectral_efficiencies]

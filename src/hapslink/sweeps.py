@@ -7,7 +7,7 @@ the CLI reports alongside the CSV.
 """
 
 import math
-from itertools import chain, repeat
+from itertools import chain
 
 from ._record import Record, replace
 from .config import ScenarioConfig
@@ -15,9 +15,9 @@ from .modes import (
     Corridor,
     Mode,
     carrier,
-    energy_efficiency,
-    relay_capacity,
-    relay_optimal_split,
+    energy_efficiencies,
+    relay_capacities,
+    relay_optimal_splits,
     ris_placement_roots,
 )
 from .offload import task_latencies
@@ -28,13 +28,17 @@ class SweepResult(Record):
     extreme powers) is refused here rather than written as inf or nan."""
 
     header: tuple
-    rows: tuple
+    rows: tuple  # of row tuples, one float per header name
     notes: dict  # a new {} when not given
 
     def __init__(self, header, rows, notes=None):
         super().__init__(header, rows, {} if notes is None else notes)
 
     def __post_init__(self):
+        # an inf or nan cell makes the sum non-finite; so can finite cells
+        # whose sum overflows, which the scan below then lets through
+        if math.isfinite(sum(chain.from_iterable(self.rows))):
+            return
         if all(map(math.isfinite, chain.from_iterable(self.rows))):
             return
         row = next(r for r in self.rows if not all(map(math.isfinite, r)))
@@ -47,10 +51,9 @@ class SweepResult(Record):
 
     def to_csv(self):
         # same cells as engine._fmt; sweep rows never hold None
-        template = ",".join(["{:.8e}"] * len(self.header)).format
-        lines = [",".join(self.header)]
-        lines.extend(template(*row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        template = ",".join(["%.8e"] * len(self.header)) + "\n"
+        rows = "".join([template % row for row in self.rows])
+        return ",".join(self.header) + "\n" + rows
 
     def column(self, name):
         idx = self.header.index(name)
@@ -72,8 +75,8 @@ def _placement_columns(cfg: ScenarioConfig, step):
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
     xs = spec.grid()
     snr1s, snr2s, ris_cols = corridor.columns(xs, _ris_variants(cfg))
-    alphas, capopt = zip(*map(relay_optimal_split, snr1s, snr2s))
-    cap05 = list(map(relay_capacity, snr1s, snr2s, repeat(0.5)))
+    alphas, capopt = relay_optimal_splits(snr1s, snr2s)
+    cap05 = relay_capacities(snr1s, snr2s, 0.5)
     return xs, cap05, capopt, alphas, ris_cols
 
 
@@ -114,7 +117,7 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]
     surfaces = _ris_variants(cfg)
     payloads += [(ris.payload_power_W, col) for ris, col in zip(surfaces, ris_cols)]
-    ee_cols = [[energy_efficiency(c * B, power) for c in col] for power, col in payloads]
+    ee_cols = [energy_efficiencies(col, B, power) for power, col in payloads]
     del cap05, capopt, ris_cols, payloads
     rows = tuple(zip(xs, *ee_cols))
 

@@ -839,6 +839,9 @@ ONE_TASK = "0.0,task_offloading,,1e6,,\n"
 # the message names the quantity that failed
 UNREACHABLE = r"mode unreachable: {} capacity is zero"
 HUGE_LOSS = r"reference-path loss of .* dB \(gaseous absorption over D = 1e\+09 m\)"
+# a 1e9 m platform height: the reference path runs through the midpoint, ~2H long
+TALL_CORRIDOR = "[geometry]\nH = 1e9\n"
+TALL_LOSS = r"reference-path loss of .* dB \(gaseous absorption over H = 1e\+09 m\)"
 # radio powers whose hop SNRs underflow to 0 or whose surface gain overflows
 FAINT_RADIO = "[radio]\nP0_max = -3300\n"
 LOUD_RADIO = "[radio]\nP0_max = 1e6\n"
@@ -879,6 +882,8 @@ MODEL_ERROR_CASES = {
     "huge_replay": (HUGE_CORRIDOR, ["replay"], HUGE_LOSS),
     "huge_select": (HUGE_CORRIDOR, ["select", "--kind", "communication"], HUGE_LOSS),
     "huge_sweep_latency": (HUGE_CORRIDOR, ["sweep-latency"], HUGE_LOSS),
+    "tall_select": (TALL_CORRIDOR, ["select", "--kind", "communication"], TALL_LOSS),
+    "tall_sweep_latency": (TALL_CORRIDOR, ["sweep-latency"], TALL_LOSS),
     "faint_sweep_capacity": (FAINT_RADIO, ["sweep-capacity"], FAINT_HOP),
     "faint_sweep_ee": (FAINT_RADIO, ["sweep-ee"], FAINT_HOP),
     "faint_sweep_latency": (FAINT_RADIO, ["sweep-latency"], FAINT_HOP),

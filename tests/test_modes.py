@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapslink import (
     Corridor,
@@ -13,8 +13,10 @@ from hapslink import (
     energy_efficiency,
     mode_payload_power_W,
     relay_capacity,
+    relay_optimal_split,
     ris_placement_roots,
 )
+from hapslink.modes import energy_efficiencies, relay_capacities, relay_optimal_splits
 from hapslink.propagation import fspl_dB, noise_power_dBm
 
 from conftest import D_DEFAULT, H_DEFAULT
@@ -204,3 +206,63 @@ def test_energy_efficiency_arithmetic():
     assert energy_efficiency(0.0, 10.0) == 0.0
     with pytest.raises(ValueError):
         energy_efficiency(1000.0, 0.0)
+
+
+# ---------------------------------------------------------------
+# column forms: each element is the scalar law, bit for bit
+# ---------------------------------------------------------------
+
+SNR = st.floats(min_value=1e-300, max_value=1e300)
+EXTREMES = [(1e-300, 1e-300), (1e-300, 1e300), (1e300, 1e-300), (1e300, 1e300)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(SNR, SNR), min_size=1, max_size=30),
+    alpha=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    B=st.floats(min_value=1.0, max_value=1e12),
+    power=st.floats(min_value=1e-3, max_value=1e6),
+)
+@example(pairs=EXTREMES, alpha=0.5, B=2e7, power=1000.0)
+@example(pairs=EXTREMES, alpha=0.25, B=1.0, power=1e-3)
+def test_relay_and_ee_columns_are_the_law_per_element(pairs, alpha, B, power):
+    snr1s = [s1 for s1, _ in pairs]
+    snr2s = [s2 for _, s2 in pairs]
+    alphas, capacities = relay_optimal_splits(snr1s, snr2s)
+    assert alphas == [s2 / (s1 + s2) for s1, s2 in pairs]
+    assert capacities == [0.5 * math.log2(1.0 + s1 * s2 / (s1 + s2)) for s1, s2 in pairs]
+    fixed = [0.5 * math.log2(1.0 + min(alpha * s1, (1.0 - alpha) * s2)) for s1, s2 in pairs]
+    assert relay_capacities(snr1s, snr2s, alpha) == fixed
+    assert energy_efficiencies(capacities, B, power) == [c * B / power for c in capacities]
+    # the scalars are one-element calls of the columns
+    for (s1, s2), a, c, f in zip(pairs, alphas, capacities, fixed):
+        assert relay_optimal_split(s1, s2) == (a, c)
+        assert relay_capacity(s1, s2, alpha) == f
+        assert energy_efficiency(c * B, power) == c * B / power
+
+
+def test_column_forms_check_their_input_once():
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got 1.0"):
+        relay_capacities([1.0, 2.0], [1.0, 2.0], 1.0)
+    with pytest.raises(ValueError, match="payload power must be positive"):
+        energy_efficiencies([1.0, 2.0], 2e7, 0.0)
+    assert relay_optimal_splits([], []) == ([], [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.floats(1e3, 3e5),
+    H=st.floats(1e3, 5e4),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    surfaces=st.lists(
+        st.builds(RisConfig, N=st.integers(1, 10**6), beta=st.floats(1e-3, 1.0)),
+        max_size=3,
+    ),
+)
+def test_surface_capacity_column_is_log2_of_its_snr(D, H, fracs, surfaces):
+    corridor = Corridor(D, H, RadioParams())
+    xs = [frac * D for frac in fracs]
+    columns = corridor.columns(xs, surfaces)[2]
+    assert columns == [
+        [math.log2(1.0 + corridor.ris_snr(x, ris)) for x in xs] for ris in surfaces
+    ]

@@ -299,6 +299,15 @@ def test_grid_cap_refuses_before_building():
         SweepSpec("S", 0.0, 1.0, float("nan"))
 
 
+@pytest.mark.parametrize("command", ["sweep-capacity", "sweep-latency"])
+def test_cli_infinite_grid_step_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--grid", "inf", "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == "error: [sweep] step must be positive and finite, got inf\n"
+    assert not out.exists()
+
+
 def test_cli_grid_over_the_cap_exits_1(capsys):
     start = time.perf_counter()
     assert main(["sweep-capacity", "--grid", "1e-6"]) == EXIT_INVALID
@@ -316,6 +325,14 @@ def test_sweep_result_refuses_non_finite_cells():
         SweepResult(("S_bits", "rs_s"), ((0.0, 1.0), (2.0, math.inf)))
     with pytest.raises(ValueError, match="ris_s overflows to nan"):
         SweepResult(("x_m", "ris_s"), ((0.0, math.nan),))
+    # finite cells whose sum overflows are still finite cells
+    SweepResult(("x_m", "rs_s"), ((1e308, 1e308),))
+    # the first non-finite cell in row order, then column order: (1, 2), not (2, 1)
+    with pytest.raises(ValueError, match=r"^\[sweep\] ris_s overflows to inf at x_m = 1$"):
+        SweepResult(
+            ("x_m", "rs_s", "ris_s"),
+            ((0.0, 1.0, 1.0), (1.0, 1.0, math.inf), (2.0, math.nan, 1.0)),
+        )
 
 
 def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
