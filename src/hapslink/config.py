@@ -15,7 +15,7 @@ from ._record import Record
 from .engine import CacheState, EngineContext
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
-from .propagation import DRY_AIR_F_MAX_HZ, DRY_AIR_F_MIN_HZ, RadioParams, ScenarioGeometry
+from .propagation import RadioParams, ScenarioGeometry
 
 ENV_CONFIG_VAR = "HAPSLINK_CONFIG"
 
@@ -95,6 +95,33 @@ class ScenarioConfig(Record):
     sweep: Optional[SweepSpec] = None
     output_path: Optional[str] = None
 
+    def __post_init__(self):
+        if not self.ris_N_list:
+            raise ConfigError("[ris] N_list must not be empty")
+        if not self.smbs_F_H_list:
+            raise ConfigError("[smbs] F_H_list must not be empty")
+        for n in self.ris_N_list:
+            if not (1 <= n < math.inf and n == int(n)):
+                raise ConfigError(f"[ris] N_list entries must be positive integers, got {n:g}")
+        object.__setattr__(self, "ris_N_list", tuple(int(n) for n in self.ris_N_list))
+        for fh in self.smbs_F_H_list:
+            if not fh > 0:
+                raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")
+        if self.popularity_threshold < 1:
+            raise ConfigError("[engine] popularity_threshold must be at least 1")
+        if not self.cycles_per_bit > 0:
+            raise ConfigError("[engine] cycles_per_bit must be positive")
+        if self.sweep is None:
+            return
+        # offsets stay inside the corridor; task sizes cannot be negative
+        variable = self.sweep.variable
+        upper = self.geom.D if variable == "x" else math.inf
+        for key in ("start", "stop"):
+            value = getattr(self.sweep, key)
+            if not 0 <= value <= upper:
+                raise ConfigError(f"[sweep] {key} = {value:g} is outside [0, {upper:g}] "
+                                  f"for variable {variable}")
+
     @property
     def configs(self) -> ModeConfigs:
         return ModeConfigs(rs=self.rs, ris=self.ris, smbs=self.smbs)
@@ -155,13 +182,21 @@ _SECTIONS = {
     "smbs": "smbs", "cloud": "cloud",
 }
 
+# (section, key) -> (ScenarioConfig field, cast): the keys that set a
+# field of ScenarioConfig itself; read in this order, after the records
+_EXTRAS = {
+    ("ris", "N_list"): ("ris_N_list", _float_list),
+    ("smbs", "F_H_list"): ("smbs_F_H_list", _float_list),
+    ("engine", "popularity_threshold"): ("popularity_threshold", int),
+    ("engine", "cycles_per_bit"): ("cycles_per_bit", float),
+}
+
 _KNOWN_KEYS = {
     section: set(ScenarioConfig.__annotations__[field]._fields)
     for section, field in _SECTIONS.items()
 }
-_KNOWN_KEYS["ris"].add("N_list")
-_KNOWN_KEYS["smbs"].add("F_H_list")
-_KNOWN_KEYS["engine"] = {"popularity_threshold", "cycles_per_bit"}
+for section, key in _EXTRAS:
+    _KNOWN_KEYS.setdefault(section, set()).add(key)
 _KNOWN_KEYS["sweep"] = set(SweepSpec._fields)
 _KNOWN_KEYS["output"] = {"path"}
 
@@ -179,7 +214,9 @@ def load_config(path=None) -> ScenarioConfig:
     """Build a ScenarioConfig from defaults plus an optional override file.
 
     Resolution order: explicit path, then the HAPSLINK_CONFIG environment
-    variable, then pure defaults.
+    variable, then pure defaults. This only parses: each value rule lives
+    in the record that holds the value, so code and files are refused
+    alike.
     """
     if path is None:
         path = os.environ.get(ENV_CONFIG_VAR) or None
@@ -211,54 +248,14 @@ def load_config(path=None) -> ScenarioConfig:
     for section, field in _SECTIONS.items():
         record = getattr(base, field)
         cls = type(record)
-        values = {}
-        for key, cast in cls.__annotations__.items():
-            values[key] = _get(parser, section, key, cast, getattr(record, key))
+        values = {key: _get(parser, section, key, cast, getattr(record, key))
+                  for key, cast in cls.__annotations__.items()}
         try:
             records[field] = cls(**values)
         except ValueError as err:
             raise ConfigError(f"[{section}] {err}") from None
-    radio = records["radio"]
-    if not DRY_AIR_F_MIN_HZ <= radio.f <= DRY_AIR_F_MAX_HZ:
-        raise ConfigError(
-            f"[radio] f = {radio.f:g} Hz is outside the dry-air model window "
-            f"[{DRY_AIR_F_MIN_HZ:.0e}, {DRY_AIR_F_MAX_HZ:.0e}] Hz"
-        )
-
-    # pressure 0 is allowed: it turns gaseous attenuation off
-    if not radio.pressure_Pa >= 0:
-        raise ConfigError(
-            f"[radio] pressure_Pa cannot be negative, got {radio.pressure_Pa:g}"
-        )
-    if not radio.temperature_C > -273.0:
-        raise ConfigError(
-            f"[radio] temperature_C must be above -273, got {radio.temperature_C:g}"
-        )
-
-    ris_N_list = _get(parser, "ris", "N_list", _float_list, base.ris_N_list)
-    smbs_F_H_list = _get(parser, "smbs", "F_H_list", _float_list, base.smbs_F_H_list)
-    if not ris_N_list:
-        raise ConfigError("[ris] N_list must not be empty")
-    if not smbs_F_H_list:
-        raise ConfigError("[smbs] F_H_list must not be empty")
-    for n in ris_N_list:
-        if not (n >= 1 and n == int(n)):
-            raise ConfigError(
-                f"[ris] N_list entries must be positive integers, got {n:g}"
-            )
-    ris_N_list = tuple(int(n) for n in ris_N_list)
-    for fh in smbs_F_H_list:
-        if not fh > 0:
-            raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")
-
-    threshold = _get(
-        parser, "engine", "popularity_threshold", int, base.popularity_threshold
-    )
-    cycles = _get(parser, "engine", "cycles_per_bit", float, base.cycles_per_bit)
-    if threshold < 1:
-        raise ConfigError("[engine] popularity_threshold must be at least 1")
-    if cycles <= 0:
-        raise ConfigError("[engine] cycles_per_bit must be positive")
+    extras = {field: _get(parser, section, key, cast, getattr(base, field))
+              for (section, key), (field, cast) in _EXTRAS.items()}
 
     sweep = None
     if parser.has_section("sweep"):
@@ -269,23 +266,6 @@ def load_config(path=None) -> ScenarioConfig:
             parser.get("sweep", "variable").strip(),
             *[_get(parser, "sweep", key, float, None) for key in ("start", "stop", "step")],
         )
-        # offsets stay inside the corridor; task sizes cannot be negative
-        upper = records["geom"].D if sweep.variable == "x" else math.inf
-        for key, value in (("start", sweep.start), ("stop", sweep.stop)):
-            if not 0 <= value <= upper:
-                raise ConfigError(
-                    f"[sweep] {key} = {value:g} is outside [0, {upper:g}] "
-                    f"for variable {sweep.variable}"
-                )
-
     output_path = parser.get("output", "path", fallback="").strip() or None
 
-    return ScenarioConfig(
-        **records,
-        ris_N_list=ris_N_list,
-        smbs_F_H_list=smbs_F_H_list,
-        popularity_threshold=threshold,
-        cycles_per_bit=cycles,
-        sweep=sweep,
-        output_path=output_path,
-    )
+    return ScenarioConfig(**records, **extras, sweep=sweep, output_path=output_path)

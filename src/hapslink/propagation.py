@@ -74,6 +74,18 @@ class RadioParams(Record):
             raise ValueError(
                 f"scintillation_dB cannot be negative, got {self.scintillation_dB}"
             )
+        if not DRY_AIR_F_MIN_HZ <= self.f <= DRY_AIR_F_MAX_HZ:
+            raise ValueError(
+                f"f = {self.f:g} Hz is outside the dry-air model window "
+                f"[{DRY_AIR_F_MIN_HZ:.0e}, {DRY_AIR_F_MAX_HZ:.0e}] Hz"
+            )
+        # pressure 0 is allowed: it turns gaseous attenuation off
+        if not self.pressure_Pa >= 0:
+            raise ValueError(f"pressure_Pa cannot be negative, got {self.pressure_Pa:g}")
+        if not self.temperature_C > -273.0:
+            raise ValueError(
+                f"temperature_C must be above -273, got {self.temperature_C:g}"
+            )
 
 
 # =====================================================================
@@ -114,13 +126,19 @@ def dry_air_specific_attenuation(f, pressure_Pa=101300.0, temperature_C=15.0):
     """Oxygen (dry air) specific attenuation in dB/km.
 
     Simplified sub-54-GHz model with pressure/temperature correction
-    factors. rp and rt normalise to 1013 hPa and 288 K.
+    factors. rp and rt normalise to 1013 hPa and 288 K. Refuses f outside
+    the model window, a negative pressure and a temperature at or below
+    -273 C, where the correction factors stop being real.
     """
     if not DRY_AIR_F_MIN_HZ <= f <= DRY_AIR_F_MAX_HZ:
         raise ValueError(
             f"frequency {f} Hz outside the model validity window "
             f"[{DRY_AIR_F_MIN_HZ:.0e}, {DRY_AIR_F_MAX_HZ:.0e}]"
         )
+    if not pressure_Pa >= 0:
+        raise ValueError(f"pressure {pressure_Pa} Pa cannot be negative")
+    if not temperature_C > -273.0:
+        raise ValueError(f"temperature {temperature_C} C must be above -273")
     f_ghz = f / 1e9
     rp = (pressure_Pa / 100.0) / 1013.0
     rt = 288.0 / (273.0 + temperature_C)

@@ -65,19 +65,23 @@ def _ris_variants(cfg: ScenarioConfig):
     return [replace(cfg.ris, N=n) for n in cfg.ris_N_list]
 
 
-def _placement_columns(cfg: ScenarioConfig, step):
-    """The placement grid xs and the columns over it: the relay's capacity
-    at alpha = 0.5 and at the optimal split (bps/Hz), the optimal alpha,
-    and one capacity column (bps/Hz) per configured surface size. The
-    hop-SNR columns are freed on return, so a sweep's memory peak stays
-    below that of the CSV rendered from its rows."""
-    spec = cfg.sweep_for("x", step)
+def _placement_columns(cfg: ScenarioConfig, xs):
+    """The columns over the offsets xs: the relay's capacity at alpha =
+    0.5 and at the optimal split (bps/Hz), the optimal alpha, and one
+    capacity column (bps/Hz) per configured surface size. The hop-SNR
+    columns are freed on return, so a sweep's memory peak stays below
+    that of the CSV rendered from its rows."""
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    xs = spec.grid()
     snr1s, snr2s, ris_cols = corridor.columns(xs, _ris_variants(cfg))
     alphas, capopt = relay_optimal_splits(snr1s, snr2s)
     cap05 = relay_capacities(snr1s, snr2s, 0.5)
-    return xs, cap05, capopt, alphas, ris_cols
+    return cap05, capopt, alphas, ris_cols
+
+
+def _degradations(cap05, capopt):
+    """The relay's capacity lost at alpha = 0.5 against the optimal
+    split, in percent of the latter."""
+    return [100.0 * (1.0 - c5 / co) if co > 0 else 0.0 for c5, co in zip(cap05, capopt)]
 
 
 # =====================================================================
@@ -88,16 +92,16 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     """Relay (fixed and optimal split) and reflected-path capacity over x."""
     header = ["x_m", "rs_alpha05_bps_hz", "rs_alpha_opt_bps_hz", "alpha_opt"]
     header += [f"ris_N{n}_bps_hz" for n in cfg.ris_N_list]
-    xs, cap05, capopt, alphas, ris_cols = _placement_columns(cfg, step)
+    spec = cfg.sweep_for("x", step)
+    xs = spec.grid()
+    cap05, capopt, alphas, ris_cols = _placement_columns(cfg, xs)
     rows = tuple(zip(xs, cap05, capopt, alphas, *ris_cols))
 
-    degradation = [
-        100.0 * (1.0 - c5 / co) if co > 0 else 0.0
-        for c5, co in zip(cap05, capopt)
-    ]
+    # the grid ends short of the stop when the step does not divide the span
+    stop05, stopopt, _, _ = _placement_columns(cfg, [spec.stop])
     notes = {
-        "alpha05_max_degradation_pct": max(degradation),
-        "alpha05_degradation_at_stop_pct": degradation[-1],
+        "alpha05_max_degradation_pct": max(_degradations(cap05, capopt)),
+        "alpha05_degradation_at_stop_pct": _degradations(stop05, stopopt)[0],
         "ris_roots_m": ris_placement_roots(cfg.geom.D, cfg.geom.H),
     }
     return SweepResult(tuple(header), rows, notes)
@@ -111,7 +115,8 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     """Bits per joule over x for the relay and each configured surface size."""
     header = ["x_m", "ee_rs_alpha05_bits_per_J", "ee_rs_alpha_opt_bits_per_J"]
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
-    xs, cap05, capopt, alphas, ris_cols = _placement_columns(cfg, step)
+    xs = cfg.sweep_for("x", step).grid()
+    cap05, capopt, alphas, ris_cols = _placement_columns(cfg, xs)
     del alphas  # not an EE column: freed before the EE columns are built
     B = cfg.radio.B
     payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]

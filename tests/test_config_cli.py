@@ -190,7 +190,10 @@ def test_empty_n_list_rejected(tmp_path):
 # files with two faults each -> the one error the loader reports. The
 # order is: unknown sections and keys (in file order), then the records
 # in geometry, radio, rs, ris, smbs, cloud order, each key in field
-# order, then the radio window checks, the lists, [engine], [sweep].
+# order and then the record's own rules (the radio's f window, pressure
+# and temperature among them), then the [ris]/[smbs] lists and [engine]
+# keys as parsed, then [sweep] as parsed, and last ScenarioConfig's own
+# rules: the lists, [engine], the [sweep] bounds.
 TWO_FAULT_CONFIGS = {
     "geometry_then_radio": (
         "[radio]\nB = xyz\n[geometry]\nD = abc\n",
@@ -218,9 +221,9 @@ TWO_FAULT_CONFIGS = {
     "unknown_section_first": (
         "[geometry]\nD = nan\n[antenna]\nG = 3\n", "unknown section [antenna]",
     ),
-    "f_window_after_rs": (
+    "f_window_before_rs": (
         "[radio]\nf = 100e9\n[rs]\npayload_power_W = 0\n",
-        "[rs] payload_power_W must be positive, got 0.0",
+        "[radio] f = 1e+11 Hz is outside the dry-air model window [1e+09, 5e+10] Hz",
     ),
     "f_parse_before_rs": (
         "[rs]\npayload_power_W = abc\n[radio]\nf = abc\n",
@@ -255,6 +258,15 @@ TWO_FAULT_CONFIGS = {
     "sweep_missing_before_value": (
         "[sweep]\nvariable = y\nstart = abc\n", "[sweep] missing key 'stop'",
     ),
+    "engine_parse_before_lists": (
+        "[ris]\nN_list = ,\n[engine]\ncycles_per_bit = abc\n",
+        "[engine] cycles_per_bit: cannot parse 'abc' as a finite number",
+    ),
+    "sweep_parse_before_engine": (
+        "[engine]\npopularity_threshold = 0\n"
+        "[sweep]\nvariable = x\nstart = 0\nstop = 1e3\nstep = 0\n",
+        "[sweep] step must be positive and finite, got 0.0",
+    ),
     "geometry_before_cloud": (
         "[cloud]\nF_C = 0\n[geometry]\nx = 90000\n",
         "[geometry] platform offset x=90000.0 outside the corridor [0, 60000.0]",
@@ -268,6 +280,93 @@ def test_first_of_two_faults_is_reported(tmp_path, case):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, text))
     assert str(err.value) == message
+
+
+# each value rule of RadioParams and ScenarioConfig: (the record built in
+# code, a file setting the same value, the refusal). Both give the same
+# words, but for the [radio] prefix a file puts on a radio record's refusal.
+RULE_PARITY = {
+    "f_below_window": (
+        lambda: RadioParams(f=5e8), "[radio]\nf = 5e8\n",
+        "f = 5e+08 Hz is outside the dry-air model window [1e+09, 5e+10] Hz",
+    ),
+    "f_above_window": (
+        lambda: RadioParams(f=100e9), "[radio]\nf = 100e9\n",
+        "f = 1e+11 Hz is outside the dry-air model window [1e+09, 5e+10] Hz",
+    ),
+    "pressure_negative": (
+        lambda: RadioParams(pressure_Pa=-100), "[radio]\npressure_Pa = -100\n",
+        "pressure_Pa cannot be negative, got -100",
+    ),
+    "temperature_absolute_zero": (
+        lambda: RadioParams(temperature_C=-273), "[radio]\ntemperature_C = -273\n",
+        "temperature_C must be above -273, got -273",
+    ),
+    "N_list_empty": (
+        lambda: ScenarioConfig(ris_N_list=()), "[ris]\nN_list = ,\n",
+        "[ris] N_list must not be empty",
+    ),
+    "F_H_list_empty": (
+        lambda: ScenarioConfig(smbs_F_H_list=()), "[smbs]\nF_H_list = ,\n",
+        "[smbs] F_H_list must not be empty",
+    ),
+    "N_list_fraction": (
+        lambda: ScenarioConfig(ris_N_list=(100, 1.5)), "[ris]\nN_list = 100, 1.5\n",
+        "[ris] N_list entries must be positive integers, got 1.5",
+    ),
+    "N_list_zero": (
+        lambda: ScenarioConfig(ris_N_list=(0,)), "[ris]\nN_list = 0\n",
+        "[ris] N_list entries must be positive integers, got 0",
+    ),
+    "F_H_list_zero": (
+        lambda: ScenarioConfig(smbs_F_H_list=(1e9, 0.0)), "[smbs]\nF_H_list = 1e9, 0\n",
+        "[smbs] F_H_list entries must be positive, got 0",
+    ),
+    "popularity_threshold_zero": (
+        lambda: ScenarioConfig(popularity_threshold=0),
+        "[engine]\npopularity_threshold = 0\n",
+        "[engine] popularity_threshold must be at least 1",
+    ),
+    "cycles_per_bit_negative": (
+        lambda: ScenarioConfig(cycles_per_bit=-1.0), "[engine]\ncycles_per_bit = -1\n",
+        "[engine] cycles_per_bit must be positive",
+    ),
+    "sweep_x_stop_past_D": (
+        lambda: ScenarioConfig(sweep=SweepSpec("x", 0.0, 1e9, 1e8)),
+        "[sweep]\nvariable = x\nstart = 0\nstop = 1e9\nstep = 1e8\n",
+        "[sweep] stop = 1e+09 is outside [0, 60000] for variable x",
+    ),
+    "sweep_x_stop_past_a_set_D": (
+        lambda: ScenarioConfig(geom=ScenarioGeometry(D=1000.0, H=2e4, x=0.0),
+                               sweep=SweepSpec("x", 0.0, 2000.0, 100.0)),
+        "[geometry]\nD = 1000\nx = 0\n"
+        "[sweep]\nvariable = x\nstart = 0\nstop = 2000\nstep = 100\n",
+        "[sweep] stop = 2000 is outside [0, 1000] for variable x",
+    ),
+    "sweep_S_start_negative": (
+        lambda: ScenarioConfig(sweep=SweepSpec("S", -5.0, 10.0, 1.0)),
+        "[sweep]\nvariable = S\nstart = -5\nstop = 10\nstep = 1\n",
+        "[sweep] start = -5 is outside [0, inf] for variable S",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_PARITY))
+def test_a_record_refuses_in_code_what_a_file_refuses(tmp_path, case):
+    build, text, message = RULE_PARITY[case]
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, text))
+    prefix = "[radio] " if text.startswith("[radio]") else ""
+    assert str(err.value) == prefix + message
+
+
+def test_scenario_config_counts_surface_elements_in_integers():
+    cfg = ScenarioConfig(ris_N_list=(1e4, 3e4))
+    assert cfg.ris_N_list == (10000, 30000)
+    assert all(type(n) is int for n in cfg.ris_N_list)
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -330,7 +429,8 @@ def _direct(entries):
     """What a file of entries ((section, key), text) should give: the
     ScenarioConfig built from the records made directly from the values,
     or ("section", "key") for a refusal naming that key, or ("section",
-    message) for a value the record itself refuses."""
+    message) for a value the record itself refuses (the radio's f window,
+    pressure and temperature rules among them)."""
     cfg = ScenarioConfig()
     texts = dict(entries)
     for section, (field, cls) in RECORD_SECTIONS.items():
@@ -354,12 +454,6 @@ def _direct(entries):
             cfg = replace(cfg, **{field: replace(record, **values)})
         except ValueError as err:
             return section, str(err)
-    if not 1e9 <= cfg.radio.f <= 5e10:
-        return "radio", "f"
-    if not cfg.radio.pressure_Pa >= 0:
-        return "radio", "pressure_Pa"
-    if not cfg.radio.temperature_C > -273:
-        return "radio", "temperature_C"
     return cfg
 
 
@@ -370,6 +464,8 @@ def _direct(entries):
 @example(entries=((("geometry", "D"), "1000.0"),), default=None)
 @example(entries=((("radio", "B"), "2e7%"),), default=None)
 @example(entries=((("radio", "B"), "2e7"),), default=(0, "D = 1000\n"))
+# a radio-window fault is the radio record's, so it precedes an [rs] one
+@example(entries=((("rs", "payload_power_W"), "0"), (("radio", "f"), "1e11")), default=None)
 def test_random_config_files_load_as_the_records_or_name_the_key(
     tmp_path, entries, default
 ):

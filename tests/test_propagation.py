@@ -125,6 +125,34 @@ def test_dry_air_validity_window():
     assert dry_air_specific_attenuation(50e9) > 0
 
 
+@pytest.mark.parametrize("pressure_Pa, temperature_C, message", [
+    (-1.0, 15.0, r"^pressure -1\.0 Pa cannot be negative$"),
+    (math.nan, 15.0, r"^pressure nan Pa cannot be negative$"),
+    (101300.0, -273.0, r"^temperature -273\.0 C must be above -273$"),
+    (101300.0, -300.0, r"^temperature -300\.0 C must be above -273$"),
+])
+def test_dry_air_refuses_an_atmosphere_outside_its_domain(
+    pressure_Pa, temperature_C, message
+):
+    # each used to return a complex attenuation or divide by zero
+    with pytest.raises(ValueError, match=message):
+        dry_air_specific_attenuation(2e9, pressure_Pa, temperature_C)
+    # pressure 0 turns the gaseous term off
+    assert dry_air_specific_attenuation(2e9, 0.0, 15.0) == 0.0
+
+
+def test_radio_params_refuse_what_the_dry_air_model_cannot_take():
+    # refused at the record, before a LinkBudget compares complex numbers
+    for kwargs, message in [
+        ({"f": 60e9}, r"^f = 6e\+10 Hz is outside the dry-air model window"),
+        ({"pressure_Pa": -100.0}, r"^pressure_Pa cannot be negative, got -100$"),
+        ({"temperature_C": -273.0}, r"^temperature_C must be above -273, got -273$"),
+        ({"temperature_C": math.nan}, r"^temperature_C must be above -273, got nan$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RadioParams(**kwargs)
+
+
 # ---------------------------------------------------------------
 # total loss + noise
 # ---------------------------------------------------------------

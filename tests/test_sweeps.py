@@ -74,6 +74,15 @@ def test_golden_sweep_output(name):
     assert result.notes == GOLDEN_NOTES[name]
 
 
+@pytest.mark.parametrize("step", [7000.0, 1e9, 10.0])
+def test_degradation_at_stop_is_taken_at_the_stop(step):
+    # 7000 m ends the grid at x = 56000 and 1e9 m at x = 0, short of D
+    notes = sweep_capacity(load_config(None), step).notes
+    assert notes["alpha05_degradation_at_stop_pct"] == (
+        GOLDEN_NOTES["capacity"]["alpha05_degradation_at_stop_pct"]
+    )
+
+
 # ---------------------------------------------------------------
 # Corridor: exactly the written-out link budget
 # ---------------------------------------------------------------
