@@ -4,8 +4,9 @@ A Record subclass lists its fields as annotated class attributes, in
 order, with a default after the annotation where it has one. They are
 read once, when the subclass is created, and the subclass gets:
 
-* an __init__ that takes the fields positionally or by name, then calls
-  the class's __post_init__, where its checks live;
+* an __init__ that takes the fields positionally or by name, applies
+  number() to each field annotated float or int, then calls the class's
+  __post_init__, where its other checks live;
 * refusal of attribute assignment (AttributeError);
 * __eq__ and __hash__ over the fields, between records of one class;
 * a repr that names each field.
@@ -16,22 +17,47 @@ so the class's checks run again. An attribute set in __post_init__
 out of __init__, comparison, hashing and the repr.
 """
 
+import math
+
 _REQUIRED = object()
+
+
+def number(name, value, integer=False, error=ValueError):
+    """value if it is a finite int or float, and whole when integer (then
+    as an int); else an error (a ValueError class) naming name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        raise error(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
+    if not finite:
+        raise error(f"{name} must be finite, got {value}")
+    if integer and value != int(value):
+        raise error(f"{name} must be an integer, got {value:g}")
+    return int(value) if integer else value
 
 
 class Record:
     _fields = ()    # field names, in order
     _defaults = {}  # field name -> default, or _REQUIRED
     _given = {}     # the fields that have a default -> that default
+    _numbers = ()   # (name, name after _tag, whether an int) per float or int field
+    _tag, _error = "", ValueError  # number()'s refusals: prefix and class
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         defaults = dict(cls._defaults)
-        for name in cls.__dict__.get("__annotations__", ()):
+        numbers = {name: integer for name, _, integer in cls._numbers}
+        for name, kind in cls.__dict__.get("__annotations__", {}).items():
             defaults[name] = cls.__dict__.get(name, _REQUIRED)
+            if kind is float or kind is int:
+                numbers[name] = kind is int
         cls._defaults = defaults
         cls._fields = tuple(defaults)
         cls._given = {k: v for k, v in defaults.items() if v is not _REQUIRED}
+        cls._numbers = tuple((name, cls._tag + name, integer)
+                             for name, integer in numbers.items())
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -50,6 +76,8 @@ class Record:
             values.update(kwargs)
         if len(values) < len(fields):  # a field with no default not given
             raise TypeError(_misfit(cls, args, kwargs))
+        for name, label, integer in cls._numbers:
+            values[name] = number(label, values[name], integer, cls._error)
         self.__post_init__()
 
     def __post_init__(self):

@@ -11,7 +11,7 @@ import math
 import os
 from typing import Optional
 
-from ._record import Record
+from ._record import Record, number
 from .engine import CacheState, EngineContext
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
@@ -36,6 +36,7 @@ class ConfigError(ValueError):
 
 
 class SweepSpec(Record):
+    _tag, _error = "[sweep] ", ConfigError
     variable: str
     start: float
     stop: float
@@ -47,10 +48,8 @@ class SweepSpec(Record):
                 f"[sweep] variable must be one of {SWEEP_VARIABLES}, "
                 f"got {self.variable!r}"
             )
-        if not 0 < self.step < math.inf:
-            raise ConfigError(
-                f"[sweep] step must be positive and finite, got {self.step}"
-            )
+        if not self.step > 0:
+            raise ConfigError(f"[sweep] step must be positive and finite, got {self.step}")
         if self.stop < self.start:
             raise ConfigError("[sweep] stop must not precede start")
         # counted, not built: a float, so a tiny step cannot overflow it
@@ -82,6 +81,7 @@ class SweepSpec(Record):
 
 
 class ScenarioConfig(Record):
+    _tag, _error = "[engine] ", ConfigError  # its float and int fields are [engine] keys
     geom: ScenarioGeometry = ScenarioGeometry(D=60000.0, H=20000.0, x=30000.0)
     radio: RadioParams = RadioParams()
     rs: RsConfig = RsConfig()
@@ -101,11 +101,11 @@ class ScenarioConfig(Record):
         if not self.smbs_F_H_list:
             raise ConfigError("[smbs] F_H_list must not be empty")
         for n in self.ris_N_list:
-            if not (1 <= n < math.inf and n == int(n)):
+            if not (1 <= number("[ris] N_list", n, error=ConfigError) and n == int(n)):
                 raise ConfigError(f"[ris] N_list entries must be positive integers, got {n:g}")
         object.__setattr__(self, "ris_N_list", tuple(int(n) for n in self.ris_N_list))
         for fh in self.smbs_F_H_list:
-            if not fh > 0:
+            if not number("[smbs] F_H_list", fh, error=ConfigError) > 0:
                 raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")
         if self.popularity_threshold < 1:
             raise ConfigError("[engine] popularity_threshold must be at least 1")
@@ -151,28 +151,19 @@ class ScenarioConfig(Record):
 # File parsing
 # =====================================================================
 
-def _get(parser, section, key, cast, current):
-    """[section] key read as cast, or current when the file does not set
-    it. cast is float, _float_list, or int: a whole number, which may be
-    written 5e4 but not 1.5."""
+def _get(parser, section, key, current):
+    """[section] key's float, or tuple of comma-separated floats where
+    current is a tuple; current when the file does not set it. This only
+    parses: the record that takes the value applies the rules."""
     if not parser.has_option(section, key):
         return current
     raw = parser.get(section, key)
     try:
-        value = (float if cast is int else cast)(raw)
-        values = value if isinstance(value, tuple) else (value,)
-        finite = all(math.isfinite(v) for v in values)
-    except (ValueError, TypeError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a finite number")
-    if cast is int and value != int(value):
-        raise ConfigError(f"[{section}] {key} must be an integer, got {value:g}")
-    return int(value) if cast is int else value
-
-
-def _float_list(raw):
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        if isinstance(current, tuple):
+            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a finite number") from None
 
 
 # INI section -> the ScenarioConfig field whose record it builds; read in
@@ -182,13 +173,13 @@ _SECTIONS = {
     "smbs": "smbs", "cloud": "cloud",
 }
 
-# (section, key) -> (ScenarioConfig field, cast): the keys that set a
-# field of ScenarioConfig itself; read in this order, after the records
+# (section, key) -> the field of ScenarioConfig itself that it sets;
+# read in this order, after the records
 _EXTRAS = {
-    ("ris", "N_list"): ("ris_N_list", _float_list),
-    ("smbs", "F_H_list"): ("smbs_F_H_list", _float_list),
-    ("engine", "popularity_threshold"): ("popularity_threshold", int),
-    ("engine", "cycles_per_bit"): ("cycles_per_bit", float),
+    ("ris", "N_list"): "ris_N_list",
+    ("smbs", "F_H_list"): "smbs_F_H_list",
+    ("engine", "popularity_threshold"): "popularity_threshold",
+    ("engine", "cycles_per_bit"): "cycles_per_bit",
 }
 
 _KNOWN_KEYS = {
@@ -241,21 +232,19 @@ def load_config(path=None) -> ScenarioConfig:
         raise ConfigError(f"cannot parse {path}: {err}") from None
     _reject_unknown(parser)
 
-    # each section's record, with the fields the file sets read as their
-    # annotation (int or float) says; a value the record refuses is
-    # reported under [section]
+    # each section's record, with every number the file sets parsed first;
+    # a value the record refuses is reported under [section]
     records = {}
     for section, field in _SECTIONS.items():
         record = getattr(base, field)
-        cls = type(record)
-        values = {key: _get(parser, section, key, cast, getattr(record, key))
-                  for key, cast in cls.__annotations__.items()}
+        values = {key: _get(parser, section, key, getattr(record, key))
+                  for key in record._fields}
         try:
-            records[field] = cls(**values)
+            records[field] = type(record)(**values)
         except ValueError as err:
             raise ConfigError(f"[{section}] {err}") from None
-    extras = {field: _get(parser, section, key, cast, getattr(base, field))
-              for (section, key), (field, cast) in _EXTRAS.items()}
+    extras = {field: _get(parser, section, key, getattr(base, field))
+              for (section, key), field in _EXTRAS.items()}
 
     sweep = None
     if parser.has_section("sweep"):
@@ -264,7 +253,7 @@ def load_config(path=None) -> ScenarioConfig:
                 raise ConfigError(f"[sweep] missing key {key!r}")
         sweep = SweepSpec(
             parser.get("sweep", "variable").strip(),
-            *[_get(parser, "sweep", key, float, None) for key in ("start", "stop", "step")],
+            *[_get(parser, "sweep", key, None) for key in ("start", "stop", "step")],
         )
     output_path = parser.get("output", "path", fallback="").strip() or None
 

@@ -23,7 +23,7 @@ from collections import OrderedDict
 from enum import Enum
 from typing import Optional
 
-from ._record import Record
+from ._record import Record, number
 from .modes import Action, Mode, ModeConfigs, SmbsConfig, carrier
 from .offload import (
     CloudConfig,
@@ -55,7 +55,7 @@ class RequestError(ValueError):
 
 
 class Request(Record):
-    t: float
+    t: Optional[float]  # checked by validate_request when handled, not when built
     kind: RequestKind
     content_id: Optional[str] = None
     size_bits: Optional[float] = None
@@ -80,18 +80,8 @@ def validate_request(req: Request):
     if req.t is None:
         raise RequestError("t must be finite, got None")
     for name in ("t", "size_bits", "qos_min_bps"):
-        value = getattr(req, name)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RequestError(f"{name} must be a number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int past the float range
-            raise RequestError(f"{name} must be finite, got an int of "
-                               f"{value.bit_length()} bits") from None
-        if not finite:
-            raise RequestError(f"{name} must be finite, got {value}")
+        if getattr(req, name) is not None:
+            number(name, getattr(req, name), error=RequestError)
     if req.kind is RequestKind.TASK_OFFLOADING:
         if req.size_bits is None:
             raise RequestError("task_offloading request needs size_bits")
@@ -120,14 +110,13 @@ class CacheState:
     def __init__(self, capacity=SmbsConfig.cache_capacity,
                  popularity_threshold=popularity_threshold, entries=None,
                  popularity=None):
-        if not capacity >= 0:
+        capacity = number("capacity", capacity, True)
+        threshold = number("popularity_threshold", popularity_threshold, True)
+        if capacity < 0:
             raise ValueError(f"capacity cannot be negative, got {capacity}")
-        if not popularity_threshold >= 1:
-            raise ValueError(
-                f"popularity_threshold must be at least 1, got {popularity_threshold}"
-            )
-        self.capacity = capacity
-        self.popularity_threshold = popularity_threshold
+        if threshold < 1:
+            raise ValueError(f"popularity_threshold must be at least 1, got {threshold}")
+        self.capacity, self.popularity_threshold = capacity, threshold
         self.entries = OrderedDict() if entries is None else entries
         self.popularity = {} if popularity is None else popularity
 
@@ -174,7 +163,7 @@ class EngineContext(Record):
     cycles_per_bit: float = ComputeTask.cycles_per_bit
 
     def __post_init__(self):
-        if not 0 < self.cycles_per_bit < math.inf:
+        if not self.cycles_per_bit > 0:
             raise ValueError(
                 f"cycles_per_bit must be positive and finite, got {self.cycles_per_bit}"
             )
@@ -266,6 +255,7 @@ def _build(req: Request, branch, ctx: EngineContext):
     if best is None:  # no payload meets the QoS floor
         return ModeDecision(None, Action.INFEASIBLE, 0.0)
     mode, action, value = best
+    check_figures(value)  # bits per joule can overflow, on a surface of tiny element power
     if size is None:
         return ModeDecision(mode, action, value)
     _, capacity, power, path = carrier(ctx.row[mode])

@@ -66,10 +66,8 @@ class RisConfig(Record):
     per_element_power_W: float = 0.0078
 
     def __post_init__(self):
-        if self.N < 1 or int(self.N) != self.N:
-            raise ValueError(
-                f"N (element count) must be a positive integer, got {self.N}"
-            )
+        if self.N < 1:
+            raise ValueError(f"N (element count) must be a positive integer, got {self.N}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if not self.per_element_power_W > 0:

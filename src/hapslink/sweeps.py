@@ -24,8 +24,8 @@ from .offload import task_latencies
 
 
 class SweepResult(Record):
-    """A sweep's table and notes. A cell that overflowed (a huge task,
-    extreme powers) is refused here rather than written as inf or nan."""
+    """A sweep's table and notes. A repeated column name, or a cell that
+    overflowed (a huge task, extreme powers), is refused here, not written."""
 
     header: tuple
     rows: tuple  # of row tuples, one float per header name
@@ -35,6 +35,9 @@ class SweepResult(Record):
         super().__init__(header, rows, {} if notes is None else notes)
 
     def __post_init__(self):
+        if len(set(self.header)) < len(self.header):  # one list entry's column hides another's
+            name = next(n for i, n in enumerate(self.header) if n in self.header[:i])
+            raise ValueError(f"[sweep] two columns are named {name}")
         # an inf or nan cell makes the sum non-finite; so can finite cells
         # whose sum overflows, which the scan below then lets through
         if math.isfinite(sum(chain.from_iterable(self.rows))):

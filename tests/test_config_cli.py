@@ -136,12 +136,12 @@ def test_default_section_is_refused(tmp_path, text):
     assert str(err.value) == "unknown section [DEFAULT]"
 
 
-# (config text, the "[section] key" its error must name)
+# (config text, its error): the record that takes the value refuses it
 NON_FINITE_CONFIGS = (
-    ("[smbs]\ncache_capacity = inf\n", r"\[smbs\] cache_capacity"),
-    ("[ris]\nN_list = 10000, 1e400\n", r"\[ris\] N_list"),
-    ("[geometry]\nD = nan\n", r"\[geometry\] D"),
-    ("[radio]\nB = -inf\n", r"\[radio\] B"),
+    ("[smbs]\ncache_capacity = inf\n", "[smbs] cache_capacity must be finite, got inf"),
+    ("[ris]\nN_list = 10000, 1e400\n", "[ris] N_list must be finite, got inf"),
+    ("[geometry]\nD = nan\n", "[geometry] D must be finite, got nan"),
+    ("[radio]\nB = -inf\n", "[radio] B must be finite, got -inf"),
 )
 
 
@@ -149,9 +149,10 @@ def test_bad_value_names_key(tmp_path):
     path = write_config(tmp_path, "[radio]\nf = very fast\n")
     with pytest.raises(ConfigError, match=r"\[radio\] f"):
         load_config(path)
-    for text, key in NON_FINITE_CONFIGS:
-        with pytest.raises(ConfigError, match=key + ": .*finite"):
+    for text, message in NON_FINITE_CONFIGS:
+        with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, text))
+        assert str(err.value) == message
 
 
 def test_integer_keys_accept_exponent_notation(tmp_path):
@@ -282,9 +283,9 @@ def test_first_of_two_faults_is_reported(tmp_path, case):
     assert str(err.value) == message
 
 
-# each value rule of RadioParams and ScenarioConfig: (the record built in
-# code, a file setting the same value, the refusal). Both give the same
-# words, but for the [radio] prefix a file puts on a radio record's refusal.
+# each value rule of the records: (the record built in code, a file
+# setting the same value, the refusal). Both give the same words, but for
+# the [section] prefix a file puts on a section record's refusal.
 RULE_PARITY = {
     "f_below_window": (
         lambda: RadioParams(f=5e8), "[radio]\nf = 5e8\n",
@@ -348,6 +349,49 @@ RULE_PARITY = {
         "[sweep]\nvariable = S\nstart = -5\nstop = 10\nstep = 1\n",
         "[sweep] start = -5 is outside [0, inf] for variable S",
     ),
+    # the number rule of every float and int field, applied by the record base
+    "cache_capacity_fraction": (
+        lambda: SmbsConfig(cache_capacity=2.7), "[smbs]\ncache_capacity = 2.7\n",
+        "cache_capacity must be an integer, got 2.7",
+    ),
+    "popularity_threshold_fraction": (
+        lambda: ScenarioConfig(popularity_threshold=2.5),
+        "[engine]\npopularity_threshold = 2.5\n",
+        "[engine] popularity_threshold must be an integer, got 2.5",
+    ),
+    "cycles_per_bit_infinite": (
+        lambda: ScenarioConfig(cycles_per_bit=math.inf), "[engine]\ncycles_per_bit = inf\n",
+        "[engine] cycles_per_bit must be finite, got inf",
+    ),
+    "F_H_list_infinite": (
+        lambda: ScenarioConfig(smbs_F_H_list=(math.inf,)), "[smbs]\nF_H_list = inf\n",
+        "[smbs] F_H_list must be finite, got inf",
+    ),
+    "B_infinite": (
+        lambda: RadioParams(B=math.inf), "[radio]\nB = inf\n", "B must be finite, got inf",
+    ),
+    "noise_figure_nan": (
+        lambda: RadioParams(noise_figure=math.nan), "[radio]\nnoise_figure = nan\n",
+        "noise_figure must be finite, got nan",
+    ),
+    "rs_power_infinite": (
+        lambda: RsConfig(payload_power_W=math.inf), "[rs]\npayload_power_W = inf\n",
+        "payload_power_W must be finite, got inf",
+    ),
+    "F_C_infinite": (
+        lambda: CloudConfig(F_C=math.inf), "[cloud]\nF_C = inf\n", "F_C must be finite, got inf",
+    ),
+    "N_fraction": (
+        lambda: RisConfig(N=1.5), "[ris]\nN = 1.5\n", "N must be an integer, got 1.5",
+    ),
+    "sweep_start_nan": (
+        lambda: SweepSpec("x", math.nan, 10.0, 1.0),
+        "[sweep]\nvariable = x\nstart = nan\nstop = 10\nstep = 1\n",
+        "[sweep] start must be finite, got nan",
+    ),
+    # no file value parses to a bool: these are refused in code only
+    "B_bool": (lambda: RadioParams(B=True), None, "B must be a number, got True"),
+    "N_bool": (lambda: RisConfig(N=True), None, "N must be a number, got True"),
 }
 
 
@@ -357,9 +401,12 @@ def test_a_record_refuses_in_code_what_a_file_refuses(tmp_path, case):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+    if text is None:
+        return
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, text))
-    prefix = "[radio] " if text.startswith("[radio]") else ""
+    # a file puts its section on a refusal that does not carry one
+    prefix = "" if message.startswith("[") else text[:text.index("]") + 1] + " "
     assert str(err.value) == prefix + message
 
 
@@ -430,7 +477,8 @@ def _direct(entries):
     ScenarioConfig built from the records made directly from the values,
     or ("section", "key") for a refusal naming that key, or ("section",
     message) for a value the record itself refuses (the radio's f window,
-    pressure and temperature rules among them)."""
+    pressure and temperature rules among them). In each section every
+    key is parsed before any value is checked."""
     cfg = ScenarioConfig()
     texts = dict(entries)
     for section, (field, cls) in RECORD_SECTIONS.items():
@@ -440,16 +488,16 @@ def _direct(entries):
             if (section, key) not in texts:
                 continue
             try:
-                value = float(texts[section, key])
+                values[key] = float(texts[section, key])
             except ValueError:
                 return section, key
+        for key, value in values.items():
             if not math.isfinite(value):
                 return section, key
             if isinstance(getattr(record, key), int):
                 if value != int(value):
                     return section, key
-                value = int(value)
-            values[key] = value
+                values[key] = int(value)
         try:
             cfg = replace(cfg, **{field: replace(record, **values)})
         except ValueError as err:
@@ -466,6 +514,8 @@ def _direct(entries):
 @example(entries=((("radio", "B"), "2e7"),), default=(0, "D = 1000\n"))
 # a radio-window fault is the radio record's, so it precedes an [rs] one
 @example(entries=((("rs", "payload_power_W"), "0"), (("radio", "f"), "1e11")), default=None)
+# every key of a section is parsed before any is checked: B, not f
+@example(entries=((("radio", "f"), "inf"), (("radio", "B"), "abc")), default=None)
 def test_random_config_files_load_as_the_records_or_name_the_key(
     tmp_path, entries, default
 ):
@@ -674,10 +724,10 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "[radio]\nwarp_factor = 9\n")
     assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
-    for text, key in NON_FINITE_CONFIGS:
+    for text, message in NON_FINITE_CONFIGS:
         cfg_path = write_config(tmp_path, text)
         assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
-        assert re.search("error: " + key, capsys.readouterr().err)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_frequency_outside_model_window_exits_1(tmp_path, capsys):

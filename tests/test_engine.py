@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import random
 import re
@@ -615,9 +616,12 @@ def test_lone_request_without_t_is_refused(ctx):
 
 @pytest.mark.parametrize("bounds, message", [
     ({"capacity": -1}, "capacity cannot be negative, got -1"),
-    ({"capacity": float("nan")}, "capacity cannot be negative, got nan"),
+    ({"capacity": float("nan")}, "capacity must be finite, got nan"),
     ({"popularity_threshold": 0}, "popularity_threshold must be at least 1, got 0"),
     ({"popularity_threshold": -3}, "popularity_threshold must be at least 1, got -3"),
+    ({"capacity": 2.7}, "capacity must be an integer, got 2.7"),
+    ({"popularity_threshold": 2.5}, "popularity_threshold must be an integer, got 2.5"),
+    ({"capacity": True}, "capacity must be a number, got True"),
 ])
 def test_cache_state_refuses_bounds_by_name(bounds, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -627,7 +631,8 @@ def test_cache_state_refuses_bounds_by_name(bounds, message):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -4.0])
 def test_context_refuses_a_bad_cycles_per_bit(value):
-    with pytest.raises(ValueError, match=f"^cycles_per_bit must be positive and finite, got {value}$"):
+    rule = "positive and finite" if math.isfinite(value) else "finite"
+    with pytest.raises(ValueError, match=f"^cycles_per_bit must be {rule}, got {value}$"):
         EngineContext(geom=geom_at(30000.0), radio=RadioParams(),
                       configs=ModeConfigs.defaults(), cycles_per_bit=value)
 

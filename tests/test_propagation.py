@@ -147,7 +147,7 @@ def test_radio_params_refuse_what_the_dry_air_model_cannot_take():
         ({"f": 60e9}, r"^f = 6e\+10 Hz is outside the dry-air model window"),
         ({"pressure_Pa": -100.0}, r"^pressure_Pa cannot be negative, got -100$"),
         ({"temperature_C": -273.0}, r"^temperature_C must be above -273, got -273$"),
-        ({"temperature_C": math.nan}, r"^temperature_C must be above -273, got nan$"),
+        ({"temperature_C": math.nan}, r"^temperature_C must be finite, got nan$"),
     ]:
         with pytest.raises(ValueError, match=message):
             RadioParams(**kwargs)

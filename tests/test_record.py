@@ -1,11 +1,13 @@
 """The record contract every value class of hapslink keeps, and the
 import footprint of a CLI run's set-up."""
 
+import math
 import os
 import re
 import subprocess
 import sys
 from collections import OrderedDict
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +118,41 @@ def test_record_contract(cls):
     assert _fields(lookalike) == fields
     assert record != lookalike and lookalike != record
     assert record != tuple(fields.values())
+
+
+# each record's fields annotated exactly float or int, read from the
+# annotations; Request's t is Optional[float], checked when handled
+NUMBER_FIELDS = [
+    (cls, name, kind is int)
+    for cls in sorted(REQUIRED, key=lambda c: c.__name__)
+    for name, kind in get_type_hints(cls).items() if kind in (float, int)
+]
+# the section a record's refusal names before the field
+TAGS = {SweepSpec: "[sweep] ", ScenarioConfig: "[engine] "}
+
+
+@pytest.mark.parametrize("cls, name, integer", NUMBER_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in NUMBER_FIELDS])
+def test_every_number_field_takes_only_a_finite_number(cls, name, integer):
+    def build(value):
+        return cls(**{**REQUIRED[cls], name: value})
+
+    field = TAGS.get(cls, "") + name
+    refusals = [
+        (math.nan, f"{field} must be finite, got nan"),
+        (math.inf, f"{field} must be finite, got inf"),
+        (True, f"{field} must be a number, got True"),
+        ("1", f"{field} must be a number, got '1'"),
+    ]
+    if integer:
+        refusals.append((2.5, f"{field} must be an integer, got 2.5"))
+    for value, message in refusals:
+        with pytest.raises(ValueError) as err:
+            build(value)
+        assert str(err.value) == message
+    if integer:
+        value = getattr(build(5e4), name)
+        assert value == 50000 and type(value) is int
 
 
 def test_replace_runs_the_checks_of_direct_construction():

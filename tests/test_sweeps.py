@@ -304,7 +304,7 @@ def test_grid_cap_refuses_before_building():
         SweepSpec("S", 0.0, float(MAX_GRID_POINTS), 1.0)
     with pytest.raises(ConfigError, match="grid points"):
         SweepSpec("x", 0.0, 60000.0, 1e-320)  # the count overflows to inf
-    with pytest.raises(ConfigError, match="step must be positive"):
+    with pytest.raises(ConfigError, match=r"^\[sweep\] step must be finite, got nan$"):
         SweepSpec("S", 0.0, 1.0, float("nan"))
 
 
@@ -313,7 +313,7 @@ def test_cli_infinite_grid_step_exits_1(tmp_path, capsys, command):
     out = tmp_path / "sweep.csv"
     assert main([command, "--grid", "inf", "--out", str(out)]) == EXIT_INVALID
     err = capsys.readouterr().err
-    assert err == "error: [sweep] step must be positive and finite, got inf\n"
+    assert err == "error: [sweep] step must be finite, got inf\n"
     assert not out.exists()
 
 
@@ -355,4 +355,29 @@ def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
     assert code == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: [sweep] smbs_FH1GHz_s overflows to inf at S_bits = 5e+307")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------
+# column names
+# ---------------------------------------------------------------
+
+def test_sweep_result_refuses_a_repeated_column_name():
+    with pytest.raises(ValueError, match=r"^\[sweep\] two columns are named rs_s$"):
+        SweepResult(("x_m", "rs_s", "ris_s", "rs_s"), ((0.0, 1.0, 1.0, 1.0),))
+
+
+@pytest.mark.parametrize("command, text, column", [
+    # two compute rates that print alike, one crossover note hiding the other
+    ("sweep-latency", "[smbs]\nF_H_list = 1e9, 1.0000001e9\n", "smbs_FH1GHz_s"),
+    ("sweep-capacity", "[ris]\nN_list = 10000, 10000\n", "ris_N10000_bps_hz"),
+    ("sweep-ee", "[ris]\nN_list = 10000, 10000\n", "ee_ris_N10000_bits_per_J"),
+], ids=["sweep-latency", "sweep-capacity", "sweep-ee"])
+def test_cli_sweep_with_two_columns_of_one_name_exits_1(tmp_path, capsys, command,
+                                                         text, column):
+    config = tmp_path / "twins.ini"
+    config.write_text(text)
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: [sweep] two columns are named {column}\n"
     assert not out.exists()
