@@ -49,9 +49,7 @@ from .modes import (
 from .offload import (
     CloudConfig,
     ComputeTask,
-    computation_latency,
     offload_latency,
-    transmission_latency,
 )
 from .optimizer import (
     ModeDecision,

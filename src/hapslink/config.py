@@ -224,12 +224,10 @@ def load_config(path=None) -> ScenarioConfig:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
         parser.read_file(lines, path)
-    except configparser.ParsingError as err:  # its own text spans several lines
+    except configparser.Error as err:  # one line: its number and text, not configparser's words
         lineno = getattr(err, "lineno", None) or err.errors[0][0]
         raise ConfigError(f"cannot parse {path}: line {lineno}: "
                           f"{lines[lineno - 1].strip()!r}") from None
-    except configparser.Error as err:
-        raise ConfigError(f"cannot parse {path}: {err}") from None
     _reject_unknown(parser)
 
     # each section's record, with every number the file sets parsed first;

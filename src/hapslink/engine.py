@@ -25,13 +25,7 @@ from typing import Optional
 
 from ._record import Record, number
 from .modes import Action, Mode, ModeConfigs, SmbsConfig, carrier
-from .offload import (
-    CloudConfig,
-    ComputeTask,
-    compute_rate,
-    task_latencies,
-    transmission_latency,
-)
+from .offload import CloudConfig, ComputeTask, compute_rate, task_latencies
 from .optimizer import (
     ModeDecision,
     Objective,
@@ -89,6 +83,9 @@ def validate_request(req: Request):
         raise RequestError(f"size_bits cannot be negative, got {req.size_bits}")
     if req.qos_min_bps is not None and req.qos_min_bps <= 0:
         raise RequestError("qos_min_bps must be positive when given")
+    if req.qos_min_bps is None and req.objective is not None and (
+            req.objective.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS):
+        raise RequestError("min_energy needs a positive qos_min_bps")
 
 
 # =====================================================================
@@ -172,12 +169,6 @@ class EngineContext(Record):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "row", {r[0]: r for r in rows})
 
-    def capacity_bps(self, mode: Mode):
-        return self.row[mode][1]
-
-    def payload_power_W(self, mode: Mode):
-        return self.row[mode][2]
-
 
 def build_engine(cfg):
     """(EngineContext, CacheState) of a ScenarioConfig: the context of its
@@ -185,14 +176,6 @@ def build_engine(cfg):
     and popularity threshold."""
     ctx = EngineContext(cfg.geom, cfg.radio, cfg.configs, cfg.cloud, cfg.cycles_per_bit)
     return ctx, CacheState(cfg.smbs.cache_capacity, cfg.popularity_threshold)
-
-
-# the objectives without a QoS floor, shared by every request naming one
-_FLOORLESS = {
-    kind: Objective(kind)
-    for kind in (ObjectiveKind.MAX_CAPACITY, ObjectiveKind.MAX_ENERGY_EFFICIENCY)
-}
-_DEFAULT_OBJECTIVE = _FLOORLESS[ObjectiveKind.MAX_CAPACITY]
 
 
 # =====================================================================
@@ -213,55 +196,60 @@ _MEMO_LIMIT = 1024
 
 def _build(req: Request, branch, ctx: EngineContext):
     """The decision for req on branch; it reads neither the cache nor t.
-    A task runs on the fastest of its candidates, the forced payload or
-    else those that meet its QoS floor. Latency and energy are filled
+    Candidates are walked in ctx.rows order, most passive first, and a
+    later one wins only when strictly better, so ties go passive.
+
+    A task runs on the fastest of its candidates: the forced payload, or
+    else those that carry its QoS floor. Every candidate's figures are
+    checked, so a losing candidate's overflow refuses the request too.
+    Any other request takes the best row under its objective: a forced
+    payload and a cache hit are max_capacity over their one row, a cache
+    miss chooses among the forwarders. Latency and energy are filled
     when a size is given."""
-    kind, size = req.kind, req.size_bits
+    kind, size, floor = req.kind, req.size_bits, req.qos_min_bps
     task = kind is RequestKind.TASK_OFFLOADING
+    forced = isinstance(branch, Mode)
     if task:
-        floor = req.qos_min_bps
-        candidates = (branch,) if isinstance(branch, Mode) else [
-            m for m in (Mode.SMBS, Mode.RIS, Mode.RS)
-            if floor is None or ctx.capacity_bps(m) >= floor
+        rows = (ctx.row[branch],) if forced else [
+            r for r in ctx.rows if floor is None or r[1] >= floor
         ]
         best = None
-        for mode in candidates:
-            _, capacity, power, path = carrier(ctx.row[mode])
+        for row in rows:
+            mode, capacity, power, path = carrier(row)
             rate = compute_rate(mode, ctx.configs, ctx.cloud)
             latency = task_latencies(path, capacity, (size,), ctx.cycles_per_bit, rate)[0]
-            # a losing candidate's overflow refuses the request too
-            check_figures(latency, latency, power * transmission_latency(size, capacity))
-            if best is None or latency < best[2]:
-                onboard = mode is Mode.SMBS
-                action = Action.COMPUTE_ONBOARD if onboard else Action.COMPUTE_AT_CLOUD
-                best = mode, action, latency
-    elif isinstance(branch, Mode):  # the diagnostic path: cache bypassed
-        if branch is Mode.SMBS:
-            action = Action.SERVE_DIRECT
-        elif kind is RequestKind.CACHING:
-            action = Action.FORWARD_AND_CACHE
-        else:
-            action = Action.FORWARD_VIA_GATEWAY
-        best = branch, action, ctx.capacity_bps(branch)
-    elif branch is _HIT:
-        best = Mode.SMBS, Action.SERVE_DIRECT, ctx.capacity_bps(Mode.SMBS)
+            energy = power * (size / capacity)
+            check_figures(latency, latency, energy)
+            if best is None or latency < best[1]:
+                best = mode, latency, latency, energy
     else:
-        rows = ctx.rows
-        if kind is not RequestKind.COMMUNICATION:  # a cache miss: the forwarders
-            rows = [r for r in rows if r[0] is not Mode.SMBS]
-        best = best_payload(req.objective or _DEFAULT_OBJECTIVE, rows)
-        if best is not None and branch is _CACHE:
-            best = best[0], Action.FORWARD_AND_CACHE, best[2]
+        if forced or branch is _HIT:
+            objective, rows = _DEFAULT_OBJECTIVE, (ctx.row[branch if forced else Mode.SMBS],)
+        else:
+            objective, rows = req.objective or _DEFAULT_OBJECTIVE, ctx.rows
+            if kind is not RequestKind.COMMUNICATION:  # a cache miss: the forwarders
+                rows = [r for r in rows if r[0] is not Mode.SMBS]
+        best = best_payload(objective, rows, floor)
+        if best is not None:
+            mode, value = best
+            check_figures(value)  # bits per joule can overflow, on a surface of tiny element power
+            best = mode, value, None, None
+            if size is not None:
+                _, capacity, power, path = carrier(ctx.row[mode])
+                airtime = size / capacity
+                best = mode, value, propagation_delay_s(path) + airtime, power * airtime
     if best is None:  # no payload meets the QoS floor
         return ModeDecision(None, Action.INFEASIBLE, 0.0)
-    mode, action, value = best
-    check_figures(value)  # bits per joule can overflow, on a surface of tiny element power
-    if size is None:
-        return ModeDecision(mode, action, value)
-    _, capacity, power, path = carrier(ctx.row[mode])
-    airtime = transmission_latency(size, capacity)
-    latency = value if task else propagation_delay_s(path) + airtime
-    return ModeDecision(mode, action, value, latency, power * airtime)
+    mode = best[0]
+    if task:
+        action = Action.COMPUTE_ONBOARD if mode is Mode.SMBS else Action.COMPUTE_AT_CLOUD
+    elif mode is Mode.SMBS:
+        action = Action.SERVE_DIRECT
+    elif kind is RequestKind.CACHING or branch is _CACHE:
+        action = Action.FORWARD_AND_CACHE
+    else:
+        action = Action.FORWARD_VIA_GATEWAY
+    return ModeDecision(mode, action, *best[1:])
 
 
 def _memo_entry(decision: ModeDecision, cells=None):
@@ -490,16 +478,20 @@ OBJECTIVE_TOKENS = {
 TRACE_COLUMNS = "t,kind,content_id,size_bits,objective,qos_bps"
 
 
+# one Objective per kind, shared by every request that names it
+_OBJECTIVES = {token: Objective(kind) for token, kind in OBJECTIVE_TOKENS.items()}
+_DEFAULT_OBJECTIVE = _OBJECTIVES["max_capacity"]
+
+
 def parse_objective(token, qos_min_bps):
-    """Objective named by a trace or CLI token; min_energy needs a positive qos."""
-    kind = OBJECTIVE_TOKENS.get(token)
-    if kind is None:
+    """The Objective a trace or CLI token names; min_energy needs a positive qos."""
+    objective = _OBJECTIVES.get(token)
+    if objective is None:
         raise RequestError(f"unknown objective {token!r}")
-    if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-        if qos_min_bps is None or not qos_min_bps > 0:
-            raise RequestError("min_energy needs a positive qos_bps value")
-        return Objective(kind, qos_min_bps)
-    return _FLOORLESS[kind]
+    if objective.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS and (
+            qos_min_bps is None or not qos_min_bps > 0):
+        raise RequestError("min_energy needs a positive qos_bps value")
+    return objective
 
 
 _KINDS = {kind.value: kind for kind in RequestKind}

@@ -33,22 +33,6 @@ class CloudConfig(Record):
             )
 
 
-def computation_latency(task: ComputeTask, F):
-    """Seconds to grind through size_bits * cycles_per_bit cycles at rate F."""
-    if F <= 0:
-        raise ValueError("compute rate must be positive")
-    return task.size_bits * task.cycles_per_bit / F
-
-
-def transmission_latency(size_bits, capacity_bps):
-    """Seconds to push size_bits through a pipe of capacity_bps."""
-    if capacity_bps <= 0:
-        raise ValueError("mode unreachable: capacity is zero")
-    if size_bits < 0:
-        raise ValueError("size cannot be negative")
-    return size_bits / capacity_bps
-
-
 def compute_rate(mode: Mode, configs: ModeConfigs, cloud: CloudConfig):
     """Cycles/s where the task runs: onboard for SMBS, the cloud otherwise."""
     return configs.smbs.F_H if mode is Mode.SMBS else cloud.F_C
@@ -57,8 +41,7 @@ def compute_rate(mode: Mode, configs: ModeConfigs, cloud: CloudConfig):
 def task_latencies(path_m, capacity_bps, sizes, cycles_per_bit, rate):
     """Latency of each task size in sizes (bits): propagation over path_m,
     transmission at capacity_bps, computation at rate cycles/s. The one
-    place the latency terms are summed; each check runs once per column,
-    in the order the per-term functions make them."""
+    place the latency terms are summed; each check runs once per column."""
     prop = propagation_delay_s(path_m)
     if capacity_bps <= 0:
         raise ValueError("mode unreachable: capacity is zero")

@@ -26,13 +26,10 @@ class ObjectiveKind(Enum):
 
 
 class Objective(Record):
-    kind: ObjectiveKind = ObjectiveKind.MAX_CAPACITY
-    qos_min_bps: Optional[float] = None
+    """What a request asks its payload to do best. min_energy's QoS floor
+    is the request's own qos_min_bps."""
 
-    def __post_init__(self):
-        if self.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-            if self.qos_min_bps is None or self.qos_min_bps <= 0:
-                raise ValueError("a positive qos_min_bps is required for min_energy")
+    kind: ObjectiveKind = ObjectiveKind.MAX_CAPACITY
 
 
 class ModeDecision(Record):
@@ -79,26 +76,22 @@ def payload_rows(geom: ScenarioGeometry, radio: RadioParams, configs: ModeConfig
     return tuple(corridor.row(mode, geom.x, configs) for mode in _PASSIVE_ORDER)
 
 
-def _action_for(mode: Mode) -> Action:
-    return Action.SERVE_DIRECT if mode is Mode.SMBS else Action.FORWARD_VIA_GATEWAY
-
-
-def best_payload(objective: Objective, rows):
-    """(mode, action, objective value) of the best of payload_rows-style
-    rows under the objective, or None when no row meets its QoS floor;
-    ties fall to the earlier (more passive) row."""
+def best_payload(objective: Objective, rows, floor):
+    """(mode, objective value) of the best of payload_rows-style rows
+    under the objective, or None when min_energy finds no row that
+    carries floor bps; ties fall to the earlier (more passive) row."""
     kind = objective.kind
     if kind is ObjectiveKind.MAX_CAPACITY:
         mode, capacity, _, _ = max(rows, key=lambda m: m[1])
-        return mode, _action_for(mode), capacity
+        return mode, capacity
     if kind is ObjectiveKind.MAX_ENERGY_EFFICIENCY:
         mode, capacity, power, _ = max(rows, key=lambda m: m[1] / m[2])
-        return mode, _action_for(mode), capacity / power
+        return mode, capacity / power
     if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-        feasible = [m for m in rows if m[1] >= objective.qos_min_bps]
+        feasible = [m for m in rows if m[1] >= floor]
         if not feasible:
             return None
         mode, _, power, _ = min(feasible, key=lambda m: m[2])
-        return mode, _action_for(mode), power
+        return mode, power
     raise ValueError(f"unknown objective kind {kind!r}")
 

@@ -332,8 +332,8 @@ def test_criterion_09_gain_shift_invariance():
     base, boosted = corridor_of(cfg), corridor_of(cfg, shifted)
     for x in spec.grid():
         geom = geom_at(cfg, x)
-        before = best_payload(objective, payload_rows(geom, cfg.radio, cfg.configs))
-        after = best_payload(objective, payload_rows(geom, shifted, cfg.configs))
+        before = best_payload(objective, payload_rows(geom, cfg.radio, cfg.configs), None)
+        after = best_payload(objective, payload_rows(geom, shifted, cfg.configs), None)
         assert before[0] is after[0]
         a_before, _ = relay_optimal_split(*base.rs_hop_snrs(x))
         a_after, _ = relay_optimal_split(*boosted.rs_hop_snrs(x))

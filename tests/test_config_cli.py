@@ -52,6 +52,11 @@ def write_config(tmp_path, text, name="scenario.ini"):
     return str(p)
 
 
+def read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 # ---------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------
@@ -661,7 +666,7 @@ def test_sweep_spec_validation():
 def test_cli_sweep_capacity(tmp_path, capsys):
     out = str(tmp_path / "cap.csv")
     assert main(["sweep-capacity", "--out", out]) == EXIT_OK
-    lines = open(out).read().strip().split("\n")
+    lines = read(out).strip().split("\n")
     assert lines[0].split(",")[:4] == [
         "x_m", "rs_alpha05_bps_hz", "rs_alpha_opt_bps_hz", "alpha_opt"
     ]
@@ -675,19 +680,19 @@ def test_cli_sweep_capacity(tmp_path, capsys):
 def test_cli_sweep_matches_library(tmp_path):
     out = str(tmp_path / "cap.csv")
     main(["sweep-capacity", "--out", out, "--grid", "5000"])
-    assert open(out).read() == sweep_capacity(load_config(None), step=5000.0).to_csv()
+    assert read(out) == sweep_capacity(load_config(None), step=5000.0).to_csv()
 
 
 def test_cli_grid_override(tmp_path):
     out = str(tmp_path / "cap.csv")
     assert main(["sweep-capacity", "--out", out, "--grid", "10000"]) == EXIT_OK
-    assert len(open(out).read().strip().split("\n")) == 1 + 7
+    assert len(read(out).strip().split("\n")) == 1 + 7
 
 
 def test_cli_sweep_latency(tmp_path, capsys):
     out = str(tmp_path / "lat.csv")
     assert main(["sweep-latency", "--out", out]) == EXIT_OK
-    lines = open(out).read().strip().split("\n")
+    lines = read(out).strip().split("\n")
     assert lines[0] == "S_bits,smbs_FH1GHz_s,smbs_FH2GHz_s,smbs_FH3GHz_s,rs_s,ris_s"
     assert len(lines) == 1 + 101
     err = capsys.readouterr().err
@@ -697,7 +702,7 @@ def test_cli_sweep_latency(tmp_path, capsys):
 def test_cli_sweep_ee(tmp_path, capsys):
     out = str(tmp_path / "ee.csv")
     assert main(["sweep-ee", "--out", out, "--grid", "5000"]) == EXIT_OK
-    header = open(out).read().split("\n", 1)[0]
+    header = read(out).split("\n", 1)[0]
     assert header.startswith("x_m,ee_rs_alpha05_bits_per_J,ee_rs_alpha_opt_bits_per_J")
     assert "ee_ris_N10000_bits_per_J" in header
     assert "_ee_spread_pct" in capsys.readouterr().err
@@ -717,7 +722,7 @@ def test_cli_respects_env_config(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_CONFIG_VAR, cfg_path)
     out = str(tmp_path / "cap.csv")
     assert main(["sweep-capacity", "--out", out]) == EXIT_OK
-    assert len(open(out).read().strip().split("\n")) == 1 + 6
+    assert len(read(out).strip().split("\n")) == 1 + 6
 
 
 def test_cli_bad_config_exits_1(tmp_path, capsys):
@@ -827,7 +832,9 @@ def test_cli_rs_alpha_key_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("text, where", [
     ("D = 5\n", "line 1: 'D = 5'"),
     ("[radio]\n  f\n", "line 2: 'f'"),
-], ids=["no_section_header", "continues_no_key"])
+    ("[radio]\nB = 1e6\n[radio]\n", "line 3: '[radio]'"),
+    ("[radio]\nB = 1e6\nB = 2e6\n", "line 3: 'B = 2e6'"),
+], ids=["no_section_header", "continues_no_key", "duplicate_section", "duplicate_key"])
 def test_cli_unparsable_config_is_one_error_line(tmp_path, capsys, text, where):
     cfg_path = write_config(tmp_path, text)
     assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
@@ -840,7 +847,7 @@ def test_cli_gnuplot_needs_out(tmp_path, capsys):
     assert main(
         ["sweep-capacity", "--out", out, "--grid", "30000", "--emit-gnuplot"]
     ) == EXIT_OK
-    script = open(out + ".gp").read()
+    script = read(out + ".gp")
     assert out in script
     assert "plot" in script
 
@@ -862,7 +869,7 @@ def test_cli_gnuplot_doubles_quotes_in_the_path(tmp_path):
     argv = ["sweep-capacity", "--out", out, "--grid", "30000", "--emit-gnuplot"]
     assert main(argv) == EXIT_OK
     quoted = out.replace("'", "''")
-    assert f"plot '{quoted}' using 1:2 with lines" in open(out + ".gp").read()
+    assert f"plot '{quoted}' using 1:2 with lines" in read(out + ".gp")
 
 
 @pytest.mark.parametrize("command", [
@@ -926,7 +933,7 @@ def test_cli_replay(tmp_path, capsys):
     )
     out = str(tmp_path / "d.csv")
     assert main(["replay", str(trace), "--out", out]) == EXIT_OK
-    lines = open(out).read().strip().split("\n")
+    lines = read(out).strip().split("\n")
     assert len(lines) == 1 + 4
     err = capsys.readouterr().err
     assert "# requests = 4" in err
@@ -939,7 +946,7 @@ def test_cli_replay_force_mode(tmp_path):
     trace.write_text("0,content_delivery,a,1e6,,\n1,content_delivery,b,1e6,,\n")
     out = str(tmp_path / "d.csv")
     assert main(["replay", str(trace), "--force-mode", "rs", "--out", out]) == EXIT_OK
-    for line in open(out).read().strip().split("\n")[1:]:
+    for line in read(out).strip().split("\n")[1:]:
         assert line.split(",")[2] == "RS"
 
 
@@ -1015,7 +1022,7 @@ TOO_HIGH = r"\[radio\] {} is too high$"
 
 MODEL_ERROR_CASES = {
     "far_replay": (
-        FAR_CORRIDOR, ["replay"], "request 0: " + UNREACHABLE.format("SMBS"),
+        FAR_CORRIDOR, ["replay"], "request 0: " + UNREACHABLE.format("RIS"),
     ),
     "far_sweep_latency": (FAR_CORRIDOR, ["sweep-latency"], UNREACHABLE.format("RIS")),
     "remote_sweep_latency": (
@@ -1199,16 +1206,18 @@ def test_unreachable_payload_is_refused_in_the_same_words(tmp_path, capsys):
         assert main([*args, "--config", config]) == EXIT_INVALID
         return capsys.readouterr().err
 
-    smbs = refusal(Mode.SMBS, cfg.geom.x)
-    assert smbs == "mode unreachable: SMBS capacity is zero"
+    # here the surface and the base station both carry nothing; a task's
+    # candidates are priced most passive first, so the surface is named
+    ris = refusal(Mode.RIS, cfg.geom.x)
+    assert ris == "mode unreachable: RIS capacity is zero"
+    assert refusal(Mode.SMBS, cfg.geom.x) == "mode unreachable: SMBS capacity is zero"
     assert error("select", "--kind", "task_offloading", "--size-bits", "1e6") == (
-        f"error: {smbs}\n"
+        f"error: {ris}\n"
     )
-    assert error("replay", str(trace)) == f"error: request 0: {smbs}\n"
+    assert error("replay", str(trace)) == f"error: request 0: {ris}\n"
     # the sweep puts each payload at its crest: there only the surface fails
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    ris = refusal(Mode.RIS, corridor.best_offset(Mode.RIS))
-    assert ris == "mode unreachable: RIS capacity is zero"
+    assert refusal(Mode.RIS, corridor.best_offset(Mode.RIS)) == ris
     assert error("sweep-latency") == f"error: {ris}\n"
 
 

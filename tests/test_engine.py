@@ -33,7 +33,7 @@ from hapslink import (
 )
 from hapslink.cli import EXIT_OK, main
 from hapslink.engine import stream_replay
-from hapslink.modes import RisConfig, RsConfig
+from hapslink.modes import RisConfig, RsConfig, SmbsConfig
 
 from conftest import geom_at
 
@@ -203,7 +203,7 @@ def test_communication_without_size_has_no_airtime(ctx):
 def test_communication_infeasible_qos(ctx):
     req = Request(
         t=0, kind=RequestKind.COMMUNICATION,
-        objective=Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 1e12),
+        objective=Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
         qos_min_bps=1e12,
     )
     d, state = handle_request(req, fresh_state(), ctx)
@@ -299,13 +299,46 @@ def test_task_refused_when_a_losing_payload_overflows():
     assert handle_request(req, fresh_state(), ctx)[0].mode is Mode.RIS
 
 
+def test_exact_task_tie_goes_to_the_passive_payload():
+    # at this offset and onboard rate a 1 Mbit task takes exactly as long
+    # on the base station as through the surface: the surface wins
+    configs = ModeConfigs.defaults()
+    fast = ModeConfigs(rs=configs.rs, ris=configs.ris,
+                       smbs=SmbsConfig(F_H=9800072931.180836))
+    ctx = EngineContext(geom=geom_at(45000.0), radio=RadioParams(), configs=fast)
+    task = ComputeTask(1e6, ctx.cycles_per_bit)
+    latency = {mode: offload_latency(mode, ctx.geom, ctx.radio, fast, task, ctx.cloud)
+               for mode in Mode}
+    assert latency[Mode.SMBS] == latency[Mode.RIS] < latency[Mode.RS]
+    req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=1e6)
+    d, _ = handle_request(req, fresh_state(), ctx)
+    assert (d.mode, d.action) == (Mode.RIS, Action.COMPUTE_AT_CLOUD)
+    assert d.latency_s == latency[Mode.RIS]
+
+
+@pytest.mark.parametrize("floor, message", [
+    (float("nan"), "qos_min_bps must be finite, got nan"),
+    (float("inf"), "qos_min_bps must be finite, got inf"),
+    (True, "qos_min_bps must be a number, got True"),
+    ("5", "qos_min_bps must be a number, got '5'"),
+    (None, "min_energy needs a positive qos_min_bps"),
+])
+def test_min_energy_floor_is_the_request_field(ctx, floor, message):
+    # the floor lives on the request alone, and a bad one is refused by
+    # name: never an infeasible decision, never a bare TypeError
+    req = Request(t=0, kind=RequestKind.COMMUNICATION, qos_min_bps=floor,
+                  objective=Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS))
+    state = fresh_state()
+    with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
+        handle_request(req, state, ctx)
+    assert state == fresh_state()
+
+
 def test_energy_is_power_times_airtime(ctx):
     req = content(0, "x", size=2e6)
     d, _ = handle_request(req, fresh_state(), ctx)
-    airtime = 2e6 / ctx.capacity_bps(d.mode)
-    assert d.energy_J == pytest.approx(
-        ctx.payload_power_W(d.mode) * airtime, rel=1e-12
-    )
+    _, capacity, power, _ = ctx.row[d.mode]
+    assert d.energy_J == pytest.approx(power * 2e6 / capacity, rel=1e-12)
 
 
 # ---------------------------------------------------------------
@@ -465,11 +498,11 @@ def test_cache_invariants_random_traffic(data):
     state = CacheState(capacity=capacity, popularity_threshold=threshold)
     n = data.draw(st.integers(min_value=1, max_value=50))
     ids = ["a", "b", "c", "d", "e", "f"]
-    objectives = st.sampled_from([
-        None,
-        Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 5e7),
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 1e12),  # unreachable
+    objectives = st.sampled_from([  # (objective, QoS floor)
+        (None, None),
+        (Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY), None),
+        (Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS), 5e7),
+        (Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS), 1e12),  # unreachable
     ])
     for i in range(n):
         kind = data.draw(st.sampled_from(
@@ -479,9 +512,10 @@ def test_cache_invariants_random_traffic(data):
         if kind is RequestKind.TASK_OFFLOADING:
             req = Request(t=float(i), kind=kind, size_bits=1e5)
         else:
+            objective, floor = data.draw(objectives)
             req = Request(t=float(i), kind=kind,
                           content_id=data.draw(st.sampled_from(ids)), size_bits=1e5,
-                          objective=data.draw(objectives))
+                          objective=objective, qos_min_bps=floor)
         cached_before = set(state.entries)
         entries_before = dict(state.entries)
         popularity_before = dict(state.popularity)
@@ -522,18 +556,16 @@ def test_parse_objective_tokens():
     req = parse_trace_line("0,communication,,1e5,max_energy_efficiency,")
     assert req.objective.kind is ObjectiveKind.MAX_ENERGY_EFFICIENCY
     req = parse_trace_line("0,communication,,1e5,min_energy,5e7")
-    assert req.objective.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS
-    assert req.objective.qos_min_bps == 5e7
+    assert req.objective == Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS)
+    assert req.qos_min_bps == 5e7
 
 
 def test_parse_objective_shares_the_floorless_objectives():
-    for token in ("max_capacity", "max_energy_efficiency"):
-        first = engine.parse_objective(token, None)
-        assert first == Objective(engine.OBJECTIVE_TOKENS[token])
-        assert engine.parse_objective(token, 5e7) is first
-    floored = engine.parse_objective("min_energy", 5e7)
-    assert floored == Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 5e7)
-    assert engine.parse_objective("min_energy", 5e7) is not floored
+    # the floor stays on the request, so every kind has one shared Objective
+    for token, kind in engine.OBJECTIVE_TOKENS.items():
+        first = engine.parse_objective(token, 5e7)
+        assert first == Objective(kind)
+        assert engine.parse_objective(token, 1e8) is first
 
 
 def test_parse_rejects_garbage():
@@ -559,6 +591,11 @@ def test_parse_rejects_garbage():
             parse_trace_line(line, lineno=4)
     with pytest.raises(RequestError, match="positive qos_bps"):
         parse_trace_line("0,communication,,,min_energy,-5")
+
+
+def test_parse_names_an_unparsable_size():
+    with pytest.raises(RequestError, match="^line 1: bad size_bits 'abc'$"):
+        parse_trace_line("0,communication,,abc,,", lineno=1)
 
 
 def test_load_trace_reports_line_numbers(tmp_path):
@@ -686,7 +723,7 @@ _REQUEST = st.builds(
         st.none(),
         st.sampled_from([
             Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
-            Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, 5e7),
+            Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
         ]),
         _ANYTHING,
     ),

@@ -9,10 +9,8 @@ from hapslink import (
     ModeConfigs,
     RadioParams,
     SmbsConfig,
-    computation_latency,
     offload_latency,
     propagation_delay_s,
-    transmission_latency,
 )
 from conftest import geom_at
 
@@ -24,25 +22,6 @@ def test_compute_task_validation():
         ComputeTask(1.0, cycles_per_bit=0)
     with pytest.raises(ValueError):
         CloudConfig(F_C=0)
-
-
-def test_computation_latency_values():
-    task = ComputeTask(1e6, 4.0)
-    assert computation_latency(task, 4e9) == pytest.approx(1e-3, rel=1e-12)
-    assert computation_latency(task, 2e9) == pytest.approx(2e-3, rel=1e-12)
-    assert computation_latency(ComputeTask(0.0), 4e9) == 0.0
-    with pytest.raises(ValueError):
-        computation_latency(task, 0.0)
-
-
-def test_transmission_latency_values():
-    assert transmission_latency(1e6, 1e7) == pytest.approx(0.1, rel=1e-12)
-    assert transmission_latency(0.0, 1e7) == 0.0
-    assert transmission_latency(1e6, 5e6) == pytest.approx(
-        2 * transmission_latency(1e6, 1e7), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        transmission_latency(1e6, 0.0)
 
 
 def test_propagation_latency_values():
@@ -96,8 +75,7 @@ def test_offload_slope_matches_components(radio, corridor, configs, cloud):
         l1 = offload_latency(mode, geom, radio, configs, ComputeTask(s), cloud)
         slope = (l1 - l0) / s
         capacity_bps = corridor.capacity_bps_hz(mode, geom.x, configs) * radio.B
-        tx_slope = transmission_latency(1.0, capacity_bps)
-        assert slope == pytest.approx(tx_slope + 4.0 / rate, rel=1e-12)
+        assert slope == pytest.approx(1.0 / capacity_bps + 4.0 / rate, rel=1e-12)
 
 
 def test_offload_rs_slope_uses_the_engine_capacity(radio, configs, cloud):
@@ -107,7 +85,7 @@ def test_offload_rs_slope_uses_the_engine_capacity(radio, configs, cloud):
     l0 = offload_latency(Mode.RS, ctx.geom, radio, configs, ComputeTask(0.0), cloud)
     task = ComputeTask(s, ctx.cycles_per_bit)
     l1 = offload_latency(Mode.RS, ctx.geom, radio, configs, task, cloud)
-    expected = 1.0 / ctx.capacity_bps(Mode.RS) + ctx.cycles_per_bit / cloud.F_C
+    expected = 1.0 / ctx.row[Mode.RS][1] + ctx.cycles_per_bit / cloud.F_C
     assert (l1 - l0) / s == pytest.approx(expected, rel=1e-12)
 
 

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hapslink import (
-    Action,
     Corridor,
     Mode,
     ModeConfigs,
     Objective,
     ObjectiveKind,
     RadioParams,
+    Request,
+    RequestError,
+    RequestKind,
     RisConfig,
     relay_capacity,
     relay_optimal_split,
     ris_placement_roots,
 )
+from hapslink.engine import validate_request
 from hapslink.optimizer import best_payload, payload_rows
 
 from conftest import D_DEFAULT, H_DEFAULT, geom_at
@@ -193,53 +196,51 @@ def test_placement_never_worse_than_grid(corridor, configs):
 # ---------------------------------------------------------------
 
 def test_select_max_capacity_midcorridor(radio, configs):
-    mode, action, value = best_payload(
+    mode, value = best_payload(
         Objective(ObjectiveKind.MAX_CAPACITY),
-        payload_rows(geom_at(30000.0), radio, configs),
+        payload_rows(geom_at(30000.0), radio, configs), None,
     )
     assert mode is Mode.RIS
-    assert action is Action.FORWARD_VIA_GATEWAY
     assert value == pytest.approx(136046417.8623018, rel=1e-9)
 
 
 def test_select_max_capacity_above_gnb(radio, configs):
-    mode, action, _ = best_payload(
+    mode, _ = best_payload(
         Objective(ObjectiveKind.MAX_CAPACITY),
-        payload_rows(geom_at(60000.0), radio, configs),
+        payload_rows(geom_at(60000.0), radio, configs), None,
     )
     assert mode is Mode.SMBS
-    assert action is Action.SERVE_DIRECT
 
 
 def test_select_max_ee_prefers_surface(radio, configs):
-    mode, _, _ = best_payload(
+    mode, _ = best_payload(
         Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
-        payload_rows(geom_at(30000.0), radio, configs),
+        payload_rows(geom_at(30000.0), radio, configs), None,
     )
     assert mode is Mode.RIS
 
 
 def test_select_min_energy_feasible(radio, configs):
-    mode, _, value = best_payload(
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e8),
-        payload_rows(geom_at(30000.0), radio, configs),
+    mode, value = best_payload(
+        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
+        payload_rows(geom_at(30000.0), radio, configs), 1e8,
     )
     assert mode is Mode.RIS
     assert value == pytest.approx(390.0, rel=1e-12)
 
 
 def test_select_min_energy_only_smbs_meets_qos(radio, configs):
-    mode, _, _ = best_payload(
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1.38e8),
-        payload_rows(geom_at(60000.0), radio, configs),
+    mode, _ = best_payload(
+        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
+        payload_rows(geom_at(60000.0), radio, configs), 1.38e8,
     )
     assert mode is Mode.SMBS
 
 
 def test_select_min_energy_infeasible(radio, configs):
     best = best_payload(
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e12),
-        payload_rows(geom_at(30000.0), radio, configs),
+        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
+        payload_rows(geom_at(30000.0), radio, configs), 1e12,
     )
     assert best is None
 
@@ -251,25 +252,31 @@ def test_select_tie_breaks_toward_passive(radio, configs):
         ris=RisConfig(N=50000, per_element_power_W=0.02),  # 1000 W
         smbs=configs.smbs,
     )
-    mode, _, _ = best_payload(
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=1e6),
-        payload_rows(geom_at(30000.0), radio, tied),
+    mode, _ = best_payload(
+        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
+        payload_rows(geom_at(30000.0), radio, tied), 1e6,
     )
     assert mode is Mode.RIS
 
 
 def test_select_deterministic(radio, configs):
     obj = Objective(ObjectiveKind.MAX_CAPACITY)
-    a = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
-    b = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs))
+    a = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs), None)
+    b = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs), None)
     assert a == b
 
 
 def test_objective_requires_qos_for_min_energy():
-    with pytest.raises(ValueError):
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS)
-    with pytest.raises(ValueError):
-        Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, qos_min_bps=0.0)
+    # the floor is the request's own: a min_energy request needs a positive one
+    objective = Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS)
+    for floor, message in (
+        (None, "min_energy needs a positive qos_min_bps"),
+        (0.0, "qos_min_bps must be positive when given"),
+    ):
+        req = Request(t=0.0, kind=RequestKind.COMMUNICATION, objective=objective,
+                      qos_min_bps=floor)
+        with pytest.raises(RequestError, match=f"^{message}$"):
+            validate_request(req)
 
 
 def test_gain_shift_leaves_argmaxes_alone(radio, configs):

@@ -112,6 +112,8 @@ def test_record_contract(cls):
     for name, value in fields.items():
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(record, name, value)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
     assert _fields(record) == fields
 
     lookalike = type(cls.__name__, (cls,), {})(**fields)
@@ -175,7 +177,7 @@ def test_defaults_are_taken_in_field_order():
     req = Request(1.0, RequestKind.CACHING, "c1")
     assert (req.t, req.kind, req.content_id, req.size_bits, req.objective,
             req.qos_min_bps) == (1.0, RequestKind.CACHING, "c1", None, None, None)
-    assert Objective() == Objective(ObjectiveKind.MAX_CAPACITY, None)
+    assert Objective() == Objective(ObjectiveKind.MAX_CAPACITY)
     assert SweepResult(("x",), ()).notes == {}
     assert SweepResult(("x",), ()).notes is not SweepResult(("x",), ()).notes
 

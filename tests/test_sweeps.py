@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hapslink import (
-    ComputeTask,
     ConfigError,
     Mode,
     ModeConfigs,
@@ -19,7 +18,6 @@ from hapslink import (
     ScenarioGeometry,
     SweepResult,
     SweepSpec,
-    computation_latency,
     db_to_linear,
     dry_air_specific_attenuation,
     energy_efficiency,
@@ -34,7 +32,6 @@ from hapslink import (
     sweep_capacity,
     sweep_ee,
     sweep_latency,
-    transmission_latency,
 )
 from hapslink.cli import EXIT_INVALID, main
 from hapslink.config import MAX_GRID_POINTS
@@ -281,9 +278,7 @@ def test_sweeps_match_rows_rebuilt_per_point(tmp_path, D):
     # the latency terms summed one by one, in their original order
     latency = [
         (s, *(
-            propagation_delay_s(p)
-            + transmission_latency(s, c)
-            + computation_latency(ComputeTask(s, cfg.cycles_per_bit), rate)
+            propagation_delay_s(p) + s / c + s * cfg.cycles_per_bit / rate
             for p, c, rate in legs
         ))
         for s in cfg.sweep_for("S", 1000.0).grid()
