@@ -13,7 +13,6 @@ import math
 from hapslink import (
     Corridor,
     LinkBudget,
-    Mode,
     ModeConfigs,
     RadioParams,
     ScenarioGeometry,
@@ -39,9 +38,11 @@ print(f"  gNB slant      d2 = {geom.d_gnb:10.1f} m")
 
 # free-space spreading dominates the budget at 2 GHz
 print("\nper-distance losses at f = 2 GHz")
-for name, d in (("gateway", geom.d_gateway), ("gNB", geom.d_gnb)):
+slants = (("gateway", geom.d_gateway), ("gNB", geom.d_gnb))
+losses = budget.losses_dB([d for _, d in slants])  # one list of hop lengths
+for (name, d), loss in zip(slants, losses):
     print(f"  {name:8s} fspl = {fspl_dB(d, radio.f):7.2f} dB, "
-          f"total = {budget.loss_dB(d):7.2f} dB")
+          f"total = {loss:7.2f} dB")
 
 # the dry-air specific attenuation is tiny at 2 GHz but grows fast
 # toward the oxygen line complex near 60 GHz
@@ -66,14 +67,15 @@ hops = {
 }
 print("\nfull-power hop SNRs")
 for name, (d, gains_dB) in hops.items():
-    snr = budget.snr_linear(d, gains_dB)
+    (snr,) = budget.snrs([d], gains_dB)
     print(f"  {name:42s} {linear_to_db(snr):7.2f} dB")
 
 # the corridor holds every x-invariant term of the three payloads'
-# budgets; asking it at one offset is all the selection logic does
+# budgets; its rows at one offset are all the selection logic reads:
+# (mode, capacity_bps, payload_W, path_m), most passive first
 corridor = Corridor(geom.D, geom.H, radio)
-configs = ModeConfigs.defaults()
+rows = corridor.rows(geom.x, ModeConfigs.defaults())
 print(f"\nwhat each payload delivers at x = {geom.x / 1000:.0f} km")
-for mode in Mode:
-    cap = corridor.capacity_bps_hz(mode, geom.x, configs)
-    print(f"  {mode.value:4s} {cap:6.3f} bps/Hz = {cap * radio.B / 1e6:6.1f} Mbit/s")
+for mode, capacity_bps, _, _ in reversed(rows):  # the base station first
+    print(f"  {mode.value:4s} {capacity_bps / radio.B:6.3f} bps/Hz = "
+          f"{capacity_bps / 1e6:6.1f} Mbit/s")

@@ -12,8 +12,8 @@ from hapslink import (
     Corridor,
     RadioParams,
     load_config,
-    relay_capacity,
-    relay_optimal_split,
+    relay_capacities,
+    relay_optimal_splits,
     sweep_ee,
 )
 
@@ -22,21 +22,23 @@ corridor = Corridor(60000.0, 20000.0, RadioParams())
 
 # the split only matters because the two hops are asymmetric: the
 # gateway antenna is much stronger than the relay's own
-for x_km in (10, 30, 50, 60):
-    snrs = corridor.rs_hop_snrs(x_km * 1000.0)  # full-power hop SNRs
-    alpha, cap = relay_optimal_split(*snrs)
-    cap_half = relay_capacity(*snrs, alpha=0.5)
+x_kms = (10, 30, 50, 60)
+# the full-power hop SNR columns over these offsets
+snr1s, snr2s, _ = corridor.columns([x_km * 1000.0 for x_km in x_kms])
+alphas, caps = relay_optimal_splits(snr1s, snr2s)
+halves = relay_capacities(snr1s, snr2s, alpha=0.5)
+for x_km, alpha, cap, cap_half in zip(x_kms, alphas, caps, halves):
     print(f"x = {x_km:2d} km: alpha_opt = {alpha:8.6f}, "
           f"C(alpha_opt) = {cap:5.3f} bps/Hz, C(0.5) = {cap_half:5.3f} "
           f"({100 * (1 - cap_half / cap):4.1f}% loss)")
 
 # sanity check: the optimized split really equalizes the weighted hops
-snrs = corridor.rs_hop_snrs(60000.0)
-alpha, _ = relay_optimal_split(*snrs)
+snr1s, snr2s, _ = corridor.columns([60000.0])
+(alpha,), _ = relay_optimal_splits(snr1s, snr2s)
 step = (1 - 2e-4) / 9998
 grid = [1e-4 + i * step for i in range(9999)]  # 1e-4 through 1 - 1e-4
 grid[-1] = 1 - 1e-4
-caps = [relay_capacity(*snrs, alpha=a) for a in grid]
+caps = [relay_capacities(snr1s, snr2s, alpha=a)[0] for a in grid]
 best = max(range(len(grid)), key=caps.__getitem__)  # the first maximum
 print(f"\nbrute-force argmax at x = D: {grid[best]:.6f} "
       f"(closed form says {alpha:.6f})")

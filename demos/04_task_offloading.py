@@ -10,28 +10,25 @@ the break-even size grows with the onboard clock.
 """
 
 from hapslink import (
-    CloudConfig,
-    ComputeTask,
     Corridor,
     Mode,
     load_config,
-    offload_latency,
-    replace,
     sweep_latency,
+    task_latencies,
 )
+from hapslink.offload import compute_rate
 
 cfg = load_config(None)
 
 # single task, all three payloads, each at its own best placement; the
-# corridor gives that placement and the rate each one ships the task at
+# corridor gives that placement, and its row there the rate each one
+# ships the task at and the path the task travels
 corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-task = ComputeTask(size_bits=1e6, cycles_per_bit=cfg.cycles_per_bit)
-cloud = CloudConfig()
 for mode in (Mode.SMBS, Mode.RS, Mode.RIS):
     x = corridor.best_offset(mode)
-    rate = corridor.capacity_bps_hz(mode, x, cfg.configs) * cfg.radio.B
-    geom = replace(cfg.geom, x=x)
-    t = offload_latency(mode, geom, cfg.radio, cfg.configs, task, cloud)
+    _, rate, _, path = next(r for r in corridor.rows(x, cfg.configs) if r[0] is mode)
+    compute = compute_rate(mode, cfg.configs, cfg.cloud)  # onboard or in the cloud
+    (t,) = task_latencies(path, rate, [1e6], cfg.cycles_per_bit, compute)
     print(f"1 Mbit task via {mode.value:4s} at x = {x / 1000:5.2f} km: "
           f"{rate / 1e6:6.1f} Mbit/s, {1e3 * t:7.3f} ms")
 

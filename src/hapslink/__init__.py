@@ -40,16 +40,13 @@ from .modes import (
     RisConfig,
     RsConfig,
     SmbsConfig,
-    energy_efficiency,
-    mode_payload_power_W,
-    relay_capacity,
-    relay_optimal_split,
+    relay_capacities,
+    relay_optimal_splits,
     ris_placement_roots,
 )
 from .offload import (
     CloudConfig,
-    ComputeTask,
-    offload_latency,
+    task_latencies,
 )
 from .optimizer import (
     ModeDecision,

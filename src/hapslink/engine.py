@@ -24,15 +24,14 @@ from enum import Enum
 from typing import Optional
 
 from ._record import Record, number
-from .modes import Action, Mode, ModeConfigs, SmbsConfig, carrier
-from .offload import CloudConfig, ComputeTask, compute_rate, task_latencies
+from .modes import Action, Corridor, Mode, ModeConfigs, SmbsConfig, carrier
+from .offload import CloudConfig, compute_rate, task_latencies
 from .optimizer import (
     ModeDecision,
     Objective,
     ObjectiveKind,
     best_payload,
     check_figures,
-    payload_rows,
 )
 from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
 
@@ -157,14 +156,15 @@ class EngineContext(Record):
     radio: RadioParams
     configs: ModeConfigs
     cloud: CloudConfig = CloudConfig()
-    cycles_per_bit: float = ComputeTask.cycles_per_bit
+    cycles_per_bit: float = 4.0
 
     def __post_init__(self):
         if not self.cycles_per_bit > 0:
             raise ValueError(
                 f"cycles_per_bit must be positive and finite, got {self.cycles_per_bit}"
             )
-        rows = payload_rows(self.geom, self.radio, self.configs)
+        geom = self.geom
+        rows = Corridor(geom.D, geom.H, self.radio).rows(geom.x, self.configs)
         # derived, not fields: set once here
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "row", {r[0]: r for r in rows})

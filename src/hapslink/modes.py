@@ -17,7 +17,7 @@ import math
 import sys
 from enum import Enum
 
-from ._record import Record
+from ._record import Record, number
 from .propagation import (
     SPEED_OF_LIGHT,
     LinkBudget,
@@ -152,15 +152,16 @@ class Corridor:
     """The x-invariant part of every payload's link budget along one
     gateway - gNB corridor, computed once; the column methods (hop_lengths,
     columns) then do only the arithmetic that depends on the platform
-    offset x, over a whole list of offsets, and the per-offset methods are
-    one-element calls of them, but for ris_snr, the bare SNR whose
-    capacity columns computes in the same pass.
+    offset x, over a whole list of offsets. rows builds every payload's
+    row at one offset from them, and ris_snr gives the bare surface SNR
+    whose capacity columns computes in the same pass.
 
-    This is the one place each capacity law lives. Constant prefixes keep
+    Each capacity law has one form, over a column. Constant prefixes keep
     the left-to-right order of the full per-hop expressions.
     """
 
     def __init__(self, D, H, radio: RadioParams):
+        D, H = number("D", D), number("H", H)
         if D <= 0:
             raise ValueError(f"ground distance D must be positive, got {D}")
         if H <= 0:
@@ -193,13 +194,16 @@ class Corridor:
         except OverflowError:
             text = f"the noise floor of {budget.noise_dBm:.4g} dBm leaves the float range"
             raise _refusal(text, radio, _NOISE, overflow=None) from None
-        atmosphere_db = budget.gamma0 * _ris_reference_path_m(D, H) / 1000.0
+        # gaseous absorption over the cascade length at the first placement
+        # root, the surface's fixed reference path (see ris_snr)
+        roots = ris_placement_roots(D, H)
+        path = slant_distance(roots[0], H) + slant_distance(D - roots[0], H)
+        atmosphere_db = budget.gamma0 * path / 1000.0
         try:
             self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
         except OverflowError:
             # with one root (H >= D/2) the reference path is 2 hypot(D/2, H)
-            one_root = len(ris_placement_roots(D, H)) == 1
-            longer = f"H = {H:g}" if one_root else f"D = {D:g}"
+            longer = f"H = {H:g}" if len(roots) == 1 else f"D = {D:g}"
             text = (f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
                     f"(gaseous absorption over {longer} m) overflows")
             scint = {"scintillation_dB": 2.0}
@@ -228,11 +232,6 @@ class Corridor:
         except OverflowError:
             raise _refusal("the access hop SNR overflows", radio, _ACCESS) from None
 
-    def distances(self, x):
-        """Slant ranges (gateway -> platform, gNB -> platform) at offset x."""
-        d1s, d2s = self.hop_lengths((x,))
-        return d1s[0], d2s[0]
-
     def hop_lengths(self, xs):
         """Slant-range columns (gateway -> platform, gNB -> platform) over
         the offsets xs, one hypot pair per offset; the corridor's bounds are
@@ -243,12 +242,6 @@ class Corridor:
             raise ValueError(f"platform offset x={x} outside the corridor [0, {D}]")
         hypot = math.hypot
         return [hypot(x, H) for x in xs], [hypot(D - x, H) for x in xs]
-
-    def path_m(self, mode: Mode, x):
-        """Distance a task travels from the gNB at offset x: the access
-        hop alone for SMBS, both hops for the relay and the surface."""
-        d1, d2 = self.distances(x)
-        return d2 if mode is Mode.SMBS else d2 + d1
 
     def columns(self, xs, surfaces=()):
         """The relay's two full-power hop-SNR columns and one capacity
@@ -291,12 +284,6 @@ class Corridor:
                            other=(share, surface)) from None
         return numerator
 
-    def rs_hop_snrs(self, x):
-        """Linear SNR of each relay hop at offset x if it got the whole
-        power budget (see columns)."""
-        snr1s, snr2s, _ = self.columns((x,))
-        return snr1s[0], snr2s[0]
-
     def ris_snr(self, x, ris: RisConfig):
         """Cascade SNR of the reflected gateway -> platform -> gNB path at
         offset x; columns computes log2(1 + this) over a whole grid.
@@ -310,36 +297,27 @@ class Corridor:
         term would drag the capacity peaks off the product-distance roots
         that the placement formula pins down.
         """
-        d1, d2 = self.distances(x)
+        (d1,), (d2,) = self.hop_lengths((x,))
         den = d1 * d1 * d2 * d2 * self._noise_w
         return self._ris_numerator(ris) / den / self._ris_loss
 
-    def ris_capacity(self, x, ris: RisConfig):
-        """Reflected-path spectral efficiency at offset x, bps/Hz."""
-        return self.columns((x,), (ris,))[2][0][0]
-
-    def smbs_capacity(self, x):
-        """Single-hop gNB -> platform spectral efficiency, bps/Hz."""
-        d2 = self.distances(x)[1]
-        return math.log2(1.0 + self.budget.snr_linear(d2, self._access_dB))
-
-    def capacity_bps_hz(self, mode: Mode, x, configs: ModeConfigs):
-        """What each payload delivers at offset x, bps/Hz; the relay at its
-        optimal split. Selection, the engine, offloading, placement and the
-        sweeps all read capacity here."""
-        if mode is Mode.RS:
-            return relay_optimal_split(*self.rs_hop_snrs(x))[1]
-        if mode is Mode.RIS:
-            return self.ris_capacity(x, configs.ris)
-        if mode is Mode.SMBS:
-            return self.smbs_capacity(x)
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def row(self, mode: Mode, x, configs: ModeConfigs):
-        """What mode delivers at offset x, the one place a payload's row
-        is built: (mode, capacity_bps, payload_W, path_m)."""
-        capacity = self.capacity_bps_hz(mode, x, configs) * self.budget.radio.B
-        return mode, capacity, mode_payload_power_W(mode, configs), self.path_m(mode, x)
+    def rows(self, x, configs: ModeConfigs):
+        """What each payload delivers at offset x, most passive first: the
+        rows (mode, capacity_bps, payload_W, path_m) of RIS, of RS at its
+        optimal split, and of SMBS over the access hop. A task travels
+        both hops through the relay and the surface, the access hop alone
+        to the base station. This is the one place a row is built; the
+        engine and sweep-latency read it."""
+        (d1,), (d2,) = self.hop_lengths((x,))
+        snr1s, snr2s, ((ris,),) = self.columns((x,), (configs.ris,))
+        (relay,) = relay_optimal_splits(snr1s, snr2s)[1]
+        (access,) = self.budget.snrs((d2,), self._access_dB)
+        B = self.budget.radio.B
+        return (
+            (Mode.RIS, ris * B, configs.ris.payload_power_W, d1 + d2),
+            (Mode.RS, relay * B, configs.rs.payload_power_W, d1 + d2),
+            (Mode.SMBS, math.log2(1.0 + access) * B, configs.smbs.payload_power_W, d2),
+        )
 
     def best_offset(self, mode: Mode):
         """The offset x in [0, D] at which mode's capacity peaks.
@@ -362,8 +340,7 @@ class Corridor:
             return ris_placement_roots(self.D, self.H)[0]
         if mode is not Mode.RS:
             raise ValueError(f"unknown mode {mode!r}")
-        D = self.D
-        snr = self.budget.snr_linear
+        D, snrs = self.D, self.budget.snrs
         # 1/snr ~ d^2 10^(gamma0 d / 10^4), so d ln(1/snr) / dd = 2/d + k
         k = self.budget.gamma0 * math.log(10.0) / 1e4
         lo, hi = 0.0, D
@@ -371,34 +348,29 @@ class Corridor:
             x = (lo + hi) / 2.0
             if x == lo or x == hi:
                 break
-            d1, d2 = self.distances(x)
+            (d1,), (d2,) = self.hop_lengths((x,))
+            (snr1,), (snr2,) = snrs((d1,), self._hop1_dB), snrs((d2,), self._hop2_dB)
             slope = (
-                (2.0 / d1 + k) * (x / d1) / snr(d1, self._hop1_dB)
-                - (2.0 / d2 + k) * ((D - x) / d2) / snr(d2, self._hop2_dB)
+                (2.0 / d1 + k) * (x / d1) / snr1
+                - (2.0 / d2 + k) * ((D - x) / d2) / snr2
             )
             if slope < 0.0:
                 lo = x
             else:
                 hi = x
-        return max(lo, hi, key=lambda x: relay_optimal_split(*self.rs_hop_snrs(x))[1])
+        at_lo, at_hi = relay_optimal_splits(*self.columns((lo, hi))[:2])[1]
+        return hi if at_hi > at_lo else lo
 
 
 # =====================================================================
 # Relay (RS)
 # =====================================================================
 
-def relay_capacity(snr1, snr2, alpha):
-    """Half-duplex decode-and-forward spectral efficiency in bps/Hz.
-
-    C = 1/2 * min over hops of log2(1 + hop SNR), with the power split
-    alpha / (1 - alpha) applied to the full-power hop SNRs.
-    """
-    return relay_capacities((snr1,), (snr2,), alpha)[0]
-
-
 def relay_capacities(snr1s, snr2s, alpha):
-    """relay_capacity over two full-power hop-SNR columns at one split
-    alpha, checked once."""
+    """Half-duplex decode-and-forward spectral efficiency (bps/Hz) over two
+    full-power hop-SNR columns at one power split alpha, checked once:
+    C = 1/2 * min over hops of log2(1 + hop SNR), with alpha / (1 - alpha)
+    applied to the two hops."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     rest, log2 = 1.0 - alpha, math.log2
@@ -409,20 +381,14 @@ def relay_capacities(snr1s, snr2s, alpha):
     ]
 
 
-def relay_optimal_split(snr1, snr2):
-    """Best power split and the relay capacity it buys: (alpha, bps/Hz).
+def relay_optimal_splits(snr1s, snr2s):
+    """The best power split and the relay capacity (bps/Hz) it buys, over
+    two full-power hop-SNR columns: (column of alphas, column of capacities).
 
     min(a * snr1, (1 - a) * snr2) peaks where the two terms meet, at
     a* = snr2 / (snr1 + snr2), leaving C = 1/2 log2(1 + snr1 snr2 /
     (snr1 + snr2)): the equal-SNR allocation of two-hop decode-and-forward.
     """
-    alphas, capacities = relay_optimal_splits((snr1,), (snr2,))
-    return alphas[0], capacities[0]
-
-
-def relay_optimal_splits(snr1s, snr2s):
-    """relay_optimal_split over two full-power hop-SNR columns: the
-    column of best splits and the column of capacities they buy."""
     log2 = math.log2
     return (
         [s2 / (s1 + s2) for s1, s2 in zip(snr1s, snr2s)],
@@ -441,6 +407,7 @@ def ris_placement_roots(D, H):
     product at either root equals H * D. For H >= D/2 the product is
     minimised at the midpoint and only D/2 is returned.
     """
+    D, H = number("D", D), number("H", H)
     if D <= 0 or H <= 0:
         raise ValueError("D and H must be positive")
     half = D / 2.0
@@ -451,43 +418,22 @@ def ris_placement_roots(D, H):
     return (half - off, half + off)
 
 
-def _ris_reference_path_m(D, H):
-    # Cascade path length at the best placement, used as the fixed
-    # distance over which gaseous absorption is charged.
-    root = ris_placement_roots(D, H)[0]
-    return slant_distance(root, H) + slant_distance(D - root, H)
-
-
 # =====================================================================
 # Power and efficiency
 # =====================================================================
 
-def mode_payload_power_W(mode: Mode, configs: ModeConfigs):
-    if mode is Mode.RS:
-        return configs.rs.payload_power_W
-    if mode is Mode.RIS:
-        return configs.ris.payload_power_W
-    if mode is Mode.SMBS:
-        return configs.smbs.payload_power_W
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def carrier(row):
-    """A Corridor.row whose payload is to move bits; one whose capacity
+    """A row of Corridor.rows whose payload is to move bits; one whose capacity
     underflowed to zero is refused by name."""
     if not row[1] > 0:
         raise ValueError(f"mode unreachable: {row[0].value} capacity is zero")
     return row
 
 
-def energy_efficiency(capacity_bps, payload_power_W):
-    """Delivered bits per joule of payload energy."""
-    return energy_efficiencies((capacity_bps,), 1, payload_power_W)[0]  # 1 Hz: c * 1 is c
-
-
 def energy_efficiencies(spectral_efficiencies, B, payload_power_W):
-    """energy_efficiency of each spectral efficiency (bps/Hz) carried over
-    a bandwidth of B Hz by one payload, its power checked once."""
+    """Delivered bits per joule of payload energy for each spectral
+    efficiency (bps/Hz) carried over a bandwidth of B Hz by one payload,
+    its power checked once."""
     if payload_power_W <= 0:
         raise ValueError("payload power must be positive for an efficiency ratio")
     return [c * B / payload_power_W for c in spectral_efficiencies]

@@ -4,23 +4,14 @@ Latency is the sum of one-way propagation, transmission at the mode's
 capacity, and computation at the processor that ends up with the task.
 Onboard execution (SMBS) uses the access hop and the platform's F_H;
 forwarding (RS or RIS) pays the full relayed path and computes at the
-ground cloud's F_C. Result-return traffic is not modeled.
+ground cloud's F_C. The path and capacity are a payload's row
+(modes.Corridor.rows), and task_latencies sums the terms over a column
+of task sizes. Result-return traffic is not modeled.
 """
 
 from ._record import Record
-from .modes import Corridor, Mode, ModeConfigs, carrier
-from .propagation import RadioParams, ScenarioGeometry, propagation_delay_s
-
-
-class ComputeTask(Record):
-    size_bits: float
-    cycles_per_bit: float = 4.0
-
-    def __post_init__(self):
-        if self.size_bits < 0:
-            raise ValueError("task size cannot be negative")
-        if self.cycles_per_bit <= 0:
-            raise ValueError("cycles per bit must be positive")
+from .modes import Mode, ModeConfigs
+from .propagation import propagation_delay_s
 
 
 class CloudConfig(Record):
@@ -52,19 +43,3 @@ def task_latencies(path_m, capacity_bps, sizes, cycles_per_bit, rate):
     if rate <= 0:
         raise ValueError("compute rate must be positive")
     return [prop + s / capacity_bps + s * cycles_per_bit / rate for s in sizes]
-
-
-def offload_latency(
-    mode: Mode,
-    geom: ScenarioGeometry,
-    radio: RadioParams,
-    configs: ModeConfigs,
-    task: ComputeTask,
-    cloud: CloudConfig,
-):
-    """End-to-end offload latency in seconds, affine in the task size."""
-    corridor = Corridor(geom.D, geom.H, radio)
-    _, capacity_bps, _, path_m = carrier(corridor.row(mode, geom.x, configs))
-    rate = compute_rate(mode, configs, cloud)
-    sizes = (task.size_bits,)
-    return task_latencies(path_m, capacity_bps, sizes, task.cycles_per_bit, rate)[0]

@@ -1,10 +1,10 @@
 """Objective-driven payload selection.
 
 Nothing here searches. The relay power split has a closed form
-(modes.relay_optimal_split), and each payload's best platform offset is
+(modes.relay_optimal_splits), and each payload's best platform offset is
 fixed by where its capacity is stationary (modes.Corridor.best_offset),
-so selection only compares the payloads' rows at one geometry under the
-objective.
+so selection only compares the payloads' rows (modes.Corridor.rows) at
+one geometry under the objective.
 """
 
 import math
@@ -12,11 +12,7 @@ from enum import Enum
 from typing import Optional
 
 from ._record import Record
-from .modes import Action, Corridor, Mode, ModeConfigs
-from .propagation import RadioParams, ScenarioGeometry
-
-# Fixed tie-break: prefer the most passive payload.
-_PASSIVE_ORDER = (Mode.RIS, Mode.RS, Mode.SMBS)
+from .modes import Action, Mode
 
 
 class ObjectiveKind(Enum):
@@ -69,15 +65,8 @@ def check_figures(objective_value, latency_s=None, energy_J=None):
 # Mode selection for a communication demand
 # =====================================================================
 
-def payload_rows(geom: ScenarioGeometry, radio: RadioParams, configs: ModeConfigs):
-    """Each payload's Corridor.row (mode, capacity_bps, payload_W, path_m)
-    at this geometry, most passive first, read from one Corridor."""
-    corridor = Corridor(geom.D, geom.H, radio)
-    return tuple(corridor.row(mode, geom.x, configs) for mode in _PASSIVE_ORDER)
-
-
 def best_payload(objective: Objective, rows, floor):
-    """(mode, objective value) of the best of payload_rows-style rows
+    """(mode, objective value) of the best of Corridor.rows-style rows
     under the objective, or None when min_energy finds no row that
     carries floor bps; ties fall to the earlier (more passive) row."""
     kind = objective.kind

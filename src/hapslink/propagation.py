@@ -157,8 +157,7 @@ class LinkBudget:
 
     Holds the dry-air specific attenuation gamma0 (dB/km) and the noise
     floor (dBm), so a hop costs only its distance-dependent terms. The
-    laws are written over a list of hop lengths (`losses_dB`, `snrs`);
-    the scalar methods are one-element calls of them.
+    laws are written over a list of hop lengths (`losses_dB`, `snrs`).
     """
 
     def __init__(self, radio: RadioParams):
@@ -192,14 +191,6 @@ class LinkBudget:
         tx power + tx gain + rx gain, summed in that order."""
         noise = self.noise_dBm
         return [10.0 ** ((gains_dB - loss - noise) / 10.0) for loss in self.losses_dB(ds)]
-
-    def loss_dB(self, d):
-        """losses_dB of one hop of length d."""
-        return self.losses_dB((d,))[0]
-
-    def snr_linear(self, d, gains_dB):
-        """snrs of one hop of length d."""
-        return self.snrs((d,), gains_dB)[0]
 
 
 def noise_power_dBm(B, noise_figure):

@@ -160,10 +160,11 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
 
     # (payload row at its best offset, compute rate) per column
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    smbs, rs, ris = (
-        carrier(corridor.row(mode, corridor.best_offset(mode), cfg.configs))
-        for mode in (Mode.SMBS, Mode.RS, Mode.RIS)
-    )
+    at_crest = {
+        mode: row for mode in (Mode.SMBS, Mode.RS, Mode.RIS)
+        for row in corridor.rows(corridor.best_offset(mode), cfg.configs) if row[0] is mode
+    }
+    smbs, rs, ris = map(carrier, at_crest.values())
     legs = [(smbs, fh) for fh in cfg.smbs_F_H_list]
     legs += [(rs, cfg.cloud.F_C), (ris, cfg.cloud.F_C)]
     sizes = spec.grid()

@@ -46,3 +46,15 @@ def geom_gnb():
 
 def geom_at(x, D=D_DEFAULT, H=H_DEFAULT):
     return ScenarioGeometry(D=D, H=H, x=x)
+
+
+def hop_snrs(corridor, x):
+    """The relay's two full-power hop SNRs at offset x, from
+    Corridor.columns."""
+    (snr1,), (snr2,), _ = corridor.columns((x,))
+    return snr1, snr2
+
+
+def capacities(corridor, x, configs):
+    """{mode: capacity_bps} of Corridor.rows at offset x."""
+    return {row[0]: row[1] for row in corridor.rows(x, configs)}

@@ -23,13 +23,12 @@ from hapslink import (
     RequestError,
     Request,
     RequestKind,
-    ScenarioGeometry,
     build_engine,
     decisions_to_csv,
     handle_request,
     load_config,
     load_trace,
-    relay_optimal_split,
+    relay_optimal_splits,
     replace,
     replay_trace,
     ris_placement_roots,
@@ -38,7 +37,7 @@ from hapslink import (
     sweep_latency,
 )
 from hapslink.modes import RisConfig
-from hapslink.optimizer import best_payload, payload_rows
+from hapslink.optimizer import best_payload
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_TRACE = os.path.join(DATA_DIR, "golden_trace.txt")
@@ -63,10 +62,6 @@ def timed(key):
     DURATIONS[key] = time.perf_counter() - start
 
 
-def geom_at(cfg, x):
-    return ScenarioGeometry(D=cfg.geom.D, H=cfg.geom.H, x=x)
-
-
 def corridor_of(cfg, radio=None):
     return Corridor(cfg.geom.D, cfg.geom.H, radio or cfg.radio)
 
@@ -80,8 +75,7 @@ def test_criterion_01_ris_placement_roots():
     step = 10.0
     with timed("c1"):
         xs = [i * step for i in range(int(cfg.geom.D / step) + 1)]
-        corridor = corridor_of(cfg)
-        caps = [corridor.ris_capacity(x, cfg.ris) for x in xs]
+        (caps,) = corridor_of(cfg).columns(xs, (cfg.ris,))[2]
         best = max(range(len(xs)), key=lambda i: caps[i])
     elapsed = DURATIONS["c1"]
     roots = ris_placement_roots(cfg.geom.D, cfg.geom.H)
@@ -107,8 +101,7 @@ def test_criterion_02_rs_placement_at_gnb():
     step = 100.0
     with timed("c2"):
         xs = [i * step for i in range(int(cfg.geom.D / step) + 1)]
-        corridor = corridor_of(cfg)
-        caps = [corridor.capacity_bps_hz(Mode.RS, x, cfg.configs) for x in xs]
+        _, caps = relay_optimal_splits(*corridor_of(cfg).columns(xs)[:2])
         best = max(range(len(xs)), key=lambda i: caps[i])
     assert abs(xs[best] - cfg.geom.D) <= step
     print(f"PASS 2: relay capacity argmax {xs[best]:.0f} m is within one "
@@ -128,12 +121,12 @@ def test_criterion_03_alpha_optimizer_oracle():
             D = rng.uniform(40000.0, 80000.0)
             H = rng.uniform(18000.0, 22000.0)
             x = rng.uniform(0.05 * D, 0.95 * D)
-            snr1, snr2 = Corridor(D, H, cfg.radio).rs_hop_snrs(x)
+            (snr1,), (snr2,), _ = Corridor(D, H, cfg.radio).columns((x,))
             # the first split of the largest weaker hop
             best = max(range(len(alphas)),
                        key=lambda i: min(alphas[i] * snr1, (1 - alphas[i]) * snr2))
             oracle = alphas[best]
-            alpha_opt, _ = relay_optimal_split(snr1, snr2)
+            (alpha_opt,), _ = relay_optimal_splits((snr1,), (snr2,))
             assert abs(alpha_opt - oracle) <= 2e-4
 
         result = sweep_capacity(cfg)
@@ -328,15 +321,15 @@ def test_criterion_09_gain_shift_invariance():
         G_H_rx=cfg.radio.G_H_rx + 7.0,
     )
     objective = Objective(ObjectiveKind.MAX_CAPACITY)
-    spec = cfg.sweep_for("x")
+    xs = cfg.sweep_for("x").grid()
     base, boosted = corridor_of(cfg), corridor_of(cfg, shifted)
-    for x in spec.grid():
-        geom = geom_at(cfg, x)
-        before = best_payload(objective, payload_rows(geom, cfg.radio, cfg.configs), None)
-        after = best_payload(objective, payload_rows(geom, shifted, cfg.configs), None)
+    for x in xs:
+        before = best_payload(objective, base.rows(x, cfg.configs), None)
+        after = best_payload(objective, boosted.rows(x, cfg.configs), None)
         assert before[0] is after[0]
-        a_before, _ = relay_optimal_split(*base.rs_hop_snrs(x))
-        a_after, _ = relay_optimal_split(*boosted.rs_hop_snrs(x))
+    alphas_before, _ = relay_optimal_splits(*base.columns(xs)[:2])
+    alphas_after, _ = relay_optimal_splits(*boosted.columns(xs)[:2])
+    for a_before, a_after in zip(alphas_before, alphas_after):
         assert abs(a_before - a_after) <= 2e-4
 
     for mode in (Mode.RS, Mode.RIS, Mode.SMBS):

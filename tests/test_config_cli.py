@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from hapslink import (
     CloudConfig,
-    ComputeTask,
     ConfigError,
     Corridor,
     DEFAULT_S_SWEEP,
@@ -30,7 +29,6 @@ from hapslink import (
     SweepSpec,
     build_engine,
     load_config,
-    offload_latency,
     replace,
     replay_trace,
     sweep_capacity,
@@ -39,6 +37,9 @@ from hapslink import (
 from hapslink import config
 from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from hapslink.engine import OBJECTIVE_TOKENS
+from hapslink.modes import carrier
+
+import reference_model as ref
 
 
 @pytest.fixture(autouse=True)
@@ -1142,6 +1143,16 @@ def _value_or_refusal(fn, *args):
         return str(err)
 
 
+def _oracle_task_latency(cfg, mode, size):
+    """The reference model's latency of a task of size bits through mode
+    at cfg's geometry, or the refusal of a payload that carries nothing."""
+    g = cfg.geom
+    row = next(r for r in ref.rows(g.D, g.H, g.x, cfg.radio, cfg.configs) if r[0] is mode)
+    if not row[1] > 0:
+        return f"mode unreachable: {mode.value} capacity is zero"
+    return ref.task_latency(row, size, cfg.cycles_per_bit, cfg.configs, cfg.cloud)
+
+
 def _forced_task_latency(cfg, mode, size):
     """latency_s of a task of size bits forced through mode on cfg's
     engine, or the text of the engine's refusal."""
@@ -1163,17 +1174,14 @@ def _forced_task_latency(cfg, mode, size):
 def test_forced_task_latency_is_the_offload_and_sweep_figure(D, H, frac, size):
     base = replace(ScenarioConfig(), sweep=SweepSpec("S", size, size, 1.0))
     corridor = Corridor(D, H, base.radio)
-    task = ComputeTask(size, base.cycles_per_bit)
     at_crest = {}
     for mode in Mode:
         # at the drawn offset, then at the mode's crest, where the sweep puts it
         for x in (frac * D, corridor.best_offset(mode)):
             cfg = replace(base, geom=ScenarioGeometry(D, H, x))
             forced = _forced_task_latency(cfg, mode, size)
-            oracle = _value_or_refusal(
-                offload_latency, mode, cfg.geom, cfg.radio, cfg.configs, task, cfg.cloud
-            )
-            assert forced == oracle  # the same float, or the same refusal
+            # the same float, or the same refusal
+            assert forced == _oracle_task_latency(cfg, mode, size)
         at_crest[mode] = forced
     swept = replace(base, geom=ScenarioGeometry(D, H, D))
     sweep = _value_or_refusal(sweep_latency, swept)
@@ -1188,18 +1196,18 @@ def test_forced_task_latency_is_the_offload_and_sweep_figure(D, H, frac, size):
 
 
 def test_unreachable_payload_is_refused_in_the_same_words(tmp_path, capsys):
-    # select, replay, sweep-latency and offload_latency word the refusal
+    # select, replay, sweep-latency and modes.carrier word the refusal
     # of a payload that carries nothing alike
     config = write_config(tmp_path, FAR_CORRIDOR)
     cfg = load_config(config)
     trace = tmp_path / "one.trace"
     trace.write_text(ONE_TASK)
-    task = ComputeTask(1e6, cfg.cycles_per_bit)
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
 
     def refusal(mode, x):
-        geom = replace(cfg.geom, x=x)
+        row = next(r for r in corridor.rows(x, cfg.configs) if r[0] is mode)
         with pytest.raises(ValueError) as err:
-            offload_latency(mode, geom, cfg.radio, cfg.configs, task, cfg.cloud)
+            carrier(row)
         return str(err.value)
 
     def error(*args):
@@ -1216,7 +1224,6 @@ def test_unreachable_payload_is_refused_in_the_same_words(tmp_path, capsys):
     )
     assert error("replay", str(trace)) == f"error: request 0: {ris}\n"
     # the sweep puts each payload at its crest: there only the surface fails
-    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
     assert refusal(Mode.RIS, corridor.best_offset(Mode.RIS)) == ris
     assert error("sweep-latency") == f"error: {ris}\n"
 

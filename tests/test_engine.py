@@ -12,7 +12,6 @@ from hapslink import (
     Action,
     CacheState,
     CloudConfig,
-    ComputeTask,
     Corridor,
     EngineContext,
     Mode,
@@ -27,7 +26,6 @@ from hapslink import (
     decisions_to_csv,
     handle_request,
     load_trace,
-    offload_latency,
     parse_trace_line,
     replay_trace,
 )
@@ -35,6 +33,7 @@ from hapslink.cli import EXIT_OK, main
 from hapslink.engine import stream_replay
 from hapslink.modes import RisConfig, RsConfig, SmbsConfig
 
+import reference_model as ref
 from conftest import geom_at
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "golden_trace.txt")
@@ -212,14 +211,20 @@ def test_communication_infeasible_qos(ctx):
     assert d.energy_J is None
 
 
+def oracle_task_latencies(ctx, size):
+    """{mode: latency} of a task of size bits on the reference model's rows
+    at ctx's geometry."""
+    g, configs = ctx.geom, ctx.configs
+    return {
+        row[0]: ref.task_latency(row, size, ctx.cycles_per_bit, configs, ctx.cloud)
+        for row in ref.rows(g.D, g.H, g.x, ctx.radio, configs)
+    }
+
+
 def test_task_decision_matches_offload_oracle(ctx):
     req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=1e6)
     d, _ = handle_request(req, fresh_state(), ctx)
-    task = ComputeTask(1e6, ctx.cycles_per_bit)
-    latencies = {
-        mode: offload_latency(mode, ctx.geom, ctx.radio, ctx.configs, task, ctx.cloud)
-        for mode in Mode
-    }
+    latencies = oracle_task_latencies(ctx, 1e6)
     best_mode = min(latencies, key=latencies.get)
     assert d.mode is best_mode
     assert d.latency_s == pytest.approx(latencies[best_mode], rel=1e-12)
@@ -260,7 +265,7 @@ def test_task_qos_filters_modes(ctx):
 
 def test_task_builds_one_decision_per_new_tail(ctx, monkeypatch):
     # the three payloads are priced as plain numbers; only the fastest
-    # becomes a ModeDecision, and no ComputeTask is built
+    # becomes a ModeDecision
     built = []
     check = ModeDecision.__post_init__
 
@@ -268,11 +273,7 @@ def test_task_builds_one_decision_per_new_tail(ctx, monkeypatch):
         built.append(self.mode)
         check(self)
 
-    def no_task(self):
-        raise AssertionError("a ComputeTask was built")
-
     monkeypatch.setattr(ModeDecision, "__post_init__", counting)
-    monkeypatch.setattr(ComputeTask, "__post_init__", no_task)
     for size in (1e3, 1e6, 1e9):
         req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=size)
         decision, _ = handle_request(req, fresh_state(), ctx)
@@ -306,9 +307,7 @@ def test_exact_task_tie_goes_to_the_passive_payload():
     fast = ModeConfigs(rs=configs.rs, ris=configs.ris,
                        smbs=SmbsConfig(F_H=9800072931.180836))
     ctx = EngineContext(geom=geom_at(45000.0), radio=RadioParams(), configs=fast)
-    task = ComputeTask(1e6, ctx.cycles_per_bit)
-    latency = {mode: offload_latency(mode, ctx.geom, ctx.radio, fast, task, ctx.cloud)
-               for mode in Mode}
+    latency = oracle_task_latencies(ctx, 1e6)
     assert latency[Mode.SMBS] == latency[Mode.RIS] < latency[Mode.RS]
     req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=1e6)
     d, _ = handle_request(req, fresh_state(), ctx)
@@ -405,11 +404,10 @@ def test_forced_mode_bypasses_cache(ctx):
 def test_forced_task_uses_the_selection_path(ctx):
     req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=1e6)
     chosen, _ = handle_request(req, fresh_state(), ctx)
-    task = ComputeTask(1e6, ctx.cycles_per_bit)
+    oracle = oracle_task_latencies(ctx, 1e6)
     for mode in Mode:
         forced = replay_trace([req], fresh_state(), ctx, force_mode=mode).decisions[0]
-        oracle = offload_latency(mode, ctx.geom, ctx.radio, ctx.configs, task, ctx.cloud)
-        assert forced.latency_s == pytest.approx(oracle, rel=1e-12)
+        assert forced.latency_s == pytest.approx(oracle[mode], rel=1e-12)
         if mode is chosen.mode:
             assert forced == chosen
 
@@ -473,7 +471,7 @@ def test_context_runs_the_link_budget_once(monkeypatch):
         raise AssertionError("recomputed after construction")
 
     monkeypatch.setattr(propagation, "dry_air_specific_attenuation", refuse)
-    monkeypatch.setattr(Corridor, "distances", refuse)
+    monkeypatch.setattr(Corridor, "hop_lengths", refuse)
     requests = load_trace(GOLDEN_TRACE)
     replay_trace(requests, fresh_state(), ctx)
     for mode in Mode:

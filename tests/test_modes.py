@@ -10,16 +10,15 @@ from hapslink import (
     RadioParams,
     RisConfig,
     SmbsConfig,
-    energy_efficiency,
-    mode_payload_power_W,
-    relay_capacity,
-    relay_optimal_split,
+    relay_capacities,
+    relay_optimal_splits,
     ris_placement_roots,
 )
-from hapslink.modes import energy_efficiencies, relay_capacities, relay_optimal_splits
+from hapslink.modes import energy_efficiencies
 from hapslink.propagation import fspl_dB, noise_power_dBm
 
-from conftest import D_DEFAULT, H_DEFAULT
+import reference_model as ref
+from conftest import D_DEFAULT, H_DEFAULT, capacities, hop_snrs
 
 
 # ---------------------------------------------------------------
@@ -51,16 +50,16 @@ def test_rs_symmetric_geometry_balances(radio):
     # equal end gains and the midpoint make the two hops identical, so
     # the even split hits C = 1/2 log2(1 + snr/2)
     sym_radio = RadioParams(G0_max=20.0, G_gNB=20.0)
-    snr1, snr2 = Corridor(D_DEFAULT, H_DEFAULT, sym_radio).rs_hop_snrs(30000.0)
+    snr1, snr2 = hop_snrs(Corridor(D_DEFAULT, H_DEFAULT, sym_radio), 30000.0)
     assert snr1 == pytest.approx(snr2, rel=1e-12)
-    cap = relay_capacity(snr1, snr2, alpha=0.5)
+    (cap,) = relay_capacities((snr1,), (snr2,), alpha=0.5)
     assert cap == pytest.approx(0.5 * math.log2(1 + 0.5 * snr1), rel=1e-12)
 
 
 def test_rs_capacity_vanishes_as_alpha_vanishes(corridor, configs):
-    snrs = corridor.rs_hop_snrs(30000.0)
+    snr1s, snr2s, _ = corridor.columns((30000.0,))
     caps = [
-        relay_capacity(*snrs, alpha=a)
+        relay_capacities(snr1s, snr2s, alpha=a)[0]
         for a in (1e-3, 1e-6, 1e-9, 1e-12)
     ]
     assert all(c2 < c1 for c1, c2 in zip(caps, caps[1:]))
@@ -68,32 +67,33 @@ def test_rs_capacity_vanishes_as_alpha_vanishes(corridor, configs):
 
 
 def test_rs_capacity_alpha05_frozen(corridor, configs):
-    got = relay_capacity(*corridor.rs_hop_snrs(30000.0), alpha=0.5)
+    snr1s, snr2s, _ = corridor.columns((30000.0,))
+    (got,) = relay_capacities(snr1s, snr2s, alpha=0.5)
     assert got == pytest.approx(4.259291804624754, rel=1e-12)
 
 
 def test_rs_rejects_alpha_out_of_range(corridor, configs):
-    snrs = corridor.rs_hop_snrs(30000.0)
+    snr1s, snr2s, _ = corridor.columns((30000.0,))
     with pytest.raises(ValueError):
-        relay_capacity(*snrs, alpha=0.0)
+        relay_capacities(snr1s, snr2s, alpha=0.0)
     with pytest.raises(ValueError):
-        relay_capacity(*snrs, alpha=1.2)
+        relay_capacities(snr1s, snr2s, alpha=1.2)
 
 
 @given(alpha=st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_rs_min_structure(alpha):
     # the half-duplex capacity can never beat either individual hop
-    snr1, snr2 = Corridor(D_DEFAULT, H_DEFAULT, RadioParams()).rs_hop_snrs(25000.0)
-    cap = relay_capacity(snr1, snr2, alpha=alpha)
+    snr1, snr2 = hop_snrs(Corridor(D_DEFAULT, H_DEFAULT, RadioParams()), 25000.0)
+    (cap,) = relay_capacities((snr1,), (snr2,), alpha=alpha)
     assert cap <= 0.5 * math.log2(1 + alpha * snr1) + 1e-12
     assert cap <= 0.5 * math.log2(1 + (1 - alpha) * snr2) + 1e-12
 
 
 def test_rs_unimodal_in_alpha(corridor, configs):
     # discrete slope changes sign exactly once over a fine alpha grid
-    snrs = corridor.rs_hop_snrs(40000.0)
+    snr1s, snr2s, _ = corridor.columns((40000.0,))
     alphas = [i / 2000 for i in range(1, 2000)]
-    caps = [relay_capacity(*snrs, alpha=a) for a in alphas]
+    caps = [relay_capacities(snr1s, snr2s, alpha=a)[0] for a in alphas]
     diffs = [b - a for a, b in zip(caps, caps[1:])]
     sign_changes = sum(
         1 for d1, d2 in zip(diffs, diffs[1:]) if (d1 > 0) != (d2 > 0)
@@ -113,7 +113,8 @@ def test_ris_snr_quadruples_with_doubled_elements(corridor):
 
 
 def test_ris_capacity_monotone_in_N(corridor):
-    caps = [corridor.ris_capacity(20000.0, RisConfig(N=n)) for n in (10000, 30000, 50000)]
+    surfaces = [RisConfig(N=n) for n in (10000, 30000, 50000)]
+    caps = [col[0] for col in corridor.columns((20000.0,), surfaces)[2]]
     assert caps[0] < caps[1] < caps[2]
 
 
@@ -137,7 +138,7 @@ def test_ris_placement_roots_collapse():
 
 def test_ris_capacity_frozen_at_root(corridor, configs):
     root = ris_placement_roots(60000, 20000)[0]
-    got = corridor.ris_capacity(root, configs.ris)
+    ((got,),) = corridor.columns((root,), (configs.ris,))[2]
     assert got == pytest.approx(7.031361895295138, rel=1e-12)
 
 
@@ -149,30 +150,29 @@ def test_ris_snr_symmetric_about_midpoint(corridor, configs):
 
 
 def test_ris_equal_capacity_at_both_roots(corridor, configs):
-    r1, r2 = ris_placement_roots(60000, 20000)
-    c1 = corridor.ris_capacity(r1, configs.ris)
-    c2 = corridor.ris_capacity(r2, configs.ris)
+    ((c1, c2),) = corridor.columns(ris_placement_roots(60000, 20000), (configs.ris,))[2]
     assert c1 == pytest.approx(c2, rel=1e-12)
 
 
 def test_ris_capacity_simple_snr_points(corridor, configs):
     # log2(1 + snr) endpoints sanity: tiny snr ~ 0 bps/Hz
     tiny = RisConfig(N=1, beta=1e-6)
-    assert corridor.ris_capacity(30000.0, tiny) < 1e-9
+    assert corridor.columns((30000.0,), (tiny,))[2][0][0] < 1e-9
 
 
 # ---------------------------------------------------------------
 # base-station payload
 # ---------------------------------------------------------------
 
-def test_smbs_capacity_frozen_above_gnb(corridor):
-    assert corridor.smbs_capacity(60000.0) == pytest.approx(
+def test_smbs_capacity_frozen_above_gnb(corridor, configs):
+    capacity_bps = capacities(corridor, 60000.0, configs)[Mode.SMBS]
+    assert capacity_bps / corridor.budget.radio.B == pytest.approx(
         6.943870592632252, rel=1e-12
     )
 
 
-def test_smbs_capacity_decays_away_from_gnb(corridor):
-    caps = [corridor.smbs_capacity(x) for x in (60000, 45000, 30000, 0)]
+def test_smbs_capacity_decays_away_from_gnb(corridor, configs):
+    caps = [capacities(corridor, x, configs)[Mode.SMBS] for x in (60000, 45000, 30000, 0)]
     assert all(c2 < c1 for c1, c2 in zip(caps, caps[1:]))
 
 
@@ -184,32 +184,35 @@ def test_smbs_toy_balanced_link_gives_one_bit():
         P_gNB=balanced, G_gNB=0.0, G_H_rx=0.0,
         pressure_Pa=0.0, scintillation_dB=0.0,
     )
-    cap = Corridor(D_DEFAULT, H_DEFAULT, radio).smbs_capacity(60000.0)
-    assert cap == pytest.approx(1.0, rel=1e-12)
+    corridor = Corridor(D_DEFAULT, H_DEFAULT, radio)
+    capacity_bps = capacities(corridor, 60000.0, ModeConfigs.defaults())[Mode.SMBS]
+    assert capacity_bps / radio.B == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------
 # power and efficiency
 # ---------------------------------------------------------------
 
-def test_mode_payload_power(configs):
-    assert mode_payload_power_W(Mode.RS, configs) == 1000.0
+def test_mode_payload_power(corridor, configs):
+    def power(mode, configs):
+        return {row[0]: row[2] for row in corridor.rows(30000.0, configs)}[mode]
+
+    assert power(Mode.RS, configs) == 1000.0
     thirty_k = ModeConfigs(rs=configs.rs, ris=RisConfig(N=30000), smbs=configs.smbs)
-    assert mode_payload_power_W(Mode.RIS, thirty_k) == pytest.approx(234.0, rel=1e-12)
+    assert power(Mode.RIS, thirty_k) == pytest.approx(234.0, rel=1e-12)
     single = ModeConfigs(rs=configs.rs, ris=RisConfig(N=1), smbs=configs.smbs)
-    assert mode_payload_power_W(Mode.RIS, single) == pytest.approx(0.0078, rel=1e-12)
-    assert mode_payload_power_W(Mode.SMBS, configs) == 3000.0
+    assert power(Mode.RIS, single) == pytest.approx(0.0078, rel=1e-12)
+    assert power(Mode.SMBS, configs) == 3000.0
 
 
 def test_energy_efficiency_arithmetic():
-    assert energy_efficiency(1000.0, 10.0) == 100.0
-    assert energy_efficiency(0.0, 10.0) == 0.0
+    assert energy_efficiencies([1000.0, 0.0], 1.0, 10.0) == [100.0, 0.0]
     with pytest.raises(ValueError):
-        energy_efficiency(1000.0, 0.0)
+        energy_efficiencies([1000.0], 1.0, 0.0)
 
 
 # ---------------------------------------------------------------
-# column forms: each element is the scalar law, bit for bit
+# column forms: each element is the law, bit for bit
 # ---------------------------------------------------------------
 
 SNR = st.floats(min_value=1e-300, max_value=1e300)
@@ -234,11 +237,10 @@ def test_relay_and_ee_columns_are_the_law_per_element(pairs, alpha, B, power):
     fixed = [0.5 * math.log2(1.0 + min(alpha * s1, (1.0 - alpha) * s2)) for s1, s2 in pairs]
     assert relay_capacities(snr1s, snr2s, alpha) == fixed
     assert energy_efficiencies(capacities, B, power) == [c * B / power for c in capacities]
-    # the scalars are one-element calls of the columns
+    # and each element is the oracle's law
     for (s1, s2), a, c, f in zip(pairs, alphas, capacities, fixed):
-        assert relay_optimal_split(s1, s2) == (a, c)
-        assert relay_capacity(s1, s2, alpha) == f
-        assert energy_efficiency(c * B, power) == c * B / power
+        assert ref.relay_best_split(s1, s2) == (a, c)
+        assert ref.relay_fixed_split(s1, s2, alpha) == f
 
 
 def test_column_forms_check_their_input_once():
@@ -260,9 +262,9 @@ def test_column_forms_check_their_input_once():
     ),
 )
 def test_surface_capacity_column_is_log2_of_its_snr(D, H, fracs, surfaces):
-    corridor = Corridor(D, H, RadioParams())
+    radio = RadioParams()
     xs = [frac * D for frac in fracs]
-    columns = corridor.columns(xs, surfaces)[2]
+    columns = Corridor(D, H, radio).columns(xs, surfaces)[2]
     assert columns == [
-        [math.log2(1.0 + corridor.ris_snr(x, ris)) for x in xs] for ris in surfaces
+        [math.log2(1.0 + ref.ris_snr(D, H, x, radio, ris)) for x in xs] for ris in surfaces
     ]

@@ -15,14 +15,14 @@ from hapslink import (
     RequestError,
     RequestKind,
     RisConfig,
-    relay_capacity,
-    relay_optimal_split,
+    relay_capacities,
+    relay_optimal_splits,
     ris_placement_roots,
 )
 from hapslink.engine import validate_request
-from hapslink.optimizer import best_payload, payload_rows
+from hapslink.optimizer import best_payload
 
-from conftest import D_DEFAULT, H_DEFAULT, geom_at
+from conftest import D_DEFAULT, H_DEFAULT, capacities, hop_snrs
 
 
 # ---------------------------------------------------------------
@@ -31,13 +31,13 @@ from conftest import D_DEFAULT, H_DEFAULT, geom_at
 
 def test_alpha_symmetric_link_splits_evenly():
     radio = RadioParams(G0_max=20.0, G_gNB=20.0)
-    snrs = Corridor(D_DEFAULT, H_DEFAULT, radio).rs_hop_snrs(30000.0)
-    alpha, _ = relay_optimal_split(*snrs)
+    snr1s, snr2s, _ = Corridor(D_DEFAULT, H_DEFAULT, radio).columns((30000.0,))
+    (alpha,), _ = relay_optimal_splits(snr1s, snr2s)
     assert alpha == pytest.approx(0.5, abs=1e-5)
 
 
 def test_alpha_opt_frozen_above_gnb(corridor, configs):
-    alpha, cap = relay_optimal_split(*corridor.rs_hop_snrs(60000.0))
+    (alpha,), (cap,) = relay_optimal_splits(*corridor.columns((60000.0,))[:2])
     assert alpha == pytest.approx(0.015916159878747282, abs=1e-9)
     assert cap == pytest.approx(5.614032879239191, rel=1e-12)
 
@@ -45,8 +45,8 @@ def test_alpha_opt_frozen_above_gnb(corridor, configs):
 def test_alpha_exact_at_extreme_asymmetry(radio, configs):
     # long corridor, platform next to the gateway: the strong first hop
     # needs almost none of the power budget
-    snr1, snr2 = Corridor(150000.0, 16500.0, radio).rs_hop_snrs(500.0)
-    alpha, cap = relay_optimal_split(snr1, snr2)
+    snr1, snr2 = hop_snrs(Corridor(150000.0, 16500.0, radio), 500.0)
+    (alpha,), (cap,) = relay_optimal_splits((snr1,), (snr2,))
     assert alpha == snr2 / (snr1 + snr2)
     assert alpha == pytest.approx(1.5e-5, rel=0.05)
     assert alpha * snr1 == pytest.approx((1.0 - alpha) * snr2, rel=1e-12)
@@ -56,10 +56,10 @@ def test_alpha_exact_at_extreme_asymmetry(radio, configs):
 
 
 def test_alpha_opt_beats_even_split(corridor, configs):
-    for x in (0.0, 15000.0, 30000.0, 45000.0, 60000.0):
-        snrs = corridor.rs_hop_snrs(x)
-        _, cap_opt = relay_optimal_split(*snrs)
-        assert cap_opt >= relay_capacity(*snrs, alpha=0.5)
+    snr1s, snr2s, _ = corridor.columns((0.0, 15000.0, 30000.0, 45000.0, 60000.0))
+    _, caps_opt = relay_optimal_splits(snr1s, snr2s)
+    for cap_opt, cap05 in zip(caps_opt, relay_capacities(snr1s, snr2s, alpha=0.5)):
+        assert cap_opt >= cap05
 
 
 def test_alpha_matches_brute_force_grid(radio, configs):
@@ -70,21 +70,21 @@ def test_alpha_matches_brute_force_grid(radio, configs):
         D = rng.uniform(30000.0, 90000.0)
         H = rng.uniform(10000.0, 25000.0)
         x = rng.uniform(0.0, D)
-        snr1, snr2 = Corridor(D, H, radio).rs_hop_snrs(x)
+        snr1, snr2 = hop_snrs(Corridor(D, H, radio), x)
 
         def cap(a):
             return 0.5 * math.log2(1.0 + min(a * snr1, (1.0 - a) * snr2))
 
         grid_best = max((i * 1e-4 for i in range(1, 10000)), key=cap)
-        alpha, _ = relay_optimal_split(snr1, snr2)
+        (alpha,), _ = relay_optimal_splits((snr1,), (snr2,))
         assert abs(alpha - grid_best) <= 2e-4
 
 
 def test_alpha_never_worse_than_verification_grid(corridor, configs):
-    snrs = corridor.rs_hop_snrs(22000.0)
-    alpha, cap = relay_optimal_split(*snrs)
+    snr1s, snr2s, _ = corridor.columns((22000.0,))
+    _, (cap,) = relay_optimal_splits(snr1s, snr2s)
     for i in range(1, 1000):
-        grid_cap = relay_capacity(*snrs, alpha=i / 1000)
+        (grid_cap,) = relay_capacities(snr1s, snr2s, alpha=i / 1000)
         assert cap >= grid_cap * (1.0 - 1e-9)
 
 
@@ -118,14 +118,14 @@ def _distance_product_sq(x, D=60000.0, H=20000.0):
 
 def test_placement_rs_lands_next_to_gnb(corridor, configs):
     x = corridor.best_offset(Mode.RS)
-    crest = corridor.capacity_bps_hz(Mode.RS, x, configs)
+    _, (crest,) = relay_optimal_splits(*corridor.columns((x,))[:2])
     # the true peak sits a shade inside the corridor: right above the gNB
     # the short hop stops improving while the long hop keeps paying
     assert x == pytest.approx(59899.98, abs=0.5)
     assert crest == pytest.approx(5.6140509329, rel=1e-9)
     # the exact crest: no point of a 1 cm scan around it does better
-    for i in range(-500, 501):
-        cap = corridor.capacity_bps_hz(Mode.RS, 59900.0 + i * 0.01, configs)
+    scan = [59900.0 + i * 0.01 for i in range(-500, 501)]
+    for cap in relay_optimal_splits(*corridor.columns(scan)[:2])[1]:
         assert crest >= cap * (1.0 - 1e-12)
 
 
@@ -134,7 +134,7 @@ def _inverse_snr_slope(corridor, x, h=1.0):
     # step much below 1 m drowns in the rounding of the two SNRs, one
     # much above it in the difference's own truncation error
     def cost(y):
-        snr1, snr2 = corridor.rs_hop_snrs(y)
+        snr1, snr2 = hop_snrs(corridor, y)
         return 1.0 / snr1 + 1.0 / snr2
 
     return (cost(x + h) - cost(x - h)) / (2.0 * h)
@@ -169,11 +169,11 @@ def test_best_offset_beats_a_scan(D, H, f, gains):
     configs = ModeConfigs.defaults()
     assert corridor.best_offset(Mode.SMBS) == D
     assert corridor.best_offset(Mode.RIS) == ris_placement_roots(D, H)[0]
-    scan = [D * (i / 199) for i in range(200)]
+    scan = [capacities(corridor, D * (i / 199), configs) for i in range(200)]
     for mode in Mode:
-        crest = corridor.capacity_bps_hz(mode, corridor.best_offset(mode), configs)
-        for x in scan:
-            assert crest >= corridor.capacity_bps_hz(mode, x, configs) * (1.0 - 1e-12)
+        crest = capacities(corridor, corridor.best_offset(mode), configs)[mode]
+        for caps in scan:
+            assert crest >= caps[mode] * (1.0 - 1e-12)
 
 
 def test_placement_smbs_on_top_of_gnb(corridor):
@@ -185,9 +185,9 @@ def test_placement_ris_matches_closed_form(corridor):
 
 
 def test_placement_never_worse_than_grid(corridor, configs):
-    crest = corridor.ris_capacity(corridor.best_offset(Mode.RIS), configs.ris)
-    for x in range(0, 60001, 500):
-        cap = corridor.ris_capacity(float(x), configs.ris)
+    ((crest,),) = corridor.columns((corridor.best_offset(Mode.RIS),), (configs.ris,))[2]
+    (caps,) = corridor.columns([float(x) for x in range(0, 60001, 500)], (configs.ris,))[2]
+    for cap in caps:
         assert crest >= cap * (1.0 - 1e-9)
 
 
@@ -195,57 +195,57 @@ def test_placement_never_worse_than_grid(corridor, configs):
 # mode selection
 # ---------------------------------------------------------------
 
-def test_select_max_capacity_midcorridor(radio, configs):
+def test_select_max_capacity_midcorridor(corridor, configs):
     mode, value = best_payload(
         Objective(ObjectiveKind.MAX_CAPACITY),
-        payload_rows(geom_at(30000.0), radio, configs), None,
+        corridor.rows(30000.0, configs), None,
     )
     assert mode is Mode.RIS
     assert value == pytest.approx(136046417.8623018, rel=1e-9)
 
 
-def test_select_max_capacity_above_gnb(radio, configs):
+def test_select_max_capacity_above_gnb(corridor, configs):
     mode, _ = best_payload(
         Objective(ObjectiveKind.MAX_CAPACITY),
-        payload_rows(geom_at(60000.0), radio, configs), None,
+        corridor.rows(60000.0, configs), None,
     )
     assert mode is Mode.SMBS
 
 
-def test_select_max_ee_prefers_surface(radio, configs):
+def test_select_max_ee_prefers_surface(corridor, configs):
     mode, _ = best_payload(
         Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
-        payload_rows(geom_at(30000.0), radio, configs), None,
+        corridor.rows(30000.0, configs), None,
     )
     assert mode is Mode.RIS
 
 
-def test_select_min_energy_feasible(radio, configs):
+def test_select_min_energy_feasible(corridor, configs):
     mode, value = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
-        payload_rows(geom_at(30000.0), radio, configs), 1e8,
+        corridor.rows(30000.0, configs), 1e8,
     )
     assert mode is Mode.RIS
     assert value == pytest.approx(390.0, rel=1e-12)
 
 
-def test_select_min_energy_only_smbs_meets_qos(radio, configs):
+def test_select_min_energy_only_smbs_meets_qos(corridor, configs):
     mode, _ = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
-        payload_rows(geom_at(60000.0), radio, configs), 1.38e8,
+        corridor.rows(60000.0, configs), 1.38e8,
     )
     assert mode is Mode.SMBS
 
 
-def test_select_min_energy_infeasible(radio, configs):
+def test_select_min_energy_infeasible(corridor, configs):
     best = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
-        payload_rows(geom_at(30000.0), radio, configs), 1e12,
+        corridor.rows(30000.0, configs), 1e12,
     )
     assert best is None
 
 
-def test_select_tie_breaks_toward_passive(radio, configs):
+def test_select_tie_breaks_toward_passive(corridor, configs):
     # equal payload power for relay and surface: the passive one wins
     tied = ModeConfigs(
         rs=configs.rs,
@@ -254,15 +254,15 @@ def test_select_tie_breaks_toward_passive(radio, configs):
     )
     mode, _ = best_payload(
         Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
-        payload_rows(geom_at(30000.0), radio, tied), 1e6,
+        corridor.rows(30000.0, tied), 1e6,
     )
     assert mode is Mode.RIS
 
 
-def test_select_deterministic(radio, configs):
+def test_select_deterministic(corridor, configs):
     obj = Objective(ObjectiveKind.MAX_CAPACITY)
-    a = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs), None)
-    b = best_payload(obj, payload_rows(geom_at(25000.0), radio, configs), None)
+    a = best_payload(obj, corridor.rows(25000.0, configs), None)
+    b = best_payload(obj, corridor.rows(25000.0, configs), None)
     assert a == b
 
 
@@ -290,9 +290,10 @@ def test_gain_shift_leaves_argmaxes_alone(radio, configs):
     )
     base = Corridor(D_DEFAULT, H_DEFAULT, radio)
     shifted = Corridor(D_DEFAULT, H_DEFAULT, boosted)
-    for x in (10000.0, 30000.0, 52000.0):
-        a0, _ = relay_optimal_split(*base.rs_hop_snrs(x))
-        a1, _ = relay_optimal_split(*shifted.rs_hop_snrs(x))
+    xs = (10000.0, 30000.0, 52000.0)
+    alphas0, _ = relay_optimal_splits(*base.columns(xs)[:2])
+    alphas1, _ = relay_optimal_splits(*shifted.columns(xs)[:2])
+    for a0, a1 in zip(alphas0, alphas1):
         assert abs(a0 - a1) <= 2e-4
     for mode in Mode:
         assert abs(base.best_offset(mode) - shifted.best_offset(mode)) <= 100.0

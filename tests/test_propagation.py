@@ -160,7 +160,8 @@ def test_radio_params_refuse_what_the_dry_air_model_cannot_take():
 def test_total_loss_is_fspl_without_atmosphere():
     radio = RadioParams(pressure_Pa=0.0, scintillation_dB=0.0)
     d = 36055.5127546399
-    assert LinkBudget(radio).loss_dB(d) == pytest.approx(fspl_dB(d, radio.f), rel=1e-12)
+    (loss,) = LinkBudget(radio).losses_dB([d])
+    assert loss == pytest.approx(fspl_dB(d, radio.f), rel=1e-12)
 
 
 def test_total_loss_composition():
@@ -172,9 +173,9 @@ def test_total_loss_composition():
         * d / 1000.0
         + radio.scintillation_dB
     )
-    budget = LinkBudget(radio)
-    assert budget.loss_dB(d) == pytest.approx(expected, rel=1e-14)
-    assert budget.loss_dB(d) == pytest.approx(130.35, abs=0.02)
+    (loss,) = LinkBudget(radio).losses_dB([d])
+    assert loss == pytest.approx(expected, rel=1e-14)
+    assert loss == pytest.approx(130.35, abs=0.02)
 
 
 def test_link_budget_refuses_an_attenuation_that_overflows():
@@ -188,8 +189,8 @@ def test_link_budget_refuses_an_attenuation_that_overflows():
 
 @given(st.floats(min_value=100.0, max_value=1e6))
 def test_total_loss_monotone_in_distance(d):
-    budget = LinkBudget(RadioParams())
-    assert budget.loss_dB(d * 1.01) > budget.loss_dB(d)
+    near, far = LinkBudget(RadioParams()).losses_dB([d, d * 1.01])
+    assert far > near
 
 
 def test_noise_power_values():
@@ -217,13 +218,14 @@ def test_link_snr_constructed_balance():
     radio = RadioParams(pressure_Pa=0.0, scintillation_dB=0.0)
     d = 20000.0
     p = fspl_dB(d, radio.f) + noise_power_dBm(radio.B, radio.noise_figure)
-    assert LinkBudget(radio).snr_linear(d, p) == pytest.approx(1.0, rel=1e-12)
+    (snr,) = LinkBudget(radio).snrs([d], p)
+    assert snr == pytest.approx(1.0, rel=1e-12)
 
 
 def test_link_snr_3dB_doubles():
     budget = LinkBudget(RadioParams())
-    base = budget.snr_linear(20000.0, 10.0 + 5.0 + 5.0)
-    boosted = budget.snr_linear(20000.0, 10.0 + 10 * math.log10(2) + 5.0 + 5.0)
+    (base,) = budget.snrs([20000.0], 10.0 + 5.0 + 5.0)
+    (boosted,) = budget.snrs([20000.0], 10.0 + 10 * math.log10(2) + 5.0 + 5.0)
     assert boosted == pytest.approx(2 * base, rel=1e-12)
 
 
@@ -235,8 +237,8 @@ def test_link_snr_3dB_doubles():
 def test_link_snr_gain_shift_invariance(shift, tx_gain, rx_gain):
     # moving k dB from tx_gain to rx_gain cannot change the budget
     budget = LinkBudget(RadioParams())
-    a = budget.snr_linear(20000.0, 10.0 + tx_gain + rx_gain)
-    b = budget.snr_linear(20000.0, 10.0 + (tx_gain - shift) + (rx_gain + shift))
+    (a,) = budget.snrs([20000.0], 10.0 + tx_gain + rx_gain)
+    (b,) = budget.snrs([20000.0], 10.0 + (tx_gain - shift) + (rx_gain + shift))
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -247,13 +249,12 @@ def test_gateway_overhead_budget_assembles():
     d = 20000.0
     expected_db = (
         33.0 + 43.2 + 15.0
-        - budget.loss_dB(d)
+        - budget.losses_dB([d])[0]
         - noise_power_dBm(radio.B, radio.noise_figure)
     )
     gains_dB = radio.P0_max + radio.G0_max + radio.G_RS
-    assert budget.snr_linear(d, gains_dB) == pytest.approx(
-        10 ** (expected_db / 10), rel=1e-12
-    )
+    (snr,) = budget.snrs([d], gains_dB)
+    assert snr == pytest.approx(10 ** (expected_db / 10), rel=1e-12)
 
 
 def test_propagation_delay():

@@ -17,7 +17,6 @@ from hapslink import (
     Action,
     CacheState,
     CloudConfig,
-    ComputeTask,
     EngineContext,
     Mode,
     ModeConfigs,
@@ -48,7 +47,6 @@ SUMMARY = ReplaySummary({"RIS": 1, "RS": 0, "SMBS": 0}, 1.5, 0.0, 1)
 # The fields each record needs (the rest keep their defaults).
 REQUIRED = {
     CloudConfig: {},
-    ComputeTask: {"size_bits": 1e6},
     EngineContext: {"geom": GEOM, "radio": RadioParams(),
                     "configs": ModeConfigs.defaults()},
     ModeConfigs: {"rs": RsConfig(), "ris": RisConfig(), "smbs": SmbsConfig()},

@@ -1,11 +1,13 @@
-"""The engine's decisions against reference_model, an independent
-statement of its rules: every figure must agree exactly, since both
-sum the same terms in the same order."""
+"""The payload rows and the engine's decisions against reference_model,
+an independent statement of the link budget and the decision rules:
+every figure must agree exactly, since both sum the same terms in the
+same order."""
 
 from hypothesis import example, given, settings, strategies as st
 
 from hapslink import (
     CacheState,
+    Corridor,
     EngineContext,
     Mode,
     ModeConfigs,
@@ -15,6 +17,7 @@ from hapslink import (
     Request,
     RequestKind,
     RisConfig,
+    RsConfig,
     SmbsConfig,
     handle_request,
     replay_trace,
@@ -96,3 +99,32 @@ def test_decisions_match_the_reference_model(case):
     branch = None if force else ref.cache_branch(req, cached, seen, threshold)
     assert engine_decision(*case) == ref.decide(ctx, req, branch, force)
 
+
+
+_dB = st.floats(min_value=-20.0, max_value=60.0)
+RADIOS = st.builds(
+    RadioParams,
+    f=st.floats(min_value=1e9, max_value=50e9),
+    B=st.floats(min_value=1e5, max_value=1e9),
+    noise_figure=st.floats(min_value=0.0, max_value=15.0),
+    P_gNB=_dB, G_gNB=_dB, P0_max=_dB, G0_max=_dB, G_RS=_dB, G_H_rx=_dB,
+    scintillation_dB=st.floats(min_value=0.0, max_value=3.0),
+)
+SURFACE = dict(N=50000, beta=1.0, element_W=0.0078)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.floats(1e3, 3e5), H=st.floats(1e3, 5e4), frac=st.floats(0.0, 1.0),
+    N=st.integers(1, 10**6), beta=st.floats(1e-3, 1.0),
+    element_W=st.floats(1e-4, 1.0), radio=RADIOS,
+)
+@example(D=60000.0, H=20000.0, frac=0.0, radio=RadioParams(), **SURFACE)  # x = 0
+@example(D=60000.0, H=20000.0, frac=1.0, radio=RadioParams(), **SURFACE)  # x = D
+@example(D=60000.0, H=30000.0, frac=0.5, radio=RadioParams(), **SURFACE)  # H = D/2
+@example(D=20000.0, H=45000.0, frac=0.3, radio=RadioParams(), **SURFACE)  # H > D/2
+def test_corridor_rows_are_the_reference_rows(D, H, frac, N, beta, element_W, radio):
+    x = min(D, frac * D)
+    surface = RisConfig(N=N, beta=beta, per_element_power_W=element_W)
+    configs = ModeConfigs(rs=RsConfig(), ris=surface, smbs=SmbsConfig())
+    assert Corridor(D, H, radio).rows(x, configs) == ref.rows(D, H, x, radio, configs)

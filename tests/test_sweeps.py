@@ -1,9 +1,10 @@
 """Sweep outputs pinned byte for byte, and the per-corridor link budget
-checked for exact agreement with the link-budget formulas written out
-in full."""
+and the sweeps' cells checked for exact agreement with the link-budget
+laws of reference_model, written out in full."""
 
 import math
 import os
+import re
 import time
 
 import pytest
@@ -15,20 +16,11 @@ from hapslink import (
     ModeConfigs,
     RadioParams,
     RisConfig,
-    ScenarioGeometry,
     SweepResult,
     SweepSpec,
-    db_to_linear,
-    dry_air_specific_attenuation,
-    energy_efficiency,
-    fspl_dB,
     load_config,
-    noise_power_dBm,
     propagation_delay_s,
-    relay_capacity,
-    relay_optimal_split,
     ris_placement_roots,
-    slant_distance,
     sweep_capacity,
     sweep_ee,
     sweep_latency,
@@ -37,7 +29,8 @@ from hapslink.cli import EXIT_INVALID, main
 from hapslink.config import MAX_GRID_POINTS
 from hapslink.modes import Corridor
 from hapslink.offload import task_latencies
-from hapslink.propagation import SPEED_OF_LIGHT
+
+import reference_model as ref
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -84,75 +77,26 @@ def test_degradation_at_stop_is_taken_at_the_stop(step):
 # Corridor: exactly the written-out link budget
 # ---------------------------------------------------------------
 
-def _reference_snr(d, tx_power, tx_gain, rx_gain, radio):
-    # the per-hop budget written out in full, in its original order
-    gamma0 = dry_air_specific_attenuation(radio.f, radio.pressure_Pa, radio.temperature_C)
-    loss = fspl_dB(d, radio.f) + gamma0 * d / 1000.0 + radio.scintillation_dB
-    snr_db = (
-        tx_power + tx_gain + rx_gain - loss - noise_power_dBm(radio.B, radio.noise_figure)
-    )
-    return 10.0 ** (snr_db / 10.0)
-
-
-def _reference_ris_snr(geom, radio, ris):
-    lam = SPEED_OF_LIGHT / radio.f
-    p_w = db_to_linear(radio.P0_max - 30.0)
-    noise_w = db_to_linear(noise_power_dBm(radio.B, radio.noise_figure) - 30.0)
-    d1, d2 = geom.d_gateway, geom.d_gnb
-    snr = (
-        p_w
-        * db_to_linear(radio.G0_max)
-        * db_to_linear(radio.G_gNB)
-        * (ris.N * ris.beta) ** 2
-        * (lam / (4.0 * math.pi)) ** 4
-        / (d1 * d1 * d2 * d2 * noise_w)
-    )
-    gamma0 = dry_air_specific_attenuation(radio.f, radio.pressure_Pa, radio.temperature_C)
-    root = ris_placement_roots(geom.D, geom.H)[0]
-    path = slant_distance(root, geom.H) + slant_distance(geom.D - root, geom.H)
-    return snr / db_to_linear(gamma0 * path / 1000.0 + 2.0 * radio.scintillation_dB)
-
-
 SURFACES = (RisConfig(N=10000), RisConfig(N=50000), RisConfig(N=777, beta=0.3))
 
 
 def _assert_corridor_exact(D, H, radio, x):
-    configs = ModeConfigs.defaults()
+    # the rows that selection, the engine and offloading read, and the
+    # bare surface SNR
     corridor = Corridor(D, H, radio)
-    geom = ScenarioGeometry(D=D, H=H, x=x)
-
-    snrs = corridor.rs_hop_snrs(x)
-    assert snrs == (
-        _reference_snr(geom.d_gateway, radio.P0_max, radio.G0_max, radio.G_RS, radio),
-        _reference_snr(geom.d_gnb, radio.P0_max, radio.G_RS, radio.G_gNB, radio),
-    )
-    access = _reference_snr(geom.d_gnb, radio.P_gNB, radio.G_gNB, radio.G_H_rx, radio)
-    assert corridor.smbs_capacity(x) == math.log2(1.0 + access)
+    configs = ModeConfigs.defaults()
+    assert corridor.rows(x, configs) == ref.rows(D, H, x, radio, configs)
     for ris in SURFACES:
-        assert corridor.ris_snr(x, ris) == _reference_ris_snr(geom, radio, ris)
-    # the per-mode dispatch that selection, the engine and offloading read
-    assert corridor.capacity_bps_hz(Mode.RS, x, configs) == relay_optimal_split(*snrs)[1]
-    assert corridor.capacity_bps_hz(Mode.SMBS, x, configs) == math.log2(1.0 + access)
-    assert corridor.capacity_bps_hz(Mode.RIS, x, configs) == math.log2(
-        1.0 + _reference_ris_snr(geom, radio, configs.ris)
-    )
+        assert corridor.ris_snr(x, ris) == ref.ris_snr(D, H, x, radio, ris)
 
 
 def _assert_columns_exact(D, H, radio, xs):
     # the column forms over a whole list of offsets, against the same
     # written-out budget point by point
     snr1s, snr2s, ris_cols = Corridor(D, H, radio).columns(xs, SURFACES)
-    geoms = [ScenarioGeometry(D=D, H=H, x=x) for x in xs]
-    assert snr1s == [
-        _reference_snr(g.d_gateway, radio.P0_max, radio.G0_max, radio.G_RS, radio)
-        for g in geoms
-    ]
-    assert snr2s == [
-        _reference_snr(g.d_gnb, radio.P0_max, radio.G_RS, radio.G_gNB, radio)
-        for g in geoms
-    ]
+    assert list(zip(snr1s, snr2s)) == [ref.relay_hop_snrs(D, H, x, radio) for x in xs]
     assert ris_cols == [
-        [math.log2(1.0 + _reference_ris_snr(g, radio, ris)) for g in geoms]
+        [math.log2(1.0 + ref.ris_snr(D, H, x, radio, ris)) for x in xs]
         for ris in SURFACES
     ]
 
@@ -212,14 +156,11 @@ def test_corridor_rejects_offsets_outside_it():
     configs = ModeConfigs.defaults()
     for x in (-1.0, 60000.5):
         with pytest.raises(ValueError, match="outside the corridor"):
-            corridor.rs_hop_snrs(x)
+            corridor.columns((x,))
         with pytest.raises(ValueError, match="outside the corridor"):
-            corridor.ris_capacity(x, configs.ris)
+            corridor.ris_snr(x, configs.ris)
         with pytest.raises(ValueError, match="outside the corridor"):
-            corridor.smbs_capacity(x)
-        for mode in Mode:
-            with pytest.raises(ValueError, match="outside the corridor"):
-                corridor.capacity_bps_hz(mode, x, configs)
+            corridor.rows(x, configs)
     # one offset outside [0, D] refuses the whole column
     for xs in ([0.0, 30000.0, -1.0], [60000.5, 0.0], [30000.0, 60000.5, 1.0],
                [0.0, math.nan, 1.0]):
@@ -234,8 +175,26 @@ def test_corridor_rejects_offsets_outside_it():
         Corridor(60000.0, 0.0, RadioParams())
 
 
+@pytest.mark.parametrize("name", ["D", "H"])
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+    (-math.inf, "must be finite, got -inf"),
+    (True, "must be a number, got True"),
+    ("1", "must be a number, got '1'"),
+], ids=["nan", "inf", "-inf", "True", "text"])
+def test_corridor_refuses_a_non_number_D_or_H(name, value, message):
+    # refused by name before the sign checks, so a nan cannot slip past
+    # `<= 0` and an inf is not blamed on a [radio] input
+    D, H = (value, 20000.0) if name == "D" else (60000.0, value)
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+        Corridor(D, H, RadioParams())
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+        ris_placement_roots(D, H)
+
+
 # ---------------------------------------------------------------
-# sweeps: the column forms against the scalar laws, point by point
+# sweeps: the column forms against the oracle's laws, point by point
 # ---------------------------------------------------------------
 
 @pytest.mark.parametrize("D", [60000.0, 150000.0])
@@ -243,38 +202,40 @@ def test_sweeps_match_rows_rebuilt_per_point(tmp_path, D):
     config = tmp_path / "corridor.ini"
     config.write_text(f"[geometry]\nD = {D!r}\n")
     cfg = load_config(str(config))
-    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
+    H, radio = cfg.geom.H, cfg.radio
     surfaces = [RisConfig(N=n) for n in cfg.ris_N_list]
-    B = cfg.radio.B
+    B = radio.B
 
     capacity, ee = [], []
     for x in cfg.sweep_for("x", 10.0).grid():
-        snr1, snr2 = corridor.rs_hop_snrs(x)
-        alpha, cap_opt = relay_optimal_split(snr1, snr2)
-        cap05 = relay_capacity(snr1, snr2, 0.5)
-        ris_caps = [corridor.ris_capacity(x, ris) for ris in surfaces]
+        snr1, snr2 = ref.relay_hop_snrs(D, H, x, radio)
+        alpha, cap_opt = ref.relay_best_split(snr1, snr2)
+        cap05 = ref.relay_fixed_split(snr1, snr2, 0.5)
+        ris_caps = [math.log2(1.0 + ref.ris_snr(D, H, x, radio, ris)) for ris in surfaces]
         capacity.append((x, cap05, cap_opt, alpha, *ris_caps))
         ee.append((
             x,
-            energy_efficiency(cap05 * B, cfg.rs.payload_power_W),
-            energy_efficiency(cap_opt * B, cfg.rs.payload_power_W),
+            cap05 * B / cfg.rs.payload_power_W,
+            cap_opt * B / cfg.rs.payload_power_W,
             *(
-                energy_efficiency(c * B, ris.N * ris.per_element_power_W)
+                c * B / (ris.N * ris.per_element_power_W)
                 for c, ris in zip(ris_caps, surfaces)
             ),
         ))
     assert sweep_capacity(cfg, 10.0).rows == tuple(capacity)
     assert sweep_ee(cfg, 10.0).rows == tuple(ee)
 
+    # each payload's oracle row at the offset where the sweep puts it
+    corridor = Corridor(D, H, radio)
     legs = []
     for mode, rate in (
         *((Mode.SMBS, fh) for fh in cfg.smbs_F_H_list),
         (Mode.RS, cfg.cloud.F_C),
         (Mode.RIS, cfg.cloud.F_C),
     ):
-        x = corridor.best_offset(mode)
-        cap = corridor.capacity_bps_hz(mode, x, cfg.configs) * B
-        legs.append((corridor.path_m(mode, x), cap, rate))
+        rows = ref.rows(D, H, corridor.best_offset(mode), radio, cfg.configs)
+        _, cap, _, path = next(row for row in rows if row[0] is mode)
+        legs.append((path, cap, rate))
     # the latency terms summed one by one, in their original order
     latency = [
         (s, *(
