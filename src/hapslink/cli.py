@@ -25,14 +25,13 @@ import tempfile
 
 from .config import ConfigError, load_config
 from .engine import (
-    OBJECTIVE_TOKENS,
+    OBJECTIVES,
     Request,
     RequestKind,
     build_engine,
     decisions_to_csv,
     handle_request,
     iter_trace,
-    parse_objective,
     stream_replay,
 )
 from .modes import Action, Mode
@@ -75,7 +74,7 @@ def build_parser():
     )
     p.add_argument("--content-id", default=None)
     p.add_argument("--size-bits", type=float, default=None)
-    p.add_argument("--objective", default=None, choices=list(OBJECTIVE_TOKENS))
+    p.add_argument("--objective", default=None, choices=list(OBJECTIVES))
     p.add_argument("--qos-bps", type=float, default=None)
     p.add_argument("--t", type=float, default=0.0)
 
@@ -173,9 +172,7 @@ def _cmd_select(args):
         kind=RequestKind(args.kind),
         content_id=args.content_id,
         size_bits=args.size_bits,
-        objective=(
-            parse_objective(args.objective, args.qos_bps) if args.objective else None
-        ),
+        objective=OBJECTIVES.get(args.objective),
         qos_min_bps=args.qos_bps,
     )
     ctx, state = build_engine(cfg)

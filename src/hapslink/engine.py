@@ -48,43 +48,44 @@ class RequestError(ValueError):
 
 
 class Request(Record):
-    t: Optional[float]  # checked by validate_request when handled, not when built
+    """One request to the platform, refused where it is built: the first
+    rule it breaks raises a RequestError naming the field."""
+
+    _error = RequestError
+    # Optional, so the base number rule leaves t to the rule order below
+    t: Optional[float]
     kind: RequestKind
     content_id: Optional[str] = None
     size_bits: Optional[float] = None
     objective: Optional[Objective] = None
     qos_min_bps: Optional[float] = None
 
-
-def validate_request(req: Request):
-    """Reject structurally broken requests before any state is touched;
-    a field of the wrong type is refused by name."""
-    if not isinstance(req.kind, RequestKind):
-        raise RequestError(f"unknown request kind {req.kind!r}")
-    if req.content_id is not None and not isinstance(req.content_id, str):
-        raise RequestError(f"content_id must be a string, got {req.content_id!r}")
-    if req.objective is not None and not isinstance(req.objective, Objective):
-        raise RequestError(f"objective must be an Objective, got {req.objective!r}")
-    needs_content = req.kind in (RequestKind.CONTENT_DELIVERY, RequestKind.CACHING)
-    if needs_content and not req.content_id:
-        raise RequestError(f"{req.kind.value} request needs a content_id")
-    if not needs_content and req.content_id:
-        raise RequestError(f"{req.kind.value} request must not carry a content_id")
-    if req.t is None:
-        raise RequestError("t must be finite, got None")
-    for name in ("t", "size_bits", "qos_min_bps"):
-        if getattr(req, name) is not None:
-            number(name, getattr(req, name), error=RequestError)
-    if req.kind is RequestKind.TASK_OFFLOADING:
-        if req.size_bits is None:
+    def __post_init__(self):
+        if not isinstance(self.kind, RequestKind):
+            raise RequestError(f"unknown request kind {self.kind!r}")
+        if self.content_id is not None and not isinstance(self.content_id, str):
+            raise RequestError(f"content_id must be a string, got {self.content_id!r}")
+        if self.objective is not None and not isinstance(self.objective, Objective):
+            raise RequestError(f"objective must be an Objective, got {self.objective!r}")
+        needs_content = self.kind in (RequestKind.CONTENT_DELIVERY, RequestKind.CACHING)
+        if needs_content and not self.content_id:
+            raise RequestError(f"{self.kind.value} request needs a content_id")
+        if not needs_content and self.content_id:
+            raise RequestError(f"{self.kind.value} request must not carry a content_id")
+        if self.t is None:
+            raise RequestError("t must be finite, got None")
+        for name in ("t", "size_bits", "qos_min_bps"):
+            if getattr(self, name) is not None:
+                number(name, getattr(self, name), error=self._error)
+        if self.kind is RequestKind.TASK_OFFLOADING and self.size_bits is None:
             raise RequestError("task_offloading request needs size_bits")
-    if req.size_bits is not None and req.size_bits < 0:
-        raise RequestError(f"size_bits cannot be negative, got {req.size_bits}")
-    if req.qos_min_bps is not None and req.qos_min_bps <= 0:
-        raise RequestError("qos_min_bps must be positive when given")
-    if req.qos_min_bps is None and req.objective is not None and (
-            req.objective.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS):
-        raise RequestError("min_energy needs a positive qos_min_bps")
+        if self.size_bits is not None and self.size_bits < 0:
+            raise RequestError(f"size_bits cannot be negative, got {self.size_bits}")
+        if self.qos_min_bps is not None and self.qos_min_bps <= 0:
+            raise RequestError("qos_min_bps must be positive when given")
+        if self.qos_min_bps is None and self.objective is not None and (
+                self.objective.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS):
+            raise RequestError("min_energy needs a positive qos_min_bps")
 
 
 # =====================================================================
@@ -265,16 +266,17 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
     stream_replay. It updates state in place and returns the
     ReplaySummary.
 
-    items are Requests, each validated here and handed to keep with its
-    decision; or, when write is given, trace lines, whose decision CSV
-    goes to write: the header, then each row as it is decided.
+    items are Requests, each checked where it was built, and each handed
+    to keep with its decision; or, when write is given, trace lines,
+    whose decision CSV goes to write: the header, then each row as it is
+    decided.
 
     For each request the loop picks the cache branch (hit, forward, or
     forward and cache; communication and tasks take none; a forced
     replay's branch is the forced Mode, with no cache interaction), gets
-    the decision, then updates the cache. The decision is built before
-    the state changes, so a refused or infeasible request leaves the
-    state untouched.
+    the decision, checks the timestamp order, then updates the cache. So
+    a request the model refuses, one out of order and an infeasible one
+    leave the state untouched.
 
     A trace line's tail is every field but t and content_id, plus whether
     content_id is empty. A tail's parsed request is kept with a dict of
@@ -338,8 +340,6 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
         index += 1
         kind = req.kind
         try:
-            if decided is None:  # a Request: the parser validated trace lines
-                validate_request(req)
             if force_mode is not None:
                 branch = force_mode
             elif kind is content_kind:
@@ -361,6 +361,10 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
                     decision = _build(req, branch, ctx)
                     entry = decided[branch] = _memo_entry(decision, _render(kind, decision))
             cells, mode, energy, decision = entry
+            if last_t is not None and t < last_t:
+                raise RequestError(
+                    f"timestamps must be non-decreasing ({t} after {last_t})"
+                )
             if branch is _HIT:
                 popularity[content_id] = popularity.get(content_id, 0) + 1
                 entries.move_to_end(content_id)
@@ -368,11 +372,7 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
                 popularity[content_id] = popularity.get(content_id, 0) + 1
                 if branch is _CACHE:
                     state.insert(content_id)
-            if last_t is not None and t < last_t:
-                raise RequestError(
-                    f"timestamps must be non-decreasing ({t} after {last_t})"
-                )
-        except ValueError as err:  # a malformed request or one the model refuses
+        except ValueError as err:  # a request the model refuses, or one out of order
             refusal = RequestError(f"request {index}: {err}")
             if lines:
                 for _ in iter_trace(items, lineno + 1):
@@ -403,8 +403,9 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
 def handle_request(req: Request, state: CacheState, ctx: EngineContext):
     """Process one request; returns (decision, state), the same state object.
 
-    The state is updated in place. Validation runs before any mutation, so
-    a rejected request leaves it untouched, and so does an infeasible one.
+    The state is updated in place. req was checked where it was built;
+    a request the model refuses leaves the state untouched, and so does
+    an infeasible one.
     """
     decisions = []
     try:
@@ -469,31 +470,16 @@ def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
 # Trace text format
 # =====================================================================
 
-OBJECTIVE_TOKENS = {
-    "max_capacity": ObjectiveKind.MAX_CAPACITY,
-    "max_energy_efficiency": ObjectiveKind.MAX_ENERGY_EFFICIENCY,
-    "min_energy": ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS,
-}
-
 TRACE_COLUMNS = "t,kind,content_id,size_bits,objective,qos_bps"
 
-
-# one Objective per kind, shared by every request that names it
-_OBJECTIVES = {token: Objective(kind) for token, kind in OBJECTIVE_TOKENS.items()}
-_DEFAULT_OBJECTIVE = _OBJECTIVES["max_capacity"]
-
-
-def parse_objective(token, qos_min_bps):
-    """The Objective a trace or CLI token names; min_energy needs a positive qos."""
-    objective = _OBJECTIVES.get(token)
-    if objective is None:
-        raise RequestError(f"unknown objective {token!r}")
-    if objective.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS and (
-            qos_min_bps is None or not qos_min_bps > 0):
-        raise RequestError("min_energy needs a positive qos_bps value")
-    return objective
-
-
+# the Objective each trace or CLI token names, one per kind, shared by
+# every request that names it
+OBJECTIVES = {
+    "max_capacity": Objective(ObjectiveKind.MAX_CAPACITY),
+    "max_energy_efficiency": Objective(ObjectiveKind.MAX_ENERGY_EFFICIENCY),
+    "min_energy": Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
+}
+_DEFAULT_OBJECTIVE = OBJECTIVES["max_capacity"]
 _KINDS = {kind.value: kind for kind in RequestKind}
 
 
@@ -539,15 +525,10 @@ def _parse_fields(fields, lineno):
                 qos = float(qos_raw)
             except ValueError:
                 raise RequestError(f"bad qos_bps {qos_raw!r}") from None
-        req = Request(
-            t=t,
-            kind=kind,
-            content_id=content_id or None,
-            size_bits=size_bits,
-            objective=parse_objective(obj_raw, qos) if obj_raw else None,
-            qos_min_bps=qos,
-        )
-        validate_request(req)
+        objective = OBJECTIVES.get(obj_raw)
+        if obj_raw and objective is None:
+            raise RequestError(f"unknown objective {obj_raw!r}")
+        req = Request(t, kind, content_id or None, size_bits, objective, qos)
     except RequestError as err:
         if lineno is None:
             raise

@@ -23,6 +23,7 @@ from .propagation import (
     LinkBudget,
     RadioParams,
     db_to_linear,
+    fspl_dB,
     slant_distance,
 )
 
@@ -212,25 +213,36 @@ class Corridor:
         # the longest, hypot(D, H); so does the product of the two SNRs,
         # which the relay's closed form takes
         longest = math.hypot(D, H)
+
+        def hop(text, d, name, rule, hops=1):
+            """_refusal's other= for hops of length d: their distance term
+            (FSPL plus gaseous dB), and text blaming [geometry] name."""
+            loss = hops * (fspl_dB(d, radio.f) + budget.gamma0 * d / 1000.0)
+            value = D if name == "D" else H
+            return loss, f"{text}: [geometry] {name} = {value:g} m is too {rule}"
+
         peaks = []
         for gains_dB, figure in ((self._hop1_dB, _HOP1), (self._hop2_dB, _HOP2)):
             try:
                 far, near = budget.snrs((longest, H), gains_dB)
             except OverflowError:
-                raise _refusal("the relay hop SNR overflows", radio, figure) from None
+                text = "the relay hop SNR overflows"
+                raise _refusal(text, radio, figure, other=hop(text, H, "H", "low")) from None
             if far < sys.float_info.min:
                 text = f"the relay hop SNR underflows to {far:g} at a {longest:g} m hop"
-                raise _refusal(text, radio, figure, overflow=False)
+                other = hop(text, longest, "D" if D >= H else "H", "high")
+                raise _refusal(text, radio, figure, overflow=False, other=other)
             peaks.append(near)
         if peaks[0] * peaks[1] == math.inf:
             text = f"the product of the relay hop SNRs at {H:g} m overflows"
-            raise _refusal(text, radio, _HOPS)
+            raise _refusal(text, radio, _HOPS, other=hop(text, H, "H", "low", hops=2))
         # the access hop's SNR peaks at its shortest, H; a zero SNR far
         # from the gNB is a payload the engine refuses by name
         try:
             budget.snrs((H,), self._access_dB)
         except OverflowError:
-            raise _refusal("the access hop SNR overflows", radio, _ACCESS) from None
+            text = "the access hop SNR overflows"
+            raise _refusal(text, radio, _ACCESS, other=hop(text, H, "H", "low")) from None
 
     def hop_lengths(self, xs):
         """Slant-range columns (gateway -> platform, gNB -> platform) over

@@ -27,6 +27,10 @@ class Objective(Record):
 
     kind: ObjectiveKind = ObjectiveKind.MAX_CAPACITY
 
+    def __post_init__(self):
+        if not isinstance(self.kind, ObjectiveKind):
+            raise ValueError(f"unknown objective kind {self.kind!r}")
+
 
 class ModeDecision(Record):
     """Outcome of one selection: which payload, doing what, scoring how much.
@@ -76,11 +80,9 @@ def best_payload(objective: Objective, rows, floor):
     if kind is ObjectiveKind.MAX_ENERGY_EFFICIENCY:
         mode, capacity, power, _ = max(rows, key=lambda m: m[1] / m[2])
         return mode, capacity / power
-    if kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS:
-        feasible = [m for m in rows if m[1] >= floor]
-        if not feasible:
-            return None
-        mode, _, power, _ = min(feasible, key=lambda m: m[2])
-        return mode, power
-    raise ValueError(f"unknown objective kind {kind!r}")
+    feasible = [m for m in rows if m[1] >= floor]  # min_energy under the floor
+    if not feasible:
+        return None
+    mode, _, power, _ = min(feasible, key=lambda m: m[2])
+    return mode, power
 

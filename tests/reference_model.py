@@ -50,7 +50,7 @@ and one request it works out the decision:
 
 import math
 
-from hapslink import Action, Mode, ObjectiveKind, RequestKind
+from hapslink import Action, Mode, Objective, ObjectiveKind, RequestKind
 from hapslink.propagation import dry_air_specific_attenuation
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -145,6 +145,106 @@ def task_latency(row, size, cycles_per_bit, configs, cloud):
     mode, capacity, _, path = row
     rate = configs.smbs.F_H if mode is Mode.SMBS else cloud.F_C
     return path / SPEED_OF_LIGHT + size / capacity + size * cycles_per_bit / rate
+
+
+# ---------------------------------------------------------------
+# sweep notes
+# ---------------------------------------------------------------
+
+def degradation_pct(D, H, x, radio):
+    """The relay's capacity lost at alpha = 0.5 against its best split at
+    x, in percent of the latter (0 where the best split carries nothing)."""
+    snr1, snr2 = relay_hop_snrs(D, H, x, radio)
+    best = relay_best_split(snr1, snr2)[1]
+    if not best > 0:
+        return 0.0
+    return 100.0 * (1.0 - relay_fixed_split(snr1, snr2, 0.5) / best)
+
+
+def placement_roots(D, H):
+    """The offsets where d1 d2 is least: D/2 -+ sqrt((D/2)^2 - H^2), or
+    D/2 alone when H >= D/2."""
+    half = D / 2.0
+    off = math.sqrt(max(half * half - H * H, 0.0))
+    return (half - off, half + off) if off else (half,)
+
+
+def ee_spread_pct(D, H, xs, radio, ris):
+    """How far the surface's best bits per joule over the offsets xs lies
+    above its worst, in percent of the worst."""
+    ees = [math.log2(1.0 + ris_snr(D, H, x, radio, ris)) * radio.B
+           / (ris.N * ris.per_element_power_W) for x in xs]
+    return 100.0 * (max(ees) / min(ees) - 1.0)
+
+
+def crossover(sizes, onboard, relayed):
+    """The task size at which computing onboard stops finishing first:
+    the first cell where the onboard latency less the faster relayed one
+    turns from negative to zero or more, interpolated linearly inside it;
+    None when it never does. onboard is a latency column over sizes,
+    relayed a column of (RS, RIS) latency pairs."""
+    gaps = [smbs - min(pair) for smbs, pair in zip(onboard, relayed)]
+    for i in range(1, len(sizes)):
+        before, after = gaps[i - 1], gaps[i]
+        if before < 0 <= after:
+            return sizes[i - 1] + before / (before - after) * (sizes[i] - sizes[i - 1])
+    return None
+
+
+# ---------------------------------------------------------------
+# request rules
+# ---------------------------------------------------------------
+
+def _not_a_number(name, value):
+    """Why value is no finite number, or None."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return f"{name} must be a number, got {value!r}"
+    try:
+        as_float = float(value)
+    except OverflowError:
+        return f"{name} must be finite, got an int of {value.bit_length()} bits"
+    if as_float != as_float or abs(as_float) == math.inf:
+        return f"{name} must be finite, got {value}"
+    return None
+
+
+def objective_refusal(kind):
+    """The text Objective(kind) is refused with, or None."""
+    return None if isinstance(kind, ObjectiveKind) else f"unknown objective kind {kind!r}"
+
+
+def request_refusal(t, kind, content_id=None, size_bits=None, objective=None,
+                    qos_min_bps=None):
+    """The text a Request of these fields is refused with, or None: the
+    first rule broken, in the order the README's trace-format section
+    lists them."""
+    if not isinstance(kind, RequestKind):
+        return f"unknown request kind {kind!r}"
+    if not (content_id is None or isinstance(content_id, str)):
+        return f"content_id must be a string, got {content_id!r}"
+    if not (objective is None or isinstance(objective, Objective)):
+        return f"objective must be an Objective, got {objective!r}"
+    if kind in (RequestKind.CONTENT_DELIVERY, RequestKind.CACHING):
+        if not content_id:
+            return f"{kind.value} request needs a content_id"
+    elif content_id:
+        return f"{kind.value} request must not carry a content_id"
+    if t is None:
+        return "t must be finite, got None"
+    for name, value in (("t", t), ("size_bits", size_bits), ("qos_min_bps", qos_min_bps)):
+        if value is not None and _not_a_number(name, value):
+            return _not_a_number(name, value)
+    if kind is RequestKind.TASK_OFFLOADING and size_bits is None:
+        return "task_offloading request needs size_bits"
+    if size_bits is not None and size_bits < 0:
+        return f"size_bits cannot be negative, got {size_bits}"
+    if qos_min_bps is not None and not qos_min_bps > 0:
+        return "qos_min_bps must be positive when given"
+    min_energy = objective is not None and (
+        objective.kind is ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS)
+    if min_energy and qos_min_bps is None:
+        return "min_energy needs a positive qos_min_bps"
+    return None
 
 
 # ---------------------------------------------------------------

@@ -248,18 +248,16 @@ def test_criterion_07_determinism_and_invariants():
         if roll < 0.05:
             bad = rng.choice(
                 (
-                    Request(t=float(t), kind=RequestKind.CONTENT_DELIVERY),
-                    Request(t=float(t), kind=RequestKind.TASK_OFFLOADING),
-                    Request(t=float(t), kind=RequestKind.COMMUNICATION,
-                            content_id="stray"),
-                    Request(t=float(t), kind=RequestKind.TASK_OFFLOADING,
-                            size_bits=-1.0),
+                    dict(kind=RequestKind.CONTENT_DELIVERY),
+                    dict(kind=RequestKind.TASK_OFFLOADING),
+                    dict(kind=RequestKind.COMMUNICATION, content_id="stray"),
+                    dict(kind=RequestKind.TASK_OFFLOADING, size_bits=-1.0),
                 )
             )
             entries = dict(state.entries)
             popularity = dict(state.popularity)
-            with pytest.raises(RequestError):
-                handle_request(bad, state, ctx)
+            with pytest.raises(RequestError):  # refused where it is built
+                handle_request(Request(t=float(t), **bad), state, ctx)
             assert dict(state.entries) == entries
             assert dict(state.popularity) == popularity
             continue

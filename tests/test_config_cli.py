@@ -36,7 +36,7 @@ from hapslink import (
 )
 from hapslink import config
 from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
-from hapslink.engine import OBJECTIVE_TOKENS
+from hapslink.engine import OBJECTIVES
 from hapslink.modes import carrier
 
 import reference_model as ref
@@ -903,7 +903,43 @@ def test_cli_select_capacity(capsys):
 def test_cli_select_min_energy_needs_qos(capsys):
     code = main(["select", "--kind", "communication", "--objective", "min_energy"])
     assert code == EXIT_INVALID
-    assert "qos" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: min_energy needs a positive qos_min_bps\n"
+
+
+# a min_energy floor is refused by the Request's own rules, in their
+# order, whether select or a trace line builds it
+@pytest.mark.parametrize("content_id, qos, message", [
+    ("", "", "min_energy needs a positive qos_min_bps"),
+    ("", "-5", "qos_min_bps must be positive when given"),
+    ("", "nan", "qos_min_bps must be finite, got nan"),
+    ("a", "", "communication request must not carry a content_id"),
+])
+def test_min_energy_floor_refusals_are_the_request_rules(tmp_path, capsys, content_id,
+                                                          qos, message):
+    argv = ["select", "--kind", "communication", "--objective", "min_energy"]
+    argv += ["--content-id", content_id] if content_id else []
+    argv += ["--qos-bps", qos] if qos else []
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {message}\n"
+    trace = tmp_path / "one.trace"
+    trace.write_text(f"0,communication,{content_id},,min_energy,{qos}\n")
+    assert main(["replay", str(trace)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
+
+def test_cli_select_reports_a_refused_request_before_a_refused_scenario(tmp_path, capsys):
+    # as replay reports a malformed trace line before the model's refusal
+    config = write_config(tmp_path, LOUD_ACCESS_RADIO)
+    argv = ["select", "--kind", "communication", "--config", config]
+    assert main(argv + ["--size-bits", "-1"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: size_bits cannot be negative, got -1.0\n"
+    trace = tmp_path / "one.trace"
+    trace.write_text("0,communication,,-1,,\n")
+    assert main(["replay", str(trace), "--config", config]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: line 1: size_bits cannot be negative, got -1.0\n"
+    # a good request meets the scenario's refusal
+    assert main(argv + ["--size-bits", "1"]) == EXIT_INVALID
+    assert re.match("error: " + LOUD_ACCESS + "$", capsys.readouterr().err)
 
 
 def test_cli_select_infeasible_exits_2(capsys):
@@ -1106,6 +1142,26 @@ MODEL_ERROR_CASES = {
         "[radio]\nG_H_rx = 4000\n", ["replay"],
         r"the access hop SNR overflows: " + TOO_HIGH.format("G_H_rx = 4000 dB"),
     ),
+    # a hop length whose distance term outweighs every [radio] input names
+    # the [geometry] input behind it
+    "short_hop_select": (
+        "[geometry]\nH = 1e-300\n", ["select", "--kind", "communication"],
+        r"the relay hop SNR overflows: \[geometry\] H = 1e-300 m is too low$",
+    ),
+    "short_hops_sweep_capacity": (
+        "[geometry]\nH = 1e-140\n", ["sweep-capacity"],
+        r"the product of the relay hop SNRs at 1e-140 m overflows: "
+        r"\[geometry\] H = 1e-140 m is too low$",
+    ),
+    "short_access_hop_replay": (
+        "[radio]\nG_RS = -2900\n\n[geometry]\nH = 1e-154\n", ["replay"],
+        r"the access hop SNR overflows: \[geometry\] H = 1e-154 m is too low$",
+    ),
+    "long_hop_select": (
+        "[geometry]\nD = 1e308\nx = 0\n", ["select", "--kind", "communication"],
+        r"the relay hop SNR underflows to 0 at a 1e\+308 m hop: "
+        r"\[geometry\] D = 1e\+308 m is too high$",
+    ),
     "scintillation_select": (
         "[radio]\nscintillation_dB = 1e300\n", ["select", "--kind", "communication"],
         r"the surface's reference-path loss of 0\.516 dB \(gaseous absorption over "
@@ -1251,7 +1307,7 @@ _GARBAGE = st.tuples(
     st.sampled_from([k.value for k in RequestKind] + ["teleport", ""]),
     st.sampled_from(["", "a", "vid 9"]),
     st.sampled_from(["", "-5", "nan", "inf", "1e400", "bits"]),
-    st.sampled_from(["", *OBJECTIVE_TOKENS, "up"]),
+    st.sampled_from(["", *OBJECTIVES, "up"]),
     st.sampled_from(["", "0", "-1", "inf", "q"]),
 ).map(",".join)
 _LINE = st.one_of(

@@ -61,28 +61,27 @@ def content(t, cid, size=1e6):
 # validation
 # ---------------------------------------------------------------
 
-def test_rejects_content_without_id(ctx):
-    req = Request(t=0, kind=RequestKind.CONTENT_DELIVERY)
-    with pytest.raises(RequestError):
-        handle_request(req, fresh_state(), ctx)
+# a Request is refused where it is built, so no engine call sees it
+
+def test_rejects_content_without_id():
+    with pytest.raises(RequestError, match="^content_delivery request needs a content_id$"):
+        Request(t=0, kind=RequestKind.CONTENT_DELIVERY)
 
 
-def test_rejects_task_without_size(ctx):
-    req = Request(t=0, kind=RequestKind.TASK_OFFLOADING)
-    with pytest.raises(RequestError):
-        handle_request(req, fresh_state(), ctx)
+def test_rejects_task_without_size():
+    with pytest.raises(RequestError, match="^task_offloading request needs size_bits$"):
+        Request(t=0, kind=RequestKind.TASK_OFFLOADING)
 
 
-def test_rejects_stray_content_id(ctx):
-    req = Request(t=0, kind=RequestKind.COMMUNICATION, content_id="oops")
-    with pytest.raises(RequestError):
-        handle_request(req, fresh_state(), ctx)
+def test_rejects_stray_content_id():
+    with pytest.raises(RequestError,
+                       match="^communication request must not carry a content_id$"):
+        Request(t=0, kind=RequestKind.COMMUNICATION, content_id="oops")
 
 
-def test_rejects_negative_size(ctx):
-    req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=-5.0)
-    with pytest.raises(RequestError):
-        handle_request(req, fresh_state(), ctx)
+def test_rejects_negative_size():
+    with pytest.raises(RequestError, match="^size_bits cannot be negative, got -5.0$"):
+        Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=-5.0)
 
 
 def test_overflowing_request_is_refused_before_the_state_changes():
@@ -322,15 +321,12 @@ def test_exact_task_tie_goes_to_the_passive_payload():
     ("5", "qos_min_bps must be a number, got '5'"),
     (None, "min_energy needs a positive qos_min_bps"),
 ])
-def test_min_energy_floor_is_the_request_field(ctx, floor, message):
+def test_min_energy_floor_is_the_request_field(floor, message):
     # the floor lives on the request alone, and a bad one is refused by
     # name: never an infeasible decision, never a bare TypeError
-    req = Request(t=0, kind=RequestKind.COMMUNICATION, qos_min_bps=floor,
-                  objective=Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS))
-    state = fresh_state()
     with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
-        handle_request(req, state, ctx)
-    assert state == fresh_state()
+        Request(t=0, kind=RequestKind.COMMUNICATION, qos_min_bps=floor,
+                objective=Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS))
 
 
 def test_energy_is_power_times_airtime(ctx):
@@ -379,8 +375,13 @@ def test_replay_rejects_time_travel(ctx):
 
 
 def test_replay_aborts_on_malformed_with_index(ctx):
-    reqs = [content(0.0, "a"), Request(t=1.0, kind=RequestKind.CONTENT_DELIVERY)]
-    with pytest.raises(RequestError, match="request 1"):
+    # a malformed Request is refused where it is built; a request the
+    # replay refuses is named by its index
+    with pytest.raises(RequestError, match="^content_delivery request needs a content_id$"):
+        Request(t=1.0, kind=RequestKind.CONTENT_DELIVERY)
+    reqs = [content(0.0, "a"), content(2.0, "b"), content(1.0, "c")]
+    with pytest.raises(RequestError,
+                       match=r"^request 2: timestamps must be non-decreasing \(1.0 after 2.0\)$"):
         replay_trace(reqs, fresh_state(), ctx)
 
 
@@ -421,29 +422,26 @@ def test_forced_surface_cheaper_than_forced_relay(ctx):
 
 
 def test_replay_validates_each_request_once(ctx, monkeypatch, tmp_path):
-    requests = load_trace(GOLDEN_TRACE)
     calls = []
-    real = engine.validate_request
+    real = Request.__post_init__
 
     def counting(req):
         calls.append(req)
         return real(req)
 
-    monkeypatch.setattr(engine, "validate_request", counting)
-    replay_trace(requests, fresh_state(), ctx)
+    monkeypatch.setattr(Request, "__post_init__", counting)
+    # a Request is checked where it is built, once
+    requests = load_trace(GOLDEN_TRACE)
     assert len(calls) == len(requests) == 20
     calls.clear()
+    # and the engine, forced or not, trusts it
+    replay_trace(requests, fresh_state(), ctx)
     replay_trace(requests, fresh_state(), ctx, force_mode=Mode.RS)
-    assert len(calls) == len(requests)
-    # the forced path is still validated
-    with pytest.raises(RequestError, match="request 1: content_delivery request needs"):
-        replay_trace(
-            [content(0.0, "a"), Request(t=1.0, kind=RequestKind.CONTENT_DELIVERY)],
-            fresh_state(), ctx, force_mode=Mode.RIS,
-        )
-    # the CLI validates in the parser, and the replay trusts the parser:
-    # each tail (every field but t and content_id) is validated once, at
-    # its first sighting, when it is kept
+    assert calls == []
+    with pytest.raises(RequestError, match="^content_delivery request needs a content_id$"):
+        Request(t=1.0, kind=RequestKind.CONTENT_DELIVERY)
+    # the CLI builds a Request only for a new tail (every field but t and
+    # content_id), so each tail is checked once, at its first sighting
     with open(GOLDEN_TRACE) as fh:
         rows = [line.strip().split(",") for line in fh if line.strip()[:1].isdigit()]
     tails = {(kind, size, obj, qos, not cid) for _, kind, cid, size, obj, qos in rows}
@@ -558,12 +556,14 @@ def test_parse_objective_tokens():
     assert req.qos_min_bps == 5e7
 
 
-def test_parse_objective_shares_the_floorless_objectives():
+def test_trace_objectives_are_shared_one_per_kind():
     # the floor stays on the request, so every kind has one shared Objective
-    for token, kind in engine.OBJECTIVE_TOKENS.items():
-        first = engine.parse_objective(token, 5e7)
-        assert first == Objective(kind)
-        assert engine.parse_objective(token, 1e8) is first
+    assert [o.kind for o in engine.OBJECTIVES.values()] == list(ObjectiveKind)
+    for token, objective in engine.OBJECTIVES.items():
+        for floor in ("5e7", "1e8"):
+            req = parse_trace_line(f"0,communication,,,{token},{floor}")
+            assert req.objective is objective
+    assert engine._DEFAULT_OBJECTIVE is engine.OBJECTIVES["max_capacity"]
 
 
 def test_parse_rejects_garbage():
@@ -587,7 +587,10 @@ def test_parse_rejects_garbage():
     ):
         with pytest.raises(RequestError, match=f"line 4: {field_name} must be finite"):
             parse_trace_line(line, lineno=4)
-    with pytest.raises(RequestError, match="positive qos_bps"):
+    # the floor rules are the Request's own, in its words
+    with pytest.raises(RequestError, match="^line 2: min_energy needs a positive qos_min_bps$"):
+        parse_trace_line("0,communication,,,min_energy,", lineno=2)
+    with pytest.raises(RequestError, match="^qos_min_bps must be positive when given$"):
         parse_trace_line("0,communication,,,min_energy,-5")
 
 
@@ -633,13 +636,9 @@ def test_csv_requires_alignment(ctx):
 # ---------------------------------------------------------------
 
 @pytest.mark.parametrize("t", [None, float("nan"), float("inf")])
-def test_replay_refuses_a_missing_or_non_finite_t(ctx, t):
-    reqs = [
-        Request(t=0.0, kind=RequestKind.COMMUNICATION),
-        Request(t=t, kind=RequestKind.COMMUNICATION),
-    ]
-    with pytest.raises(RequestError, match=f"^request 1: t must be finite, got {t}$"):
-        replay_trace(reqs, fresh_state(), ctx)
+def test_replay_refuses_a_missing_or_non_finite_t(t):
+    with pytest.raises(RequestError, match=f"^t must be finite, got {t}$"):
+        Request(t=t, kind=RequestKind.COMMUNICATION)
 
 
 def test_lone_request_without_t_is_refused(ctx):
@@ -684,20 +683,14 @@ def test_context_refuses_a_bad_cycles_per_bit(value):
     ({"qos_min_bps": [5e7]}, "qos_min_bps must be a number, got [50000000.0]"),
     ({"objective": "max_capacity"}, "objective must be an Objective, got 'max_capacity'"),
     ({"content_id": 7}, "content_id must be a string, got 7"),
-    # refused before the cache is looked up, where a list is unhashable
+    # refused by name, not as an unhashable cache key
     ({"kind": RequestKind.CONTENT_DELIVERY, "content_id": ["a"]},
      "content_id must be a string, got ['a']"),
     ({"kind": "communication"}, "unknown request kind 'communication'"),
 ])
-def test_replay_refuses_a_wrongly_typed_field_by_name(ctx, fields, message):
-    reqs = [
-        Request(t=0.0, kind=RequestKind.COMMUNICATION),
-        Request(**{"t": 1.0, "kind": RequestKind.COMMUNICATION, **fields}),
-    ]
-    state = fresh_state()
-    with pytest.raises(RequestError, match=f"^request 1: {re.escape(message)}$"):
-        replay_trace(reqs, state, ctx)
-    assert state == fresh_state()
+def test_replay_refuses_a_wrongly_typed_field_by_name(fields, message):
+    with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
+        Request(**{"t": 1.0, "kind": RequestKind.COMMUNICATION, **fields})
 
 
 # what a refusal may name: a request field (t also as "timestamps"), or
@@ -711,8 +704,7 @@ _ANYTHING = st.one_of(
     st.text(max_size=3), st.lists(st.integers(), max_size=1),
 )
 _NUMBER = st.one_of(st.none(), st.floats(), st.integers(-10, 10 ** 7), _ANYTHING)
-_REQUEST = st.builds(
-    Request,
+_FIELDS = st.fixed_dictionaries(dict(
     t=st.one_of(st.integers(0, 3).map(float), _NUMBER),
     kind=st.one_of(st.sampled_from(RequestKind), _ANYTHING),
     content_id=st.one_of(st.none(), st.sampled_from(["a", "b", ""]), _ANYTHING),
@@ -726,16 +718,23 @@ _REQUEST = st.builds(
         _ANYTHING,
     ),
     qos_min_bps=st.one_of(st.none(), st.floats(1.0, 1e9), _NUMBER),
-)
+))
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # ctx is immutable
-@given(requests=st.lists(_REQUEST, max_size=6))
-@example(requests=[Request(t=0.0, kind=RequestKind.CACHING, content_id=["a"])])
-def test_replay_refuses_any_bad_field_by_name(ctx, requests):
-    # a whole replay: every failure is a RequestError naming the request
-    # and a field, and the initial state is never touched
+@given(drawn=st.lists(_FIELDS, max_size=6))
+@example(drawn=[dict(t=0.0, kind=RequestKind.CACHING, content_id=["a"])])
+def test_replay_refuses_any_bad_field_by_name(ctx, drawn):
+    # a bad field is refused by name where the Request is built; in a
+    # whole replay every failure is a RequestError naming the request and
+    # a field, and the initial state is never touched
+    requests = []
+    for fields in drawn:
+        try:
+            requests.append(Request(**fields))
+        except RequestError as err:
+            assert _REFUSAL_NAMES.search(str(err)), err
     state = fresh_state(capacity=2, threshold=2)
     try:
         result = replay_trace(requests, state, ctx)

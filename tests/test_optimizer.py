@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,6 @@ from hapslink import (
     relay_optimal_splits,
     ris_placement_roots,
 )
-from hapslink.engine import validate_request
 from hapslink.optimizer import best_payload
 
 from conftest import D_DEFAULT, H_DEFAULT, capacities, hop_snrs
@@ -273,10 +273,15 @@ def test_objective_requires_qos_for_min_energy():
         (None, "min_energy needs a positive qos_min_bps"),
         (0.0, "qos_min_bps must be positive when given"),
     ):
-        req = Request(t=0.0, kind=RequestKind.COMMUNICATION, objective=objective,
-                      qos_min_bps=floor)
         with pytest.raises(RequestError, match=f"^{message}$"):
-            validate_request(req)
+            Request(t=0.0, kind=RequestKind.COMMUNICATION, objective=objective,
+                    qos_min_bps=floor)
+
+
+@pytest.mark.parametrize("kind", ["max_capacity", None, 0, Mode.RIS])
+def test_objective_refuses_a_kind_by_name_where_it_is_built(kind):
+    with pytest.raises(ValueError, match=f"^unknown objective kind {re.escape(repr(kind))}$"):
+        Objective(kind)
 
 
 def test_gain_shift_leaves_argmaxes_alone(radio, configs):

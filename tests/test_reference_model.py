@@ -1,8 +1,11 @@
 """The payload rows and the engine's decisions against reference_model,
 an independent statement of the link budget and the decision rules:
 every figure must agree exactly, since both sum the same terms in the
-same order."""
+same order. A Request and an Objective are refused where they are
+built exactly when the oracle's copy of their rules refuses, in the same
+words."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hapslink import (
@@ -15,6 +18,7 @@ from hapslink import (
     ObjectiveKind,
     RadioParams,
     Request,
+    RequestError,
     RequestKind,
     RisConfig,
     RsConfig,
@@ -128,3 +132,64 @@ def test_corridor_rows_are_the_reference_rows(D, H, frac, N, beta, element_W, ra
     surface = RisConfig(N=N, beta=beta, per_element_power_W=element_W)
     configs = ModeConfigs(rs=RsConfig(), ris=surface, smbs=SmbsConfig())
     assert Corridor(D, H, radio).rows(x, configs) == ref.rows(D, H, x, radio, configs)
+
+
+# values of every wrong type, and the edge values of the right ones
+_ODD = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.sampled_from([10 ** 400, -10 ** 400]),
+    st.floats(), st.sampled_from([-1e6, -0.0, -1.0]),
+    st.text(max_size=3), st.sampled_from(["communication", "max_capacity", "1e5"]),
+    st.lists(st.integers(), max_size=1), st.just(Objective()), st.sampled_from(Mode),
+)
+
+
+def _mostly(good):
+    """good three times in four, else a value of any type."""
+    return st.one_of(good, good, good, _ODD)
+
+
+def _fields(kind, **changes):
+    fields = dict(t=0.0, kind=kind, content_id=None, size_bits=None, qos_min_bps=None)
+    return {**fields, **changes}
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    fields=st.fixed_dictionaries({
+        "t": _mostly(st.floats(0.0, 10.0)),
+        "kind": _mostly(st.sampled_from(RequestKind)),
+        "content_id": _mostly(st.sampled_from(["a", "", None])),
+        "size_bits": _mostly(st.one_of(st.none(), st.floats(0.0, 1e9))),
+        "qos_min_bps": _mostly(st.one_of(st.none(), st.floats(1.0, 1e9))),
+    }),
+    objective_kind=_mostly(st.sampled_from(ObjectiveKind)),
+    objective_as=st.sampled_from(["none", "built", "built", "raw"]),
+)
+# the edges of the last rules, on an otherwise good request
+@example(fields=_fields(RequestKind.COMMUNICATION),
+         objective_kind=ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, objective_as="built")
+@example(fields=_fields(RequestKind.TASK_OFFLOADING, size_bits=0.0),
+         objective_kind=ObjectiveKind.MAX_CAPACITY, objective_as="none")
+@example(fields=_fields(RequestKind.COMMUNICATION, size_bits=-0.0, qos_min_bps=0.0),
+         objective_kind=ObjectiveKind.MAX_CAPACITY, objective_as="none")
+@example(fields=_fields(RequestKind.COMMUNICATION, qos_min_bps=5e-324),
+         objective_kind=ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS, objective_as="built")
+def test_a_request_is_refused_exactly_when_the_reference_rules_refuse(
+    fields, objective_kind, objective_as
+):
+    objective = objective_kind  # a bad kind stands in the field as itself
+    refusal = ref.objective_refusal(objective_kind)
+    if refusal is None:
+        objective = Objective(objective_kind)
+    else:
+        with pytest.raises(ValueError) as caught:
+            Objective(objective_kind)
+        assert str(caught.value) == refusal
+    fields["objective"] = {"none": None, "built": objective, "raw": objective_kind}[objective_as]
+    refusal = ref.request_refusal(**fields)
+    try:
+        Request(**fields)
+    except RequestError as err:
+        assert str(err) == refusal
+    else:
+        assert refusal is None

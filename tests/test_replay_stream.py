@@ -6,6 +6,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import stat
 
 import pytest
@@ -26,7 +27,7 @@ from hapslink import (
 )
 from hapslink import engine
 from hapslink.cli import EXIT_INVALID, EXIT_OK, main
-from hapslink.engine import OBJECTIVE_TOKENS, iter_trace, stream_replay
+from hapslink.engine import OBJECTIVES, iter_trace, stream_replay
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "golden_trace.txt")
 
@@ -278,6 +279,51 @@ def test_stream_of_a_list_drains_on_from_the_refused_line():
         stream_replay(lines, CacheState(), _context(cfg), io.StringIO().write)
 
 
+def test_refused_out_of_order_line_leaves_the_cache_alone():
+    state = CacheState()
+    lines = ["5,content_delivery,a,1e6,,\n", "4,content_delivery,b,1e6,,\n"]
+    with pytest.raises(RequestError, match=r"^request 1: timestamps must be "
+                                           r"non-decreasing \(4.0 after 5.0\)$"):
+        stream_replay(lines, state, _context(load_config(None)), io.StringIO().write)
+    assert state == CacheState(popularity={"a": 1})
+
+
+_ORDER_LINE = st.tuples(
+    st.sampled_from(["{i}", "{i}", "0", "-1"]),
+    st.sampled_from(["content_delivery,a", "content_delivery,b", "caching,c",
+                     "caching,d", "caching,e", "communication,", "task_offloading,"]),
+    st.sampled_from(["1e6", "1e6", "1.7e308"]),  # a 1.7e308-bit task overflows
+).map(lambda cells: ",".join(cells) + ",,")
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_ORDER_LINE, min_size=1, max_size=10),
+       bounds=st.sampled_from([(16, 3), (2, 1), (1, 2)]))
+# the third push would evict c; the third read would be cached, evicting d
+@example(lines=["1,caching,c,1e6,,", "2,caching,d,1e6,,", "0,caching,e,1e6,,"],
+         bounds=(2, 1))
+@example(lines=["1,caching,c,1e6,,", "2,caching,d,1e6,,", "0,content_delivery,a,1e6,,"],
+         bounds=(2, 1))
+def test_a_refused_line_leaves_the_state_of_the_accepted_prefix(lines, bounds):
+    ctx = _context(load_config(None))
+    lines = [line.replace("{i}", str(i)) for i, line in enumerate(lines)]
+
+    def run(trace):
+        state = CacheState(*bounds)
+        try:
+            stream_replay(trace, state, ctx, io.StringIO().write)
+        except RequestError as err:
+            return state, err
+        return state, None
+
+    state, err = run(lines)
+    if err is not None:
+        refused = int(re.match(r"request (\d+): ", str(err))[1])
+        accepted, none = run(lines[:refused])
+        assert none is None
+        assert state == accepted
+
+
 def test_failed_replay_keeps_the_previous_output(tmp_path):
     trace = tmp_path / "t.trace"
     trace.write_text(BAD_LAST_LINE)
@@ -409,7 +455,7 @@ def test_memo_keys_each_tail_on_the_branch_it_takes():
 # trace lines round-trip
 # ---------------------------------------------------------------
 
-_TOKEN = {kind: token for token, kind in OBJECTIVE_TOKENS.items()}
+_TOKEN = {objective.kind: token for token, objective in OBJECTIVES.items()}
 
 
 def _format(req):
@@ -434,7 +480,7 @@ _CELL_ID = st.text(
 )
 _RAW_LINE = st.tuples(
     _NUMBER, st.sampled_from([k.value for k in RequestKind] + ["Caching"]), _CELL_ID,
-    _NUMBER, st.sampled_from(["", *OBJECTIVE_TOKENS]), _NUMBER,
+    _NUMBER, st.sampled_from(["", *OBJECTIVES]), _NUMBER,
 ).flatmap(lambda cells: _PAD.map(lambda pad: ",".join(pad + c + pad for c in cells)))
 
 

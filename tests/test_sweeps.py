@@ -8,7 +8,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapslink import (
     ConfigError,
@@ -16,6 +16,8 @@ from hapslink import (
     ModeConfigs,
     RadioParams,
     RisConfig,
+    ScenarioConfig,
+    ScenarioGeometry,
     SweepResult,
     SweepSpec,
     load_config,
@@ -245,6 +247,53 @@ def test_sweeps_match_rows_rebuilt_per_point(tmp_path, D):
         for s in cfg.sweep_for("S", 1000.0).grid()
     ]
     assert sweep_latency(cfg, 1000.0).rows == tuple(latency)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    D=st.floats(2000.0, 2e5),
+    H=st.floats(1000.0, 5e4),
+    x_points=st.floats(2.0, 300.0),
+    s_step=st.floats(2e4, 2e6),
+)
+@example(D=60000.0, H=20000.0, x_points=120.0, s_step=5e4)  # the defaults
+@example(D=60000.0, H=30000.0, x_points=7.0, s_step=5e4)  # H = D/2: one root
+def test_sweep_notes_are_the_reference_notes(D, H, x_points, s_step):
+    # every note is computed from the oracle's own columns, in the same
+    # order of operations, so each must agree exactly
+    cfg = ScenarioConfig(geom=ScenarioGeometry(D, H, D / 2.0))
+    radio, x_step = cfg.radio, D / x_points
+    xs = cfg.sweep_for("x", x_step).grid()
+    notes = sweep_capacity(cfg, x_step).notes
+    assert notes == {
+        "alpha05_max_degradation_pct": max(ref.degradation_pct(D, H, x, radio) for x in xs),
+        "alpha05_degradation_at_stop_pct": ref.degradation_pct(D, H, D, radio),
+        "ris_roots_m": ref.placement_roots(D, H),
+    }
+    assert sweep_ee(cfg, x_step).notes == {
+        f"ris_N{n}_ee_spread_pct": ref.ee_spread_pct(D, H, xs, radio, RisConfig(N=n))
+        for n in cfg.ris_N_list
+    }
+
+    # the base station above the gNB, the surface at its first root; the
+    # relay's crest is Corridor.best_offset's (a search, not a note)
+    offsets = {Mode.SMBS: D, Mode.RIS: ref.placement_roots(D, H)[0],
+               Mode.RS: Corridor(D, H, radio).best_offset(Mode.RS)}
+    rows = {mode: next(r for r in ref.rows(D, H, x, radio, cfg.configs) if r[0] is mode)
+            for mode, x in offsets.items()}
+    sizes = cfg.sweep_for("S", s_step).grid()
+
+    def latencies(mode, rate):
+        _, capacity, _, path = rows[mode]
+        return [path / ref.SPEED_OF_LIGHT + s / capacity + s * cfg.cycles_per_bit / rate
+                for s in sizes]
+
+    relayed = list(zip(latencies(Mode.RS, cfg.cloud.F_C), latencies(Mode.RIS, cfg.cloud.F_C)))
+    assert sweep_latency(cfg, s_step).notes == {
+        f"smbs_FH{fh / 1e9:g}GHz_crossover_S_bits":
+            ref.crossover(sizes, latencies(Mode.SMBS, fh), relayed)
+        for fh in cfg.smbs_F_H_list
+    }
 
 
 # ---------------------------------------------------------------
