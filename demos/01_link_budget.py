@@ -17,31 +17,34 @@ from hapslink import (
     RadioParams,
     ScenarioGeometry,
     dry_air_specific_attenuation,
-    elevation_angle,
-    fspl_dB,
-    linear_to_db,
     noise_power_dBm,
 )
 
 radio = RadioParams()
 # the distance-free part of every hop: dry-air gamma0 and the noise floor
 budget = LinkBudget(radio)
+# the same budget with the atmosphere and the scintillation margin off
+# gives the free-space spreading loss alone
+free_space = LinkBudget(RadioParams(pressure_Pa=0.0, scintillation_dB=0.0))
 
 # the platform hovers at 20 km; the gateway sits at x = 0 and the gNB
-# at x = 60 km
+# at x = 60 km. The corridor holds every x-invariant term of the three
+# payloads' budgets, and its hop_lengths gives the slant ranges
 geom = ScenarioGeometry(D=60000.0, H=20000.0, x=30000.0)
+corridor = Corridor(geom.D, geom.H, radio)
+(d1,), (d2,) = corridor.hop_lengths([geom.x])
 
 print("geometry")
-print(f"  gateway slant  d1 = {geom.d_gateway:10.1f} m "
-      f"(elevation {math.degrees(elevation_angle(geom.x, geom.H)):.1f} deg)")
-print(f"  gNB slant      d2 = {geom.d_gnb:10.1f} m")
+print(f"  gateway slant  d1 = {d1:10.1f} m "
+      f"(elevation {math.degrees(math.atan2(geom.H, geom.x)):.1f} deg)")
+print(f"  gNB slant      d2 = {d2:10.1f} m")
 
 # free-space spreading dominates the budget at 2 GHz
 print("\nper-distance losses at f = 2 GHz")
-slants = (("gateway", geom.d_gateway), ("gNB", geom.d_gnb))
-losses = budget.losses_dB([d for _, d in slants])  # one list of hop lengths
-for (name, d), loss in zip(slants, losses):
-    print(f"  {name:8s} fspl = {fspl_dB(d, radio.f):7.2f} dB, "
+ds = [d1, d2]  # one list of hop lengths
+for name, fspl, loss in zip(("gateway", "gNB"), free_space.losses_dB(ds),
+                            budget.losses_dB(ds)):
+    print(f"  {name:8s} fspl = {fspl:7.2f} dB, "
           f"total = {loss:7.2f} dB")
 
 # the dry-air specific attenuation is tiny at 2 GHz but grows fast
@@ -59,22 +62,20 @@ print(f"\nnoise floor over B = {radio.B:.0e} Hz: "
 # tx gain + rx gain
 hops = {
     "gNB -> platform (base-station payload)": (
-        geom.d_gnb, radio.P_gNB + radio.G_gNB + radio.G_H_rx),
+        d2, radio.P_gNB + radio.G_gNB + radio.G_H_rx),
     "gateway -> platform (relay hop 1)": (
-        geom.d_gateway, radio.P0_max + radio.G0_max + radio.G_RS),
+        d1, radio.P0_max + radio.G0_max + radio.G_RS),
     "platform -> gNB (relay hop 2)": (
-        geom.d_gnb, radio.P0_max + radio.G_RS + radio.G_gNB),
+        d2, radio.P0_max + radio.G_RS + radio.G_gNB),
 }
 print("\nfull-power hop SNRs")
 for name, (d, gains_dB) in hops.items():
     (snr,) = budget.snrs([d], gains_dB)
-    print(f"  {name:42s} {linear_to_db(snr):7.2f} dB")
+    print(f"  {name:42s} {10.0 * math.log10(snr):7.2f} dB")
 
-# the corridor holds every x-invariant term of the three payloads'
-# budgets; its rows at one offset are all the selection logic reads:
+# the corridor's rows at one offset are all the selection logic reads:
 # (mode, capacity_bps, payload_W, path_m), most passive first
-corridor = Corridor(geom.D, geom.H, radio)
-rows = corridor.rows(geom.x, ModeConfigs.defaults())
+rows = corridor.rows(geom.x, ModeConfigs())
 print(f"\nwhat each payload delivers at x = {geom.x / 1000:.0f} km")
 for mode, capacity_bps, _, _ in reversed(rows):  # the base station first
     print(f"  {mode.value:4s} {capacity_bps / radio.B:6.3f} bps/Hz = "

@@ -25,7 +25,7 @@ from hapslink import (
 ctx = EngineContext(
     geom=ScenarioGeometry(D=60000.0, H=20000.0, x=30000.0),
     radio=RadioParams(),
-    configs=ModeConfigs.defaults(),
+    configs=ModeConfigs(),
     cloud=CloudConfig(),
 )
 

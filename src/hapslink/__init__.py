@@ -59,12 +59,8 @@ from .propagation import (
     ScenarioGeometry,
     db_to_linear,
     dry_air_specific_attenuation,
-    elevation_angle,
-    fspl_dB,
-    linear_to_db,
     noise_power_dBm,
     propagation_delay_s,
-    slant_distance,
 )
 from .sweeps import SweepResult, sweep_capacity, sweep_ee, sweep_latency
 

@@ -127,24 +127,23 @@ class ScenarioConfig(Record):
         return ModeConfigs(rs=self.rs, ris=self.ris, smbs=self.smbs)
 
     def sweep_for(self, variable, step_override=None) -> SweepSpec:
-        """Sweep spec for a command that needs to walk `variable`."""
+        """Sweep spec for a command that needs to walk `variable`; a
+        step_override replaces the step before the spec checks its grid."""
         if self.sweep is not None:
             if self.sweep.variable != variable:
                 raise ConfigError(
                     f"[sweep] variable is {self.sweep.variable!r} but this "
                     f"command sweeps {variable!r}"
                 )
-            spec = self.sweep
+            start, stop, step = self.sweep.start, self.sweep.stop, self.sweep.step
+        elif variable == "x":
+            start, _, step = DEFAULT_X_SWEEP
+            stop = self.geom.D
         else:
-            start, stop, step = (
-                DEFAULT_X_SWEEP if variable == "x" else DEFAULT_S_SWEEP
-            )
-            if variable == "x":
-                stop = self.geom.D
-            spec = SweepSpec(variable, start, stop, step)
+            start, stop, step = DEFAULT_S_SWEEP
         if step_override is not None:
-            spec = SweepSpec(spec.variable, spec.start, spec.stop, step_override)
-        return spec
+            step = step_override
+        return SweepSpec(variable, start, stop, step)
 
 
 # =====================================================================

@@ -23,11 +23,7 @@ from .propagation import (
     LinkBudget,
     RadioParams,
     db_to_linear,
-    fspl_dB,
-    slant_distance,
 )
-
-LOG2 = math.log(2.0)
 
 
 class Mode(Enum):
@@ -105,13 +101,9 @@ class SmbsConfig(Record):
 class ModeConfigs(Record):
     """Bundle of the three payload configs, as the selection logic wants them."""
 
-    rs: RsConfig
-    ris: RisConfig
-    smbs: SmbsConfig
-
-    @classmethod
-    def defaults(cls):
-        return cls(rs=RsConfig(), ris=RisConfig(), smbs=SmbsConfig())
+    rs: RsConfig = RsConfig()
+    ris: RisConfig = RisConfig()
+    smbs: SmbsConfig = SmbsConfig()
 
 
 # =====================================================================
@@ -195,32 +187,42 @@ class Corridor:
         except OverflowError:
             text = f"the noise floor of {budget.noise_dBm:.4g} dBm leaves the float range"
             raise _refusal(text, radio, _NOISE, overflow=None) from None
-        # gaseous absorption over the cascade length at the first placement
-        # root, the surface's fixed reference path (see ris_snr)
-        roots = ris_placement_roots(D, H)
-        path = slant_distance(roots[0], H) + slant_distance(D - roots[0], H)
-        atmosphere_db = budget.gamma0 * path / 1000.0
-        try:
-            self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
-        except OverflowError:
-            # with one root (H >= D/2) the reference path is 2 hypot(D/2, H)
-            longer = f"H = {H:g}" if len(roots) == 1 else f"D = {D:g}"
-            text = (f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
-                    f"(gaseous absorption over {longer} m) overflows")
-            scint = {"scintillation_dB": 2.0}
-            raise _refusal(text, radio, scint, other=(atmosphere_db, text)) from None
-        # a relay hop's SNR peaks at the shortest hop, H, and is lowest at
-        # the longest, hypot(D, H); so does the product of the two SNRs,
-        # which the relay's closed form takes
-        longest = math.hypot(D, H)
+        geometry = {"D": D, "H": H}
+
+        def blame(text, name, rule="high"):
+            """text, then [geometry] name and that it is too rule."""
+            return f"{text}: [geometry] {name} = {geometry[name]:g} m is too {rule}"
 
         def hop(text, d, name, rule, hops=1):
             """_refusal's other= for hops of length d: their distance term
             (FSPL plus gaseous dB), and text blaming [geometry] name."""
-            loss = hops * (fspl_dB(d, radio.f) + budget.gamma0 * d / 1000.0)
-            value = D if name == "D" else H
-            return loss, f"{text}: [geometry] {name} = {value:g} m is too {rule}"
+            loss = hops * (budget.losses_dB((d,))[0] - radio.scintillation_dB)
+            return loss, blame(text, name, rule)
 
+        # a relay hop's SNR peaks at the shortest hop, H, and is lowest at
+        # the longest, hypot(D, H); so does the product of the two SNRs,
+        # which the relay's closed form takes
+        longest = math.hypot(D, H)
+        if longest == math.inf:
+            raise ValueError(blame("the longest hop, hypot(D, H), overflows",
+                                   "D" if D >= H else "H"))
+        # gaseous absorption over the cascade length at the first placement
+        # root, the surface's fixed reference path (see ris_snr); with one
+        # root (H >= D/2) that path is 2 hypot(D/2, H)
+        roots = ris_placement_roots(D, H)
+        longer = "H" if len(roots) == 1 else "D"
+        (d1,), (d2,) = self.hop_lengths(roots[:1])
+        path = d1 + d2
+        if path == math.inf:
+            raise ValueError(blame("the surface's reference path overflows", longer))
+        atmosphere_db = budget.gamma0 * path / 1000.0
+        try:
+            self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
+        except OverflowError:
+            text = (f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
+                    f"(gaseous absorption over {longer} = {geometry[longer]:g} m) overflows")
+            scint = {"scintillation_dB": 2.0}
+            raise _refusal(text, radio, scint, other=(atmosphere_db, text)) from None
         peaks = []
         for gains_dB, figure in ((self._hop1_dB, _HOP1), (self._hop2_dB, _HOP2)):
             try:
@@ -417,16 +419,24 @@ def ris_placement_roots(D, H):
 
     For H < D/2 the minimisers are D/2 +- sqrt((D/2)^2 - H^2) and the
     product at either root equals H * D. For H >= D/2 the product is
-    minimised at the midpoint and only D/2 is returned.
+    minimised at the midpoint and only D/2 is returned. Both roots lie
+    in [0, D] for every finite positive D and H.
     """
     D, H = number("D", D), number("H", H)
     if D <= 0 or H <= 0:
         raise ValueError("D and H must be positive")
     half = D / 2.0
     disc = half * half - H * H
-    if disc <= 0:
+    if math.isfinite(disc):
+        if disc <= 0:
+            return (half,)
+        off = math.sqrt(disc)
+    elif H < half:  # a square overflowed; the factors of the difference do not
+        off = math.sqrt(half - H) * math.sqrt(half + H)
+    else:
         return (half,)
-    off = math.sqrt(disc)
+    # rounding (or a square that underflowed) can put off past half
+    off = min(off, half)
     return (half - off, half + off)
 
 

@@ -1,9 +1,10 @@
 """Link-level physics for the gateway - platform - gNB triangle.
 
-Everything here is deterministic line-of-sight budgeting: slant geometry,
-free-space path loss, dry-air gaseous attenuation, a fixed scintillation
-margin, thermal noise, and the resulting per-link SNR. No fading draws,
-no randomness.
+Everything here is deterministic line-of-sight budgeting over a given
+hop length: free-space path loss, dry-air gaseous attenuation, a fixed
+scintillation margin, thermal noise, and the resulting per-link SNR, all
+in LinkBudget's column laws. The slant ranges themselves come from
+modes.Corridor.hop_lengths. No fading draws, no randomness.
 """
 
 import math
@@ -37,16 +38,6 @@ class ScenarioGeometry(Record):
             raise ValueError(
                 f"platform offset x={self.x} outside the corridor [0, {self.D}]"
             )
-
-    @property
-    def d_gateway(self):
-        """Slant range gateway -> platform, m."""
-        return slant_distance(self.x, self.H)
-
-    @property
-    def d_gnb(self):
-        """Slant range gNB -> platform, m."""
-        return slant_distance(self.D - self.x, self.H)
 
 
 class RadioParams(Record):
@@ -89,33 +80,8 @@ class RadioParams(Record):
 
 
 # =====================================================================
-# Geometry
-# =====================================================================
-
-def slant_distance(x_offset, h):
-    """Straight-line range to a platform at height h and ground offset x_offset."""
-    if h <= 0:
-        raise ValueError("height must be positive")
-    return math.hypot(x_offset, h)
-
-
-def elevation_angle(x_offset, h):
-    """Elevation of the platform seen from the ground point, radians in (0, pi/2]."""
-    if h <= 0:
-        raise ValueError("height must be positive")
-    return math.atan2(h, x_offset)
-
-
-# =====================================================================
 # Losses and noise
 # =====================================================================
-
-def fspl_dB(d, f):
-    """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
-    if d <= 0 or f <= 0:
-        raise ValueError("distance and frequency must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT)
-
 
 def _pt_correction(rp, rt, a, b, c, d):
     # pressure/temperature correction factor shared by the oxygen terms
@@ -175,8 +141,9 @@ class LinkBudget:
         for each hop length in ds (each positive: RadioParams checks f).
 
         The platform sits inside the bulk atmosphere, so the full path is
-        charged the specific attenuation (no layered integration). The FSPL
-        term is fspl_dB's expression with its leading 4 pi bound once.
+        charged the specific attenuation (no layered integration). With
+        pressure_Pa = 0 and scintillation_dB = 0 each loss is the free-space
+        path loss 20 log10(4 pi d f / c) alone.
         """
         log10 = math.log10
         four_pi, f, c = 4.0 * math.pi, self.radio.f, SPEED_OF_LIGHT
@@ -209,9 +176,3 @@ def propagation_delay_s(path_m):
 
 def db_to_linear(db):
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(value):
-    if value <= 0:
-        raise ValueError("dB conversion needs a positive ratio")
-    return 10.0 * math.log10(value)

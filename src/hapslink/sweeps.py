@@ -68,13 +68,12 @@ def _ris_variants(cfg: ScenarioConfig):
     return [replace(cfg.ris, N=n) for n in cfg.ris_N_list]
 
 
-def _placement_columns(cfg: ScenarioConfig, xs):
-    """The columns over the offsets xs: the relay's capacity at alpha =
-    0.5 and at the optimal split (bps/Hz), the optimal alpha, and one
-    capacity column (bps/Hz) per configured surface size. The hop-SNR
-    columns are freed on return, so a sweep's memory peak stays below
-    that of the CSV rendered from its rows."""
-    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
+def _placement_columns(corridor, cfg: ScenarioConfig, xs):
+    """The columns over the offsets xs of corridor: the relay's capacity
+    at alpha = 0.5 and at the optimal split (bps/Hz), the optimal alpha,
+    and one capacity column (bps/Hz) per configured surface size. The
+    hop-SNR columns are freed on return, so a sweep's memory peak stays
+    below that of the CSV rendered from its rows."""
     snr1s, snr2s, ris_cols = corridor.columns(xs, _ris_variants(cfg))
     alphas, capopt = relay_optimal_splits(snr1s, snr2s)
     cap05 = relay_capacities(snr1s, snr2s, 0.5)
@@ -97,11 +96,12 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += [f"ris_N{n}_bps_hz" for n in cfg.ris_N_list]
     spec = cfg.sweep_for("x", step)
     xs = spec.grid()
-    cap05, capopt, alphas, ris_cols = _placement_columns(cfg, xs)
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
+    cap05, capopt, alphas, ris_cols = _placement_columns(corridor, cfg, xs)
     rows = tuple(zip(xs, cap05, capopt, alphas, *ris_cols))
 
     # the grid ends short of the stop when the step does not divide the span
-    stop05, stopopt, _, _ = _placement_columns(cfg, [spec.stop])
+    stop05, stopopt, _, _ = _placement_columns(corridor, cfg, [spec.stop])
     notes = {
         "alpha05_max_degradation_pct": max(_degradations(cap05, capopt)),
         "alpha05_degradation_at_stop_pct": _degradations(stop05, stopopt)[0],
@@ -119,7 +119,8 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     header = ["x_m", "ee_rs_alpha05_bits_per_J", "ee_rs_alpha_opt_bits_per_J"]
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
     xs = cfg.sweep_for("x", step).grid()
-    cap05, capopt, alphas, ris_cols = _placement_columns(cfg, xs)
+    corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
+    cap05, capopt, alphas, ris_cols = _placement_columns(corridor, cfg, xs)
     del alphas  # not an EE column: freed before the EE columns are built
     B = cfg.radio.B
     payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]

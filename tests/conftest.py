@@ -25,7 +25,7 @@ def corridor(radio):
 
 @pytest.fixture
 def configs():
-    return ModeConfigs.defaults()
+    return ModeConfigs()
 
 
 @pytest.fixture

@@ -690,6 +690,29 @@ def test_cli_grid_override(tmp_path):
     assert len(read(out).strip().split("\n")) == 1 + 7
 
 
+def test_cli_grid_is_applied_before_the_grid_cap(tmp_path):
+    # the default 500 m step would give 2e6 points on this corridor; the
+    # cap counts the step the user gave
+    path = write_config(tmp_path, "[geometry]\nD = 1e9\n\n[radio]\npressure_Pa = 0\n")
+    out = str(tmp_path / "cap.csv")
+    assert main(["sweep-capacity", "--config", path, "--grid", "1e6", "--out", out]) == EXIT_OK
+    assert len(read(out).strip().split("\n")) == 1 + 1001
+
+
+@pytest.mark.parametrize("geometry", [
+    "D = 1e155", "D = 3e154\nH = 1.4e154",
+])
+def test_cli_select_decides_on_a_long_corridor_without_absorption(
+    tmp_path, capsys, geometry
+):
+    # these placement roots used to be -inf or nan, and the decision nan
+    text = f"[geometry]\n{geometry}\nx = 0\n\n[radio]\npressure_Pa = 0\n"
+    args = ["select", "--kind", "communication", "--config", write_config(tmp_path, text)]
+    assert main(args) == EXIT_OK
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert math.isfinite(float(row[4]))
+
+
 def test_cli_sweep_latency(tmp_path, capsys):
     out = str(tmp_path / "lat.csv")
     assert main(["sweep-latency", "--out", out]) == EXIT_OK
@@ -1118,7 +1141,7 @@ MODEL_ERROR_CASES = {
         "[radio]\nnoise_figure = -2000\n", ["sweep-capacity"],
         RELAY_PRODUCT + r"\[radio\] noise_figure = -2000 dB is too low$",
     ),
-    "loud_gateway_sweep_capacity": (
+    "gateway_1600_dBm_sweep_capacity": (
         "[radio]\nP0_max = 1600\n", ["sweep-capacity"],
         RELAY_PRODUCT + TOO_HIGH.format("P0_max = 1600 dBm"),
     ),
@@ -1157,10 +1180,59 @@ MODEL_ERROR_CASES = {
         "[radio]\nG_RS = -2900\n\n[geometry]\nH = 1e-154\n", ["replay"],
         r"the access hop SNR overflows: \[geometry\] H = 1e-154 m is too low$",
     ),
+    # with each square in ris_placement_roots overflowing, the roots stay
+    # in the corridor, and the reference path through them is what overflows
     "long_hop_select": (
         "[geometry]\nD = 1e308\nx = 0\n", ["select", "--kind", "communication"],
+        r"the surface's reference-path loss of 6\.661e\+302 dB "
+        r"\(gaseous absorption over D = 1e\+308 m\) overflows$",
+    ),
+    "long_hop_sweep_latency": (
+        "[geometry]\nD = 1e155\n", ["sweep-latency"],
+        r"the surface's reference-path loss of 6\.661e\+149 dB "
+        r"\(gaseous absorption over D = 1e\+155 m\) overflows$",
+    ),
+    "long_tall_select": (
+        "[geometry]\nD = 3e154\nH = 1.4e154\nx = 0\n",
+        ["select", "--kind", "communication"],
+        r"the surface's reference-path loss of 2\.779e\+149 dB "
+        r"\(gaseous absorption over D = 3e\+154 m\) overflows$",
+    ),
+    "longer_tall_sweep_latency": (
+        "[geometry]\nD = 1e308\nH = 1.5e154\n", ["sweep-latency"],
+        r"the surface's reference-path loss of 6\.661e\+302 dB "
+        r"\(gaseous absorption over D = 1e\+308 m\) overflows$",
+    ),
+    # without gaseous absorption the relay's longest hop is what fails
+    "long_hop_vacuum_select": (
+        "[geometry]\nD = 1e160\nx = 0\n\n[radio]\npressure_Pa = 0\n",
+        ["select", "--kind", "communication"],
+        r"the relay hop SNR underflows to 1\.00497e-308 at a 1e\+160 m hop: "
+        r"\[geometry\] D = 1e\+160 m is too high$",
+    ),
+    "longer_tall_vacuum_sweep_latency": (
+        "[geometry]\nD = 1e308\nH = 1.5e154\n\n[radio]\npressure_Pa = 0\n",
+        ["sweep-latency"],
         r"the relay hop SNR underflows to 0 at a 1e\+308 m hop: "
         r"\[geometry\] D = 1e\+308 m is too high$",
+    ),
+    # hops that leave the float range are refused before any SNR is taken
+    "longest_hop_sweep_latency": (
+        "[geometry]\nD = 1.7e308\nH = 1e308\n", ["sweep-latency"],
+        r"the longest hop, hypot\(D, H\), overflows: "
+        r"\[geometry\] D = 1\.7e\+308 m is too high$",
+    ),
+    "longest_hop_vacuum_select": (
+        "[geometry]\nD = 1.7e308\nH = 1e308\nx = 0\n\n[radio]\npressure_Pa = 0\n",
+        ["select", "--kind", "communication"],
+        r"the longest hop, hypot\(D, H\), overflows: "
+        r"\[geometry\] D = 1\.7e\+308 m is too high$",
+    ),
+    "tallest_reference_path_vacuum_select": (
+        "[geometry]\nD = 1e308\nH = 9e307\nx = 0\n\n[radio]\npressure_Pa = 0\n",
+        ["select", "--kind", "communication"],
+        r"the surface's reference path overflows: "
+        r"\[geometry\] H = 9e\+307 m is too high$",
     ),
     "scintillation_select": (
         "[radio]\nscintillation_dB = 1e300\n", ["select", "--kind", "communication"],

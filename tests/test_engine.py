@@ -44,7 +44,7 @@ def ctx():
     return EngineContext(
         geom=geom_at(30000.0),
         radio=RadioParams(),
-        configs=ModeConfigs.defaults(),
+        configs=ModeConfigs(),
         cloud=CloudConfig(),
     )
 
@@ -86,7 +86,7 @@ def test_rejects_negative_size():
 
 def test_overflowing_request_is_refused_before_the_state_changes():
     # a surface that draws 5e304 W turns a 1 Tbit forward into inf joules
-    configs = ModeConfigs.defaults()
+    configs = ModeConfigs()
     hungry = ModeConfigs(
         rs=configs.rs, ris=RisConfig(per_element_power_W=1e300), smbs=configs.smbs
     )
@@ -256,7 +256,7 @@ def test_task_qos_filters_modes(ctx):
     # above the gateway a floor the base station misses leaves the two
     # relayed paths; a zero-bit task pays propagation only, the same over
     # both, and the tie goes to the surface, priced first
-    far = EngineContext(geom=geom_at(0.0), radio=RadioParams(), configs=ModeConfigs.defaults())
+    far = EngineContext(geom=geom_at(0.0), radio=RadioParams(), configs=ModeConfigs())
     req = Request(t=0, kind=RequestKind.TASK_OFFLOADING, size_bits=0.0, qos_min_bps=7.5e7)
     d, _ = handle_request(req, fresh_state(), far)
     assert d.mode is Mode.RIS
@@ -286,7 +286,7 @@ def test_task_builds_one_decision_per_new_tail(ctx, monkeypatch):
 def test_task_refused_when_a_losing_payload_overflows():
     # the relay is slower than the surface, but its energy overflows: the
     # request is refused all the same, as when every candidate was built
-    configs = ModeConfigs.defaults()
+    configs = ModeConfigs()
     hungry = ModeConfigs(
         rs=RsConfig(payload_power_W=1e308), ris=configs.ris, smbs=configs.smbs
     )
@@ -302,7 +302,7 @@ def test_task_refused_when_a_losing_payload_overflows():
 def test_exact_task_tie_goes_to_the_passive_payload():
     # at this offset and onboard rate a 1 Mbit task takes exactly as long
     # on the base station as through the surface: the surface wins
-    configs = ModeConfigs.defaults()
+    configs = ModeConfigs()
     fast = ModeConfigs(rs=configs.rs, ris=configs.ris,
                        smbs=SmbsConfig(F_H=9800072931.180836))
     ctx = EngineContext(geom=geom_at(45000.0), radio=RadioParams(), configs=fast)
@@ -460,7 +460,7 @@ def test_context_runs_the_link_budget_once(monkeypatch):
 
     monkeypatch.setattr(propagation, "dry_air_specific_attenuation", counting)
     ctx = EngineContext(
-        geom=geom_at(30000.0), radio=RadioParams(), configs=ModeConfigs.defaults()
+        geom=geom_at(30000.0), radio=RadioParams(), configs=ModeConfigs()
     )
     assert len(calls) == 1
 
@@ -486,7 +486,7 @@ def test_cache_invariants_random_traffic(data):
     ctx = EngineContext(
         geom=geom_at(30000.0),
         radio=RadioParams(),
-        configs=ModeConfigs.defaults(),
+        configs=ModeConfigs(),
         cloud=CloudConfig(),
     )
     capacity = data.draw(st.integers(min_value=0, max_value=4))
@@ -668,7 +668,7 @@ def test_context_refuses_a_bad_cycles_per_bit(value):
     rule = "positive and finite" if math.isfinite(value) else "finite"
     with pytest.raises(ValueError, match=f"^cycles_per_bit must be {rule}, got {value}$"):
         EngineContext(geom=geom_at(30000.0), radio=RadioParams(),
-                      configs=ModeConfigs.defaults(), cycles_per_bit=value)
+                      configs=ModeConfigs(), cycles_per_bit=value)
 
 
 # ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,7 @@ from hapslink import (
     ris_placement_roots,
 )
 from hapslink.modes import energy_efficiencies
-from hapslink.propagation import fspl_dB, noise_power_dBm
+from hapslink.propagation import LinkBudget, noise_power_dBm
 
 import reference_model as ref
 from conftest import D_DEFAULT, H_DEFAULT, capacities, hop_snrs
@@ -136,6 +137,27 @@ def test_ris_placement_roots_collapse():
     assert ris_placement_roots(60000, 40000) == (30000.0,)
 
 
+LOG_SPAN = st.floats(min_value=-300.0, max_value=math.log10(1.7e308))
+
+
+@given(log_D=LOG_SPAN, log_H=LOG_SPAN)
+@example(log_D=308.0, log_H=math.log10(2e4))          # each square overflows
+@example(log_D=math.log10(3e154), log_H=math.log10(1.4e154))  # both overflow
+@example(log_D=math.log10(1.7e308), log_H=308.0)
+@example(log_D=-155.0, log_H=-170.0)                  # (D/2)^2 underflows
+def test_ris_placement_roots_stay_in_the_corridor(log_D, log_H):
+    # D and H drawn log-uniform: every root is finite and inside [0, D]
+    D, H = 10.0 ** log_D, 10.0 ** log_H
+    roots = ris_placement_roots(D, H)
+    assert all(math.isfinite(r) and 0.0 <= r <= D for r in roots), roots
+    # where both squares are normal floats the roots are the textbook ones
+    half = D / 2.0
+    if all(sys.float_info.min <= v * v < math.inf for v in (half, H)):
+        disc = half * half - H * H
+        off = math.sqrt(disc) if disc > 0 else None
+        assert roots == ((half,) if off is None else (half - off, half + off))
+
+
 def test_ris_capacity_frozen_at_root(corridor, configs):
     root = ris_placement_roots(60000, 20000)[0]
     ((got,),) = corridor.columns((root,), (configs.ris,))[2]
@@ -179,13 +201,13 @@ def test_smbs_capacity_decays_away_from_gnb(corridor, configs):
 def test_smbs_toy_balanced_link_gives_one_bit():
     radio = RadioParams(pressure_Pa=0.0, scintillation_dB=0.0, G_gNB=0.0, G_H_rx=0.0)
     d = 20000.0
-    balanced = fspl_dB(d, radio.f) + noise_power_dBm(radio.B, radio.noise_figure)
+    balanced = LinkBudget(radio).losses_dB([d])[0] + noise_power_dBm(radio.B, radio.noise_figure)
     radio = RadioParams(
         P_gNB=balanced, G_gNB=0.0, G_H_rx=0.0,
         pressure_Pa=0.0, scintillation_dB=0.0,
     )
     corridor = Corridor(D_DEFAULT, H_DEFAULT, radio)
-    capacity_bps = capacities(corridor, 60000.0, ModeConfigs.defaults())[Mode.SMBS]
+    capacity_bps = capacities(corridor, 60000.0, ModeConfigs())[Mode.SMBS]
     assert capacity_bps / radio.B == pytest.approx(1.0, rel=1e-12)
 
 

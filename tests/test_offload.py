@@ -30,7 +30,7 @@ def offload(ctx, mode, size):
 
 def context(x, configs=None):
     return EngineContext(geom=geom_at(x), radio=RadioParams(),
-                         configs=configs or ModeConfigs.defaults())
+                         configs=configs or ModeConfigs())
 
 
 def test_compute_task_validation():
@@ -52,10 +52,10 @@ def test_propagation_latency_values():
 def test_offload_paths_triangle(corridor, configs):
     # the direct access hop is always shorter than the relayed path
     for x in (1.0, 15000.0, 30000.0, 59999.0):
-        geom = geom_at(x)
+        (d1,), (d2,) = corridor.hop_lengths([x])
         path = {row[0]: row[3] for row in corridor.rows(x, configs)}
-        assert path[Mode.SMBS] == geom.d_gnb
-        assert path[Mode.RS] == geom.d_gnb + geom.d_gateway
+        assert path[Mode.SMBS] == d2
+        assert path[Mode.RS] == d2 + d1
         assert path[Mode.SMBS] < path[Mode.RS]
         assert path[Mode.RIS] == path[Mode.RS]
 
@@ -106,7 +106,7 @@ def test_offload_rs_slope_uses_the_engine_capacity(cloud):
 
 def test_smbs_dominates_when_faster_everywhere(cloud):
     # equal compute rates and a better channel: onboard wins at any size
-    configs = ModeConfigs.defaults()
+    configs = ModeConfigs()
     fast = ModeConfigs(
         rs=configs.rs, ris=configs.ris,
         smbs=SmbsConfig(F_H=cloud.F_C, payload_power_W=3000.0),

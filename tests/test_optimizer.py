@@ -166,7 +166,7 @@ def test_best_offset_beats_a_scan(D, H, f, gains):
         G_H_rx=base.G_H_rx + shift_h,
     )
     corridor = Corridor(D, H, radio)
-    configs = ModeConfigs.defaults()
+    configs = ModeConfigs()
     assert corridor.best_offset(Mode.SMBS) == D
     assert corridor.best_offset(Mode.RIS) == ris_placement_roots(D, H)[0]
     scan = [capacities(corridor, D * (i / 199), configs) for i in range(200)]

@@ -4,16 +4,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hapslink import (
+    Corridor,
     LinkBudget,
     RadioParams,
     ScenarioGeometry,
     dry_air_specific_attenuation,
-    elevation_angle,
-    fspl_dB,
     noise_power_dBm,
-    slant_distance,
 )
-from hapslink.propagation import SPEED_OF_LIGHT, propagation_delay_s
+from hapslink.propagation import (
+    DRY_AIR_F_MAX_HZ,
+    DRY_AIR_F_MIN_HZ,
+    SPEED_OF_LIGHT,
+    propagation_delay_s,
+)
+
+
+def slant_ranges(x, H, D=60000.0):
+    """(gateway -> platform, gNB -> platform) at offset x, from the one
+    slant-range law, Corridor.hop_lengths."""
+    (d1,), (d2,) = Corridor(D, H, RadioParams()).hop_lengths([x])
+    return d1, d2
+
+
+def fspl(d, f=2e9):
+    """Free-space path loss: LinkBudget's loss with the atmosphere and the
+    scintillation margin turned off."""
+    radio = RadioParams(f=f, pressure_Pa=0.0, scintillation_dB=0.0)
+    return LinkBudget(radio).losses_dB([d])[0]
 
 
 # ---------------------------------------------------------------
@@ -21,17 +38,18 @@ from hapslink.propagation import SPEED_OF_LIGHT, propagation_delay_s
 # ---------------------------------------------------------------
 
 def test_slant_overhead():
-    assert slant_distance(0, 20000) == 20000
+    assert slant_ranges(0, 20000)[0] == 20000
+    assert slant_ranges(60000, 20000)[1] == 20000
 
 
 def test_slant_values():
-    assert slant_distance(30000, 20000) == pytest.approx(36055.5127546399, rel=1e-12)
-    assert slant_distance(60000, 20000) == pytest.approx(63245.5532033676, rel=1e-12)
+    assert slant_ranges(30000, 20000)[0] == pytest.approx(36055.5127546399, rel=1e-12)
+    assert slant_ranges(60000, 20000)[0] == pytest.approx(63245.5532033676, rel=1e-12)
 
 
 def test_slant_rejects_nonpositive_height():
-    with pytest.raises(ValueError):
-        slant_distance(1000, 0)
+    with pytest.raises(ValueError, match="^altitude H must be positive, got 0$"):
+        slant_ranges(1000, 0)
 
 
 @given(
@@ -39,16 +57,10 @@ def test_slant_rejects_nonpositive_height():
     h=st.floats(min_value=1e-3, max_value=1e6),
 )
 def test_slant_dominates_both_legs(x, h):
-    d = slant_distance(x, h)
+    d, _ = slant_ranges(x, h, D=1e6)
     assert d >= max(x, h)
     if x == 0:
         assert d == h
-
-
-def test_elevation_angles():
-    assert elevation_angle(0, 20000) == pytest.approx(math.pi / 2)
-    assert elevation_angle(20000, 20000) == pytest.approx(math.pi / 4)
-    assert elevation_angle(30000, 20000) == pytest.approx(0.58800260354757, rel=1e-10)
 
 
 def test_geometry_rejects_out_of_corridor():
@@ -61,9 +73,7 @@ def test_geometry_rejects_out_of_corridor():
 
 
 def test_geometry_slant_properties():
-    g = ScenarioGeometry(D=60000, H=20000, x=10000)
-    assert g.d_gateway == slant_distance(10000, 20000)
-    assert g.d_gnb == slant_distance(50000, 20000)
+    assert slant_ranges(10000, 20000) == (math.hypot(10000, 20000), math.hypot(50000, 20000))
 
 
 # ---------------------------------------------------------------
@@ -72,24 +82,32 @@ def test_geometry_slant_properties():
 
 def test_fspl_reference_values():
     # frozen from the closed form with c = 2.998e8
-    assert fspl_dB(20000, 2e9) == pytest.approx(124.48876453675595, rel=1e-12)
-    assert fspl_dB(36055.5127546399, 2e9) == pytest.approx(129.6075981465447, rel=1e-12)
+    assert fspl(20000, 2e9) == pytest.approx(124.48876453675595, rel=1e-12)
+    assert fspl(36055.5127546399, 2e9) == pytest.approx(129.6075981465447, rel=1e-12)
 
 
 def test_fspl_zero_at_reference_distance():
     f = 2e9
     lam = SPEED_OF_LIGHT / f
-    assert fspl_dB(lam / (4 * math.pi), f) == pytest.approx(0.0, abs=1e-9)
+    assert fspl(lam / (4 * math.pi), f) == pytest.approx(0.0, abs=1e-9)
 
 
 @given(
     d=st.floats(min_value=1.0, max_value=1e7),
-    f=st.floats(min_value=1e8, max_value=1e11),
+    f=st.floats(min_value=DRY_AIR_F_MIN_HZ, max_value=DRY_AIR_F_MAX_HZ),
 )
 def test_fspl_doubling_adds_6dB(d, f):
-    assert fspl_dB(2 * d, f) - fspl_dB(d, f) == pytest.approx(
+    assert fspl(2 * d, f) - fspl(d, f) == pytest.approx(
         20 * math.log10(2), abs=1e-9
     )
+
+
+@given(
+    d=st.floats(min_value=1e-3, max_value=1e9),
+    f=st.floats(min_value=DRY_AIR_F_MIN_HZ, max_value=DRY_AIR_F_MAX_HZ),
+)
+def test_free_space_loss_is_the_closed_form_to_the_bit(d, f):
+    assert fspl(d, f) == 20.0 * math.log10(4.0 * math.pi * d * f / SPEED_OF_LIGHT)
 
 
 # ---------------------------------------------------------------
@@ -161,14 +179,15 @@ def test_total_loss_is_fspl_without_atmosphere():
     radio = RadioParams(pressure_Pa=0.0, scintillation_dB=0.0)
     d = 36055.5127546399
     (loss,) = LinkBudget(radio).losses_dB([d])
-    assert loss == pytest.approx(fspl_dB(d, radio.f), rel=1e-12)
+    closed_form = 20.0 * math.log10(4.0 * math.pi * d * radio.f / SPEED_OF_LIGHT)
+    assert loss == pytest.approx(closed_form, rel=1e-12)
 
 
 def test_total_loss_composition():
     radio = RadioParams()
     d = 36055.5127546399
     expected = (
-        fspl_dB(d, radio.f)
+        fspl(d, radio.f)
         + dry_air_specific_attenuation(radio.f, radio.pressure_Pa, radio.temperature_C)
         * d / 1000.0
         + radio.scintillation_dB
@@ -217,7 +236,7 @@ def test_link_snr_constructed_balance():
     # pick tx power so the budget balances to exactly 0 dB SNR
     radio = RadioParams(pressure_Pa=0.0, scintillation_dB=0.0)
     d = 20000.0
-    p = fspl_dB(d, radio.f) + noise_power_dBm(radio.B, radio.noise_figure)
+    p = fspl(d, radio.f) + noise_power_dBm(radio.B, radio.noise_figure)
     (snr,) = LinkBudget(radio).snrs([d], p)
     assert snr == pytest.approx(1.0, rel=1e-12)
 

@@ -48,8 +48,8 @@ SUMMARY = ReplaySummary({"RIS": 1, "RS": 0, "SMBS": 0}, 1.5, 0.0, 1)
 REQUIRED = {
     CloudConfig: {},
     EngineContext: {"geom": GEOM, "radio": RadioParams(),
-                    "configs": ModeConfigs.defaults()},
-    ModeConfigs: {"rs": RsConfig(), "ris": RisConfig(), "smbs": SmbsConfig()},
+                    "configs": ModeConfigs()},
+    ModeConfigs: {},
     ModeDecision: {"mode": Mode.RIS, "action": Action.FORWARD_VIA_GATEWAY,
                    "objective_value": 2.0},
     Objective: {},
@@ -176,6 +176,7 @@ def test_defaults_are_taken_in_field_order():
     assert (req.t, req.kind, req.content_id, req.size_bits, req.objective,
             req.qos_min_bps) == (1.0, RequestKind.CACHING, "c1", None, None, None)
     assert Objective() == Objective(ObjectiveKind.MAX_CAPACITY)
+    assert ModeConfigs() == ModeConfigs(RsConfig(), RisConfig(), SmbsConfig())
     assert SweepResult(("x",), ()).notes == {}
     assert SweepResult(("x",), ()).notes is not SweepResult(("x",), ()).notes
 

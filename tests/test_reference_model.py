@@ -38,7 +38,7 @@ TIED_F_H = 9800072931.180836
 
 
 def context(x, N=50000, element_W=0.0078, F_H=2e9):
-    defaults = ModeConfigs.defaults()
+    defaults = ModeConfigs()
     configs = ModeConfigs(rs=defaults.rs, ris=RisConfig(N=N, per_element_power_W=element_W),
                           smbs=SmbsConfig(F_H=F_H))
     return EngineContext(geom=geom_at(x), radio=RadioParams(), configs=configs)

@@ -66,6 +66,19 @@ def test_golden_sweep_output(name):
     assert result.notes == GOLDEN_NOTES[name]
 
 
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_each_sweep_builds_one_corridor(monkeypatch, name):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Corridor(*args)
+
+    monkeypatch.setattr("hapslink.sweeps.Corridor", counted)
+    SWEEPS[name](load_config(None), step=7000.0)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("step", [7000.0, 1e9, 10.0])
 def test_degradation_at_stop_is_taken_at_the_stop(step):
     # 7000 m ends the grid at x = 56000 and 1e9 m at x = 0, short of D
@@ -86,7 +99,7 @@ def _assert_corridor_exact(D, H, radio, x):
     # the rows that selection, the engine and offloading read, and the
     # bare surface SNR
     corridor = Corridor(D, H, radio)
-    configs = ModeConfigs.defaults()
+    configs = ModeConfigs()
     assert corridor.rows(x, configs) == ref.rows(D, H, x, radio, configs)
     for ris in SURFACES:
         assert corridor.ris_snr(x, ris) == ref.ris_snr(D, H, x, radio, ris)
@@ -155,7 +168,7 @@ def test_corridor_matches_per_point_path(D, H, fracs, radio):
 
 def test_corridor_rejects_offsets_outside_it():
     corridor = Corridor(60000.0, 20000.0, RadioParams())
-    configs = ModeConfigs.defaults()
+    configs = ModeConfigs()
     for x in (-1.0, 60000.5):
         with pytest.raises(ValueError, match="outside the corridor"):
             corridor.columns((x,))
