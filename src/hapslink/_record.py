@@ -5,8 +5,9 @@ order, with a default after the annotation where it has one. They are
 read once, when the subclass is created, and the subclass gets:
 
 * an __init__ that takes the fields positionally or by name, applies
-  number() to each field annotated float or int, then calls the class's
-  __post_init__, where its other checks live;
+  number() to each field annotated float or int, with the field's closed
+  range where it declares one (Annotated[float, (low, high)]), then calls
+  the class's __post_init__, where its other checks live;
 * refusal of attribute assignment (AttributeError);
 * __eq__ and __hash__ over the fields, between records of one class;
 * a repr that names each field.
@@ -18,13 +19,15 @@ out of __init__, comparison, hashing and the repr.
 """
 
 import math
+from typing import Annotated, get_origin
 
 _REQUIRED = object()
 
 
-def number(name, value, integer=False, error=ValueError):
-    """value if it is a finite int or float, and whole when integer (then
-    as an int); else an error (a ValueError class) naming name."""
+def number(name, value, integer=False, error=ValueError, bounds=None):
+    """value if it is a finite int or float, whole when integer (then as
+    an int) and inside the closed range bounds, a (low, high) pair, when
+    given; else an error (a ValueError class) naming name."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{name} must be a number, got {value!r}")
     try:
@@ -35,6 +38,8 @@ def number(name, value, integer=False, error=ValueError):
         raise error(f"{name} must be finite, got {value}")
     if integer and value != int(value):
         raise error(f"{name} must be an integer, got {value:g}")
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise error(f"{name} = {value:g} is outside [{bounds[0]:g}, {bounds[1]:g}]")
     return int(value) if integer else value
 
 
@@ -42,21 +47,26 @@ class Record:
     _fields = ()    # field names, in order
     _defaults = {}  # field name -> default, or _REQUIRED
     _given = {}     # the fields that have a default -> that default
-    _numbers = ()   # (name, name after _tag, whether an int) per float or int field
+    _numbers = ()   # (name, name after _tag, whether an int, range) per float or int field
+    _bounds = {}    # field name -> its declared (low, high)
     _tag, _error = "", ValueError  # number()'s refusals: prefix and class
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         defaults = dict(cls._defaults)
-        numbers = {name: integer for name, _, integer in cls._numbers}
+        numbers = {name: integer for name, _, integer, _ in cls._numbers}
+        bounds = dict(cls._bounds)
         for name, kind in cls.__dict__.get("__annotations__", {}).items():
             defaults[name] = cls.__dict__.get(name, _REQUIRED)
+            if get_origin(kind) is Annotated:  # a number with its range
+                kind, bounds[name] = kind.__origin__, kind.__metadata__[0]
             if kind is float or kind is int:
                 numbers[name] = kind is int
         cls._defaults = defaults
         cls._fields = tuple(defaults)
         cls._given = {k: v for k, v in defaults.items() if v is not _REQUIRED}
-        cls._numbers = tuple((name, cls._tag + name, integer)
+        cls._bounds = bounds
+        cls._numbers = tuple((name, cls._tag + name, integer, bounds.get(name))
                              for name, integer in numbers.items())
 
     def __init__(self, *args, **kwargs):
@@ -76,8 +86,8 @@ class Record:
             values.update(kwargs)
         if len(values) < len(fields):  # a field with no default not given
             raise TypeError(_misfit(cls, args, kwargs))
-        for name, label, integer in cls._numbers:
-            values[name] = number(label, values[name], integer, cls._error)
+        for name, label, integer, bounds in cls._numbers:
+            values[name] = number(label, values[name], integer, cls._error, bounds)
         self.__post_init__()
 
     def __post_init__(self):

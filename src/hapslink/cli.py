@@ -31,7 +31,6 @@ from .engine import (
     build_engine,
     decisions_to_csv,
     handle_request,
-    iter_trace,
     stream_replay,
 )
 from .modes import Action, Mode
@@ -188,14 +187,7 @@ def _cmd_replay(args):
     cfg = load_config(args.config)
     force = Mode(args.force_mode.upper()) if args.force_mode else None
     with open(args.trace, "r", encoding="utf-8") as lines:
-        try:
-            ctx, state = build_engine(cfg)
-        except (ValueError, ArithmeticError):
-            # a malformed trace line is reported before a scenario the
-            # model refuses
-            for _ in iter_trace(lines):
-                pass
-            raise
+        ctx, state = build_engine(cfg)
         with _all_or_nothing(args.out or cfg.output_path) as out:
             s = stream_replay(lines, state, ctx, out.write, force_mode=force)
     counts = " ".join(f"{m}={c}" for m, c in sorted(s.mode_counts.items()))
@@ -216,8 +208,9 @@ def main(argv=None):
         return _cmd_replay(args)
     except (ValueError, ArithmeticError, OSError) as err:
         # ConfigError and RequestError are ValueErrors; so are the model's
-        # own refusals, and a scenario whose numbers overflow or vanish
-        # ends in an ArithmeticError
+        # own refusals: a payload that carries nothing, a figure that
+        # overflows. Inside the declared input ranges no model figure
+        # raises an ArithmeticError; one that does still exits 1
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -100,10 +100,11 @@ class ScenarioConfig(Record):
             raise ConfigError("[ris] N_list must not be empty")
         if not self.smbs_F_H_list:
             raise ConfigError("[smbs] F_H_list must not be empty")
-        for n in self.ris_N_list:
-            if not (1 <= number("[ris] N_list", n, error=ConfigError) and n == int(n)):
-                raise ConfigError(f"[ris] N_list entries must be positive integers, got {n:g}")
-        object.__setattr__(self, "ris_N_list", tuple(int(n) for n in self.ris_N_list))
+        # each entry is a surface's N: RisConfig's number rule and range
+        object.__setattr__(self, "ris_N_list", tuple(
+            number("[ris] N_list", n, True, ConfigError, RisConfig._bounds["N"])
+            for n in self.ris_N_list
+        ))
         for fh in self.smbs_F_H_list:
             if not number("[smbs] F_H_list", fh, error=ConfigError) > 0:
                 raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")

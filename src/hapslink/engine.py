@@ -201,12 +201,14 @@ def _build(req: Request, branch, ctx: EngineContext):
     later one wins only when strictly better, so ties go passive.
 
     A task runs on the fastest of its candidates: the forced payload, or
-    else those that carry its QoS floor. Every candidate's figures are
-    checked, so a losing candidate's overflow refuses the request too.
-    Any other request takes the best row under its objective: a forced
-    payload and a cache hit are max_capacity over their one row, a cache
-    miss chooses among the forwarders. Latency and energy are filled
-    when a size is given."""
+    else those that carry its QoS floor. Any other request takes the best
+    row under its objective: a forced payload and a cache hit are
+    max_capacity over their one row, a cache miss chooses among the
+    forwarders. Each row priced (every task candidate, or the one row
+    chosen) must carry bits (carrier) before its figures are computed and
+    checked, so a losing task candidate's zero capacity or overflow
+    refuses the request too. Latency and energy are filled when a size is
+    given."""
     kind, size, floor = req.kind, req.size_bits, req.qos_min_bps
     task = kind is RequestKind.TASK_OFFLOADING
     forced = isinstance(branch, Mode)
@@ -214,15 +216,6 @@ def _build(req: Request, branch, ctx: EngineContext):
         rows = (ctx.row[branch],) if forced else [
             r for r in ctx.rows if floor is None or r[1] >= floor
         ]
-        best = None
-        for row in rows:
-            mode, capacity, power, path = carrier(row)
-            rate = compute_rate(mode, ctx.configs, ctx.cloud)
-            latency = task_latencies(path, capacity, (size,), ctx.cycles_per_bit, rate)[0]
-            energy = power * (size / capacity)
-            check_figures(latency, latency, energy)
-            if best is None or latency < best[1]:
-                best = mode, latency, latency, energy
     else:
         if forced or branch is _HIT:
             objective, rows = _DEFAULT_OBJECTIVE, (ctx.row[branch if forced else Mode.SMBS],)
@@ -230,13 +223,23 @@ def _build(req: Request, branch, ctx: EngineContext):
             objective, rows = req.objective or _DEFAULT_OBJECTIVE, ctx.rows
             if kind is not RequestKind.COMMUNICATION:  # a cache miss: the forwarders
                 rows = [r for r in rows if r[0] is not Mode.SMBS]
-        best = best_payload(objective, rows, floor)
-        if best is not None:
-            mode, value = best
+        chosen = best_payload(objective, rows, floor)
+        rows = () if chosen is None else (ctx.row[chosen[0]],)
+    best = None
+    for row in rows:
+        mode, capacity, power, path = carrier(row)
+        if task:
+            rate = compute_rate(mode, ctx.configs, ctx.cloud)
+            latency = task_latencies(path, capacity, (size,), ctx.cycles_per_bit, rate)[0]
+            energy = power * (size / capacity)
+            check_figures(latency, latency, energy)
+            if best is None or latency < best[1]:
+                best = mode, latency, latency, energy
+        else:
+            value = chosen[1]
             check_figures(value)  # bits per joule can overflow, on a surface of tiny element power
             best = mode, value, None, None
             if size is not None:
-                _, capacity, power, path = carrier(ctx.row[mode])
                 airtime = size / capacity
                 best = mode, value, propagation_delay_s(path) + airtime, power * airtime
     if best is None:  # no payload meets the QoS floor

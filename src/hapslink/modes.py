@@ -14,14 +14,15 @@ backhaul:
 """
 
 import math
-import sys
 from enum import Enum
+from typing import Annotated
 
 from ._record import Record, number
 from .propagation import (
     SPEED_OF_LIGHT,
     LinkBudget,
     RadioParams,
+    ScenarioGeometry,
     db_to_linear,
 )
 
@@ -58,13 +59,11 @@ class RsConfig(Record):
 
 
 class RisConfig(Record):
-    N: int = 50000                # reflecting element count
+    N: Annotated[int, (1, 1e7)] = 50000  # reflecting element count
     beta: float = 1.0             # per-element reflection amplitude
     per_element_power_W: float = 0.0078
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N (element count) must be a positive integer, got {self.N}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if not self.per_element_power_W > 0:
@@ -110,37 +109,6 @@ class ModeConfigs(Record):
 # Corridor: every payload's link budget at one (D, H, radio)
 # =====================================================================
 
-# Each link-budget figure Corridor checks, as the coefficient of each
-# [radio] input's dB value (10 log10 B for B) in the figure's dB sum
-_RX = {"noise_figure": -1.0, "B": -1.0, "scintillation_dB": -1.0}  # per hop
-_NOISE = {"noise_figure": 1.0, "B": 1.0}
-_SURFACE_GAIN = {"P0_max": 1.0, "G0_max": 1.0, "G_gNB": 1.0}
-_HOP1 = {"P0_max": 1.0, "G0_max": 1.0, "G_RS": 1.0, **_RX}
-_HOP2 = {"P0_max": 1.0, "G_RS": 1.0, "G_gNB": 1.0, **_RX}
-_HOPS = {key: _HOP1.get(key, 0.0) + _HOP2.get(key, 0.0) for key in _HOP1 | _HOP2}
-_ACCESS = {"P_gNB": 1.0, "G_gNB": 1.0, "G_H_rx": 1.0, **_RX}
-_UNITS = {"P0_max": "dBm", "P_gNB": "dBm", "B": "Hz"}
-
-
-def _refusal(text, radio: RadioParams, figure, overflow=True, other=None):
-    """The ValueError for a figure that left the positive normal float
-    range (upward when overflow): text, then the [radio] input with the
-    largest dB share in figure and, unless overflow is None, whether it
-    is too high or too low. other, a (dB share, message) pair for an
-    input outside [radio], is the error instead when its share is larger."""
-    def share(key):
-        value = getattr(radio, key)
-        return figure[key] * (10.0 * math.log10(value) if key == "B" else value)
-    key = max(figure, key=lambda k: abs(share(k)))
-    if other is not None and abs(other[0]) > abs(share(key)):
-        return ValueError(other[1])
-    name = f"{text}: [radio] {key} = {getattr(radio, key):g} {_UNITS.get(key, 'dB')}"
-    if overflow is None:
-        return ValueError(name)
-    high = overflow == (figure[key] > 0)
-    return ValueError(f"{name} is too {'high' if high else 'low'}")
-
-
 class Corridor:
     """The x-invariant part of every payload's link budget along one
     gateway - gNB corridor, computed once; the column methods (hop_lengths,
@@ -149,102 +117,38 @@ class Corridor:
     row at one offset from them, and ris_snr gives the bare surface SNR
     whose capacity columns computes in the same pass.
 
+    D and H are refused outside ScenarioGeometry's ranges. Inside them and
+    RadioParams', every figure here is finite, but a capacity still rounds
+    to 0 where its SNR is below about 1e-16 (1 + snr rounds to 1): carrier
+    refuses such a payload.
+
     Each capacity law has one form, over a column. Constant prefixes keep
     the left-to-right order of the full per-hop expressions.
     """
 
     def __init__(self, D, H, radio: RadioParams):
-        D, H = number("D", D), number("H", H)
-        if D <= 0:
-            raise ValueError(f"ground distance D must be positive, got {D}")
-        if H <= 0:
-            raise ValueError(f"altitude H must be positive, got {H}")
-        self.D = D
-        self.H = H
+        bounds = ScenarioGeometry._bounds
+        self.D = number("D", D, bounds=bounds["D"])
+        self.H = number("H", H, bounds=bounds["H"])
         self.budget = budget = LinkBudget(radio)
         # relay hops: gateway -> platform, platform -> gNB; SMBS access hop
         self._hop1_dB = radio.P0_max + radio.G0_max + radio.G_RS
         self._hop2_dB = radio.P0_max + radio.G_RS + radio.G_gNB
         self._access_dB = radio.P_gNB + radio.G_gNB + radio.G_H_rx
-        # each figure below must stay a positive normal float (_refusal)
         # reflected path: p_w * G0 * G_gNB, then (N beta)^2, then
         # (lambda / 4 pi)^4, over d1^2 d2^2 noise_w and the fixed losses
-        try:
-            self._ris_gain = (
-                db_to_linear(radio.P0_max - 30.0)
-                * db_to_linear(radio.G0_max)
-                * db_to_linear(radio.G_gNB)
-            )
-            if self._ris_gain == math.inf:
-                raise OverflowError
-        except OverflowError:
-            raise _refusal("the surface gain overflows", radio, _SURFACE_GAIN) from None
+        self._ris_gain = (
+            db_to_linear(radio.P0_max - 30.0)
+            * db_to_linear(radio.G0_max)
+            * db_to_linear(radio.G_gNB)
+        )
         self._ris_lam4 = (SPEED_OF_LIGHT / radio.f / (4.0 * math.pi)) ** 4
-        try:
-            self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
-            if self._noise_w < sys.float_info.min:
-                raise OverflowError
-        except OverflowError:
-            text = f"the noise floor of {budget.noise_dBm:.4g} dBm leaves the float range"
-            raise _refusal(text, radio, _NOISE, overflow=None) from None
-        geometry = {"D": D, "H": H}
-
-        def blame(text, name, rule="high"):
-            """text, then [geometry] name and that it is too rule."""
-            return f"{text}: [geometry] {name} = {geometry[name]:g} m is too {rule}"
-
-        def hop(text, d, name, rule, hops=1):
-            """_refusal's other= for hops of length d: their distance term
-            (FSPL plus gaseous dB), and text blaming [geometry] name."""
-            loss = hops * (budget.losses_dB((d,))[0] - radio.scintillation_dB)
-            return loss, blame(text, name, rule)
-
-        # a relay hop's SNR peaks at the shortest hop, H, and is lowest at
-        # the longest, hypot(D, H); so does the product of the two SNRs,
-        # which the relay's closed form takes
-        longest = math.hypot(D, H)
-        if longest == math.inf:
-            raise ValueError(blame("the longest hop, hypot(D, H), overflows",
-                                   "D" if D >= H else "H"))
+        self._noise_w = db_to_linear(budget.noise_dBm - 30.0)
         # gaseous absorption over the cascade length at the first placement
-        # root, the surface's fixed reference path (see ris_snr); with one
-        # root (H >= D/2) that path is 2 hypot(D/2, H)
-        roots = ris_placement_roots(D, H)
-        longer = "H" if len(roots) == 1 else "D"
-        (d1,), (d2,) = self.hop_lengths(roots[:1])
-        path = d1 + d2
-        if path == math.inf:
-            raise ValueError(blame("the surface's reference path overflows", longer))
-        atmosphere_db = budget.gamma0 * path / 1000.0
-        try:
-            self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
-        except OverflowError:
-            text = (f"the surface's reference-path loss of {atmosphere_db:.4g} dB "
-                    f"(gaseous absorption over {longer} = {geometry[longer]:g} m) overflows")
-            scint = {"scintillation_dB": 2.0}
-            raise _refusal(text, radio, scint, other=(atmosphere_db, text)) from None
-        peaks = []
-        for gains_dB, figure in ((self._hop1_dB, _HOP1), (self._hop2_dB, _HOP2)):
-            try:
-                far, near = budget.snrs((longest, H), gains_dB)
-            except OverflowError:
-                text = "the relay hop SNR overflows"
-                raise _refusal(text, radio, figure, other=hop(text, H, "H", "low")) from None
-            if far < sys.float_info.min:
-                text = f"the relay hop SNR underflows to {far:g} at a {longest:g} m hop"
-                other = hop(text, longest, "D" if D >= H else "H", "high")
-                raise _refusal(text, radio, figure, overflow=False, other=other)
-            peaks.append(near)
-        if peaks[0] * peaks[1] == math.inf:
-            text = f"the product of the relay hop SNRs at {H:g} m overflows"
-            raise _refusal(text, radio, _HOPS, other=hop(text, H, "H", "low", hops=2))
-        # the access hop's SNR peaks at its shortest, H; a zero SNR far
-        # from the gNB is a payload the engine refuses by name
-        try:
-            budget.snrs((H,), self._access_dB)
-        except OverflowError:
-            text = "the access hop SNR overflows"
-            raise _refusal(text, radio, _ACCESS, other=hop(text, H, "H", "low")) from None
+        # root, the surface's fixed reference path (see ris_snr)
+        (d1,), (d2,) = self.hop_lengths(ris_placement_roots(self.D, self.H)[:1])
+        atmosphere_db = budget.gamma0 * (d1 + d2) / 1000.0
+        self._ris_loss = db_to_linear(atmosphere_db + 2.0 * radio.scintillation_dB)
 
     def hop_lengths(self, xs):
         """Slant-range columns (gateway -> platform, gNB -> platform) over
@@ -284,19 +188,8 @@ class Corridor:
 
     def _ris_numerator(self, ris: RisConfig):
         """The part of the reflected path's SNR that does not depend on
-        the offset, p_w G0 G_gNB (N beta)^2 (lambda / 4 pi)^4; a surface
-        whose gain overflows is refused by name."""
-        try:
-            numerator = self._ris_gain * (ris.N * ris.beta) ** 2 * self._ris_lam4
-            if numerator == math.inf:
-                raise OverflowError
-        except OverflowError:
-            text = "the reflected path's gain overflows"
-            surface = f"{text}: a surface of N = {ris.N:g} elements is too large"
-            share = 20.0 * math.log10(ris.N * ris.beta)
-            raise _refusal(text, self.budget.radio, _SURFACE_GAIN,
-                           other=(share, surface)) from None
-        return numerator
+        the offset, p_w G0 G_gNB (N beta)^2 (lambda / 4 pi)^4."""
+        return self._ris_gain * (ris.N * ris.beta) ** 2 * self._ris_lam4
 
     def ris_snr(self, x, ris: RisConfig):
         """Cascade SNR of the reflected gateway -> platform -> gNB path at
@@ -419,24 +312,17 @@ def ris_placement_roots(D, H):
 
     For H < D/2 the minimisers are D/2 +- sqrt((D/2)^2 - H^2) and the
     product at either root equals H * D. For H >= D/2 the product is
-    minimised at the midpoint and only D/2 is returned. Both roots lie
-    in [0, D] for every finite positive D and H.
+    minimised at the midpoint and only D/2 is returned. D and H are
+    refused outside ScenarioGeometry's ranges; inside them both roots lie
+    in [0, D], since a correctly rounded sqrt((D/2)^2 - H^2) is at most D/2.
     """
-    D, H = number("D", D), number("H", H)
-    if D <= 0 or H <= 0:
-        raise ValueError("D and H must be positive")
+    bounds = ScenarioGeometry._bounds
+    D, H = number("D", D, bounds=bounds["D"]), number("H", H, bounds=bounds["H"])
     half = D / 2.0
     disc = half * half - H * H
-    if math.isfinite(disc):
-        if disc <= 0:
-            return (half,)
-        off = math.sqrt(disc)
-    elif H < half:  # a square overflowed; the factors of the difference do not
-        off = math.sqrt(half - H) * math.sqrt(half + H)
-    else:
+    if disc <= 0:
         return (half,)
-    # rounding (or a square that underflowed) can put off past half
-    off = min(off, half)
+    off = math.sqrt(disc)
     return (half - off, half + off)
 
 
@@ -446,7 +332,7 @@ def ris_placement_roots(D, H):
 
 def carrier(row):
     """A row of Corridor.rows whose payload is to move bits; one whose capacity
-    underflowed to zero is refused by name."""
+    rounded to zero is refused by name."""
     if not row[1] > 0:
         raise ValueError(f"mode unreachable: {row[0].value} capacity is zero")
     return row

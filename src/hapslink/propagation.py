@@ -8,6 +8,7 @@ modes.Corridor.hop_lengths. No fading draws, no randomness.
 """
 
 import math
+from typing import Annotated
 
 from ._record import Record
 
@@ -17,23 +18,28 @@ SPEED_OF_LIGHT = 2.998e8  # m/s, used for both loss and propagation delay
 DRY_AIR_F_MIN_HZ = 1e9
 DRY_AIR_F_MAX_HZ = 50e9
 
+# The ranges several fields share: lengths in m, powers in dBm, gains in dB
+LENGTH_M = (1.0, 1e6)
+POWER_DBM = (-30.0, 100.0)
+GAIN_DB = (-30.0, 100.0)
+
 
 # =====================================================================
 # Scenario containers
 # =====================================================================
 
 class ScenarioGeometry(Record):
-    """Ground layout: gateway at x=0, gNB at x=D, platform at offset x, height H."""
+    """Ground layout: gateway at x=0, gNB at x=D, platform at offset x, height H.
 
-    D: float  # gateway -> gNB ground distance, m
-    H: float  # platform altitude, m
+    D and H lie in LENGTH_M: a stratospheric platform (20-50 km, ITU Radio
+    Regulations No. 1.66A) over a corridor of up to a thousand kilometres.
+    modes.Corridor checks its own D and H against these two ranges."""
+
+    D: Annotated[float, LENGTH_M]  # gateway -> gNB ground distance, m
+    H: Annotated[float, LENGTH_M]  # platform altitude, m
     x: float  # platform horizontal offset from the gateway, m
 
     def __post_init__(self):
-        if self.D <= 0:
-            raise ValueError(f"ground distance D must be positive, got {self.D}")
-        if self.H <= 0:
-            raise ValueError(f"altitude H must be positive, got {self.H}")
         if not 0 <= self.x <= self.D:
             raise ValueError(
                 f"platform offset x={self.x} outside the corridor [0, {self.D}]"
@@ -41,42 +47,27 @@ class ScenarioGeometry(Record):
 
 
 class RadioParams(Record):
-    """Carrier, powers, gains and environment shared by every mode."""
+    """Carrier, powers, gains and environment shared by every mode.
 
-    f: float = 2e9                # carrier frequency, Hz
-    B: float = 2e7                # bandwidth, Hz
-    noise_figure: float = 5.0     # dB
-    P_gNB: float = 35.0           # gNB transmit power, dBm
-    G_gNB: float = 15.0           # gNB antenna gain, dB
-    P0_max: float = 33.0          # gateway max transmit power, dBm
-    G0_max: float = 43.2          # gateway antenna gain, dB
-    G_RS: float = 15.0            # relay payload antenna gain, dB
-    G_H_rx: float = 0.0           # platform receive gain on the gNB access link, dB
-    scintillation_dB: float = 0.5  # per-hop tropospheric scintillation margin, dB
-    pressure_Pa: float = 101300.0
-    temperature_C: float = 15.0
+    Each field has one closed range and is refused by name outside it: f
+    the dry-air model's window, the rest a span that covers every physical
+    radio link. Inside these ranges and those of ScenarioGeometry's D and H
+    and RisConfig's N, no figure of modes.Corridor overflows or leaves the
+    float range, so no input needs to be blamed for one.
+    """
 
-    def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError(f"f (carrier frequency) must be positive, got {self.f}")
-        if self.B <= 0:
-            raise ValueError(f"B (bandwidth) must be positive, got {self.B}")
-        if self.scintillation_dB < 0:
-            raise ValueError(
-                f"scintillation_dB cannot be negative, got {self.scintillation_dB}"
-            )
-        if not DRY_AIR_F_MIN_HZ <= self.f <= DRY_AIR_F_MAX_HZ:
-            raise ValueError(
-                f"f = {self.f:g} Hz is outside the dry-air model window "
-                f"[{DRY_AIR_F_MIN_HZ:.0e}, {DRY_AIR_F_MAX_HZ:.0e}] Hz"
-            )
-        # pressure 0 is allowed: it turns gaseous attenuation off
-        if not self.pressure_Pa >= 0:
-            raise ValueError(f"pressure_Pa cannot be negative, got {self.pressure_Pa:g}")
-        if not self.temperature_C > -273.0:
-            raise ValueError(
-                f"temperature_C must be above -273, got {self.temperature_C:g}"
-            )
+    f: Annotated[float, (DRY_AIR_F_MIN_HZ, DRY_AIR_F_MAX_HZ)] = 2e9  # carrier, Hz
+    B: Annotated[float, (1e3, 1e10)] = 2e7             # bandwidth, Hz
+    noise_figure: Annotated[float, (0.0, 30.0)] = 5.0  # dB
+    P_gNB: Annotated[float, POWER_DBM] = 35.0          # gNB transmit power, dBm
+    G_gNB: Annotated[float, GAIN_DB] = 15.0            # gNB antenna gain, dB
+    P0_max: Annotated[float, POWER_DBM] = 33.0         # gateway max transmit power, dBm
+    G0_max: Annotated[float, GAIN_DB] = 43.2           # gateway antenna gain, dB
+    G_RS: Annotated[float, GAIN_DB] = 15.0             # relay payload antenna gain, dB
+    G_H_rx: Annotated[float, GAIN_DB] = 0.0            # platform rx gain on the access link, dB
+    scintillation_dB: Annotated[float, (0.0, 30.0)] = 0.5  # per-hop margin, dB
+    pressure_Pa: Annotated[float, (0.0, 1.1e5)] = 101300.0  # 0 turns gaseous loss off
+    temperature_C: Annotated[float, (-60.0, 50.0)] = 15.0
 
 
 # =====================================================================
@@ -128,12 +119,9 @@ class LinkBudget:
 
     def __init__(self, radio: RadioParams):
         self.radio = radio
-        p, t = radio.pressure_Pa, radio.temperature_C
-        try:
-            self.gamma0 = dry_air_specific_attenuation(radio.f, p, t)
-        except OverflowError:
-            raise ValueError(f"the dry-air attenuation overflows: [radio] pressure_Pa = "
-                             f"{p:g} Pa, temperature_C = {t:g}") from None
+        self.gamma0 = dry_air_specific_attenuation(
+            radio.f, radio.pressure_Pa, radio.temperature_C
+        )
         self.noise_dBm = noise_power_dBm(radio.B, radio.noise_figure)
 
     def losses_dB(self, ds):

@@ -40,6 +40,9 @@ and one request it works out the decision:
   the most bps, the most bits per joule, or the least payload power
   among those that carry the request's floor;
 * every tie goes to the most passive payload: RIS, then RS, then SMBS;
+* a payload whose capacity is zero carries nothing: the request is
+  refused when its chosen payload is one, or, for a task, when any of its
+  candidates is, the most passive such candidate named;
 * actions: the base station serves directly, or computes onboard; a
   task elsewhere computes in the cloud; a request that pushes content,
   or a miss the cache keeps, is forwarded and cached; anything else is
@@ -58,6 +61,11 @@ PASSIVE_RANK = {Mode.RIS: 0, Mode.RS: 1, Mode.SMBS: 2}
 
 HIT, MISS, MISS_AND_CACHE = "hit", "miss", "miss_and_cache"
 INFEASIBLE = (None, Action.INFEASIBLE, 0.0, None, None)
+
+
+def unreachable(mode):
+    """The refusal of a request whose payload mode carries nothing."""
+    return f"mode unreachable: {mode.value} capacity is zero"
 
 
 # ---------------------------------------------------------------
@@ -274,7 +282,8 @@ def _passive_best(modes, score):
 
 def decide(ctx, req, branch=None, force=None):
     """(mode, action, objective_value, latency_s, energy_J) for req in
-    ctx, on the cache branch (see cache_branch) or the forced payload."""
+    ctx, on the cache branch (see cache_branch) or the forced payload; or
+    the text of its refusal when a payload it needs carries nothing."""
     by_mode = {row[0]: row for row in ctx.rows}
     size, floor = req.size_bits, req.qos_min_bps
     if req.kind is RequestKind.TASK_OFFLOADING:
@@ -283,6 +292,9 @@ def decide(ctx, req, branch=None, force=None):
         ]
         if not modes:
             return INFEASIBLE
+        for m in sorted(modes, key=PASSIVE_RANK.get):
+            if not by_mode[m][1] > 0:
+                return unreachable(m)
         latency = {
             m: task_latency(by_mode[m], size, ctx.cycles_per_bit, ctx.configs, ctx.cloud)
             for m in modes
@@ -312,6 +324,8 @@ def decide(ctx, req, branch=None, force=None):
                 return INFEASIBLE
             mode = _passive_best(list(values), values)
         value = values[mode]
+    if not by_mode[mode][1] > 0:
+        return unreachable(mode)
     if mode is Mode.SMBS:
         action = Action.SERVE_DIRECT
     elif req.kind is RequestKind.CACHING or branch == MISS_AND_CACHE:

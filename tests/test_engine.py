@@ -101,6 +101,25 @@ def test_overflowing_request_is_refused_before_the_state_changes():
         replay_trace([content(0.0, "big", size=1e12)], state, ctx)
 
 
+def test_request_no_payload_carries_leaves_the_state_untouched():
+    # a 1000 km corridor at 50 GHz: at x = 1000 m no payload carries anything,
+    # so neither a push nor a read of a cached id, sized or not, is served
+    far = EngineContext(geom=geom_at(1000.0, D=1e6), radio=RadioParams(f=5e10),
+                        configs=ModeConfigs())
+    assert all(row[1] == 0.0 for row in far.rows)
+    state = fresh_state(threshold=1)
+    state.entries["a"] = None
+    state.popularity.update(a=2, b=1)
+    before = state.copy()
+    for kind, cid in ((RequestKind.CACHING, "b"), (RequestKind.CONTENT_DELIVERY, "a"),
+                      (RequestKind.CONTENT_DELIVERY, "c")):
+        for size in (None, 1e6):
+            req = Request(t=0, kind=kind, content_id=cid, size_bits=size)
+            with pytest.raises(ValueError, match="^mode unreachable: (RIS|SMBS) capacity"):
+                handle_request(req, state, far)
+            assert state == before
+
+
 def test_error_leaves_state_untouched(ctx):
     state = fresh_state()
     _, state = handle_request(content(0, "a"), state, ctx)

@@ -48,13 +48,13 @@ def test_slant_values():
 
 
 def test_slant_rejects_nonpositive_height():
-    with pytest.raises(ValueError, match="^altitude H must be positive, got 0$"):
+    with pytest.raises(ValueError, match=r"^H = 0 is outside \[1, 1e\+06\]$"):
         slant_ranges(1000, 0)
 
 
 @given(
     x=st.floats(min_value=0, max_value=1e6),
-    h=st.floats(min_value=1e-3, max_value=1e6),
+    h=st.floats(min_value=1.0, max_value=1e6),
 )
 def test_slant_dominates_both_legs(x, h):
     d, _ = slant_ranges(x, h, D=1e6)
@@ -162,9 +162,9 @@ def test_dry_air_refuses_an_atmosphere_outside_its_domain(
 def test_radio_params_refuse_what_the_dry_air_model_cannot_take():
     # refused at the record, before a LinkBudget compares complex numbers
     for kwargs, message in [
-        ({"f": 60e9}, r"^f = 6e\+10 Hz is outside the dry-air model window"),
-        ({"pressure_Pa": -100.0}, r"^pressure_Pa cannot be negative, got -100$"),
-        ({"temperature_C": -273.0}, r"^temperature_C must be above -273, got -273$"),
+        ({"f": 60e9}, r"^f = 6e\+10 is outside \[1e\+09, 5e\+10\]$"),
+        ({"pressure_Pa": -100.0}, r"^pressure_Pa = -100 is outside \[0, 110000\]$"),
+        ({"temperature_C": -273.0}, r"^temperature_C = -273 is outside \[-60, 50\]$"),
         ({"temperature_C": math.nan}, r"^temperature_C must be finite, got nan$"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -198,11 +198,8 @@ def test_total_loss_composition():
 
 
 def test_link_budget_refuses_an_attenuation_that_overflows():
-    # a library caller gets the message the CLI prints, not "math range error"
-    with pytest.raises(ValueError, match=(
-        r"^the dry-air attenuation overflows: "
-        r"\[radio\] pressure_Pa = 4e\+08 Pa, temperature_C = 15$"
-    )):
+    # an atmosphere whose attenuation overflowed is outside its range
+    with pytest.raises(ValueError, match=r"^pressure_Pa = 4e\+08 is outside \[0, 110000\]$"):
         LinkBudget(RadioParams(pressure_Pa=4e8))
 
 

@@ -37,24 +37,35 @@ OBJECTIVES = [None] + [Objective(kind) for kind in ObjectiveKind]
 TIED_F_H = 9800072931.180836
 
 
-def context(x, N=50000, element_W=0.0078, F_H=2e9):
+def context(x, N=50000, element_W=0.0078, F_H=2e9, far=False):
+    """The default corridor's context at offset x, or with far the 1000 km
+    corridor at 50 GHz (x scaled to it), where payloads carry nothing."""
     defaults = ModeConfigs()
     configs = ModeConfigs(rs=defaults.rs, ris=RisConfig(N=N, per_element_power_W=element_W),
                           smbs=SmbsConfig(F_H=F_H))
+    if far:
+        return EngineContext(geom=geom_at(x * 1e6 / 60000.0, D=1e6), radio=RadioParams(f=5e10),
+                             configs=configs)
     return EngineContext(geom=geom_at(x), radio=RadioParams(), configs=configs)
 
 
 def engine_decision(ctx, req, cached, seen, threshold, force):
-    """handle_request's decision, or a forced replay's, as a tuple."""
+    """handle_request's decision, or a forced replay's, as a tuple; or the
+    text of the model's refusal."""
     state = CacheState(capacity=4, popularity_threshold=threshold)
     if cached:
         state.entries["a"] = None
     if seen:
         state.popularity["a"] = seen
-    if force is None:
-        d, _ = handle_request(req, state, ctx)
-    else:
-        d = replay_trace([req], state, ctx, force_mode=force).decisions[0]
+    try:
+        if force is None:
+            d, _ = handle_request(req, state, ctx)
+        else:
+            d = replay_trace([req], state, ctx, force_mode=force).decisions[0]
+    except RequestError as err:  # replay_trace's "request 0: <the refusal>"
+        return str(err.__cause__)
+    except ValueError as err:
+        return str(err)
     return d.mode, d.action, d.objective_value, d.latency_s, d.energy_J
 
 
@@ -67,12 +78,13 @@ def cases(draw):
         *draw(st.sampled_from([(50000, 0.0078), (10000, 0.0078), (50000, 0.02),
                                (30000, 0.013)])),
         draw(st.sampled_from([2e9, 4e9, TIED_F_H])),
+        draw(st.sampled_from([False, False, False, True])),
     )
     kind = draw(st.sampled_from(RequestKind))
     objective = draw(st.sampled_from(OBJECTIVES))
     # a floor equal to a payload's capacity tests the >= edge
-    some_floor = st.one_of(st.sampled_from([row[1] for row in ctx.rows]),
-                           st.floats(1e6, 2e8))
+    carried = [row[1] for row in ctx.rows if row[1] > 0]
+    some_floor = st.floats(1e6, 2e8) | st.sampled_from(carried or [1e6])
     floor = draw(some_floor if objective == MIN_ENERGY else st.none() | some_floor)
     sizes = st.sampled_from([0.0, 1e3, 1e6, 1e9]) | st.floats(0.0, 1e9)
     if kind is not RequestKind.TASK_OFFLOADING:  # a task needs a size
@@ -94,10 +106,17 @@ POWER_TIE = (context(30000.0, element_W=0.02),
                      qos_min_bps=1e6), False, 0, 3, None)
 
 
+# every payload carries nothing here: even a request without a size is
+# refused, and the surface is named
+FAR_UNSIZED = (context(1000.0 * 60000.0 / 1e6, far=True),
+               Request(t=0.0, kind=RequestKind.COMMUNICATION), False, 0, 3, None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=cases())
 @example(case=TASK_TIE)
 @example(case=POWER_TIE)
+@example(case=FAR_UNSIZED)
 def test_decisions_match_the_reference_model(case):
     ctx, req, cached, seen, threshold, force = case
     branch = None if force else ref.cache_branch(req, cached, seen, threshold)

@@ -32,12 +32,13 @@ from hapslink.engine import OBJECTIVES, iter_trace, stream_replay
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "golden_trace.txt")
 
 # scenarios the differential test draws from: stock, a one-sighting
-# cache of two entries, a corridor where the surface is unreachable (a
-# task is refused mid-trace), and one the model refuses outright
+# cache of two entries, a corridor where only the relay carries anything
+# (a task or a cache hit is refused mid-trace), and one outside the
+# declared ranges, refused as it is loaded
 CONFIGS = {
     "default": "",
     "eager": "[smbs]\ncache_capacity = 2\n\n[engine]\npopularity_threshold = 1\n",
-    "far": "[geometry]\nD = 2e7\nH = 20000\nx = 1000\n",
+    "far": "[geometry]\nD = 1e6\nx = 5e5\n\n[radio]\nf = 5e10\n",
     "huge": "[geometry]\nD = 1e9\nx = 5e8\n",
 }
 FORCE = (None, "smbs", "rs", "ris")
@@ -61,7 +62,6 @@ def _reference(trace, config, force):
         requests = [req for req in parsed if req is not None]
         mode = Mode(force.upper()) if force else None
         state = CacheState(cfg.smbs.cache_capacity, cfg.popularity_threshold)
-        _context(cfg)  # a scenario the model refuses fails here
         decisions = []
         for index, req in enumerate(requests):
             try:
