@@ -5,9 +5,9 @@ order, with a default after the annotation where it has one. They are
 read once, when the subclass is created, and the subclass gets:
 
 * an __init__ that takes the fields positionally or by name, applies
-  number() to each field annotated float or int, with the field's closed
-  range where it declares one (Annotated[float, (low, high)]), then calls
-  the class's __post_init__, where its other checks live;
+  number() to each field annotated float or int, with the field's range
+  where it declares one (Annotated[float, (low, high)]), then calls the
+  class's __post_init__, where its other checks live;
 * refusal of attribute assignment (AttributeError);
 * __eq__ and __hash__ over the fields, between records of one class;
 * a repr that names each field.
@@ -24,10 +24,18 @@ from typing import Annotated, get_origin
 _REQUIRED = object()
 
 
+class Above(float):
+    """An open lower end of a range: (Above(0.0), high) holds no 0."""
+
+
+POSITIVE = (Above(0.0), math.inf)
+
+
 def number(name, value, integer=False, error=ValueError, bounds=None):
     """value if it is a finite int or float, whole when integer (then as
-    an int) and inside the closed range bounds, a (low, high) pair, when
-    given; else an error (a ValueError class) naming name."""
+    an int) and inside the range bounds, a (low, high) pair, when given;
+    else an error (a ValueError class) naming name. Each end is closed
+    but an Above low and an infinite high, which no finite value reaches."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{name} must be a number, got {value!r}")
     try:
@@ -37,9 +45,13 @@ def number(name, value, integer=False, error=ValueError, bounds=None):
     if not finite:
         raise error(f"{name} must be finite, got {value}")
     if integer and value != int(value):
-        raise error(f"{name} must be an integer, got {value:g}")
-    if bounds is not None and not bounds[0] <= value <= bounds[1]:
-        raise error(f"{name} = {value:g} is outside [{bounds[0]:g}, {bounds[1]:g}]")
+        raise error(f"{name} must be an integer, got {value!r}")
+    if bounds is not None:
+        low, high = bounds
+        opened = low.__class__ is Above
+        if (value <= low if opened else value < low) or value > high:
+            raise error(f"{name} = {value!r} is outside {'(' if opened else '['}{low:g}, "
+                        f"{high:g}{')' if high == math.inf else ']'}")
     return int(value) if integer else value
 
 

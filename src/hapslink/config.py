@@ -9,9 +9,9 @@ keys are rejected with the offending name, not ignored.
 import configparser
 import math
 import os
-from typing import Optional
+from typing import Annotated, Optional
 
-from ._record import Record, number
+from ._record import POSITIVE, Record, number
 from .engine import CacheState, EngineContext
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
@@ -40,7 +40,7 @@ class SweepSpec(Record):
     variable: str
     start: float
     stop: float
-    step: float
+    step: Annotated[float, POSITIVE]
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -48,8 +48,6 @@ class SweepSpec(Record):
                 f"[sweep] variable must be one of {SWEEP_VARIABLES}, "
                 f"got {self.variable!r}"
             )
-        if not self.step > 0:
-            raise ConfigError(f"[sweep] step must be positive and finite, got {self.step}")
         if self.stop < self.start:
             raise ConfigError("[sweep] stop must not precede start")
         # counted, not built: a float, so a tiny step cannot overflow it
@@ -90,8 +88,10 @@ class ScenarioConfig(Record):
     cloud: CloudConfig = CloudConfig()
     ris_N_list: tuple = (10000, 30000, 50000)
     smbs_F_H_list: tuple = (1e9, 2e9, 3e9)
-    popularity_threshold: int = CacheState.popularity_threshold
-    cycles_per_bit: float = EngineContext.cycles_per_bit
+    popularity_threshold: Annotated[int, CacheState._bounds["popularity_threshold"]] = (
+        CacheState.popularity_threshold)
+    cycles_per_bit: Annotated[float, EngineContext._bounds["cycles_per_bit"]] = (
+        EngineContext.cycles_per_bit)
     sweep: Optional[SweepSpec] = None
     output_path: Optional[str] = None
 
@@ -100,28 +100,19 @@ class ScenarioConfig(Record):
             raise ConfigError("[ris] N_list must not be empty")
         if not self.smbs_F_H_list:
             raise ConfigError("[smbs] F_H_list must not be empty")
-        # each entry is a surface's N: RisConfig's number rule and range
+        # each entry is a surface's N or a base station's F_H, under its rules
         object.__setattr__(self, "ris_N_list", tuple(
             number("[ris] N_list", n, True, ConfigError, RisConfig._bounds["N"])
             for n in self.ris_N_list
         ))
         for fh in self.smbs_F_H_list:
-            if not number("[smbs] F_H_list", fh, error=ConfigError) > 0:
-                raise ConfigError(f"[smbs] F_H_list entries must be positive, got {fh:g}")
-        if self.popularity_threshold < 1:
-            raise ConfigError("[engine] popularity_threshold must be at least 1")
-        if not self.cycles_per_bit > 0:
-            raise ConfigError("[engine] cycles_per_bit must be positive")
+            number("[smbs] F_H_list", fh, False, ConfigError, SmbsConfig._bounds["F_H"])
         if self.sweep is None:
             return
-        # offsets stay inside the corridor; task sizes cannot be negative
-        variable = self.sweep.variable
-        upper = self.geom.D if variable == "x" else math.inf
+        # offsets stay inside the corridor; a task size is at least 0
+        upper = self.geom.D if self.sweep.variable == "x" else math.inf
         for key in ("start", "stop"):
-            value = getattr(self.sweep, key)
-            if not 0 <= value <= upper:
-                raise ConfigError(f"[sweep] {key} = {value:g} is outside [0, {upper:g}] "
-                                  f"for variable {variable}")
+            number(f"[sweep] {key}", getattr(self.sweep, key), False, ConfigError, (0.0, upper))
 
     @property
     def configs(self) -> ModeConfigs:

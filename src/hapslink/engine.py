@@ -21,9 +21,9 @@ no decision unless its branch is. Each row is written as it is decided.
 import math
 from collections import OrderedDict
 from enum import Enum
-from typing import Optional
+from typing import Annotated, Optional
 
-from ._record import Record, number
+from ._record import POSITIVE, Record, number
 from .modes import Action, Corridor, Mode, ModeConfigs, SmbsConfig, carrier
 from .offload import CloudConfig, compute_rate, task_latencies
 from .optimizer import (
@@ -102,18 +102,19 @@ class CacheState:
     are, entry order included.
     """
 
-    popularity_threshold = 3  # the default, which ScenarioConfig reads too
+    # the threshold's default and range, which ScenarioConfig reads too;
+    # capacity takes SmbsConfig's cache_capacity range
+    popularity_threshold = 3
+    _bounds = {"capacity": SmbsConfig._bounds["cache_capacity"],
+               "popularity_threshold": (1, math.inf)}
 
     def __init__(self, capacity=SmbsConfig.cache_capacity,
                  popularity_threshold=popularity_threshold, entries=None,
                  popularity=None):
-        capacity = number("capacity", capacity, True)
-        threshold = number("popularity_threshold", popularity_threshold, True)
-        if capacity < 0:
-            raise ValueError(f"capacity cannot be negative, got {capacity}")
-        if threshold < 1:
-            raise ValueError(f"popularity_threshold must be at least 1, got {threshold}")
-        self.capacity, self.popularity_threshold = capacity, threshold
+        bounds = self._bounds
+        self.capacity = number("capacity", capacity, True, bounds=bounds["capacity"])
+        self.popularity_threshold = number("popularity_threshold", popularity_threshold,
+                                           True, bounds=bounds["popularity_threshold"])
         self.entries = OrderedDict() if entries is None else entries
         self.popularity = {} if popularity is None else popularity
 
@@ -157,13 +158,9 @@ class EngineContext(Record):
     radio: RadioParams
     configs: ModeConfigs
     cloud: CloudConfig = CloudConfig()
-    cycles_per_bit: float = 4.0
+    cycles_per_bit: Annotated[float, POSITIVE] = 4.0
 
     def __post_init__(self):
-        if not self.cycles_per_bit > 0:
-            raise ValueError(
-                f"cycles_per_bit must be positive and finite, got {self.cycles_per_bit}"
-            )
         geom = self.geom
         rows = Corridor(geom.D, geom.H, self.radio).rows(geom.x, self.configs)
         # derived, not fields: set once here

@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import Annotated
 
-from ._record import Record, number
+from ._record import POSITIVE, Above, Record, number
 from .propagation import (
     SPEED_OF_LIGHT,
     LinkBudget,
@@ -49,27 +49,13 @@ class Action(Enum):
 # =====================================================================
 
 class RsConfig(Record):
-    payload_power_W: float = 1000.0
-
-    def __post_init__(self):
-        if self.payload_power_W <= 0:
-            raise ValueError(
-                f"payload_power_W must be positive, got {self.payload_power_W}"
-            )
+    payload_power_W: Annotated[float, POSITIVE] = 1000.0
 
 
 class RisConfig(Record):
     N: Annotated[int, (1, 1e7)] = 50000  # reflecting element count
-    beta: float = 1.0             # per-element reflection amplitude
-    per_element_power_W: float = 0.0078
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if not self.per_element_power_W > 0:
-            raise ValueError(
-                f"per_element_power_W must be positive, got {self.per_element_power_W}"
-            )
+    beta: Annotated[float, (Above(0.0), 1.0)] = 1.0  # per-element reflection amplitude
+    per_element_power_W: Annotated[float, POSITIVE] = 0.0078
 
     @property
     def payload_power_W(self):
@@ -78,23 +64,9 @@ class RisConfig(Record):
 
 
 class SmbsConfig(Record):
-    F_H: float = 2e9              # onboard compute rate, cycles/s
-    payload_power_W: float = 3000.0
-    cache_capacity: int = 16
-
-    def __post_init__(self):
-        if self.F_H <= 0:
-            raise ValueError(
-                f"F_H (onboard compute rate) must be positive, got {self.F_H}"
-            )
-        if self.payload_power_W <= 0:
-            raise ValueError(
-                f"payload_power_W must be positive, got {self.payload_power_W}"
-            )
-        if self.cache_capacity < 0:
-            raise ValueError(
-                f"cache_capacity cannot be negative, got {self.cache_capacity}"
-            )
+    F_H: Annotated[float, POSITIVE] = 2e9  # onboard compute rate, cycles/s
+    payload_power_W: Annotated[float, POSITIVE] = 3000.0
+    cache_capacity: Annotated[int, (0, math.inf)] = 16
 
 
 class ModeConfigs(Record):

@@ -9,19 +9,15 @@ ground cloud's F_C. The path and capacity are a payload's row
 of task sizes. Result-return traffic is not modeled.
 """
 
-from ._record import Record
+from typing import Annotated
+
+from ._record import POSITIVE, Record
 from .modes import Mode, ModeConfigs
 from .propagation import propagation_delay_s
 
 
 class CloudConfig(Record):
-    F_C: float = 4e9  # ground cloud compute rate, cycles/s
-
-    def __post_init__(self):
-        if self.F_C <= 0:
-            raise ValueError(
-                f"F_C (cloud compute rate) must be positive, got {self.F_C}"
-            )
+    F_C: Annotated[float, POSITIVE] = 4e9  # ground cloud compute rate, cycles/s
 
 
 def compute_rate(mode: Mode, configs: ModeConfigs, cloud: CloudConfig):

@@ -199,8 +199,9 @@ def test_empty_n_list_rejected(tmp_path):
 # in geometry, radio, rs, ris, smbs, cloud order, each key in field
 # order (its number rule and range) and then the record's own rules,
 # then the [ris]/[smbs] lists and [engine] keys as parsed, then [sweep]
-# as parsed, and last ScenarioConfig's own rules: the lists, [engine],
-# the [sweep] bounds.
+# as parsed (its number rules and range, then its own rules), and last
+# ScenarioConfig: the [engine] keys' number rules and ranges, then its
+# own rules: the lists, the [sweep] bounds.
 TWO_FAULT_CONFIGS = {
     "geometry_then_radio": (
         "[radio]\nB = xyz\n[geometry]\nD = abc\n",
@@ -208,7 +209,7 @@ TWO_FAULT_CONFIGS = {
     ),
     "geometry_range_then_radio": (
         "[radio]\nB = 0\n[geometry]\nH = -1\n",
-        "[geometry] H = -1 is outside [1, 1e+06]",
+        "[geometry] H = -1.0 is outside [1, 1e+06]",
     ),
     "one_section_field_order": (
         "[radio]\nB = abc\nf = def\n",
@@ -216,11 +217,16 @@ TWO_FAULT_CONFIGS = {
     ),
     "one_section_record": (
         "[smbs]\nF_H = 0\npayload_power_W = 0\n",
-        "[smbs] F_H (onboard compute rate) must be positive, got 0.0",
+        "[smbs] F_H = 0.0 is outside (0, inf)",
     ),
+    # a range is a number rule too: the first field in order is reported
     "integer_before_record": (
         "[smbs]\nF_H = 0\ncache_capacity = 2.5\n",
-        "[smbs] cache_capacity must be an integer, got 2.5",
+        "[smbs] F_H = 0.0 is outside (0, inf)",
+    ),
+    "integer_before_list": (
+        "[ris]\nN_list = ,\n[engine]\npopularity_threshold = 2.5\n",
+        "[engine] popularity_threshold must be an integer, got 2.5",
     ),
     "unknown_key_first": (
         "[radio]\nf = abc\nwarp = 9\n", "unknown key 'warp' in section [radio]",
@@ -230,7 +236,7 @@ TWO_FAULT_CONFIGS = {
     ),
     "f_window_before_rs": (
         "[radio]\nf = 100e9\n[rs]\npayload_power_W = 0\n",
-        "[radio] f = 1e+11 is outside [1e+09, 5e+10]",
+        "[radio] f = 100000000000.0 is outside [1e+09, 5e+10]",
     ),
     "f_parse_before_rs": (
         "[rs]\npayload_power_W = abc\n[radio]\nf = abc\n",
@@ -241,11 +247,11 @@ TWO_FAULT_CONFIGS = {
     ),
     "pressure_then_temperature": (
         "[radio]\ntemperature_C = -300\npressure_Pa = -1\n",
-        "[radio] pressure_Pa = -1 is outside [0, 110000]",
+        "[radio] pressure_Pa = -1.0 is outside [0, 110000]",
     ),
     "temperature_before_lists": (
         "[ris]\nN_list = -5\n[radio]\ntemperature_C = -300\n",
-        "[radio] temperature_C = -300 is outside [-60, 50]",
+        "[radio] temperature_C = -300.0 is outside [-60, 50]",
     ),
     "ris_list_before_smbs_list": (
         "[smbs]\nF_H_list = 0\n[ris]\nN_list = 1.5\n",
@@ -256,7 +262,7 @@ TWO_FAULT_CONFIGS = {
     ),
     "engine_threshold_first": (
         "[engine]\ncycles_per_bit = 0\npopularity_threshold = 0\n",
-        "[engine] popularity_threshold must be at least 1",
+        "[engine] popularity_threshold = 0.0 is outside [1, inf)",
     ),
     "engine_before_sweep": (
         "[sweep]\nvariable = x\n[engine]\ncycles_per_bit = abc\n",
@@ -272,7 +278,7 @@ TWO_FAULT_CONFIGS = {
     "sweep_parse_before_engine": (
         "[engine]\npopularity_threshold = 0\n"
         "[sweep]\nvariable = x\nstart = 0\nstop = 1e3\nstep = 0\n",
-        "[sweep] step must be positive and finite, got 0.0",
+        "[sweep] step = 0.0 is outside (0, inf)",
     ),
     "geometry_before_cloud": (
         "[cloud]\nF_C = 0\n[geometry]\nx = 90000\n",
@@ -294,18 +300,20 @@ def test_first_of_two_faults_is_reported(tmp_path, case):
 # the [section] prefix a file puts on a section record's refusal.
 RULE_PARITY = {
     "f_below_window": (
-        lambda: RadioParams(f=5e8), "[radio]\nf = 5e8\n", "f = 5e+08 is outside [1e+09, 5e+10]",
+        lambda: RadioParams(f=5e8), "[radio]\nf = 5e8\n",
+        "f = 500000000.0 is outside [1e+09, 5e+10]",
     ),
     "f_above_window": (
-        lambda: RadioParams(f=100e9), "[radio]\nf = 100e9\n", "f = 1e+11 is outside [1e+09, 5e+10]",
+        lambda: RadioParams(f=100e9), "[radio]\nf = 100e9\n",
+        "f = 100000000000.0 is outside [1e+09, 5e+10]",
     ),
     "pressure_negative": (
-        lambda: RadioParams(pressure_Pa=-100), "[radio]\npressure_Pa = -100\n",
-        "pressure_Pa = -100 is outside [0, 110000]",
+        lambda: RadioParams(pressure_Pa=-100.0), "[radio]\npressure_Pa = -100\n",
+        "pressure_Pa = -100.0 is outside [0, 110000]",
     ),
     "temperature_absolute_zero": (
-        lambda: RadioParams(temperature_C=-273), "[radio]\ntemperature_C = -273\n",
-        "temperature_C = -273 is outside [-60, 50]",
+        lambda: RadioParams(temperature_C=-273.0), "[radio]\ntemperature_C = -273\n",
+        "temperature_C = -273.0 is outside [-60, 50]",
     ),
     "N_list_empty": (
         lambda: ScenarioConfig(ris_N_list=()), "[ris]\nN_list = ,\n",
@@ -320,38 +328,44 @@ RULE_PARITY = {
         "[ris] N_list must be an integer, got 1.5",
     ),
     "N_list_zero": (
-        lambda: ScenarioConfig(ris_N_list=(0,)), "[ris]\nN_list = 0\n",
-        "[ris] N_list = 0 is outside [1, 1e+07]",
+        lambda: ScenarioConfig(ris_N_list=(0.0,)), "[ris]\nN_list = 0\n",
+        "[ris] N_list = 0.0 is outside [1, 1e+07]",
     ),
     "F_H_list_zero": (
         lambda: ScenarioConfig(smbs_F_H_list=(1e9, 0.0)), "[smbs]\nF_H_list = 1e9, 0\n",
-        "[smbs] F_H_list entries must be positive, got 0",
+        "[smbs] F_H_list = 0.0 is outside (0, inf)",
     ),
     "popularity_threshold_zero": (
-        lambda: ScenarioConfig(popularity_threshold=0),
+        lambda: ScenarioConfig(popularity_threshold=0.0),
         "[engine]\npopularity_threshold = 0\n",
-        "[engine] popularity_threshold must be at least 1",
+        "[engine] popularity_threshold = 0.0 is outside [1, inf)",
     ),
     "cycles_per_bit_negative": (
         lambda: ScenarioConfig(cycles_per_bit=-1.0), "[engine]\ncycles_per_bit = -1\n",
-        "[engine] cycles_per_bit must be positive",
+        "[engine] cycles_per_bit = -1.0 is outside (0, inf)",
     ),
     "sweep_x_stop_past_D": (
         lambda: ScenarioConfig(sweep=SweepSpec("x", 0.0, 1e9, 1e8)),
         "[sweep]\nvariable = x\nstart = 0\nstop = 1e9\nstep = 1e8\n",
-        "[sweep] stop = 1e+09 is outside [0, 60000] for variable x",
+        "[sweep] stop = 1000000000.0 is outside [0, 60000]",
     ),
     "sweep_x_stop_past_a_set_D": (
         lambda: ScenarioConfig(geom=ScenarioGeometry(D=1000.0, H=2e4, x=0.0),
                                sweep=SweepSpec("x", 0.0, 2000.0, 100.0)),
         "[geometry]\nD = 1000\nx = 0\n"
         "[sweep]\nvariable = x\nstart = 0\nstop = 2000\nstep = 100\n",
-        "[sweep] stop = 2000 is outside [0, 1000] for variable x",
+        "[sweep] stop = 2000.0 is outside [0, 1000]",
+    ),
+    # printed with ":g", the stop would read as D itself
+    "sweep_x_stop_just_past_D": (
+        lambda: ScenarioConfig(sweep=SweepSpec("x", 0.0, 60000.0001, 500.0)),
+        "[sweep]\nvariable = x\nstart = 0\nstop = 60000.0001\nstep = 500\n",
+        "[sweep] stop = 60000.0001 is outside [0, 60000]",
     ),
     "sweep_S_start_negative": (
         lambda: ScenarioConfig(sweep=SweepSpec("S", -5.0, 10.0, 1.0)),
         "[sweep]\nvariable = S\nstart = -5\nstop = 10\nstep = 1\n",
-        "[sweep] start = -5 is outside [0, inf] for variable S",
+        "[sweep] start = -5.0 is outside [0, inf)",
     ),
     # the number rule of every float and int field, applied by the record base
     "cache_capacity_fraction": (
@@ -387,6 +401,19 @@ RULE_PARITY = {
     ),
     "N_fraction": (
         lambda: RisConfig(N=1.5), "[ris]\nN = 1.5\n", "N must be an integer, got 1.5",
+    ),
+    # printed with ":g", each of these values would read as its bound
+    "N_fraction_at_bound": (
+        lambda: RisConfig(N=10000000.5), "[ris]\nN = 10000000.5\n",
+        "N must be an integer, got 10000000.5",
+    ),
+    "B_just_past_bound": (
+        lambda: RadioParams(B=1.0000001e10), "[radio]\nB = 1.0000001e10\n",
+        "B = 10000001000.0 is outside [1000, 1e+10]",
+    ),
+    # a file gives a float: 10000001.0
+    "N_just_past_bound": (
+        lambda: RisConfig(N=10000001), None, "N = 10000001 is outside [1, 1e+07]",
     ),
     "sweep_start_nan": (
         lambda: SweepSpec("x", math.nan, 10.0, 1.0),
@@ -754,7 +781,8 @@ def test_cli_frequency_outside_model_window_exits_1(tmp_path, capsys):
     # the dry-air attenuation model only covers 1-50 GHz
     cfg_path = write_config(tmp_path, "[radio]\nf = 100e9\n")
     assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
-    assert capsys.readouterr().err == "error: [radio] f = 1e+11 is outside [1e+09, 5e+10]\n"
+    assert capsys.readouterr().err == (
+        "error: [radio] f = 100000000000.0 is outside [1e+09, 5e+10]\n")
 
 
 def test_cli_sweep_outside_its_range_exits_1(tmp_path, capsys):
@@ -763,12 +791,12 @@ def test_cli_sweep_outside_its_range_exits_1(tmp_path, capsys):
         tmp_path, "[sweep]\nvariable = x\nstart = 0\nstop = 70000\nstep = 1000\n"
     )
     assert main(["sweep-capacity", "--config", cfg_path]) == EXIT_INVALID
-    assert "error: [sweep] stop = 70000 is outside [0, 60000]" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: [sweep] stop = 70000.0 is outside [0, 60000]\n"
     cfg_path = write_config(
         tmp_path, "[sweep]\nvariable = S\nstart = -1e6\nstop = 1e6\nstep = 1e5\n"
     )
     assert main(["sweep-latency", "--config", cfg_path]) == EXIT_INVALID
-    assert "error: [sweep] start = -1e+06 is outside" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: [sweep] start = -1000000.0 is outside [0, inf)\n"
 
 
 # values the physics cannot take: each used to end in a traceback
@@ -805,12 +833,12 @@ OUT_OF_RANGE_CONFIGS = {
     ),
     "cycles_per_bit_zero": (
         "sweep-latency", "[engine]\ncycles_per_bit = 0\n",
-        r"\[engine\] cycles_per_bit must be positive",
+        r"\[engine\] cycles_per_bit = 0\.0 is outside \(0, inf\)$",
     ),
     # an atmosphere whose dry-air attenuation overflowed
     "pressure_Pa_overflow": (
         "sweep-capacity", "[radio]\npressure_Pa = 4e8\n",
-        r"\[radio\] pressure_Pa = 4e\+08 is outside \[0, 110000\]$",
+        r"\[radio\] pressure_Pa = 400000000\.0 is outside \[0, 110000\]$",
     ),
     "temperature_C_near_absolute_zero": (
         "sweep-ee", "[radio]\ntemperature_C = -272.9\n",
@@ -1058,8 +1086,8 @@ VACUUM = "\n[radio]\npressure_Pa = 0\n"
 
 def outside(key, value, bounds):
     """The refusal of a file whose first out-of-range key is key = value;
-    bounds is the range as printed."""
-    return re.escape(f"{key} = {value} is outside [{bounds}]") + "$"
+    the value is printed as the float the file gives, bounds as printed."""
+    return re.escape(f"{key} = {float(value)!r} is outside [{bounds}]") + "$"
 
 
 LENGTH = "1, 1e+06"

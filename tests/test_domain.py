@@ -1,6 +1,8 @@
 """The declared model domain: each input of a link budget has one closed
 range, and inside those ranges no figure of modes.Corridor leaves the
-float range.
+float range. Every other number field with a range (powers, compute
+rates, the cache, the sweep step) declares it the same way, and each
+declared range is refused by name, in code as in a file.
 
 Each dB input enters each figure linearly, and a hop is shortest at H and
 longest at hypot(D, H), so the extremes of every figure lie at the
@@ -16,17 +18,23 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapslink import (
+    CacheState,
+    CloudConfig,
     ConfigError,
     Corridor,
+    EngineContext,
     LinkBudget,
     ModeConfigs,
     RadioParams,
     RisConfig,
+    RsConfig,
     ScenarioConfig,
     ScenarioGeometry,
+    SmbsConfig,
+    SweepSpec,
     db_to_linear,
     dry_air_specific_attenuation,
     load_config,
@@ -62,6 +70,9 @@ def test_the_box_is_the_documented_one():
     }
     assert D_RANGE == H_RANGE == (1.0, 1e6)
     assert N_RANGE == (1, 1e7)
+    # and the property below tries every range a record declares
+    declared = {(cls, key) for cls in {row[0] for row in BOXED} for key in cls._bounds}
+    assert declared <= {(cls, key) for cls, _, key, _ in BOXED}
 
 
 def test_every_corner_of_the_box_keeps_each_figure_in_the_float_range():
@@ -115,44 +126,62 @@ def test_the_dry_air_peak_inside_the_box_keeps_the_link_budget_in_range():
     assert math.isfinite(db_to_linear(peak * 2.0 * longest / 1000.0 + 2.0 * 30.0))
 
 
-# (record, section, key) of each field with a declared range, and N_list,
-# whose entries take [ris] N's range
-BOXED = [(RadioParams, "radio", key) for key in RADIO_BOX] + [
-    (ScenarioGeometry, "geometry", "D"),
-    (ScenarioGeometry, "geometry", "H"),
-    (RisConfig, "ris", "N"),
-    (ScenarioConfig, "ris", "N_list"),
+# (record, section, key, the range as a refusal prints it) of each field
+# that declares a range, and of each copy that takes its owner's range:
+# N_list entries [ris] N's, F_H_list entries [smbs] F_H's, CacheState's
+# capacity [smbs] cache_capacity's. A "(" end is open, as is an infinite
+# one; section is None where no file key sets the field by that name.
+BOXED = [(RadioParams, "radio", key, f"[{low:g}, {high:g}]")
+         for key, (low, high) in RADIO_BOX.items()] + [
+    (ScenarioGeometry, "geometry", "D", "[1, 1e+06]"),
+    (ScenarioGeometry, "geometry", "H", "[1, 1e+06]"),
+    (RsConfig, "rs", "payload_power_W", "(0, inf)"),
+    (RisConfig, "ris", "N", "[1, 1e+07]"),
+    (RisConfig, "ris", "beta", "(0, 1]"),
+    (RisConfig, "ris", "per_element_power_W", "(0, inf)"),
+    (ScenarioConfig, "ris", "N_list", "[1, 1e+07]"),
+    (SmbsConfig, "smbs", "F_H", "(0, inf)"),
+    (SmbsConfig, "smbs", "payload_power_W", "(0, inf)"),
+    (SmbsConfig, "smbs", "cache_capacity", "[0, inf)"),
+    (ScenarioConfig, "smbs", "F_H_list", "(0, inf)"),
+    (CloudConfig, "cloud", "F_C", "(0, inf)"),
+    (ScenarioConfig, "engine", "popularity_threshold", "[1, inf)"),
+    (ScenarioConfig, "engine", "cycles_per_bit", "(0, inf)"),
+    (EngineContext, "engine", "cycles_per_bit", "(0, inf)"),
+    (SweepSpec, "sweep", "step", "(0, inf)"),
+    (CacheState, None, "capacity", "[0, inf)"),
+    (CacheState, None, "popularity_threshold", "[1, inf)"),
 ]
+WHOLE = {"N", "N_list", "cache_capacity", "popularity_threshold", "capacity"}
 
 
 def _build(cls, key, value):
     """The record of the default scenario with key set to value."""
     if cls is ScenarioGeometry:
-        fields = {"D": 60000.0, "H": 20000.0, "x": 0.0}
-        return ScenarioGeometry(**{**fields, key: value})
-    if cls is ScenarioConfig:
+        return ScenarioGeometry(**{"D": 60000.0, "H": 20000.0, "x": 0.0, key: value})
+    if key == "N_list":
         return ScenarioConfig(ris_N_list=(value,))
+    if key == "F_H_list":
+        return ScenarioConfig(smbs_F_H_list=(value,))
+    if cls is SweepSpec:  # a one-point grid, whatever the step
+        return SweepSpec("S", 0.0, 0.0, value)
+    if cls is EngineContext:
+        return EngineContext(ScenarioGeometry(60000.0, 20000.0, 0.0), RadioParams(),
+                             ModeConfigs(), cycles_per_bit=value)
     return cls(**{key: value})
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    boxed=st.sampled_from(BOXED),
-    high=st.booleans(),
-    step=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
-)
-def test_a_value_just_outside_its_range_is_refused_by_name(tmp_path_factory, boxed, high,
-                                                           step):
-    cls, section, key = boxed
-    low, top = (RisConfig if key == "N_list" else cls)._bounds["N" if key == "N_list" else key]
-    bound = top if high else low
-    if key in ("N", "N_list"):  # a whole number of elements
-        value = int(bound) + (1 if high else -1) * (1 + int(step * 1000))
-    else:  # the next float past the bound, or a relative step past it
-        value = math.nextafter(bound, math.inf if high else -math.inf)
-        value += (1 if high else -1) * step * max(1.0, abs(bound))
-    label = f"[ris] {key}" if key == "N_list" else key
-    message = f"{label} = {value:g} is outside [{low:g}, {top:g}]"
+def _file(section, key, value):
+    """A scenario file that sets key = value and nothing else wrong."""
+    if section == "sweep":
+        return f"[sweep]\nvariable = S\nstart = 0\nstop = 0\n{key} = {value!r}\n"
+    return f"[{section}]\n{key} = {value!r}\n"
+
+
+def _refused(tmp_path_factory, cls, section, key, value, refusal):
+    """value is refused with refusal(value) in code, and under [section]
+    in a file, by load_config and by the CLI; a file gives a float."""
+    message = refusal(value)
     with pytest.raises(ValueError) as err:
         _build(cls, key, value)
     assert str(err.value) == message
@@ -162,9 +191,11 @@ def test_a_value_just_outside_its_range_is_refused_by_name(tmp_path_factory, box
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == message
-    # a file is refused in the same words, under its section
+    if section is None:
+        return
     path = tmp_path_factory.mktemp("box") / "scenario.ini"
-    path.write_text(f"[{section}]\n{key} = {value!r}\n")
+    path.write_text(_file(section, key, value))
+    message = refusal(float(value))
     in_file = message if message.startswith("[") else f"[{section}] {message}"
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
@@ -173,3 +204,37 @@ def test_a_value_just_outside_its_range_is_refused_by_name(tmp_path_factory, box
     with contextlib.redirect_stderr(stderr):
         assert main(["sweep-capacity", "--config", str(path)]) == EXIT_INVALID
     assert stderr.getvalue() == f"error: {in_file}\n"
+
+
+@settings(max_examples=6, deadline=None)
+@given(step=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)))
+@example(step=0.0)
+def test_a_value_just_outside_its_range_is_refused_by_name(tmp_path_factory, step):
+    for (cls, section, key, printed), high in itertools.product(BOXED, (False, True)):
+        low, top = (float(end) for end in printed[1:-1].split(", "))
+        bound = top if high else low
+        label = f"[{section}] {key}" if cls in (ScenarioConfig, SweepSpec) else key
+        if math.isinf(bound):
+            # no finite value reaches it: the largest is taken, inf refused
+            _build(cls, key, sys.float_info.max)
+            _refused(tmp_path_factory, cls, section, key, math.inf,
+                     lambda v: f"{label} must be finite, got {v}")
+            continue
+
+        def outside(v):
+            return f"{label} = {v!r} is outside {printed}"
+
+        outward = 1 if high else -1
+        if key in WHOLE:  # a whole number of elements, entries or requests
+            bound = int(bound)
+            value = bound + outward * (1 + int(step * 1000))
+        else:  # the next float past the bound, or a relative step past it
+            value = math.nextafter(bound, outward * math.inf)
+            value += outward * step * max(1.0, abs(bound))
+        if (printed[-1] if high else printed[0]) in "[]":
+            _build(cls, key, bound)  # a closed end is taken
+        else:
+            _refused(tmp_path_factory, cls, section, key, bound, outside)
+        # the value is printed so that it reads back, never as the bound
+        assert repr(value) != f"{bound:g}"
+        _refused(tmp_path_factory, cls, section, key, value, outside)

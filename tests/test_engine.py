@@ -668,24 +668,26 @@ def test_lone_request_without_t_is_refused(ctx):
 
 
 @pytest.mark.parametrize("bounds, message", [
-    ({"capacity": -1}, "capacity cannot be negative, got -1"),
+    ({"capacity": -1}, "capacity = -1 is outside [0, inf)"),
     ({"capacity": float("nan")}, "capacity must be finite, got nan"),
-    ({"popularity_threshold": 0}, "popularity_threshold must be at least 1, got 0"),
-    ({"popularity_threshold": -3}, "popularity_threshold must be at least 1, got -3"),
+    ({"popularity_threshold": 0}, "popularity_threshold = 0 is outside [1, inf)"),
+    ({"popularity_threshold": -3}, "popularity_threshold = -3 is outside [1, inf)"),
     ({"capacity": 2.7}, "capacity must be an integer, got 2.7"),
     ({"popularity_threshold": 2.5}, "popularity_threshold must be an integer, got 2.5"),
     ({"capacity": True}, "capacity must be a number, got True"),
 ])
 def test_cache_state_refuses_bounds_by_name(bounds, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError) as err:
         CacheState(**bounds)
+    assert str(err.value) == message
 
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -4.0])
 def test_context_refuses_a_bad_cycles_per_bit(value):
-    rule = "positive and finite" if math.isfinite(value) else "finite"
-    with pytest.raises(ValueError, match=f"^cycles_per_bit must be {rule}, got {value}$"):
+    message = (rf"cycles_per_bit = {value!r} is outside \(0, inf\)" if math.isfinite(value)
+               else f"cycles_per_bit must be finite, got {value}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         EngineContext(geom=geom_at(30000.0), radio=RadioParams(),
                       configs=ModeConfigs(), cycles_per_bit=value)
 

@@ -162,9 +162,9 @@ def test_dry_air_refuses_an_atmosphere_outside_its_domain(
 def test_radio_params_refuse_what_the_dry_air_model_cannot_take():
     # refused at the record, before a LinkBudget compares complex numbers
     for kwargs, message in [
-        ({"f": 60e9}, r"^f = 6e\+10 is outside \[1e\+09, 5e\+10\]$"),
-        ({"pressure_Pa": -100.0}, r"^pressure_Pa = -100 is outside \[0, 110000\]$"),
-        ({"temperature_C": -273.0}, r"^temperature_C = -273 is outside \[-60, 50\]$"),
+        ({"f": 60e9}, r"^f = 60000000000\.0 is outside \[1e\+09, 5e\+10\]$"),
+        ({"pressure_Pa": -100.0}, r"^pressure_Pa = -100\.0 is outside \[0, 110000\]$"),
+        ({"temperature_C": -273.0}, r"^temperature_C = -273\.0 is outside \[-60, 50\]$"),
         ({"temperature_C": math.nan}, r"^temperature_C must be finite, got nan$"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -199,7 +199,7 @@ def test_total_loss_composition():
 
 def test_link_budget_refuses_an_attenuation_that_overflows():
     # an atmosphere whose attenuation overflowed is outside its range
-    with pytest.raises(ValueError, match=r"^pressure_Pa = 4e\+08 is outside \[0, 110000\]$"):
+    with pytest.raises(ValueError, match=r"^pressure_Pa = 400000000\.0 is outside \[0, 110000\]$"):
         LinkBudget(RadioParams(pressure_Pa=4e8))
 
 

@@ -184,9 +184,9 @@ def test_corridor_rejects_offsets_outside_it():
     # as does one negative task size among the latency column's sizes
     with pytest.raises(ValueError, match="size cannot be negative"):
         task_latencies(1e5, 1e8, [0.0, 1e6, -1.0], 4.0, 2e9)
-    with pytest.raises(ValueError, match=r"^D = 0 is outside \[1, 1e\+06\]$"):
+    with pytest.raises(ValueError, match=r"^D = 0\.0 is outside \[1, 1e\+06\]$"):
         Corridor(0.0, 20000.0, RadioParams())
-    with pytest.raises(ValueError, match=r"^H = 0 is outside \[1, 1e\+06\]$"):
+    with pytest.raises(ValueError, match=r"^H = 0\.0 is outside \[1, 1e\+06\]$"):
         Corridor(60000.0, 0.0, RadioParams())
 
 
