@@ -4,9 +4,17 @@ Each sweep walks one variable (platform offset x or task size S),
 evaluates every mode per grid point, and returns an ordered table plus a
 handful of scalar observations (spreads, degradations, crossovers) that
 the CLI reports alongside the CSV.
+
+Every cell depends on its own grid point alone, so a large grid is
+computed and rendered in two halves, the second in a forked child
+(_table); the numbers, the text and every refusal are those of one
+process.
 """
 
 import math
+import os
+import sys
+from functools import partial
 from itertools import chain
 
 from ._record import Record, replace
@@ -22,17 +30,28 @@ from .modes import (
 )
 from .offload import task_latencies
 
+# A grid of fewer points is computed in one process: below it the fork,
+# the pipe and the merge cost more than the half of the work they move.
+# On a 2-vCPU VM under Python 3.11 the three sweeps ran split at 0.71-0.88x
+# of one process at 1,536 points and at 0.96-1.23x at 2,048. At least 2,
+# so that neither half is empty.
+SPLIT_MIN_POINTS = 2048
+
 
 class SweepResult(Record):
     """A sweep's table and notes. A repeated column name, or a cell that
-    overflowed (a huge task, extreme powers), is refused here, not written."""
+    overflowed (a huge task, extreme powers), is refused here, not written.
+    csv, when given, is the table already rendered as to_csv renders it."""
 
     header: tuple
     rows: tuple  # of row tuples, one float per header name
     notes: dict  # a new {} when not given
+    _csv = None  # no field: the rendered table a sweep hands over
 
-    def __init__(self, header, rows, notes=None):
+    def __init__(self, header, rows, notes=None, *, csv=None):
         super().__init__(header, rows, {} if notes is None else notes)
+        if csv is not None:
+            object.__setattr__(self, "_csv", csv)
 
     def __post_init__(self):
         if len(set(self.header)) < len(self.header):  # one list entry's column hides another's
@@ -53,14 +72,115 @@ class SweepResult(Record):
         )
 
     def to_csv(self):
-        # same cells as engine._fmt; sweep rows never hold None
-        template = ",".join(["%.8e"] * len(self.header)) + "\n"
-        rows = "".join([template % row for row in self.rows])
-        return ",".join(self.header) + "\n" + rows
+        if self._csv is not None:
+            return self._csv
+        return ",".join(self.header) + "\n" + _render(self.rows, len(self.header))
 
     def column(self, name):
         idx = self.header.index(name)
         return [row[idx] for row in self.rows]
+
+
+def _render(rows, width):
+    """CSV lines of rows of width cells each, every cell as engine._fmt
+    writes it; sweep rows never hold None."""
+    template = ",".join(["%.8e"] * width) + "\n"
+    return "".join([template % row for row in rows])
+
+
+# =====================================================================
+# One grid, in one process or in two halves
+# =====================================================================
+
+def _table(header, grid, columns):
+    """(columns, CSV text) of one sweep: columns(chunk) gives the sweep's
+    columns over a chunk of grid, every cell from its own point alone, and
+    the text is the header line and one rendered row per point.
+
+    A grid of at least SPLIT_MIN_POINTS points, on Linux with os.fork, more
+    than one usable CPU and no other thread, is computed and rendered in
+    two halves, the second in a forked child. If either half fails, the
+    whole grid is computed again in one process, so a refusal is exactly
+    the one-process refusal.
+    """
+    head = ",".join(header) + "\n"
+    if _can_split(len(grid)):
+        halves = _in_two_halves(grid, columns)
+        if halves is not None:
+            cols, near, far = halves
+            return cols, "".join((head, near, far))
+    cols = columns(grid)
+    return cols, head + _render(zip(grid, *cols), len(header))
+
+
+def _can_split(points):
+    if points < SPLIT_MIN_POINTS or sys.platform != "linux" or not hasattr(os, "fork"):
+        return False
+    try:
+        # a fork copies only the calling thread; the kernel's count also
+        # sees threads that the threading module does not know of
+        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _in_two_halves(grid, columns):
+    """(columns over grid, first half's rows rendered, second half's rows
+    rendered), the second half computed and rendered in a forked child
+    that sends its columns as packed doubles, then its text, through a
+    pipe; None if either half fails. The child leaves through os._exit
+    and is reaped before this returns or raises."""
+    import fcntl
+    from array import array
+
+    mid = len(grid) // 2
+    near, far = grid[:mid], grid[mid:]
+    r, w = os.pipe()
+    try:
+        # most of a half fits in the pipe at once, so the child writes it
+        # while the parent still renders its own half
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except OSError:  # above the system's per-pipe limit: the default size
+        pass
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: one process does it all
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child: runs no exit handler, returns to no caller
+        code = 1
+        try:
+            os.close(r)
+            cols = columns(far)
+            text = _render(zip(far, *cols), 1 + len(cols))
+            with open(w, "wb") as out:
+                out.write(array("d", chain.from_iterable(cols)))
+                out.write(text.encode("ascii"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:  # closed first, so a child still writing fails
+            try:
+                cols = columns(near)
+            except Exception:  # the one-process pass raises it again, or the refusal it hid
+                return None
+            text = _render(zip(near, *cols), 1 + len(cols))
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:  # what it sent may stop short
+        return None
+    size = 8 * len(cols) * len(far)
+    flat = array("d")
+    flat.frombytes(memoryview(data)[:size])
+    far_text = str(memoryview(data)[size:], "ascii")
+    del data  # freed before the merged columns are built
+    n = len(far)
+    cols = [col + flat[i * n:(i + 1) * n].tolist() for i, col in enumerate(cols)]
+    return cols, text, far_text
 
 
 def _ris_variants(cfg: ScenarioConfig):
@@ -69,15 +189,14 @@ def _ris_variants(cfg: ScenarioConfig):
 
 
 def _placement_columns(corridor, cfg: ScenarioConfig, xs):
-    """The columns over the offsets xs of corridor: the relay's capacity
-    at alpha = 0.5 and at the optimal split (bps/Hz), the optimal alpha,
-    and one capacity column (bps/Hz) per configured surface size. The
-    hop-SNR columns are freed on return, so a sweep's memory peak stays
-    below that of the CSV rendered from its rows."""
+    """The capacity sweep's columns over the offsets xs of corridor: the
+    relay's capacity at alpha = 0.5 and at the optimal split (bps/Hz), the
+    optimal alpha, and one capacity column (bps/Hz) per configured surface
+    size. The hop-SNR columns are freed on return."""
     snr1s, snr2s, ris_cols = corridor.columns(xs, _ris_variants(cfg))
     alphas, capopt = relay_optimal_splits(snr1s, snr2s)
     cap05 = relay_capacities(snr1s, snr2s, 0.5)
-    return cap05, capopt, alphas, ris_cols
+    return [cap05, capopt, alphas, *ris_cols]
 
 
 def _degradations(cap05, capopt):
@@ -97,22 +216,34 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     spec = cfg.sweep_for("x", step)
     xs = spec.grid()
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    cap05, capopt, alphas, ris_cols = _placement_columns(corridor, cfg, xs)
-    rows = tuple(zip(xs, cap05, capopt, alphas, *ris_cols))
+    cols, csv = _table(header, xs, partial(_placement_columns, corridor, cfg))
+    rows = tuple(zip(xs, *cols))
 
     # the grid ends short of the stop when the step does not divide the span
-    stop05, stopopt, _, _ = _placement_columns(corridor, cfg, [spec.stop])
+    stop05, stopopt, *_ = _placement_columns(corridor, cfg, [spec.stop])
     notes = {
-        "alpha05_max_degradation_pct": max(_degradations(cap05, capopt)),
+        "alpha05_max_degradation_pct": max(_degradations(cols[0], cols[1])),
         "alpha05_degradation_at_stop_pct": _degradations(stop05, stopopt)[0],
         "ris_roots_m": ris_placement_roots(cfg.geom.D, cfg.geom.H),
     }
-    return SweepResult(tuple(header), rows, notes)
+    return SweepResult(tuple(header), rows, notes, csv=csv)
 
 
 # =====================================================================
 # Energy efficiency vs placement
 # =====================================================================
+
+def _ee_columns(corridor, cfg: ScenarioConfig, xs):
+    """Bits per joule over the offsets xs of corridor: the relay at alpha
+    = 0.5 and at the optimal split, then each configured surface size."""
+    cap05, capopt, alphas, *ris_cols = _placement_columns(corridor, cfg, xs)
+    del alphas  # not an EE column: freed before the EE columns are built
+    B = cfg.radio.B
+    payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]
+    surfaces = _ris_variants(cfg)
+    payloads += [(ris.payload_power_W, col) for ris, col in zip(surfaces, ris_cols)]
+    return [energy_efficiencies(col, B, power) for power, col in payloads]
+
 
 def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     """Bits per joule over x for the relay and each configured surface size."""
@@ -120,14 +251,7 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
     xs = cfg.sweep_for("x", step).grid()
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    cap05, capopt, alphas, ris_cols = _placement_columns(corridor, cfg, xs)
-    del alphas  # not an EE column: freed before the EE columns are built
-    B = cfg.radio.B
-    payloads = [(cfg.rs.payload_power_W, cap05), (cfg.rs.payload_power_W, capopt)]
-    surfaces = _ris_variants(cfg)
-    payloads += [(ris.payload_power_W, col) for ris, col in zip(surfaces, ris_cols)]
-    ee_cols = [energy_efficiencies(col, B, power) for power, col in payloads]
-    del cap05, capopt, ris_cols, payloads
+    ee_cols, csv = _table(header, xs, partial(_ee_columns, corridor, cfg))
     rows = tuple(zip(xs, *ee_cols))
 
     notes = {}
@@ -139,7 +263,7 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
                 "bits/J on this corridor"
             )
         notes[name] = 100.0 * (max(col) / min(col) - 1.0)
-    return SweepResult(tuple(header), rows, notes)
+    return SweepResult(tuple(header), rows, notes, csv=csv)
 
 
 # =====================================================================
@@ -168,11 +292,15 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
     smbs, rs, ris = map(carrier, at_crest.values())
     legs = [(smbs, fh) for fh in cfg.smbs_F_H_list]
     legs += [(rs, cfg.cloud.F_C), (ris, cfg.cloud.F_C)]
+
+    def columns(sizes):
+        return [
+            task_latencies(path, capacity, sizes, cfg.cycles_per_bit, rate)
+            for (_, capacity, _, path), rate in legs
+        ]
+
     sizes = spec.grid()
-    cols = [
-        task_latencies(path, capacity, sizes, cfg.cycles_per_bit, rate)
-        for (_, capacity, _, path), rate in legs
-    ]
+    cols, csv = _table(header, sizes, columns)
     rows = tuple(zip(sizes, *cols))
 
     notes = {}
@@ -188,4 +316,4 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
                 crossing = sizes[i - 1] + frac * (sizes[i] - sizes[i - 1])
                 break
         notes[f"smbs_FH{fh / 1e9:g}GHz_crossover_S_bits"] = crossing
-    return SweepResult(tuple(header), rows, notes)
+    return SweepResult(tuple(header), rows, notes, csv=csv)

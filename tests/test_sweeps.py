@@ -1,11 +1,15 @@
-"""Sweep outputs pinned byte for byte, and the per-corridor link budget
-and the sweeps' cells checked for exact agreement with the link-budget
-laws of reference_model, written out in full."""
+"""Sweep outputs pinned byte for byte, in one process and in two halves,
+and the per-corridor link budget and the sweeps' cells checked for exact
+agreement with the link-budget laws of reference_model, written out in
+full."""
 
+import contextlib
 import math
 import os
 import re
+import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +31,7 @@ from hapslink import (
     sweep_ee,
     sweep_latency,
 )
+import hapslink.sweeps as sweeps_module
 from hapslink.cli import EXIT_INVALID, main
 from hapslink.config import MAX_GRID_POINTS
 from hapslink.modes import Corridor
@@ -57,13 +62,41 @@ GOLDEN_NOTES = {
 
 SWEEPS = {"capacity": sweep_capacity, "ee": sweep_ee, "latency": sweep_latency}
 
+# split thresholds: every grid in one process, or every grid of two or
+# more points in two halves
+ONE_PROCESS, TWO_HALVES = MAX_GRID_POINTS + 1, 2
+
+
+@contextlib.contextmanager
+def split_at(points):
+    """Sweeps split grids of at least points points, as on a machine with
+    two usable CPUs; yields the list of the children forked meanwhile."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweeps_module, "SPLIT_MIN_POINTS", points)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        patch.setattr(os, "fork", counted_fork)
+        yield forks
+
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_golden_sweep_output(name):
-    result = SWEEPS[name](load_config(None))
     with open(os.path.join(DATA, f"golden_sweep_{name}.csv"), encoding="utf-8") as fh:
-        assert result.to_csv() == fh.read()
-    assert result.notes == GOLDEN_NOTES[name]
+        golden = fh.read()
+    for points in (ONE_PROCESS, TWO_HALVES):
+        with split_at(points) as forks:
+            result = SWEEPS[name](load_config(None))
+        assert len(forks) == (points == TWO_HALVES)
+        assert result.to_csv() == golden
+        assert result.notes == GOLDEN_NOTES[name]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -369,11 +402,13 @@ def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
         "[sweep]\nvariable = S\nstart = 0\nstop = 1.7e308\nstep = 1e307\n"
     )
     out = tmp_path / "latency.csv"
-    code = main(["sweep-latency", "--config", str(config), "--out", str(out)])
-    assert code == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert err.startswith("error: [sweep] smbs_FH1GHz_s overflows to inf at S_bits = 5e+307")
-    assert not out.exists()
+    for points in (ONE_PROCESS, TWO_HALVES):  # 18 grid points
+        with split_at(points):
+            code = main(["sweep-latency", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: [sweep] smbs_FH1GHz_s overflows to inf at S_bits = 5e+307")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------
@@ -396,6 +431,155 @@ def test_cli_sweep_with_two_columns_of_one_name_exits_1(tmp_path, capsys, comman
     config = tmp_path / "twins.ini"
     config.write_text(text)
     out = tmp_path / "sweep.csv"
-    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_INVALID
-    assert capsys.readouterr().err == f"error: [sweep] two columns are named {column}\n"
-    assert not out.exists()
+    for points in (ONE_PROCESS, TWO_HALVES):
+        with split_at(points):
+            assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: [sweep] two columns are named {column}\n"
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------
+# two halves: the forked path against one process
+# ---------------------------------------------------------------
+
+def _outcome(sweep, cfg, step):
+    """What one sweep call gives: its rows, notes and CSV, or its refusal."""
+    try:
+        result = sweep(cfg, step)
+    except ValueError as err:
+        return type(err), str(err)
+    return result.rows, result.notes, result.to_csv()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    D=st.floats(2000.0, 2e5),
+    H=st.floats(1000.0, 5e4),
+    points=st.integers(2, 300),
+    N_list=st.lists(st.integers(1, 10**7), min_size=1, max_size=4),
+    F_H_list=st.lists(st.floats(1e6, 1e11), min_size=1, max_size=4),
+)
+@example(D=60000.0, H=20000.0, points=121, N_list=[10000, 30000, 50000],
+         F_H_list=[1e9, 2e9, 3e9])  # the defaults
+def test_two_halves_give_the_one_process_result(D, H, points, N_list, F_H_list):
+    # a repeated N or two F_H that print alike are refused; a large
+    # corridor and a small surface are refused for their EE spread
+    cfg = ScenarioConfig(geom=ScenarioGeometry(D, H, D / 2.0), ris_N_list=tuple(N_list),
+                         smbs_F_H_list=tuple(F_H_list))
+    for sweep, span in ((sweep_capacity, D), (sweep_ee, D), (sweep_latency, 5e6)):
+        step = span / (points - 1)
+        with split_at(ONE_PROCESS) as forks:
+            one = _outcome(sweep, cfg, step)
+        assert forks == []
+        with split_at(TWO_HALVES) as forks:
+            assert _outcome(sweep, cfg, step) == one
+        assert len(forks) == 1
+
+
+def _refusing(xs):
+    """_placement_columns, but refusing a chunk that holds any of the
+    offsets xs, by the last such offset, so that a half can refuse in
+    words other than the whole grid's."""
+    columns = sweeps_module._placement_columns
+
+    def refusing(corridor, cfg, chunk):
+        bad = [x for x in chunk if x in xs]
+        if bad:
+            raise ValueError(f"refused at x = {bad[-1]}")
+        return columns(corridor, cfg, chunk)
+
+    return refusing
+
+
+def _in_the_child(patch, owner, name, replacement):
+    """Patches owner's name so that only a forked child calls
+    replacement(original, *args)."""
+    original, parent = getattr(owner, name), os.getpid()
+
+    def patched(*args):
+        if os.getpid() == parent:
+            return original(*args)
+        return replacement(original, *args)
+
+    patch.setattr(owner, name, patched)
+
+
+def _refuse_at(*xs):
+    return lambda patch: patch.setattr(sweeps_module, "_placement_columns", _refusing(xs))
+
+
+# the default placement grid, 0, 500, ..., 60000: 121 offsets, the first
+# 60 the parent's half and the last 61 the child's. Each failure, and the
+# offset its one-process refusal names, or None for the golden table
+FAILURES = {
+    "parent_refuses": (_refuse_at(500.0), 500.0),
+    "child_refuses": (_refuse_at(59500.0), 59500.0),
+    "both_refuse": (_refuse_at(500.0, 59500.0), 59500.0),
+    "child_exits_3": (lambda patch: _in_the_child(
+        patch, sweeps_module, "_placement_columns", lambda original, *args: os._exit(3)),
+        None),
+    # all the columns and part of the text sent: only the exit status tells
+    "child_sends_part_then_exits_4": (lambda patch: (
+        _in_the_child(patch, sweeps_module, "_render",
+                      lambda original, *args: original(*args)[:-20]),
+        _in_the_child(patch, os, "_exit", lambda original, code: original(4)),
+    ), None),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+@pytest.mark.parametrize("name", ["capacity", "ee"])
+def test_a_failed_half_gives_the_one_process_outcome(monkeypatch, name, failure):
+    install, refused_at = FAILURES[failure]
+    install(monkeypatch)
+    cfg = load_config(None)
+    with split_at(ONE_PROCESS):
+        one = _outcome(SWEEPS[name], cfg, None)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with split_at(TWO_HALVES) as forks:
+        assert _outcome(SWEEPS[name], cfg, None) == one
+    assert len(forks) == 1
+    if refused_at is not None:
+        assert one == (ValueError, f"refused at x = {refused_at}")
+    else:
+        with open(os.path.join(DATA, f"golden_sweep_{name}.csv"), encoding="utf-8") as fh:
+            assert one[2] == fh.read()
+    # the child is reaped and the pipe closed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def _cli_sweep(tmp_path, capsys, argv):
+    out = tmp_path / "sweep.csv"
+    code = main([*argv, "--out", str(out)])
+    return code, out.read_bytes(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("guard", ["thread", "one_cpu"])
+def test_no_fork_beside_a_thread_or_on_one_cpu(tmp_path, capsys, guard):
+    argv = ["sweep-capacity", "--grid", "10"]  # 6,001 points, above the threshold
+    threshold = sweeps_module.SPLIT_MIN_POINTS
+    with split_at(ONE_PROCESS):
+        one = _cli_sweep(tmp_path, capsys, argv)
+    with split_at(threshold) as forks:
+        assert _cli_sweep(tmp_path, capsys, argv) == one
+    assert len(forks) == 1  # so the guard alone keeps the call below in one process
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    try:
+        with split_at(threshold) as forks, pytest.MonkeyPatch.context() as patch, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # Python 3.12+ warns on a fork beside a thread
+            if guard == "thread":
+                thread.start()
+            else:
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert _cli_sweep(tmp_path, capsys, argv) == one
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert forks == []
