@@ -13,16 +13,27 @@ cache through it. For one EngineContext a decision is a function of the
 request's kind, size, objective and QoS floor and of the cache branch it
 takes, so on trace lines the loop memoises, per distinct line tail, the
 parsed request and each branch's decision with its rendered CSV cells.
-A line whose tail is memoised costs a split, a dict lookup, its
-timestamp and its row: no Request is built unless the tail is new, and
-no decision unless its branch is. Each row is written as it is decided.
+
+Trace lines reach the fold from a parse stage (_blocks) that splits each
+line, finds its memoised tail and parses its timestamp; these steps
+depend on the line alone, so on a large regular file the stage runs in a
+forked child (_forked_blocks) beside the fold. A line whose tail is
+memoised costs the fold a dict lookup and its row: no Request is built
+unless the tail is new, and no decision unless its branch is. The rows
+of each block of _BLOCK_LINES requests go out in one write.
 """
 
+import marshal
 import math
+import os
+import stat
 from collections import OrderedDict
 from enum import Enum
+from functools import partial
+from itertools import islice
 from typing import Annotated, Optional
 
+from ._fork import can_fork, reap, spawn
 from ._record import POSITIVE, Record, number
 from .modes import Action, Corridor, Mode, ModeConfigs, SmbsConfig, carrier
 from .offload import CloudConfig, compute_rate, task_latencies
@@ -260,16 +271,17 @@ def _memo_entry(decision: ModeDecision, cells=None):
     return cells, None if mode is None else mode.value, decision.energy_J, decision
 
 
-def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
+def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
           keep=None, write=None):
     """The one decide loop, behind handle_request, replay_trace and
     stream_replay. It updates state in place and returns the
     ReplaySummary.
 
-    items are Requests, each checked where it was built, and each handed
-    to keep with its decision; or, when write is given, trace lines,
-    whose decision CSV goes to write: the header, then each row as it is
-    decided.
+    blocks are _request_blocks, each request checked where it was built
+    and handed to keep with its decision; or, when write is given, the
+    parse stage's blocks of trace lines (_blocks), whose decision CSV goes
+    to write: the header, then each block's rows in one write once the
+    block is folded.
 
     For each request the loop picks the cache branch (hit, forward, or
     forward and cache; communication and tasks take none; a forced
@@ -278,24 +290,23 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
     a request the model refuses, one out of order and an infeasible one
     leave the state untouched.
 
-    A trace line's tail is every field but t and content_id, plus whether
-    content_id is empty. A tail's parsed request is kept with a dict of
-    its decisions per branch, each with its rendered CSV cells, so a
-    later line with that tail pays only for its timestamp and builds no
-    Request. The memo keys the tail on its raw field text, so sizes 0
-    and -0 stay apart. It holds at most _MEMO_LIMIT tails and is cleared
-    when full. A refusal is never memoised.
+    A trace line's tail is kept, from its line, with a dict of its
+    decisions per branch, each with its rendered CSV cells, so a later
+    line with that tail pays only for its row and builds no Request. A
+    block names each line's tail by its id; the memo drops every older
+    tail at the block's clear point, as the parse stage does. A refusal is
+    never memoised.
 
     Timestamps must be non-decreasing. The first refused request aborts
     the loop with a RequestError naming its index, caused by the
-    refusal. A malformed line raises a RequestError naming its line, and
-    is the error reported even after a refused request: the rest of the
-    trace is parsed first.
+    refusal. A malformed line, which the parse stage hands over as its
+    error text, raises a RequestError naming its line, and is the error
+    reported even after a refused request: the rest of the blocks are read
+    first.
     """
-    items = iter(items)
+    blocks = iter(blocks)
     lines = write is not None
     content_kind, caching_kind = RequestKind.CONTENT_DELIVERY, RequestKind.CACHING
-    isfinite, nan = math.isfinite, math.nan
     entries, popularity = state.entries, state.popularity
     threshold = state.popularity_threshold
     counts = dict.fromkeys([m.value for m in Mode] + [None], 0)
@@ -303,94 +314,89 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
     hits = content_requests = 0
     last_t = None
     index = -1
-    lineno = 0
     tails = {}
     if lines:
         write(DECISION_CSV_HEADER + "\n")
-    for item in items:
-        if lines:
-            lineno += 1
-            stripped = item.strip()
-            if not stripped or stripped[0] == "#":
-                continue
-            parts = stripped.split(",", 3)
-            tail = None
-            if len(parts) == 4:
-                content_id = parts[2].strip()
-                key = (parts[1], parts[3], not content_id)
-                tail = tails.get(key)
-            t = nan
-            if tail:
+    for block in blocks:
+        if block.__class__ is str:
+            raise RequestError(block)
+        ids, content_ids, ts, news, clear, _ = block
+        news = iter(news)
+        block_cells = []
+        for tail_id, content_id, t in zip(ids, content_ids, ts):
+            tail = tails.get(tail_id)
+            if tail is not None:
                 req, decided = tail
-                try:
-                    t = float(parts[0].strip())
-                except ValueError:
-                    pass
-            if not isfinite(t):
-                # a new tail, or a line the parser rejects in its own words
-                req = _parse_fields(stripped.split(","), lineno)
-                t = req.t
-                if len(tails) >= _MEMO_LIMIT:
-                    tails.clear()
-                decided = {}
-                tails[key] = req, decided
-        else:
-            req = item
-            t, content_id, decided = req.t, req.content_id, None
-        index += 1
-        kind = req.kind
-        try:
-            if force_mode is not None:
-                branch = force_mode
-            elif kind is content_kind:
-                if content_id in entries:
-                    branch = _HIT
-                elif popularity.get(content_id, 0) + 1 >= threshold:
+            else:
+                req = next(news)
+                decided = None
+                if lines:
+                    if req.__class__ is tuple:  # (line number, line) from a forked reader
+                        req = _parse_fields(req[1].split(","), req[0])
+                    if tail_id == clear:
+                        tails.clear()
+                    decided = {}
+                    tails[tail_id] = req, decided
+            index += 1
+            kind = req.kind
+            try:
+                if force_mode is not None:
+                    branch = force_mode
+                elif kind is content_kind:
+                    if content_id in entries:
+                        branch = _HIT
+                    elif popularity.get(content_id, 0) + 1 >= threshold:
+                        branch = _CACHE
+                    else:
+                        branch = _FORWARD
+                elif kind is caching_kind:
                     branch = _CACHE
                 else:
-                    branch = _FORWARD
-            elif kind is caching_kind:
-                branch = _CACHE
-            else:
-                branch = _DIRECT
-            if decided is None:
-                entry = _memo_entry(_build(req, branch, ctx))
-            else:
-                entry = decided.get(branch)
-                if entry is None:
-                    decision = _build(req, branch, ctx)
-                    entry = decided[branch] = _memo_entry(decision, _render(kind, decision))
-            cells, mode, energy, decision = entry
-            if last_t is not None and t < last_t:
-                raise RequestError(
-                    f"timestamps must be non-decreasing ({t} after {last_t})"
-                )
-            if branch is _HIT:
-                popularity[content_id] = popularity.get(content_id, 0) + 1
-                entries.move_to_end(content_id)
-            elif (branch is _FORWARD or branch is _CACHE) and mode is not None:
-                popularity[content_id] = popularity.get(content_id, 0) + 1
-                if branch is _CACHE:
-                    state.insert(content_id)
-        except ValueError as err:  # a request the model refuses, or one out of order
-            refusal = RequestError(f"request {index}: {err}")
+                    branch = _DIRECT
+                if decided is None:
+                    entry = _memo_entry(_build(req, branch, ctx))
+                else:
+                    entry = decided.get(branch)
+                    if entry is None:
+                        decision = _build(req, branch, ctx)
+                        entry = decided[branch] = _memo_entry(decision, _render(kind, decision))
+                cells, mode, energy, decision = entry
+                if last_t is not None and t < last_t:
+                    raise RequestError(
+                        f"timestamps must be non-decreasing ({t} after {last_t})"
+                    )
+                if branch is _HIT:
+                    popularity[content_id] = popularity.get(content_id, 0) + 1
+                    entries.move_to_end(content_id)
+                elif (branch is _FORWARD or branch is _CACHE) and mode is not None:
+                    popularity[content_id] = popularity.get(content_id, 0) + 1
+                    if branch is _CACHE:
+                        state.insert(content_id)
+            except ValueError as err:  # a request the model refuses, or one out of order
+                refusal = RequestError(f"request {index}: {err}")
+                if lines:
+                    for block in blocks:
+                        if block.__class__ is str:
+                            raise RequestError(block) from None
+                raise refusal from err
+            last_t = t
             if lines:
-                for _ in iter_trace(items, lineno + 1):
-                    pass
-            raise refusal from err
-        last_t = t
-        if lines:
-            write(f"{t:.8e},{cells}\n")
-        else:
-            keep(decision)
-        counts[mode] += 1
-        if energy is not None:
-            total_energy += energy
-        if kind is content_kind:
-            content_requests += 1
-            if branch is _HIT:
-                hits += 1
-    if not isfinite(total_energy):
+                block_cells.append(cells)
+            else:
+                keep(decision)
+            counts[mode] += 1
+            if energy is not None:
+                total_energy += energy
+            if kind is content_kind:
+                content_requests += 1
+                if branch is _HIT:
+                    hits += 1
+        if block_cells:  # the block is folded: every line of it has a row
+            flat = [None] * (2 * len(ts))
+            flat[::2] = ts
+            flat[1::2] = block_cells
+            write(("%.8e,%s\n" * len(ts)) % tuple(flat))
+    if not math.isfinite(total_energy):
         raise ValueError(f"total_energy_J overflows to {total_energy}")
     return ReplaySummary(
         mode_counts={m.value: counts[m.value] for m in Mode},
@@ -398,6 +404,13 @@ def _fold(items, state: CacheState, ctx: EngineContext, force_mode=None,
         cache_hit_rate=hits / content_requests if content_requests else 0.0,
         requests=index + 1,
     )
+
+
+def _request_blocks(requests):
+    """Requests as _fold's blocks: one per request, a tail of its own that
+    is never memoised."""
+    for req in requests:
+        yield (None,), (req.content_id,), (req.t,), (req,), None, None
 
 
 def handle_request(req: Request, state: CacheState, ctx: EngineContext):
@@ -409,7 +422,7 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
     """
     decisions = []
     try:
-        _fold((req,), state, ctx, keep=decisions.append)
+        _fold(_request_blocks((req,)), state, ctx, keep=decisions.append)
     except RequestError as err:  # raised as itself, not as request 0
         raise err.__cause__ from None
     return decisions[0], state
@@ -448,22 +461,183 @@ def replay_trace(
     """
     state = initial_state.copy()
     decisions = []
-    summary = _fold(requests, state, ctx, force_mode, keep=decisions.append)
+    summary = _fold(_request_blocks(requests), state, ctx, force_mode, keep=decisions.append)
     return ReplayResult(tuple(decisions), state, summary)
 
 
 def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
                   force_mode: Optional[Mode] = None):
     """Replay trace lines straight to the decision CSV: write gets the
-    header, then each row as it is decided. Returns the ReplaySummary;
-    the state is updated in place.
+    header, then the rows of each block of _BLOCK_LINES requests in one
+    write. Returns the ReplaySummary; the state is updated in place.
 
     Nothing is kept per request: memory grows with the number of
     distinct content ids (the cache's popularity counter), not with the
     number of requests. A malformed line is reported before any refused
     request: after a refusal the rest of the trace is still parsed.
+
+    The parse stage (_blocks) runs in a forked child when lines is a
+    regular file, read from its start, of at least SPLIT_MIN_BYTES bytes
+    and the platform passes _fork.can_fork; it runs in this process
+    otherwise. Either way the rows, the summary and every error are those
+    of one process.
     """
-    return _fold(lines, state, ctx, force_mode, write=write)
+    blocks = _forked_blocks(lines) if _splits(lines) else _blocks(lines)
+    try:
+        return _fold(blocks, state, ctx, force_mode, write=write)
+    finally:
+        blocks.close()
+
+
+# Trace lines per block of the parse stage: the rows of one block go out
+# in one write. At most _MEMO_LIMIT, so that a block holds at most one
+# clear point.
+_BLOCK_LINES = 256
+
+# A smaller trace is parsed in the process that folds it: below it the
+# fork, the pipe and the first block's wait cost more than the parsing
+# they move. On a 2-vCPU VM under Python 3.11, prefixes of a benchmark
+# trace (about 40 bytes a line) replayed split at 0.59-0.92x of one
+# process up to 4,000 lines, 1.01-1.04x at 5,000 and 1.12-1.14x at 6,500
+# (257 kB) and 8,000.
+SPLIT_MIN_BYTES = 1 << 18
+
+
+def _splits(trace):
+    """Whether trace is a regular file, at its start, of at least
+    SPLIT_MIN_BYTES bytes, on a platform that can fork."""
+    try:
+        at_start = trace.tell() == 0
+        info = os.fstat(trace.fileno())
+    except (AttributeError, OSError, ValueError):  # a list, a pipe being read, a closed file
+        return False
+    return (at_start and stat.S_ISREG(info.st_mode)
+            and info.st_size >= SPLIT_MIN_BYTES and can_fork())
+
+
+def _blocks(lines, lineno=0, tail_id=0, as_lines=False):
+    """The parse stage of a replay: the data lines of lines, the first
+    numbered lineno + 1, in blocks of _BLOCK_LINES, each (tail ids,
+    content ids, timestamps, new tails, clear point, number of its last
+    line).
+
+    A line's tail is every field but t and content_id, plus whether
+    content_id is empty, keyed on its raw field text, so sizes 0 and -0
+    stay apart. Each new tail takes the next id, from tail_id on, and its
+    line is parsed in full by _parse_fields; its entry in new tails is the
+    Request, or with as_lines its (line number, stripped line), which
+    marshal can carry. A line whose tail is known pays only for its
+    timestamp. At most _MEMO_LIMIT tails are known: a new tail past them
+    clears the memo, and the clear point is the id of the first tail
+    since.
+
+    A malformed line ends the stage: the lines before it go out as a
+    block, then its RequestError's text.
+    """
+    isfinite, nan = math.isfinite, math.nan
+    size = _BLOCK_LINES
+    memo = {}
+    clear = tail_id
+    ids, content_ids, ts, news = [], [], [], []
+    for line in lines:
+        lineno += 1
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        parts = stripped.split(",", 3)
+        key = known = None
+        content_id = ""
+        if len(parts) == 4:
+            content_id = parts[2].strip()
+            key = (parts[1], parts[3], not content_id)
+            known = memo.get(key)
+        t = nan
+        if known is not None:
+            try:
+                t = float(parts[0].strip())
+            except ValueError:
+                pass
+        if not isfinite(t):
+            # a new tail, or a line the parser rejects in its own words
+            try:
+                req = _parse_fields(stripped.split(","), lineno)
+            except RequestError as err:
+                if ids:
+                    yield ids, content_ids, ts, news, clear, lineno - 1
+                yield str(err)
+                return
+            t = req.t
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+                clear = tail_id
+            known = memo[key] = tail_id
+            tail_id += 1
+            news.append((lineno, stripped) if as_lines else req)
+        ids.append(known)
+        content_ids.append(content_id)
+        ts.append(t)
+        if len(ids) == size:
+            yield ids, content_ids, ts, news, clear, lineno
+            ids, content_ids, ts, news = [], [], [], []
+    if ids:
+        yield ids, content_ids, ts, news, clear, lineno
+
+
+def _forked_blocks(trace):
+    """_blocks of trace, a regular file at its start, parsed in a forked
+    child that sends each block marshalled, as a frame of its length (4
+    bytes, little-endian) and its bytes, then an empty frame as its end
+    mark.
+
+    The child fails if it exits non-zero, sends a short frame or ends
+    without the end mark. The trace is then read again from its start,
+    and its lines after the last block received are parsed here, so the
+    blocks are those of one process. The child is reaped when the blocks
+    end or the generator is closed.
+    """
+    forked = spawn(partial(_send_blocks, trace))
+    if forked is None:
+        yield from _blocks(trace)
+        return
+    pid, pipe = forked
+    lineno = tail_id = 0
+    ended = False
+    try:
+        read = pipe.read
+        while True:
+            head = read(4)
+            if len(head) < 4:
+                break
+            size = int.from_bytes(head, "little")
+            if not size:
+                ended = True
+                break
+            frame = read(size)
+            if len(frame) < size:
+                break
+            block = marshal.loads(frame)
+            yield block
+            # reached only after a block, never after an error text
+            lineno = block[5]
+            tail_id += len(block[3])
+    finally:
+        status = reap(pid, pipe)
+    if not ended or status != 0:
+        trace.seek(0)
+        yield from _blocks(islice(trace, lineno, None), lineno, tail_id)
+
+
+def _send_blocks(trace, out):
+    """The forked child of _forked_blocks: every frame, then the end mark."""
+    for block in _blocks(trace, as_lines=True):
+        out.write(_frame(block))
+        out.flush()  # the parent folds each block as soon as it is sent
+    out.write(bytes(4))
+
+
+def _frame(block):
+    data = marshal.dumps(block)
+    return len(data).to_bytes(4, "little") + data
 
 
 # =====================================================================

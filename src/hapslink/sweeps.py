@@ -12,11 +12,10 @@ process.
 """
 
 import math
-import os
-import sys
 from functools import partial
 from itertools import chain
 
+from ._fork import can_fork, reap, spawn
 from ._record import Record, replace
 from .config import ScenarioConfig
 from .modes import (
@@ -114,63 +113,41 @@ def _table(header, grid, columns):
 
 
 def _can_split(points):
-    if points < SPLIT_MIN_POINTS or sys.platform != "linux" or not hasattr(os, "fork"):
-        return False
-    try:
-        # a fork copies only the calling thread; the kernel's count also
-        # sees threads that the threading module does not know of
-        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
+    return points >= SPLIT_MIN_POINTS and can_fork()
 
 
 def _in_two_halves(grid, columns):
     """(columns over grid, first half's rows rendered, second half's rows
     rendered), the second half computed and rendered in a forked child
     that sends its columns as packed doubles, then its text, through a
-    pipe; None if either half fails. The child leaves through os._exit
-    and is reaped before this returns or raises."""
-    import fcntl
+    pipe; None if either half fails. The child is reaped before this
+    returns or raises."""
     from array import array
 
     mid = len(grid) // 2
     near, far = grid[:mid], grid[mid:]
-    r, w = os.pipe()
-    try:
-        # most of a half fits in the pipe at once, so the child writes it
-        # while the parent still renders its own half
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-    except OSError:  # above the system's per-pipe limit: the default size
-        pass
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: one process does it all
-        os.close(r)
-        os.close(w)
+
+    def child(out):
+        cols = columns(far)
+        text = _render(zip(far, *cols), 1 + len(cols))
+        out.write(array("d", chain.from_iterable(cols)))
+        out.write(text.encode("ascii"))
+
+    # most of a half fits in the pipe at once, so the child writes it
+    # while the parent still renders its own half
+    forked = spawn(child, 1 << 20)
+    if forked is None:  # no process to spare: one process does it all
         return None
-    if pid == 0:  # the child: runs no exit handler, returns to no caller
-        code = 1
-        try:
-            os.close(r)
-            cols = columns(far)
-            text = _render(zip(far, *cols), 1 + len(cols))
-            with open(w, "wb") as out:
-                out.write(array("d", chain.from_iterable(cols)))
-                out.write(text.encode("ascii"))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
+    pid, pipe = forked
     try:
-        with open(r, "rb") as pipe:  # closed first, so a child still writing fails
-            try:
-                cols = columns(near)
-            except Exception:  # the one-process pass raises it again, or the refusal it hid
-                return None
-            text = _render(zip(near, *cols), 1 + len(cols))
-            data = pipe.read()
+        try:
+            cols = columns(near)
+        except Exception:  # the one-process pass raises it again, or the refusal it hid
+            return None
+        text = _render(zip(near, *cols), 1 + len(cols))
+        data = pipe.read()
     finally:
-        _, status = os.waitpid(pid, 0)
+        status = reap(pid, pipe)
     if status != 0:  # what it sent may stop short
         return None
     size = 8 * len(cols) * len(far)

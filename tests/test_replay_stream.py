@@ -1,6 +1,7 @@
 """The streamed `hapslink replay`: byte-identical to a per-request
-reference, all-or-nothing output, a bounded decision memo, and trace
-lines that round-trip through the parser."""
+reference, with the trace parsed in this process or in a forked child;
+all-or-nothing output, a bounded decision memo, and trace lines that
+round-trip through the parser."""
 
 import contextlib
 import io
@@ -8,6 +9,9 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -111,6 +115,46 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@contextlib.contextmanager
+def reader(forked):
+    """Replays parse every regular-file trace in a forked child, in blocks
+    of 3 lines, as on a machine with two usable CPUs (forked), or every
+    trace in this process; yields the list of the children forked
+    meanwhile."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SPLIT_MIN_BYTES", 0 if forked else math.inf)
+        if forked:
+            patch.setattr(engine, "_BLOCK_LINES", 3)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        patch.setattr(os, "fork", counted_fork)
+        yield forks
+
+
+def _replay_file(lines, state, ctx, force_mode=None):
+    """stream_replay of lines written to a trace file: (summary, CSV), or
+    the RequestError raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.trace")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        out = io.StringIO()
+        with open(path, encoding="utf-8") as fh:
+            try:
+                summary = stream_replay(fh, state, ctx, out.write, force_mode)
+            except RequestError as err:
+                return err
+    return summary, out.getvalue()
+
+
 # "{i}" stands for the line's index, so time runs forward unless another
 # timestamp is drawn; the small pools make tails repeat
 _T = st.sampled_from(["{i}", "{i}", "{i}", "0", " 2.5 ", "-1", "nan", "1e400", "t"])
@@ -153,7 +197,8 @@ _LINE = st.one_of(
 # a repeated tail whose content_id goes missing is parsed, and refused
 @example(lines=["{i},content_delivery,a,1e6,,"] * 2 + ["{i},content_delivery,,1e6,,"],
          copies=1, config="default", force=None, to_stdout=False)
-# rows past one write batch, then a refusal and a later malformed line
+# rows past one block (_BLOCK_LINES rows), then a refusal and a later
+# malformed line
 @example(lines=["{i},content_delivery,a,1e6,,", "{i},communication,,1e6,,"], copies=150,
          config="default", force=None, to_stdout=True)
 @example(lines=["{i},content_delivery,a,1e6,,"] * 299
@@ -162,31 +207,36 @@ _LINE = st.one_of(
 def test_streamed_replay_matches_per_request_reference(
     tmp_path, lines, copies, config, force, to_stdout
 ):
-    # copies repeats the drawn lines, so traces run past one write batch
-    # (256 rows) and their tails repeat
+    # copies repeats the drawn lines, so traces run past one block
+    # (_BLOCK_LINES rows) and their tails repeat; the forked reader sends
+    # blocks of 3 lines
     lines = lines * copies
     trace = tmp_path / "trace.txt"
     trace.write_text("\n".join(line.replace("{i}", str(i)) for i, line in enumerate(lines)))
     cfg = tmp_path / "scenario.ini"
     cfg.write_text(CONFIGS[config])
     out = tmp_path / "decisions.csv"
-    out.unlink(missing_ok=True)
     argv = ["replay", str(trace), "--config", str(cfg)]
     if force:
         argv += ["--force-mode", force]
     if not to_stdout:
         argv += ["--out", str(out)]
 
-    code, stdout, stderr = _cli(argv)
     want_code, want_csv, want_err = _reference(str(trace), str(cfg), force)
-    assert (code, stderr) == (want_code, want_err)
-    written = not to_stdout and code == EXIT_OK
-    csv = out.read_text() if written else stdout
-    assert csv == (want_csv if code == EXIT_OK else "")
-    # no partial output, and no temporary file left beside it
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["trace.txt", "scenario.ini"] + (["decisions.csv"] if written else [])
-    )
+    for forked in (False, True):
+        out.unlink(missing_ok=True)
+        with reader(forked) as forks:
+            code, stdout, stderr = _cli(argv)
+        # a config refused as it is loaded reads no trace
+        assert len(forks) == (forked and config != "huge")
+        assert (code, stderr) == (want_code, want_err)
+        written = not to_stdout and code == EXIT_OK
+        csv = out.read_text() if written else stdout
+        assert csv == (want_csv if code == EXIT_OK else "")
+        # no partial output, and no temporary file left beside it
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["trace.txt", "scenario.ini"] + (["decisions.csv"] if written else [])
+        )
 
 
 # ---------------------------------------------------------------
@@ -219,8 +269,9 @@ def _long_trace(k, tail):
 _REFUSED = "{i},task_offloading,,1.7e308,,"
 
 
+# k straddles the block, whose rows go out in one write
 @pytest.mark.parametrize("to_stdout", [False, True])
-@pytest.mark.parametrize("k", [3, 255, 256, 700])
+@pytest.mark.parametrize("k", [3, engine._BLOCK_LINES - 1, engine._BLOCK_LINES, 700])
 def test_refusal_past_a_write_batch_leaves_no_output(tmp_path, k, to_stdout):
     trace = tmp_path / "t.trace"
     trace.write_text(_long_trace(k, [_REFUSED] + ["{i},communication,,1e6,,"] * 300))
@@ -241,24 +292,31 @@ def test_malformed_line_after_a_refusal_is_the_error(tmp_path, k, to_stdout):
     trace.write_text(_long_trace(k, [_REFUSED] + good + ["{i},nonsense,,,,"] + good))
     bad_line = 1 + k + 1 + len(good) + 1
     out = tmp_path / "d.csv"
-    code, stdout, stderr = _cli(["replay", str(trace)] + ([] if to_stdout else ["--out", str(out)]))
-    assert (code, stdout) == (EXIT_INVALID, "")
-    assert stderr == f"error: line {bad_line}: unknown kind 'nonsense'\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
-    # without the malformed line, the refusal is the error
-    trace.write_text(_long_trace(k, [_REFUSED] + good + good))
-    assert _cli(["replay", str(trace), "--out", str(out)])[2] == (
-        f"error: request {k}: objective_value overflows to inf\n"
-    )
+    for forked in (False, True):
+        trace.write_text(_long_trace(k, [_REFUSED] + good + ["{i},nonsense,,,,"] + good))
+        with reader(forked):
+            code, stdout, stderr = _cli(
+                ["replay", str(trace)] + ([] if to_stdout else ["--out", str(out)]))
+        assert (code, stdout) == (EXIT_INVALID, "")
+        assert stderr == f"error: line {bad_line}: unknown kind 'nonsense'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+        # without the malformed line, the refusal is the error
+        trace.write_text(_long_trace(k, [_REFUSED] + good + good))
+        with reader(forked):
+            assert _cli(["replay", str(trace), "--out", str(out)])[2] == (
+                f"error: request {k}: objective_value overflows to inf\n"
+            )
 
 
 def test_memoised_tail_with_a_bad_timestamp_names_its_line(tmp_path):
     # the second line repeats the first one's tail, so only its t is parsed
     trace = tmp_path / "t.trace"
     trace.write_text("0,communication,,1e6,,\nx,communication,,1e6,,\n")
-    assert _cli(["replay", str(trace)]) == (
-        EXIT_INVALID, "", "error: line 2: bad timestamp 'x'\n"
-    )
+    for forked in (False, True):
+        with reader(forked):
+            assert _cli(["replay", str(trace)]) == (
+                EXIT_INVALID, "", "error: line 2: bad timestamp 'x'\n"
+            )
 
 
 def test_total_energy_that_overflows_is_refused(tmp_path):
@@ -268,7 +326,9 @@ def test_total_energy_that_overflows_is_refused(tmp_path):
     trace = tmp_path / "t.trace"
     trace.write_text("0,communication,,1e16,,\n1,communication,,1e16,,\n")
     argv = ["replay", str(trace), "--config", str(cfg), "--force-mode", "smbs"]
-    assert _cli(argv) == (EXIT_INVALID, "", "error: total_energy_J overflows to inf\n")
+    for forked in (False, True):
+        with reader(forked):
+            assert _cli(argv) == (EXIT_INVALID, "", "error: total_energy_J overflows to inf\n")
 
 
 def test_stream_of_a_list_drains_on_from_the_refused_line():
@@ -317,6 +377,16 @@ def test_a_refused_line_leaves_the_state_of_the_accepted_prefix(lines, bounds):
         return state, None
 
     state, err = run(lines)
+    # the same state and error when a forked child parses the trace
+    forked_state = CacheState(*bounds)
+    with reader(True) as forks:
+        got = _replay_file(lines, forked_state, ctx)
+    assert len(forks) == 1
+    assert forked_state == state
+    if err is None:
+        assert not isinstance(got, RequestError)
+    else:
+        assert str(got) == str(err)
     if err is not None:
         refused = int(re.match(r"request (\d+): ", str(err))[1])
         accepted, none = run(lines[:refused])
@@ -433,6 +503,13 @@ def test_decision_memo_stays_within_its_cap(monkeypatch):
     reference = replay_trace(requests, CacheState(), _context(cfg))
     assert out.getvalue() == decisions_to_csv(requests, reference.decisions)
     assert summary == reference.summary
+    # a forked child's memo clears at the same line, so the fold builds
+    # the same decisions
+    built.clear()
+    with reader(True) as forks:
+        assert _replay_file(lines, CacheState(), _context(cfg)) == (summary, out.getvalue())
+    assert len(forks) == 1
+    assert built == [0] + list(range(1, limit)) + [limit, 0]
 
 
 def test_memo_keys_each_tail_on_the_branch_it_takes():
@@ -449,6 +526,129 @@ def test_memo_keys_each_tail_on_the_branch_it_takes():
     assert [row.split(",")[3] for row in warm.getvalue().split("\n")[1:-1]] == [
         "forward_and_cache", "serve_direct", "serve_direct", "serve_direct"
     ]
+
+
+# ---------------------------------------------------------------
+# the forked reader: a failed child, and clean-up
+# ---------------------------------------------------------------
+
+def _in_the_child(patch, owner, name, replacement):
+    """Patches owner's name so that only a forked child calls
+    replacement(original, *args, **kwargs)."""
+    original, parent = getattr(owner, name), os.getpid()
+
+    def patched(*args, **kwargs):
+        if os.getpid() == parent:
+            return original(*args, **kwargs)
+        return replacement(original, *args, **kwargs)
+
+    patch.setattr(owner, name, patched)
+
+
+def _exits_3_after_its_first_block(patch):
+    def first_block_then_exit(original, *args, **kwargs):
+        blocks = original(*args, **kwargs)
+        yield next(blocks)
+        os._exit(3)
+
+    _in_the_child(patch, engine, "_blocks", first_block_then_exit)
+
+
+def _sends_half_a_frame_then_exits_4(patch):
+    sent = []  # the child's own copy
+
+    def half_frame(original, block):
+        if sent:  # the half frame is out: the child ends
+            os._exit(4)
+        sent.append(block)
+        frame = original(block)
+        return frame[:len(frame) // 2]
+
+    _in_the_child(patch, engine, "_frame", half_frame)
+
+
+# each failure, and whether its trace holds a refused request
+CHILD_FAILURES = {
+    "exits_3_after_its_first_block": (_exits_3_after_its_first_block, False),
+    "sends_half_a_frame_then_exits_4": (_sends_half_a_frame_then_exits_4, False),
+    # refused in the first block, while the child still writes 1,000
+    # more: the parent reads them to the end before it raises
+    "refusal_in_the_first_block": (lambda patch: None, True),
+}
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+@pytest.mark.parametrize("failure", sorted(CHILD_FAILURES))
+def test_a_failed_reader_gives_the_one_process_outcome(tmp_path, monkeypatch, failure,
+                                                      to_stdout):
+    install, refused = CHILD_FAILURES[failure]
+    if refused:  # request 1, in the first block of 3 lines
+        text = _long_trace(1, [_REFUSED] + ["{i},communication,,1e6,,"] * 3000)
+    else:
+        text = _long_trace(1000, [])
+    trace = tmp_path / "t.trace"
+    trace.write_text(text + "\n")
+    out = tmp_path / "d.csv"
+    argv = ["replay", str(trace)] + ([] if to_stdout else ["--out", str(out)])
+    with reader(False):
+        one = _cli(argv), out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    assert one[0][0] == (EXIT_INVALID if refused else EXIT_OK)
+    install(monkeypatch)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with reader(True) as forks:
+        assert (_cli(argv), out.read_bytes() if out.exists() else None) == one
+    assert len(forks) == 1
+    # the child is reaped and the pipe closed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_fold_that_fails_beside_a_blocked_child_reaps_it(tmp_path):
+    # the child fills the pipe long before the second write fails
+    trace = tmp_path / "t.trace"
+    trace.write_text(_long_trace(20000, []))
+    writes = []
+
+    def write(text):
+        if writes:
+            raise OSError(28, "No space left on device")
+        writes.append(text)
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with reader(True) as forks, open(trace, encoding="utf-8") as fh:
+        with pytest.raises(OSError, match="No space left"):
+            stream_replay(fh, CacheState(), _context(load_config(None)), write)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_trace_on_stdin_is_read_in_one_process(tmp_path):
+    # a pipe cannot be read again from its start, so it is never split;
+    # the subprocess fails if it forks
+    text = _long_trace(12000, []) + "\n"
+    assert len(text) > engine.SPLIT_MIN_BYTES
+    trace = tmp_path / "t.trace"
+    trace.write_text(text)
+    with reader(True) as forks:
+        code, stdout, stderr = _cli(["replay", str(trace)])
+    assert len(forks) == 1 and code == EXIT_OK
+    script = ("import os, sys\n"
+              "def fork():\n"
+              "    raise AssertionError('forked')\n"
+              "os.fork = fork\n"
+              "from hapslink.cli import main\n"
+              "sys.exit(main(['replay', '/dev/stdin']))\n")
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "HAPSLINK_CONFIG"}
+    env["PYTHONPATH"] = src
+    piped = subprocess.run([sys.executable, "-c", script], input=text.encode(),
+                           capture_output=True, env=env, timeout=120)
+    assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == (
+        code, stdout, stderr)
 
 
 # ---------------------------------------------------------------

@@ -31,6 +31,7 @@ from hapslink import (
     sweep_ee,
     sweep_latency,
 )
+import hapslink.engine as engine_module
 import hapslink.sweeps as sweeps_module
 from hapslink.cli import EXIT_INVALID, main
 from hapslink.config import MAX_GRID_POINTS
@@ -68,9 +69,10 @@ ONE_PROCESS, TWO_HALVES = MAX_GRID_POINTS + 1, 2
 
 
 @contextlib.contextmanager
-def split_at(points):
-    """Sweeps split grids of at least points points, as on a machine with
-    two usable CPUs; yields the list of the children forked meanwhile."""
+def split_at(points, trace_bytes=engine_module.SPLIT_MIN_BYTES):
+    """Sweeps split grids of at least points points, and replays traces of
+    at least trace_bytes bytes, as on a machine with two usable CPUs;
+    yields the list of the children forked meanwhile."""
     forks = []
     fork = os.fork
 
@@ -82,6 +84,7 @@ def split_at(points):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweeps_module, "SPLIT_MIN_POINTS", points)
+        patch.setattr(engine_module, "SPLIT_MIN_BYTES", trace_bytes)
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         patch.setattr(os, "fork", counted_fork)
         yield forks
@@ -550,36 +553,41 @@ def test_a_failed_half_gives_the_one_process_outcome(monkeypatch, name, failure)
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-def _cli_sweep(tmp_path, capsys, argv):
-    out = tmp_path / "sweep.csv"
+def _cli_run(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
     code = main([*argv, "--out", str(out)])
     return code, out.read_bytes(), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("guard", ["thread", "one_cpu"])
 def test_no_fork_beside_a_thread_or_on_one_cpu(tmp_path, capsys, guard):
-    argv = ["sweep-capacity", "--grid", "10"]  # 6,001 points, above the threshold
+    # each call is above its own threshold: 6,001 grid points, and a trace
+    # of more than SPLIT_MIN_BYTES bytes
+    trace = tmp_path / "t.trace"
+    trace.write_text("".join(f"{i},content_delivery,c{i % 40},1e6,,\n" for i in range(12000)))
+    assert trace.stat().st_size >= engine_module.SPLIT_MIN_BYTES
     threshold = sweeps_module.SPLIT_MIN_POINTS
-    with split_at(ONE_PROCESS):
-        one = _cli_sweep(tmp_path, capsys, argv)
-    with split_at(threshold) as forks:
-        assert _cli_sweep(tmp_path, capsys, argv) == one
-    assert len(forks) == 1  # so the guard alone keeps the call below in one process
+    for argv in (["sweep-capacity", "--grid", "10"], ["replay", str(trace)]):
+        with split_at(ONE_PROCESS, math.inf):
+            one = _cli_run(tmp_path, capsys, argv)
+        with split_at(threshold) as forks:
+            assert _cli_run(tmp_path, capsys, argv) == one
+        assert len(forks) == 1  # so the guard alone keeps the call below in one process
 
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    try:
-        with split_at(threshold) as forks, pytest.MonkeyPatch.context() as patch, \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")  # Python 3.12+ warns on a fork beside a thread
-            if guard == "thread":
-                thread.start()
-            else:
-                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            assert _cli_sweep(tmp_path, capsys, argv) == one
-    finally:
-        stop.set()
-        if thread.is_alive():
-            thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert forks == []
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        try:
+            with split_at(threshold) as forks, pytest.MonkeyPatch.context() as patch, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")  # Python 3.12+ warns on a fork beside a thread
+                if guard == "thread":
+                    thread.start()
+                else:
+                    patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+                assert _cli_run(tmp_path, capsys, argv) == one
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert forks == []
