@@ -14,6 +14,7 @@ process.
 import math
 from functools import partial
 from itertools import chain
+from operator import sub
 
 from ._fork import can_fork, reap, spawn
 from ._record import Record, replace
@@ -29,8 +30,8 @@ from .modes import (
 )
 from .offload import task_latencies
 
-# A grid of fewer points is computed in one process: below it the fork,
-# the pipe and the merge cost more than the half of the work they move.
+# A grid of fewer points is computed in one process: below it the fork
+# and the pipe cost more than the half of the work they move.
 # On a 2-vCPU VM under Python 3.11 the three sweeps ran split at 0.71-0.88x
 # of one process at 1,536 points and at 0.96-1.23x at 2,048. At least 2,
 # so that neither half is empty.
@@ -43,12 +44,14 @@ class SweepResult(Record):
     csv, when given, is the table already rendered as to_csv renders it."""
 
     header: tuple
-    rows: tuple  # of row tuples, one float per header name
+    # per header name, its chunks: runs of consecutive cells, one chunk in
+    # one process, the parent's half and the child's in two
+    columns: tuple
     notes: dict  # a new {} when not given
     _csv = None  # no field: the rendered table a sweep hands over
 
-    def __init__(self, header, rows, notes=None, *, csv=None):
-        super().__init__(header, rows, {} if notes is None else notes)
+    def __init__(self, header, columns, notes=None, *, csv=None):
+        super().__init__(header, columns, {} if notes is None else notes)
         if csv is not None:
             object.__setattr__(self, "_csv", csv)
 
@@ -56,35 +59,35 @@ class SweepResult(Record):
         if len(set(self.header)) < len(self.header):  # one list entry's column hides another's
             name = next(n for i, n in enumerate(self.header) if n in self.header[:i])
             raise ValueError(f"[sweep] two columns are named {name}")
-        # an inf or nan cell makes the sum non-finite; so can finite cells
-        # whose sum overflows, which the scan below then lets through
-        if math.isfinite(sum(chain.from_iterable(self.rows))):
+        # an inf or nan cell makes its chunk's sum non-finite; so can finite
+        # cells whose sum overflows, which the scan below then lets through
+        if all(math.isfinite(sum(chunk)) for chunk in chain.from_iterable(self.columns)):
             return
-        if all(map(math.isfinite, chain.from_iterable(self.rows))):
-            return
-        row = next(r for r in self.rows if not all(map(math.isfinite, r)))
-        name, value = next(
-            (n, v) for n, v in zip(self.header, row) if not math.isfinite(v)
-        )
-        raise ValueError(
-            f"[sweep] {name} overflows to {value} at {self.header[0]} = {row[0]:g}"
-        )
+        for row in self.rows:
+            for name, value in zip(self.header, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"[sweep] {name} overflows to {value} "
+                                     f"at {self.header[0]} = {row[0]:g}")
+
+    @property
+    def rows(self):
+        """The table as row tuples, built from the columns on each call."""
+        return tuple(zip(*[chain.from_iterable(col) for col in self.columns]))
 
     def to_csv(self):
         if self._csv is not None:
             return self._csv
-        return ",".join(self.header) + "\n" + _render(self.rows, len(self.header))
+        return ",".join(self.header) + "\n" + "".join(map(_render, zip(*self.columns)))
 
     def column(self, name):
-        idx = self.header.index(name)
-        return [row[idx] for row in self.rows]
+        return list(chain.from_iterable(self.columns[self.header.index(name)]))
 
 
-def _render(rows, width):
-    """CSV lines of rows of width cells each, every cell as engine._fmt
-    writes it; sweep rows never hold None."""
-    template = ",".join(["%.8e"] * width) + "\n"
-    return "".join([template % row for row in rows])
+def _render(cols):
+    """CSV lines of the rows of cols, columns of one length, every cell as
+    engine._fmt writes it, in one format call; sweep cells are never None."""
+    line = ",".join(["%.8e"] * len(cols)) + "\n"
+    return line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
 
 
 # =====================================================================
@@ -93,7 +96,8 @@ def _render(rows, width):
 
 def _table(header, grid, columns):
     """(columns, CSV text) of one sweep: columns(chunk) gives the sweep's
-    columns over a chunk of grid, every cell from its own point alone, and
+    columns over a chunk of grid, every cell from its own point alone. The
+    table's columns, the grid first, come as SweepResult holds them, and
     the text is the header line and one rendered row per point.
 
     A grid of at least SPLIT_MIN_POINTS points, on Linux with os.fork, more
@@ -103,25 +107,21 @@ def _table(header, grid, columns):
     the one-process refusal.
     """
     head = ",".join(header) + "\n"
-    if _can_split(len(grid)):
+    if len(grid) >= SPLIT_MIN_POINTS and can_fork():
         halves = _in_two_halves(grid, columns)
         if halves is not None:
             cols, near, far = halves
             return cols, "".join((head, near, far))
-    cols = columns(grid)
-    return cols, head + _render(zip(grid, *cols), len(header))
-
-
-def _can_split(points):
-    return points >= SPLIT_MIN_POINTS and can_fork()
+    cols = [grid, *columns(grid)]
+    return tuple((col,) for col in cols), head + _render(cols)
 
 
 def _in_two_halves(grid, columns):
-    """(columns over grid, first half's rows rendered, second half's rows
+    """(the columns as (first half, second half) chunks, each half's rows
     rendered), the second half computed and rendered in a forked child
     that sends its columns as packed doubles, then its text, through a
-    pipe; None if either half fails. The child is reaped before this
-    returns or raises."""
+    pipe; None if either half fails. The child's columns stay packed, as
+    array slices. The child is reaped before this returns or raises."""
     from array import array
 
     mid = len(grid) // 2
@@ -129,7 +129,7 @@ def _in_two_halves(grid, columns):
 
     def child(out):
         cols = columns(far)
-        text = _render(zip(far, *cols), 1 + len(cols))
+        text = _render([far, *cols])
         out.write(array("d", chain.from_iterable(cols)))
         out.write(text.encode("ascii"))
 
@@ -141,23 +141,23 @@ def _in_two_halves(grid, columns):
     pid, pipe = forked
     try:
         try:
-            cols = columns(near)
+            cols = [near, *columns(near)]
         except Exception:  # the one-process pass raises it again, or the refusal it hid
             return None
-        text = _render(zip(near, *cols), 1 + len(cols))
+        text = _render(cols)
         data = pipe.read()
     finally:
         status = reap(pid, pipe)
     if status != 0:  # what it sent may stop short
         return None
-    size = 8 * len(cols) * len(far)
+    n = len(far)
+    size = 8 * n * (len(cols) - 1)
     flat = array("d")
     flat.frombytes(memoryview(data)[:size])
     far_text = str(memoryview(data)[size:], "ascii")
-    del data  # freed before the merged columns are built
-    n = len(far)
-    cols = [col + flat[i * n:(i + 1) * n].tolist() for i, col in enumerate(cols)]
-    return cols, text, far_text
+    del data  # freed before the child's columns are sliced out
+    far_cols = [far, *(flat[i:i + n] for i in range(0, size // 8, n))]
+    return tuple(zip(cols, far_cols)), text, far_text
 
 
 def _ris_variants(cfg: ScenarioConfig):
@@ -194,16 +194,15 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     xs = spec.grid()
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
     cols, csv = _table(header, xs, partial(_placement_columns, corridor, cfg))
-    rows = tuple(zip(xs, *cols))
 
     # the grid ends short of the stop when the step does not divide the span
     stop05, stopopt, *_ = _placement_columns(corridor, cfg, [spec.stop])
     notes = {
-        "alpha05_max_degradation_pct": max(_degradations(cols[0], cols[1])),
+        "alpha05_max_degradation_pct": max(_degradations(chain(*cols[1]), chain(*cols[2]))),
         "alpha05_degradation_at_stop_pct": _degradations(stop05, stopopt)[0],
         "ris_roots_m": ris_placement_roots(cfg.geom.D, cfg.geom.H),
     }
-    return SweepResult(tuple(header), rows, notes, csv=csv)
+    return SweepResult(tuple(header), cols, notes, csv=csv)
 
 
 # =====================================================================
@@ -228,19 +227,19 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     header += [f"ee_ris_N{n}_bits_per_J" for n in cfg.ris_N_list]
     xs = cfg.sweep_for("x", step).grid()
     corridor = Corridor(cfg.geom.D, cfg.geom.H, cfg.radio)
-    ee_cols, csv = _table(header, xs, partial(_ee_columns, corridor, cfg))
-    rows = tuple(zip(xs, *ee_cols))
+    cols, csv = _table(header, xs, partial(_ee_columns, corridor, cfg))
 
     notes = {}
-    for n, col in zip(cfg.ris_N_list, ee_cols[2:]):
+    for n, chunks in zip(cfg.ris_N_list, cols[3:]):
         name = f"ris_N{n}_ee_spread_pct"
-        if not min(col) > 0:
+        low = min(chain(*chunks))
+        if not low > 0:
             raise ValueError(
-                f"{name}: the surface's energy efficiency falls to {min(col):g} "
+                f"{name}: the surface's energy efficiency falls to {low:g} "
                 "bits/J on this corridor"
             )
-        notes[name] = 100.0 * (max(col) / min(col) - 1.0)
-    return SweepResult(tuple(header), rows, notes, csv=csv)
+        notes[name] = 100.0 * (max(chain(*chunks)) / low - 1.0)
+    return SweepResult(tuple(header), cols, notes, csv=csv)
 
 
 # =====================================================================
@@ -276,21 +275,21 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
             for (_, capacity, _, path), rate in legs
         ]
 
-    sizes = spec.grid()
-    cols, csv = _table(header, sizes, columns)
-    rows = tuple(zip(sizes, *cols))
+    cols, csv = _table(header, spec.grid(), columns)
 
     notes = {}
-    relay_best = list(map(min, cols[-2], cols[-1]))
-    for fh, smbs_col in zip(cfg.smbs_F_H_list, cols):
+    for fh, smbs_col in zip(cfg.smbs_F_H_list, cols[1:]):
+        # the base station's latency less the faster relay's, point by
+        # point, up to the first cell where it turns non-negative; the
+        # crossing is interpolated linearly inside that cell
+        relay_best = map(min, chain(*cols[-2]), chain(*cols[-1]))
+        gaps = zip(chain(*cols[0]), map(sub, chain(*smbs_col), relay_best))
         crossing = None
-        for i in range(1, len(rows)):
-            before = smbs_col[i - 1] - relay_best[i - 1]
-            after = smbs_col[i] - relay_best[i]
+        s0, before = next(gaps)
+        for s1, after in gaps:
             if before < 0 <= after:
-                # linear interpolation inside the bracketing cell
-                frac = before / (before - after)
-                crossing = sizes[i - 1] + frac * (sizes[i] - sizes[i - 1])
+                crossing = s0 + before / (before - after) * (s1 - s0)
                 break
+            s0, before = s1, after
         notes[f"smbs_FH{fh / 1e9:g}GHz_crossover_S_bits"] = crossing
-    return SweepResult(tuple(header), rows, notes, csv=csv)
+    return SweepResult(tuple(header), cols, notes, csv=csv)

@@ -63,7 +63,7 @@ REQUIRED = {
     ScenarioConfig: {},
     ScenarioGeometry: {"D": 60000.0, "H": 20000.0, "x": 30000.0},
     SmbsConfig: {},
-    SweepResult: {"header": ("x_m", "y"), "rows": ((0.0, 1.0),)},
+    SweepResult: {"header": ("x_m", "y"), "columns": (((0.0,),), ((1.0,),))},
     SweepSpec: {"variable": "x", "start": 0.0, "stop": 1.0, "step": 0.5},
 }
 

@@ -605,6 +605,28 @@ def test_a_failed_reader_gives_the_one_process_outcome(tmp_path, monkeypatch, fa
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+def test_a_split_replay_folds_only_what_the_reader_sent(tmp_path, monkeypatch):
+    # a trace above the threshold, beside a healthy reader: this process
+    # never runs the parse stage, neither for the whole trace nor for a
+    # rest after a failed reader
+    trace = tmp_path / "t.trace"
+    trace.write_text(_long_trace(12000, []) + "\n")
+    assert trace.stat().st_size >= engine.SPLIT_MIN_BYTES
+    argv = ["replay", str(trace)]
+    with reader(False):
+        one = _cli(argv)
+    blocks, parent = engine._blocks, os.getpid()
+
+    def in_the_child_only(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("the parse stage ran in the parent")
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_blocks", in_the_child_only)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _cli(argv) == one
+
+
 def test_a_fold_that_fails_beside_a_blocked_child_reaps_it(tmp_path):
     # the child fills the pipe long before the second write fails
     trace = tmp_path / "t.trace"

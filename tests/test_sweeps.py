@@ -10,6 +10,7 @@ import re
 import threading
 import time
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -382,20 +383,31 @@ def test_cli_grid_over_the_cap_exits_1(capsys):
 # finiteness
 # ---------------------------------------------------------------
 
+def _chunked(*chunks):
+    """SweepResult columns, each as its chunks, of chunks of rows given
+    row by row."""
+    return tuple(zip(*(tuple(zip(*rows)) for rows in chunks)))
+
+
 def test_sweep_result_refuses_non_finite_cells():
-    SweepResult(("S_bits", "rs_s"), ((0.0, 1.0), (1.0, 2.0)))
+    SweepResult(("S_bits", "rs_s"), _chunked(((0.0, 1.0), (1.0, 2.0))))
     with pytest.raises(ValueError, match=r"\[sweep\] rs_s overflows to inf at S_bits = 2"):
-        SweepResult(("S_bits", "rs_s"), ((0.0, 1.0), (2.0, math.inf)))
+        SweepResult(("S_bits", "rs_s"), _chunked(((0.0, 1.0), (2.0, math.inf))))
     with pytest.raises(ValueError, match="ris_s overflows to nan"):
-        SweepResult(("x_m", "ris_s"), ((0.0, math.nan),))
-    # finite cells whose sum overflows are still finite cells
-    SweepResult(("x_m", "rs_s"), ((1e308, 1e308),))
+        SweepResult(("x_m", "ris_s"), _chunked(((0.0, math.nan),)))
+    # finite cells whose sum overflows are still finite cells: across a
+    # row, and down a chunk, where each chunk's sum is taken
+    SweepResult(("x_m", "rs_s"), _chunked(((1e308, 1e308),)))
+    SweepResult(("x_m", "rs_s"), _chunked(((1e308, 1e308), (1e308, 1e308))))
     # the first non-finite cell in row order, then column order: (1, 2), not (2, 1)
     with pytest.raises(ValueError, match=r"^\[sweep\] ris_s overflows to inf at x_m = 1$"):
         SweepResult(
             ("x_m", "rs_s", "ris_s"),
-            ((0.0, 1.0, 1.0), (1.0, 1.0, math.inf), (2.0, math.nan, 1.0)),
+            _chunked(((0.0, 1.0, 1.0), (1.0, 1.0, math.inf), (2.0, math.nan, 1.0))),
         )
+    # in the second chunk, behind a first chunk whose sum is finite
+    with pytest.raises(ValueError, match=r"^\[sweep\] rs_s overflows to nan at x_m = 2$"):
+        SweepResult(("x_m", "rs_s"), _chunked(((0.0, 1.0), (1.0, 1.0)), ((2.0, math.nan),)))
 
 
 def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
@@ -420,7 +432,7 @@ def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
 
 def test_sweep_result_refuses_a_repeated_column_name():
     with pytest.raises(ValueError, match=r"^\[sweep\] two columns are named rs_s$"):
-        SweepResult(("x_m", "rs_s", "ris_s", "rs_s"), ((0.0, 1.0, 1.0, 1.0),))
+        SweepResult(("x_m", "rs_s", "ris_s", "rs_s"), _chunked(((0.0, 1.0, 1.0, 1.0),)))
 
 
 @pytest.mark.parametrize("command, text, column", [
@@ -446,12 +458,15 @@ def test_cli_sweep_with_two_columns_of_one_name_exits_1(tmp_path, capsys, comman
 # ---------------------------------------------------------------
 
 def _outcome(sweep, cfg, step):
-    """What one sweep call gives: its rows, notes and CSV, or its refusal."""
+    """What one sweep call gives: each of its columns, its rows, notes and
+    CSV, or its refusal. The CSV is that of the columns alone."""
     try:
         result = sweep(cfg, step)
     except ValueError as err:
         return type(err), str(err)
-    return result.rows, result.notes, result.to_csv()
+    csv = result.to_csv()
+    assert SweepResult(result.header, result.columns).to_csv() == csv
+    return [result.column(name) for name in result.header], result.rows, result.notes, csv
 
 
 @settings(max_examples=30, deadline=None)
@@ -546,11 +561,34 @@ def test_a_failed_half_gives_the_one_process_outcome(monkeypatch, name, failure)
         assert one == (ValueError, f"refused at x = {refused_at}")
     else:
         with open(os.path.join(DATA, f"golden_sweep_{name}.csv"), encoding="utf-8") as fh:
-            assert one[2] == fh.read()
+            assert one[-1] == fh.read()
     # the child is reaped and the pipe closed
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("name, step", [("capacity", 10.0), ("ee", 10.0),
+                                        ("latency", 1000.0)])
+def test_a_split_sweep_computes_only_its_first_half_here(monkeypatch, name, step):
+    # a grid above the threshold, beside a healthy child: this process
+    # computes no cell of the second half, not even after the child ends
+    parent, chunks = os.getpid(), []
+
+    def counted(original, *args):
+        if os.getpid() == parent:
+            chunks.append(len(args[2]))  # the grid chunk, third in either call
+        return original(*args)
+
+    for attr in ("_placement_columns", "task_latencies"):
+        monkeypatch.setattr(sweeps_module, attr, partial(counted, getattr(sweeps_module, attr)))
+    with split_at(sweeps_module.SPLIT_MIN_POINTS) as forks:
+        result = SWEEPS[name](load_config(None), step)
+    points = len(result.column(result.header[0]))
+    assert points >= sweeps_module.SPLIT_MIN_POINTS and len(forks) == 1
+    assert max(chunks) == points // 2
+    # each column holds the two halves as they came, not merged
+    assert {len(col) for col in result.columns} == {2}
 
 
 def _cli_run(tmp_path, capsys, argv):
