@@ -186,7 +186,7 @@ def _cmd_select(args):
 def _cmd_replay(args):
     cfg = load_config(args.config)
     force = Mode(args.force_mode.upper()) if args.force_mode else None
-    with open(args.trace, "r", encoding="utf-8") as lines:
+    with open(args.trace, "r", encoding="utf-8-sig") as lines:
         ctx, state = build_engine(cfg)
         with _all_or_nothing(args.out or cfg.output_path) as out:
             s = stream_replay(lines, state, ctx, out.write, force_mode=force)

@@ -212,7 +212,7 @@ def load_config(path=None) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive (B vs b, N vs n)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
         parser.read_file(lines, path)
     except configparser.Error as err:  # one line: its number and text, not configparser's words

@@ -23,7 +23,6 @@ unless the tail is new, and no decision unless its branch is. The rows
 of each block of _BLOCK_LINES requests go out in one write.
 """
 
-import marshal
 import math
 import os
 import stat
@@ -33,7 +32,7 @@ from functools import partial
 from itertools import islice
 from typing import Annotated, Optional
 
-from ._fork import can_fork, reap, spawn
+from ._fork import Child, can_fork
 from ._record import POSITIVE, Record, number
 from .modes import Action, Corridor, Mode, ModeConfigs, SmbsConfig, carrier
 from .offload import CloudConfig, compute_rate, task_latencies
@@ -585,59 +584,29 @@ def _blocks(lines, lineno=0, tail_id=0, as_lines=False):
 
 def _forked_blocks(trace):
     """_blocks of trace, a regular file at its start, parsed in a forked
-    child that sends each block marshalled, as a frame of its length (4
-    bytes, little-endian) and its bytes, then an empty frame as its end
-    mark.
+    child that sends each block through _fork.Child's channel.
 
-    The child fails if it exits non-zero, sends a short frame or ends
-    without the end mark. The trace is then read again from its start,
-    and its lines after the last block received are parsed here, so the
-    blocks are those of one process. The child is reaped when the blocks
-    end or the generator is closed.
+    If the child fails (see Child.ok), the trace is read again from its
+    start, and its lines after the last block received are parsed here,
+    so the blocks are those of one process. The child is reaped when the
+    blocks end or the generator is closed.
     """
-    forked = spawn(partial(_send_blocks, trace))
-    if forked is None:
-        yield from _blocks(trace)
-        return
-    pid, pipe = forked
     lineno = tail_id = 0
-    ended = False
-    try:
-        read = pipe.read
-        while True:
-            head = read(4)
-            if len(head) < 4:
-                break
-            size = int.from_bytes(head, "little")
-            if not size:
-                ended = True
-                break
-            frame = read(size)
-            if len(frame) < size:
-                break
-            block = marshal.loads(frame)
+    with Child(partial(_send_blocks, trace)) as child:
+        for block in child:
             yield block
             # reached only after a block, never after an error text
             lineno = block[5]
             tail_id += len(block[3])
-    finally:
-        status = reap(pid, pipe)
-    if not ended or status != 0:
+    if not child.ok:
         trace.seek(0)
         yield from _blocks(islice(trace, lineno, None), lineno, tail_id)
 
 
-def _send_blocks(trace, out):
-    """The forked child of _forked_blocks: every frame, then the end mark."""
+def _send_blocks(trace, send):
+    """The forked child of _forked_blocks."""
     for block in _blocks(trace, as_lines=True):
-        out.write(_frame(block))
-        out.flush()  # the parent folds each block as soon as it is sent
-    out.write(bytes(4))
-
-
-def _frame(block):
-    data = marshal.dumps(block)
-    return len(data).to_bytes(4, "little") + data
+        send(block)  # the parent folds each block as soon as it is sent
 
 
 # =====================================================================
@@ -721,7 +690,7 @@ def iter_trace(lines, start=1):
 
 
 def load_trace(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return list(iter_trace(fh))
 
 

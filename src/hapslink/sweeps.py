@@ -16,7 +16,7 @@ from functools import partial
 from itertools import chain
 from operator import sub
 
-from ._fork import can_fork, reap, spawn
+from ._fork import Child, can_fork
 from ._record import Record, replace
 from .config import ScenarioConfig
 from .modes import (
@@ -39,14 +39,14 @@ SPLIT_MIN_POINTS = 2048
 
 
 class SweepResult(Record):
-    """A sweep's table and notes. A repeated column name, or a cell that
-    overflowed (a huge task, extreme powers), is refused here, not written.
-    csv, when given, is the table already rendered as to_csv renders it."""
+    """A sweep's table and notes. A repeated column name, a column count
+    unlike the header's, a column of another length than the first, or a
+    cell that overflowed (a huge task, extreme powers), is refused here,
+    not written. csv, when given, is the table already rendered as to_csv
+    renders it."""
 
     header: tuple
-    # per header name, its chunks: runs of consecutive cells, one chunk in
-    # one process, the parent's half and the child's in two
-    columns: tuple
+    columns: tuple  # per header name, its cells; an array('d') from a sweep
     notes: dict  # a new {} when not given
     _csv = None  # no field: the rendered table a sweep hands over
 
@@ -59,9 +59,18 @@ class SweepResult(Record):
         if len(set(self.header)) < len(self.header):  # one list entry's column hides another's
             name = next(n for i, n in enumerate(self.header) if n in self.header[:i])
             raise ValueError(f"[sweep] two columns are named {name}")
-        # an inf or nan cell makes its chunk's sum non-finite; so can finite
-        # cells whose sum overflows, which the scan below then lets through
-        if all(math.isfinite(sum(chunk)) for chunk in chain.from_iterable(self.columns)):
+        if not self.header or len(self.columns) != len(self.header):
+            raise ValueError(f"[sweep] header names: {len(self.header)}, "
+                             f"columns: {len(self.columns)}")
+        points = len(self.columns[0])
+        for name, col in zip(self.header, self.columns):
+            if len(col) != points:
+                raise ValueError(f"[sweep] cells in column {name}: {len(col)}, "
+                                 f"in {self.header[0]}: {points}")
+        # an inf or nan cell makes its column's sum non-finite; so can
+        # finite cells whose sum overflows, which the scan below then lets
+        # through
+        if all(math.isfinite(sum(col)) for col in self.columns):
             return
         for row in self.rows:
             for name, value in zip(self.header, row):
@@ -72,15 +81,15 @@ class SweepResult(Record):
     @property
     def rows(self):
         """The table as row tuples, built from the columns on each call."""
-        return tuple(zip(*[chain.from_iterable(col) for col in self.columns]))
+        return tuple(zip(*self.columns))
 
     def to_csv(self):
         if self._csv is not None:
             return self._csv
-        return ",".join(self.header) + "\n" + "".join(map(_render, zip(*self.columns)))
+        return ",".join(self.header) + "\n" + _render(self.columns)
 
     def column(self, name):
-        return list(chain.from_iterable(self.columns[self.header.index(name)]))
+        return list(self.columns[self.header.index(name)])
 
 
 def _render(cols):
@@ -97,8 +106,8 @@ def _render(cols):
 def _table(header, grid, columns):
     """(columns, CSV text) of one sweep: columns(chunk) gives the sweep's
     columns over a chunk of grid, every cell from its own point alone. The
-    table's columns, the grid first, come as SweepResult holds them, and
-    the text is the header line and one rendered row per point.
+    table's columns, the grid first, come each as one array('d'), and the
+    text is the header line and one rendered row per point.
 
     A grid of at least SPLIT_MIN_POINTS points, on Linux with os.fork, more
     than one usable CPU and no other thread, is computed and rendered in
@@ -106,6 +115,7 @@ def _table(header, grid, columns):
     whole grid is computed again in one process, so a refusal is exactly
     the one-process refusal.
     """
+    from array import array  # not at import: a replay never needs it
     head = ",".join(header) + "\n"
     if len(grid) >= SPLIT_MIN_POINTS and can_fork():
         halves = _in_two_halves(grid, columns)
@@ -113,51 +123,39 @@ def _table(header, grid, columns):
             cols, near, far = halves
             return cols, "".join((head, near, far))
     cols = [grid, *columns(grid)]
-    return tuple((col,) for col in cols), head + _render(cols)
+    return tuple(array("d", col) for col in cols), head + _render(cols)
 
 
 def _in_two_halves(grid, columns):
-    """(the columns as (first half, second half) chunks, each half's rows
-    rendered), the second half computed and rendered in a forked child
-    that sends its columns as packed doubles, then its text, through a
-    pipe; None if either half fails. The child's columns stay packed, as
-    array slices. The child is reaped before this returns or raises."""
+    """(the columns, each half's rows rendered), the second half computed
+    and rendered in a forked child that sends its columns, as array('d'),
+    and its text as one value through _fork.Child; None if either half
+    fails. Each column is the parent's half, converted, extended with the
+    child's bytes. The child is reaped before this returns or raises."""
     from array import array
-
     mid = len(grid) // 2
     near, far = grid[:mid], grid[mid:]
 
-    def child(out):
-        cols = columns(far)
-        text = _render([far, *cols])
-        out.write(array("d", chain.from_iterable(cols)))
-        out.write(text.encode("ascii"))
+    def child(send):
+        cols = [far, *columns(far)]
+        send(([array("d", col) for col in cols], _render(cols)))
 
-    # most of a half fits in the pipe at once, so the child writes it
+    # most of a half fits in the pipe at once, so the child sends it
     # while the parent still renders its own half
-    forked = spawn(child, 1 << 20)
-    if forked is None:  # no process to spare: one process does it all
-        return None
-    pid, pipe = forked
-    try:
+    with Child(child) as forked:
         try:
             cols = [near, *columns(near)]
         except Exception:  # the one-process pass raises it again, or the refusal it hid
             return None
         text = _render(cols)
-        data = pipe.read()
-    finally:
-        status = reap(pid, pipe)
-    if status != 0:  # what it sent may stop short
+        cols = tuple(array("d", col) for col in cols)
+        sent = [*forked]
+    if not forked.ok:  # what it sent may stop short
         return None
-    n = len(far)
-    size = 8 * n * (len(cols) - 1)
-    flat = array("d")
-    flat.frombytes(memoryview(data)[:size])
-    far_text = str(memoryview(data)[size:], "ascii")
-    del data  # freed before the child's columns are sliced out
-    far_cols = [far, *(flat[i:i + n] for i in range(0, size // 8, n))]
-    return tuple(zip(cols, far_cols)), text, far_text
+    ((far_cols, far_text),) = sent
+    for col, data in zip(cols, far_cols):
+        col.frombytes(data)
+    return cols, text, far_text
 
 
 def _ris_variants(cfg: ScenarioConfig):
@@ -198,7 +196,7 @@ def sweep_capacity(cfg: ScenarioConfig, step=None) -> SweepResult:
     # the grid ends short of the stop when the step does not divide the span
     stop05, stopopt, *_ = _placement_columns(corridor, cfg, [spec.stop])
     notes = {
-        "alpha05_max_degradation_pct": max(_degradations(chain(*cols[1]), chain(*cols[2]))),
+        "alpha05_max_degradation_pct": max(_degradations(cols[1], cols[2])),
         "alpha05_degradation_at_stop_pct": _degradations(stop05, stopopt)[0],
         "ris_roots_m": ris_placement_roots(cfg.geom.D, cfg.geom.H),
     }
@@ -230,15 +228,15 @@ def sweep_ee(cfg: ScenarioConfig, step=None) -> SweepResult:
     cols, csv = _table(header, xs, partial(_ee_columns, corridor, cfg))
 
     notes = {}
-    for n, chunks in zip(cfg.ris_N_list, cols[3:]):
+    for n, col in zip(cfg.ris_N_list, cols[3:]):
         name = f"ris_N{n}_ee_spread_pct"
-        low = min(chain(*chunks))
+        low = min(col)
         if not low > 0:
             raise ValueError(
                 f"{name}: the surface's energy efficiency falls to {low:g} "
                 "bits/J on this corridor"
             )
-        notes[name] = 100.0 * (max(chain(*chunks)) / low - 1.0)
+        notes[name] = 100.0 * (max(col) / low - 1.0)
     return SweepResult(tuple(header), cols, notes, csv=csv)
 
 
@@ -282,8 +280,8 @@ def sweep_latency(cfg: ScenarioConfig, step=None) -> SweepResult:
         # the base station's latency less the faster relay's, point by
         # point, up to the first cell where it turns non-negative; the
         # crossing is interpolated linearly inside that cell
-        relay_best = map(min, chain(*cols[-2]), chain(*cols[-1]))
-        gaps = zip(chain(*cols[0]), map(sub, chain(*smbs_col), relay_best))
+        relay_best = map(min, cols[-2], cols[-1])
+        gaps = zip(cols[0], map(sub, smbs_col, relay_best))
         crossing = None
         s0, before = next(gaps)
         for s1, after in gaps:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from hapslink import (
@@ -6,6 +8,7 @@ from hapslink import (
     ModeConfigs,
     RadioParams,
     ScenarioGeometry,
+    _fork,
 )
 
 D_DEFAULT = 60000.0
@@ -58,3 +61,35 @@ def hop_snrs(corridor, x):
 def capacities(corridor, x, configs):
     """{mode: capacity_bps} of Corridor.rows at offset x."""
     return {row[0]: row[1] for row in corridor.rows(x, configs)}
+
+
+def _in_the_child(patch, owner, name, replacement):
+    """Patches owner's name so that only a forked child calls
+    replacement(original, *args, **kwargs)."""
+    original, parent = getattr(owner, name), os.getpid()
+
+    def patched(*args, **kwargs):
+        if os.getpid() == parent:
+            return original(*args, **kwargs)
+        return replacement(original, *args, **kwargs)
+
+    patch.setattr(owner, name, patched)
+
+
+def sends_half_a_frame_then_exits(code):
+    """install(patch): a forked child then sends the first half of its
+    first frame, and exits with code when it comes to its next frame. A
+    child that has no next frame writes its end mark, and exits 0."""
+    def install(patch):
+        sent = []  # the child's own copy
+
+        def half_frame(original, value):
+            if sent:  # the half frame is out: the child ends
+                os._exit(code)
+            sent.append(value)
+            frame = original(value)
+            return frame[:len(frame) // 2]
+
+        _in_the_child(patch, _fork, "_frame", half_frame)
+
+    return install

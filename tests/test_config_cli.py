@@ -105,6 +105,23 @@ popularity_threshold = 2
     assert cfg.rs.payload_power_W == 1000.0
 
 
+def test_a_byte_order_mark_at_the_start_of_a_config_is_not_text(tmp_path, capsys):
+    text = "[geometry]\nD = 80000\nx = 10000\n"
+    plain = write_config(tmp_path, text)
+    marked, bad = tmp_path / "marked.ini", tmp_path / "bad.ini"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    bad.write_text("\ufeff[geometry]\nD\n", encoding="utf-8")
+    assert load_config(str(marked)) == load_config(plain)
+    runs = []
+    for path in (plain, str(marked)):
+        code = main(["sweep-capacity", "--config", path])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0][0] == EXIT_OK and runs[1] == runs[0]
+    # a refusal names the same line, and no mark
+    with pytest.raises(ConfigError, match=r"bad\.ini: line 2: 'D'$"):
+        load_config(str(bad))
+
+
 def test_unknown_section_rejected(tmp_path):
     path = write_config(tmp_path, "[antenna]\nG = 3\n")
     with pytest.raises(ConfigError, match=r"\[antenna\]"):

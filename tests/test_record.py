@@ -63,7 +63,7 @@ REQUIRED = {
     ScenarioConfig: {},
     ScenarioGeometry: {"D": 60000.0, "H": 20000.0, "x": 30000.0},
     SmbsConfig: {},
-    SweepResult: {"header": ("x_m", "y"), "columns": (((0.0,),), ((1.0,),))},
+    SweepResult: {"header": ("x_m", "y"), "columns": ((0.0,), (1.0,))},
     SweepSpec: {"variable": "x", "start": 0.0, "stop": 1.0, "step": 0.5},
 }
 
@@ -177,8 +177,8 @@ def test_defaults_are_taken_in_field_order():
             req.qos_min_bps) == (1.0, RequestKind.CACHING, "c1", None, None, None)
     assert Objective() == Objective(ObjectiveKind.MAX_CAPACITY)
     assert ModeConfigs() == ModeConfigs(RsConfig(), RisConfig(), SmbsConfig())
-    assert SweepResult(("x",), ()).notes == {}
-    assert SweepResult(("x",), ()).notes is not SweepResult(("x",), ()).notes
+    assert SweepResult(("x",), ((),)).notes == {}
+    assert SweepResult(("x",), ((),)).notes is not SweepResult(("x",), ((),)).notes
 
 
 @pytest.mark.parametrize("call, message", [

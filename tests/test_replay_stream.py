@@ -26,12 +26,15 @@ from hapslink import (
     decisions_to_csv,
     handle_request,
     load_config,
+    load_trace,
     parse_trace_line,
     replay_trace,
 )
 from hapslink import engine
 from hapslink.cli import EXIT_INVALID, EXIT_OK, main
 from hapslink.engine import OBJECTIVES, iter_trace, stream_replay
+
+from conftest import _in_the_child, sends_half_a_frame_then_exits
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "golden_trace.txt")
 
@@ -532,19 +535,6 @@ def test_memo_keys_each_tail_on_the_branch_it_takes():
 # the forked reader: a failed child, and clean-up
 # ---------------------------------------------------------------
 
-def _in_the_child(patch, owner, name, replacement):
-    """Patches owner's name so that only a forked child calls
-    replacement(original, *args, **kwargs)."""
-    original, parent = getattr(owner, name), os.getpid()
-
-    def patched(*args, **kwargs):
-        if os.getpid() == parent:
-            return original(*args, **kwargs)
-        return replacement(original, *args, **kwargs)
-
-    patch.setattr(owner, name, patched)
-
-
 def _exits_3_after_its_first_block(patch):
     def first_block_then_exit(original, *args, **kwargs):
         blocks = original(*args, **kwargs)
@@ -554,23 +544,12 @@ def _exits_3_after_its_first_block(patch):
     _in_the_child(patch, engine, "_blocks", first_block_then_exit)
 
 
-def _sends_half_a_frame_then_exits_4(patch):
-    sent = []  # the child's own copy
-
-    def half_frame(original, block):
-        if sent:  # the half frame is out: the child ends
-            os._exit(4)
-        sent.append(block)
-        frame = original(block)
-        return frame[:len(frame) // 2]
-
-    _in_the_child(patch, engine, "_frame", half_frame)
-
-
 # each failure, and whether its trace holds a refused request
 CHILD_FAILURES = {
     "exits_3_after_its_first_block": (_exits_3_after_its_first_block, False),
-    "sends_half_a_frame_then_exits_4": (_sends_half_a_frame_then_exits_4, False),
+    "sends_half_a_frame_then_exits_4": (sends_half_a_frame_then_exits(4), False),
+    # only the missing end mark tells
+    "sends_half_a_frame_then_exits_0": (sends_half_a_frame_then_exits(0), False),
     # refused in the first block, while the child still writes 1,000
     # more: the parent reads them to the end before it raises
     "refusal_in_the_first_block": (lambda patch: None, True),
@@ -648,6 +627,24 @@ def test_a_fold_that_fails_beside_a_blocked_child_reaps_it(tmp_path):
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+def test_a_fork_that_fails_is_a_reader_that_sent_nothing(tmp_path, monkeypatch):
+    # the whole trace is then parsed here, and the pipe is closed again
+    trace = tmp_path / "t.trace"
+    trace.write_text(_long_trace(1000, []) + "\n")
+    with reader(False):
+        one = _cli(["replay", str(trace)])
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with reader(True) as forks:
+        assert _cli(["replay", str(trace)]) == one
+    assert forks == [] and one[0] == EXIT_OK
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
 def test_a_trace_on_stdin_is_read_in_one_process(tmp_path):
     # a pipe cannot be read again from its start, so it is never split;
     # the subprocess fails if it forks
@@ -671,6 +668,26 @@ def test_a_trace_on_stdin_is_read_in_one_process(tmp_path):
                            capture_output=True, env=env, timeout=120)
     assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == (
         code, stdout, stderr)
+
+
+@pytest.mark.parametrize("run", ["one_process", "split", "split_reader_fails"])
+def test_a_trace_that_starts_with_a_byte_order_mark_replays_as_without(tmp_path,
+                                                                        monkeypatch, run):
+    # a failed reader's trace is read again from its start, past the mark
+    with open(GOLDEN_TRACE, encoding="utf-8") as fh:
+        text = fh.read()
+    plain, marked = tmp_path / "plain.trace", tmp_path / "marked.trace"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    with reader(False):
+        one = _cli(["replay", str(plain)])
+    assert one[0] == EXIT_OK
+    if run == "split_reader_fails":
+        sends_half_a_frame_then_exits(4)(monkeypatch)
+    with reader(run != "one_process") as forks:
+        assert _cli(["replay", str(marked)]) == one
+    assert len(forks) == (run != "one_process")
+    assert load_trace(str(marked)) == load_trace(str(plain))
 
 
 # ---------------------------------------------------------------

@@ -10,6 +10,7 @@ import re
 import threading
 import time
 import warnings
+from array import array
 from functools import partial
 
 import pytest
@@ -40,6 +41,7 @@ from hapslink.modes import Corridor
 from hapslink.offload import task_latencies
 
 import reference_model as ref
+from conftest import _in_the_child, sends_half_a_frame_then_exits
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -383,31 +385,47 @@ def test_cli_grid_over_the_cap_exits_1(capsys):
 # finiteness
 # ---------------------------------------------------------------
 
-def _chunked(*chunks):
-    """SweepResult columns, each as its chunks, of chunks of rows given
-    row by row."""
-    return tuple(zip(*(tuple(zip(*rows)) for rows in chunks)))
+def _columns(*rows):
+    """SweepResult columns of rows given row by row."""
+    return tuple(zip(*rows))
 
 
 def test_sweep_result_refuses_non_finite_cells():
-    SweepResult(("S_bits", "rs_s"), _chunked(((0.0, 1.0), (1.0, 2.0))))
+    SweepResult(("S_bits", "rs_s"), _columns((0.0, 1.0), (1.0, 2.0)))
     with pytest.raises(ValueError, match=r"\[sweep\] rs_s overflows to inf at S_bits = 2"):
-        SweepResult(("S_bits", "rs_s"), _chunked(((0.0, 1.0), (2.0, math.inf))))
+        SweepResult(("S_bits", "rs_s"), _columns((0.0, 1.0), (2.0, math.inf)))
     with pytest.raises(ValueError, match="ris_s overflows to nan"):
-        SweepResult(("x_m", "ris_s"), _chunked(((0.0, math.nan),)))
+        SweepResult(("x_m", "ris_s"), _columns((0.0, math.nan)))
     # finite cells whose sum overflows are still finite cells: across a
-    # row, and down a chunk, where each chunk's sum is taken
-    SweepResult(("x_m", "rs_s"), _chunked(((1e308, 1e308),)))
-    SweepResult(("x_m", "rs_s"), _chunked(((1e308, 1e308), (1e308, 1e308))))
+    # row, and down a column, where each column's sum is taken
+    SweepResult(("x_m", "rs_s"), _columns((1e308, 1e308)))
+    SweepResult(("x_m", "rs_s"), _columns((1e308, 1e308), (1e308, 1e308)))
     # the first non-finite cell in row order, then column order: (1, 2), not (2, 1)
     with pytest.raises(ValueError, match=r"^\[sweep\] ris_s overflows to inf at x_m = 1$"):
         SweepResult(
             ("x_m", "rs_s", "ris_s"),
-            _chunked(((0.0, 1.0, 1.0), (1.0, 1.0, math.inf), (2.0, math.nan, 1.0))),
+            _columns((0.0, 1.0, 1.0), (1.0, 1.0, math.inf), (2.0, math.nan, 1.0)),
         )
-    # in the second chunk, behind a first chunk whose sum is finite
+    # in the last row, behind rows whose cells are finite
     with pytest.raises(ValueError, match=r"^\[sweep\] rs_s overflows to nan at x_m = 2$"):
-        SweepResult(("x_m", "rs_s"), _chunked(((0.0, 1.0), (1.0, 1.0)), ((2.0, math.nan),)))
+        SweepResult(("x_m", "rs_s"), _columns((0.0, 1.0), (1.0, 1.0), (2.0, math.nan)))
+
+
+def test_sweep_result_refuses_a_table_unlike_its_header():
+    # two columns under one name, a column short of the first, a header
+    # with no name: none is rendered or read a row short
+    with pytest.raises(ValueError, match=r"^\[sweep\] header names: 1, columns: 2$"):
+        SweepResult(("x_m",), ((0.0, 1.0), (5.0, 6.0)))
+    with pytest.raises(ValueError, match=r"^\[sweep\] header names: 2, columns: 1$"):
+        SweepResult(("x_m", "rs_s"), ((0.0, 1.0),))
+    with pytest.raises(ValueError, match=r"^\[sweep\] header names: 0, columns: 0$"):
+        SweepResult((), ())
+    with pytest.raises(ValueError, match=r"^\[sweep\] cells in column ris_s: 1, in x_m: 2$"):
+        SweepResult(("x_m", "rs_s", "ris_s"), ((0.0, 1.0), (5.0, 6.0), (5.0,)))
+    with pytest.raises(ValueError, match=r"^\[sweep\] cells in column rs_s: 3, in x_m: 2$"):
+        SweepResult(("x_m", "rs_s"), ((0.0, 1.0), (5.0, 6.0, 7.0)))
+    # a table of no row is still a table
+    assert SweepResult(("x_m", "rs_s"), ((), ())).to_csv() == "x_m,rs_s\n"
 
 
 def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
@@ -432,7 +450,7 @@ def test_cli_sweep_overflow_exits_1(tmp_path, capsys):
 
 def test_sweep_result_refuses_a_repeated_column_name():
     with pytest.raises(ValueError, match=r"^\[sweep\] two columns are named rs_s$"):
-        SweepResult(("x_m", "rs_s", "ris_s", "rs_s"), _chunked(((0.0, 1.0, 1.0, 1.0),)))
+        SweepResult(("x_m", "rs_s", "ris_s", "rs_s"), _columns((0.0, 1.0, 1.0, 1.0)))
 
 
 @pytest.mark.parametrize("command, text, column", [
@@ -458,15 +476,17 @@ def test_cli_sweep_with_two_columns_of_one_name_exits_1(tmp_path, capsys, comman
 # ---------------------------------------------------------------
 
 def _outcome(sweep, cfg, step):
-    """What one sweep call gives: each of its columns, its rows, notes and
-    CSV, or its refusal. The CSV is that of the columns alone."""
+    """What one sweep call gives: the result itself, each of its columns,
+    its rows, notes and CSV, or its refusal. The CSV is that of the
+    columns alone."""
     try:
         result = sweep(cfg, step)
     except ValueError as err:
         return type(err), str(err)
     csv = result.to_csv()
     assert SweepResult(result.header, result.columns).to_csv() == csv
-    return [result.column(name) for name in result.header], result.rows, result.notes, csv
+    columns = [result.column(name) for name in result.header]
+    return result, columns, result.rows, result.notes, csv
 
 
 @settings(max_examples=30, deadline=None)
@@ -509,19 +529,6 @@ def _refusing(xs):
     return refusing
 
 
-def _in_the_child(patch, owner, name, replacement):
-    """Patches owner's name so that only a forked child calls
-    replacement(original, *args)."""
-    original, parent = getattr(owner, name), os.getpid()
-
-    def patched(*args):
-        if os.getpid() == parent:
-            return original(*args)
-        return replacement(original, *args)
-
-    patch.setattr(owner, name, patched)
-
-
 def _refuse_at(*xs):
     return lambda patch: patch.setattr(sweeps_module, "_placement_columns", _refusing(xs))
 
@@ -542,6 +549,9 @@ FAILURES = {
                       lambda original, *args: original(*args)[:-20]),
         _in_the_child(patch, os, "_exit", lambda original, code: original(4)),
     ), None),
+    # half its frame, then the end mark and exit status 0: only the frame's
+    # length tells
+    "child_sends_half_a_frame_then_exits_0": (sends_half_a_frame_then_exits(0), None),
 }
 
 
@@ -568,6 +578,24 @@ def test_a_failed_half_gives_the_one_process_outcome(monkeypatch, name, failure)
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_a_fork_that_fails_is_a_half_that_sent_nothing(monkeypatch, name):
+    # the whole grid is then computed here, and the pipe is closed again
+    cfg = load_config(None)
+    with split_at(ONE_PROCESS):
+        one = _outcome(SWEEPS[name], cfg, None)
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with split_at(TWO_HALVES) as forks:
+        assert _outcome(SWEEPS[name], cfg, None) == one
+    assert forks == []
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
 @pytest.mark.parametrize("name, step", [("capacity", 10.0), ("ee", 10.0),
                                         ("latency", 1000.0)])
 def test_a_split_sweep_computes_only_its_first_half_here(monkeypatch, name, step):
@@ -587,8 +615,9 @@ def test_a_split_sweep_computes_only_its_first_half_here(monkeypatch, name, step
     points = len(result.column(result.header[0]))
     assert points >= sweeps_module.SPLIT_MIN_POINTS and len(forks) == 1
     assert max(chunks) == points // 2
-    # each column holds the two halves as they came, not merged
-    assert {len(col) for col in result.columns} == {2}
+    # each column is one array of every point, the child's half after this one's
+    assert {(type(col), col.typecode, len(col)) for col in result.columns} == {
+        (array, "d", points)}
 
 
 def _cli_run(tmp_path, capsys, argv):
