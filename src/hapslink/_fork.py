@@ -26,11 +26,11 @@ def can_fork():
 
 
 class Child:
-    """child(send) in a forked child, as a context manager. Each
-    send(value) writes value as one frame, its marshal bytes' length (4
-    bytes, little-endian) then the bytes, and flushes it; an empty frame
+    """child() in a forked child, as a context manager. Each value of the
+    iterable it returns is written as one frame, its marshal bytes' length
+    (4 bytes, little-endian) then the bytes, and flushed; an empty frame
     ends the output. The child leaves through os._exit, with status 0 once
-    child returns and 1 if it raises, so it runs no exit handler and
+    its values end and 1 if it raises, so it runs no exit handler and
     returns to no caller.
 
     In the parent, iterating yields the values as they arrive. On exit the
@@ -59,11 +59,9 @@ class Child:
             try:
                 os.close(r)
                 with open(w, "wb") as out:
-                    def send(value):
+                    for value in child():
                         out.write(_frame(value))
-                        out.flush()
-
-                    child(send)
+                        out.flush()  # the parent reads each value as soon as it is made
                     out.write(bytes(4))
                 code = 0
             finally:

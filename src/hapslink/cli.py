@@ -27,10 +27,12 @@ from .config import ConfigError, load_config
 from .engine import (
     OBJECTIVES,
     Request,
+    RequestError,
     RequestKind,
     build_engine,
     decisions_to_csv,
     handle_request,
+    open_text,
     stream_replay,
 )
 from .modes import Action, Mode
@@ -186,7 +188,7 @@ def _cmd_select(args):
 def _cmd_replay(args):
     cfg = load_config(args.config)
     force = Mode(args.force_mode.upper()) if args.force_mode else None
-    with open(args.trace, "r", encoding="utf-8-sig") as lines:
+    with open_text(args.trace, RequestError) as lines:
         ctx, state = build_engine(cfg)
         with _all_or_nothing(args.out or cfg.output_path) as out:
             s = stream_replay(lines, state, ctx, out.write, force_mode=force)

@@ -12,7 +12,7 @@ import os
 from typing import Annotated, Optional
 
 from ._record import POSITIVE, Record, number
-from .engine import CacheState, EngineContext
+from .engine import CacheState, EngineContext, open_text
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
 from .propagation import RadioParams, ScenarioGeometry
@@ -212,7 +212,7 @@ def load_config(path=None) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive (B vs b, N vs n)
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open_text(path, ConfigError) as fh:
             lines = fh.readlines()
         parser.read_file(lines, path)
     except configparser.Error as err:  # one line: its number and text, not configparser's words

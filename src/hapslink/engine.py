@@ -10,23 +10,26 @@ One loop, _fold, is that fold: handle_request (one request),
 replay_trace (a list of requests) and stream_replay (trace lines, the
 CLI's replay) all pick the cache branch, get the decision and update the
 cache through it. For one EngineContext a decision is a function of the
-request's kind, size, objective and QoS floor and of the cache branch it
-takes, so on trace lines the loop memoises, per distinct line tail, the
-parsed request and each branch's decision with its rendered CSV cells.
+request's tail, its kind, size, objective and QoS floor, and of the
+cache branch it takes. Every source hands the loop a new tail in one
+form that marshal can carry (_tail), and on trace lines the loop
+memoises, per distinct tail, each branch's decision and its CSV cells.
 
 Trace lines reach the fold from a parse stage (_blocks) that splits each
-line, finds its memoised tail and parses its timestamp; these steps
-depend on the line alone, so on a large regular file the stage runs in a
-forked child (_forked_blocks) beside the fold. A line whose tail is
-memoised costs the fold a dict lookup and its row: no Request is built
-unless the tail is new, and no decision unless its branch is. The rows
-of each block of _BLOCK_LINES requests go out in one write.
+line, finds its memoised tail and parses its timestamp, and parses and
+checks a new tail's line once; these steps depend on the line alone, so
+on a large regular file the stage runs in a forked child
+(_forked_blocks) beside the fold, which then parses nothing. A line
+whose tail is memoised costs the fold a dict lookup and its row, and a
+decision only if its branch is new. The rows of each block of
+_BLOCK_LINES requests go out in one write.
 """
 
 import math
 import os
 import stat
 from collections import OrderedDict
+from contextlib import contextmanager
 from enum import Enum
 from functools import partial
 from itertools import islice
@@ -202,8 +205,9 @@ _CACHE = "forward_and_cache"
 _MEMO_LIMIT = 1024
 
 
-def _build(req: Request, branch, ctx: EngineContext):
-    """The decision for req on branch; it reads neither the cache nor t.
+def _build(tail, branch, ctx: EngineContext):
+    """The decision for a request's tail (kind, size_bits, objective, QoS
+    floor) on branch; it reads neither the cache nor t.
     Candidates are walked in ctx.rows order, most passive first, and a
     later one wins only when strictly better, so ties go passive.
 
@@ -216,7 +220,7 @@ def _build(req: Request, branch, ctx: EngineContext):
     checked, so a losing task candidate's zero capacity or overflow
     refuses the request too. Latency and energy are filled when a size is
     given."""
-    kind, size, floor = req.kind, req.size_bits, req.qos_min_bps
+    kind, size, asked, floor = tail
     task = kind is RequestKind.TASK_OFFLOADING
     forced = isinstance(branch, Mode)
     if task:
@@ -227,7 +231,7 @@ def _build(req: Request, branch, ctx: EngineContext):
         if forced or branch is _HIT:
             objective, rows = _DEFAULT_OBJECTIVE, (ctx.row[branch if forced else Mode.SMBS],)
         else:
-            objective, rows = req.objective or _DEFAULT_OBJECTIVE, ctx.rows
+            objective, rows = asked or _DEFAULT_OBJECTIVE, ctx.rows
             if kind is not RequestKind.COMMUNICATION:  # a cache miss: the forwarders
                 rows = [r for r in rows if r[0] is not Mode.SMBS]
         chosen = best_payload(objective, rows, floor)
@@ -280,7 +284,8 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
     and handed to keep with its decision; or, when write is given, the
     parse stage's blocks of trace lines (_blocks), whose decision CSV goes
     to write: the header, then each block's rows in one write once the
-    block is folded.
+    block is folded. Either way a new tail comes as _tail's tokens, which
+    the loop maps to its RequestKind and Objective, and never parses.
 
     For each request the loop picks the cache branch (hit, forward, or
     forward and cache; communication and tasks take none; a forced
@@ -289,12 +294,11 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
     a request the model refuses, one out of order and an infeasible one
     leave the state untouched.
 
-    A trace line's tail is kept, from its line, with a dict of its
-    decisions per branch, each with its rendered CSV cells, so a later
-    line with that tail pays only for its row and builds no Request. A
-    block names each line's tail by its id; the memo drops every older
-    tail at the block's clear point, as the parse stage does. A refusal is
-    never memoised.
+    A trace line's tail is kept with a dict of its decisions per branch,
+    each with its rendered CSV cells, so a later line with that tail pays
+    only for its row. A block names each line's tail by its id; the memo
+    drops every older tail at the block's clear point, as the parse stage
+    does. A refusal is never memoised.
 
     Timestamps must be non-decreasing. The first refused request aborts
     the loop with a RequestError naming its index, caused by the
@@ -323,21 +327,20 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
         news = iter(news)
         block_cells = []
         for tail_id, content_id, t in zip(ids, content_ids, ts):
-            tail = tails.get(tail_id)
-            if tail is not None:
-                req, decided = tail
+            known = tails.get(tail_id)
+            if known is not None:
+                tail, decided = known
             else:
-                req = next(news)
+                kind, size, objective, floor = next(news)
+                tail = _KINDS[kind], size, OBJECTIVES.get(objective), floor
                 decided = None
                 if lines:
-                    if req.__class__ is tuple:  # (line number, line) from a forked reader
-                        req = _parse_fields(req[1].split(","), req[0])
                     if tail_id == clear:
                         tails.clear()
                     decided = {}
-                    tails[tail_id] = req, decided
+                    tails[tail_id] = tail, decided
             index += 1
-            kind = req.kind
+            kind = tail[0]
             try:
                 if force_mode is not None:
                     branch = force_mode
@@ -353,11 +356,11 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
                 else:
                     branch = _DIRECT
                 if decided is None:
-                    entry = _memo_entry(_build(req, branch, ctx))
+                    entry = _memo_entry(_build(tail, branch, ctx))
                 else:
                     entry = decided.get(branch)
                     if entry is None:
-                        decision = _build(req, branch, ctx)
+                        decision = _build(tail, branch, ctx)
                         entry = decided[branch] = _memo_entry(decision, _render(kind, decision))
                 cells, mode, energy, decision = entry
                 if last_t is not None and t < last_t:
@@ -409,7 +412,15 @@ def _request_blocks(requests):
     """Requests as _fold's blocks: one per request, a tail of its own that
     is never memoised."""
     for req in requests:
-        yield (None,), (req.content_id,), (req.t,), (req,), None, None
+        yield (None,), (req.content_id,), (req.t,), (_tail(req),), None, None
+
+
+def _tail(req: Request):
+    """A request's new-tail form, which _fold takes from every source and
+    marshal can carry: what _build reads, with kind and objective as
+    their tokens (kind token, size_bits, objective token or None,
+    qos_min_bps)."""
+    return req.kind.value, req.size_bits, _TOKENS.get(req.objective), req.qos_min_bps
 
 
 def handle_request(req: Request, state: CacheState, ctx: EngineContext):
@@ -514,7 +525,7 @@ def _splits(trace):
             and info.st_size >= SPLIT_MIN_BYTES and can_fork())
 
 
-def _blocks(lines, lineno=0, tail_id=0, as_lines=False):
+def _blocks(lines, lineno=0, tail_id=0):
     """The parse stage of a replay: the data lines of lines, the first
     numbered lineno + 1, in blocks of _BLOCK_LINES, each (tail ids,
     content ids, timestamps, new tails, clear point, number of its last
@@ -523,12 +534,11 @@ def _blocks(lines, lineno=0, tail_id=0, as_lines=False):
     A line's tail is every field but t and content_id, plus whether
     content_id is empty, keyed on its raw field text, so sizes 0 and -0
     stay apart. Each new tail takes the next id, from tail_id on, and its
-    line is parsed in full by _parse_fields; its entry in new tails is the
-    Request, or with as_lines its (line number, stripped line), which
-    marshal can carry. A line whose tail is known pays only for its
-    timestamp. At most _MEMO_LIMIT tails are known: a new tail past them
-    clears the memo, and the clear point is the id of the first tail
-    since.
+    line is parsed and checked in full, once, by _parse_fields; its entry
+    in new tails is the request's _tail, which a forked child sends as it
+    is. A line whose tail is known pays only for its timestamp. At most
+    _MEMO_LIMIT tails are known: a new tail past them clears the memo,
+    and the clear point is the id of the first tail since.
 
     A malformed line ends the stage: the lines before it go out as a
     block, then its RequestError's text.
@@ -571,7 +581,7 @@ def _blocks(lines, lineno=0, tail_id=0, as_lines=False):
                 clear = tail_id
             known = memo[key] = tail_id
             tail_id += 1
-            news.append((lineno, stripped) if as_lines else req)
+            news.append(_tail(req))
         ids.append(known)
         content_ids.append(content_id)
         ts.append(t)
@@ -592,7 +602,7 @@ def _forked_blocks(trace):
     blocks end or the generator is closed.
     """
     lineno = tail_id = 0
-    with Child(partial(_send_blocks, trace)) as child:
+    with Child(partial(_blocks, trace)) as child:
         for block in child:
             yield block
             # reached only after a block, never after an error text
@@ -601,12 +611,6 @@ def _forked_blocks(trace):
     if not child.ok:
         trace.seek(0)
         yield from _blocks(islice(trace, lineno, None), lineno, tail_id)
-
-
-def _send_blocks(trace, send):
-    """The forked child of _forked_blocks."""
-    for block in _blocks(trace, as_lines=True):
-        send(block)  # the parent folds each block as soon as it is sent
 
 
 # =====================================================================
@@ -623,6 +627,7 @@ OBJECTIVES = {
     "min_energy": Objective(ObjectiveKind.MIN_ENERGY_SUBJECT_TO_QOS),
 }
 _DEFAULT_OBJECTIVE = OBJECTIVES["max_capacity"]
+_TOKENS = {objective: token for token, objective in OBJECTIVES.items()}
 _KINDS = {kind.value: kind for kind in RequestKind}
 
 
@@ -690,8 +695,25 @@ def iter_trace(lines, start=1):
 
 
 def load_trace(path):
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path, RequestError) as fh:
         return list(iter_trace(fh))
+
+
+@contextmanager
+def open_text(path, error):
+    """The text file at path, UTF-8 after an optional byte-order mark. A
+    byte that does not decode raises error (a ValueError class) naming
+    path and, in a regular file read again only then, the byte's line."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:  # the codec names neither the file nor the line
+        where = ""
+        if os.path.isfile(path):  # a pipe cannot be read again
+            with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+                where = next((f": line {n}" for n, line in enumerate(fh, 1)
+                              if any("\udc80" <= c <= "\udcff" for c in line)), "")
+        raise error(f"{path}{where} is not UTF-8") from None
 
 
 # =====================================================================

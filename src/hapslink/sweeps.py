@@ -136,9 +136,9 @@ def _in_two_halves(grid, columns):
     mid = len(grid) // 2
     near, far = grid[:mid], grid[mid:]
 
-    def child(send):
+    def child():
         cols = [far, *columns(far)]
-        send(([array("d", col) for col in cols], _render(cols)))
+        yield [array("d", col) for col in cols], _render(cols)
 
     # most of a half fits in the pipe at once, so the child sends it
     # while the parent still renders its own half

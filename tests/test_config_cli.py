@@ -1,3 +1,4 @@
+import codecs
 import configparser
 import contextlib
 import io
@@ -35,6 +36,7 @@ from hapslink import (
     sweep_latency,
 )
 from hapslink import config
+from hapslink._record import Above
 from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from hapslink.engine import OBJECTIVES
 from hapslink.modes import carrier
@@ -120,6 +122,19 @@ def test_a_byte_order_mark_at_the_start_of_a_config_is_not_text(tmp_path, capsys
     # a refusal names the same line, and no mark
     with pytest.raises(ConfigError, match=r"bad\.ini: line 2: 'D'$"):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+def test_a_config_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, mark):
+    # the codec's own words name neither; a line break inside a broken
+    # sequence ends the line that holds its first byte
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(mark + b"[ris]\r\nbeta = 0.5\r\n# \xe2\n\x82\xac caf\xe9\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}: line 3 is not UTF-8"
+    assert main(["sweep-capacity", "--config", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {path}: line 3 is not UTF-8\n")
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -547,7 +562,8 @@ def _direct(entries):
                     return section, key
                 values[key] = int(value)
             low, high = cls._bounds.get(key, (-math.inf, math.inf))
-            if not low <= value <= high:
+            # an Above low is an open end, which holds no value equal to it
+            if not low <= value <= high or (isinstance(low, Above) and value == low):
                 return section, key
         try:
             cfg = replace(cfg, **{field: replace(record, **values)})
@@ -567,6 +583,9 @@ def _direct(entries):
 @example(entries=((("rs", "payload_power_W"), "0"), (("radio", "f"), "1e11")), default=None)
 # every key of a section is parsed before any is checked: B, not f
 @example(entries=((("radio", "f"), "inf"), (("radio", "B"), "abc")), default=None)
+# beta's range is open at 0, so 0.0 is refused before the nan after it
+@example(entries=((("ris", "beta"), "0.0"), (("ris", "per_element_power_W"), "nan")),
+         default=None)
 def test_random_config_files_load_as_the_records_or_name_the_key(
     tmp_path, entries, default
 ):
@@ -1411,6 +1430,15 @@ _LINE = st.one_of(
 )
 
 
+def _decodes(data, final=True):
+    """Whether data is UTF-8, or with final false a prefix of it."""
+    try:
+        codecs.getincrementaldecoder("utf-8")().decode(data, final)
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 def _finite_or_blank(cell):
     return cell == "" or math.isfinite(float(cell))
 
@@ -1435,6 +1463,14 @@ def test_cli_replay_survives_hostile_trace_bytes(tmp_path, lines):
     assert code in (EXIT_OK, EXIT_INVALID)
     if code == EXIT_INVALID:
         assert err.startswith("error:")
+        assert "codec" not in err, err  # the decoder's words name no file
+        data = trace.read_bytes()
+        bad = next((n for n, line in enumerate(data.splitlines(), 1)
+                    if not _decodes(line)), None)
+        if not _decodes(data, final=False):  # found in the first read, before any line
+            assert err == f"error: {trace}: line {bad} is not UTF-8\n"
+        elif "UTF-8" in err:  # a sequence the end of the file cuts short
+            assert bad is not None and err == f"error: {trace}: line {bad} is not UTF-8\n"
         return
     header, *rows = out.read_text().splitlines()
     numeric = [i for i, name in enumerate(header.split(",")) if name not in

@@ -159,9 +159,13 @@ def _replay_file(lines, state, ctx, force_mode=None):
 
 
 # "{i}" stands for the line's index, so time runs forward unless another
-# timestamp is drawn; the small pools make tails repeat
+# timestamp is drawn; the small pools make tails repeat, and distinct
+# sizes make blocks of new tails
 _T = st.sampled_from(["{i}", "{i}", "{i}", "0", " 2.5 ", "-1", "nan", "1e400", "t"])
-_SIZE = st.sampled_from(["", "0", "-0", "0.0", "1e6", "2.5e7", "1.7e308", "-5", "bits"])
+_SIZE = st.one_of(
+    st.sampled_from(["", "0", "-0", "0.0", "1e6", "2.5e7", "1.7e308", "-5", "bits"]),
+    st.floats(0, 1e9).map(repr),
+)
 _ID = st.sampled_from(["", "a", "b", " a ", "vid 9"])
 _KIND = st.sampled_from(
     ["content_delivery", "content_delivery", "caching", "communication",
@@ -489,9 +493,9 @@ def test_decision_memo_stays_within_its_cap(monkeypatch):
     built = []
     build = engine._build
 
-    def counting_build(req, branch, ctx):
-        built.append(req.size_bits)
-        return build(req, branch, ctx)
+    def counting_build(tail, branch, ctx):
+        built.append(tail[1])  # its size_bits
+        return build(tail, branch, ctx)
 
     monkeypatch.setattr(engine, "_build", counting_build)
     # a tail is kept from its first sighting on; a full memo still holds
@@ -585,25 +589,38 @@ def test_a_failed_reader_gives_the_one_process_outcome(tmp_path, monkeypatch, fa
 
 
 def test_a_split_replay_folds_only_what_the_reader_sent(tmp_path, monkeypatch):
-    # a trace above the threshold, beside a healthy reader: this process
+    # traces above the threshold, beside a healthy reader: this process
     # never runs the parse stage, neither for the whole trace nor for a
-    # rest after a failed reader
-    trace = tmp_path / "t.trace"
-    trace.write_text(_long_trace(12000, []) + "\n")
-    assert trace.stat().st_size >= engine.SPLIT_MIN_BYTES
-    argv = ["replay", str(trace)]
-    with reader(False):
-        one = _cli(argv)
-    blocks, parent = engine._blocks, os.getpid()
+    # rest after a failed reader. On the second every tail is new: the
+    # reader sends each as tokens, which the fold maps without parsing
+    # the line again
+    repeating, distinct = tmp_path / "t.trace", tmp_path / "distinct.trace"
+    repeating.write_text(_long_trace(12000, []) + "\n")
+    distinct.write_text("\n".join(f"{i},communication,,{1e6 + i!r},," for i in range(12000)))
+    one = {}
+    for trace in (repeating, distinct):
+        assert trace.stat().st_size >= engine.SPLIT_MIN_BYTES
+        with reader(False):
+            one[trace] = _cli(["replay", str(trace)])
+        assert one[trace][0] == EXIT_OK and "# requests = 12000\n" in one[trace][2]
+    blocks, parse, parent, parsed = engine._blocks, engine._parse_fields, os.getpid(), []
 
     def in_the_child_only(*args, **kwargs):
         if os.getpid() == parent:
             raise AssertionError("the parse stage ran in the parent")
         return blocks(*args, **kwargs)
 
+    def counted(*args):
+        if os.getpid() == parent:
+            parsed.append(args[1])
+        return parse(*args)
+
     monkeypatch.setattr(engine, "_blocks", in_the_child_only)
+    monkeypatch.setattr(engine, "_parse_fields", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert _cli(argv) == one
+    for trace in (repeating, distinct):
+        assert _cli(["replay", str(trace)]) == one[trace]
+    assert parsed == []
 
 
 def test_a_fold_that_fails_beside_a_blocked_child_reaps_it(tmp_path):
@@ -668,6 +685,27 @@ def test_a_trace_on_stdin_is_read_in_one_process(tmp_path):
                            capture_output=True, env=env, timeout=120)
     assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == (
         code, stdout, stderr)
+
+
+@pytest.mark.parametrize("run", ["one_process", "split", "split_reader_fails"])
+def test_a_trace_that_is_not_utf8_names_its_file_and_line(tmp_path, monkeypatch, run):
+    # refused past the reader's first block, and after a refused request:
+    # the bytes are still the error, as a malformed line would be
+    lines = [_REFUSED] + ["{i},communication,,1e6,,"] * 20000
+    bad = 1 + 9000 + 1 + 5001  # past the comment, the requests and the refused one
+    text = _long_trace(9000, lines).encode()
+    head = text.split(b"\n")
+    head[bad - 1] = head[bad - 1].replace(b"communication", b"communication\xff", 1)
+    trace = tmp_path / "latin1.trace"
+    trace.write_bytes(b"\n".join(head))
+    if run == "split_reader_fails":
+        _exits_3_after_its_first_block(monkeypatch)
+    with reader(run != "one_process") as forks:
+        assert _cli(["replay", str(trace)]) == (
+            EXIT_INVALID, "", f"error: {trace}: line {bad} is not UTF-8\n")
+    assert len(forks) == (run != "one_process")
+    with pytest.raises(RequestError, match=f"line {bad} is not UTF-8$"):
+        load_trace(str(trace))
 
 
 @pytest.mark.parametrize("run", ["one_process", "split", "split_reader_fails"])
