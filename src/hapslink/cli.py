@@ -18,6 +18,7 @@ cannot evaluate), 2 infeasible objective.
 import argparse
 import contextlib
 import errno
+import functools
 import os
 import shutil
 import sys
@@ -27,7 +28,6 @@ from .config import ConfigError, load_config
 from .engine import (
     OBJECTIVES,
     Request,
-    RequestError,
     RequestKind,
     build_engine,
     decisions_to_csv,
@@ -43,6 +43,7 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 
 
+@functools.cache  # one parser per process: main builds none after its first call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hapslink",
@@ -188,7 +189,7 @@ def _cmd_select(args):
 def _cmd_replay(args):
     cfg = load_config(args.config)
     force = Mode(args.force_mode.upper()) if args.force_mode else None
-    with open_text(args.trace, RequestError) as lines:
+    with open_text(args.trace) as lines:
         ctx, state = build_engine(cfg)
         with _all_or_nothing(args.out or cfg.output_path) as out:
             s = stream_replay(lines, state, ctx, out.write, force_mode=force)

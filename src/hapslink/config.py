@@ -12,7 +12,7 @@ import os
 from typing import Annotated, Optional
 
 from ._record import POSITIVE, Record, number
-from .engine import CacheState, EngineContext, open_text
+from .engine import CacheState, EngineContext, check_utf8, open_text
 from .modes import ModeConfigs, RisConfig, RsConfig, SmbsConfig
 from .offload import CloudConfig
 from .propagation import RadioParams, ScenarioGeometry
@@ -211,9 +211,12 @@ def load_config(path=None) -> ScenarioConfig:
     # a % is text, and no header spells the default section: [DEFAULT] is unknown
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keys are case-sensitive (B vs b, N vs n)
+    with open_text(path) as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, 1):
+        if not line.isascii():
+            check_utf8(line, lineno, fh.name, ConfigError)
     try:
-        with open_text(path, ConfigError) as fh:
-            lines = fh.readlines()
         parser.read_file(lines, path)
     except configparser.Error as err:  # one line: its number and text, not configparser's words
         lineno = getattr(err, "lineno", None) or err.errors[0][0]

@@ -12,8 +12,12 @@ CLI's replay) all pick the cache branch, get the decision and update the
 cache through it. For one EngineContext a decision is a function of the
 request's tail, its kind, size, objective and QoS floor, and of the
 cache branch it takes. Every source hands the loop a new tail in one
-form that marshal can carry (_tail), and on trace lines the loop
-memoises, per distinct tail, each branch's decision and its CSV cells.
+form that marshal can carry (_tail), and the loop memoises, per tail,
+each branch's decision and its CSV row. The loop has one output: each
+folded block goes to one sink, which keeps the decisions
+(handle_request, replay_trace) or writes the rows (stream_replay). A
+row has one form, _row's template with a slot for t, which
+decisions_to_csv fills too.
 
 Trace lines reach the fold from a parse stage (_blocks) that splits each
 line, finds its memoised tail and parses its timestamp, and parses and
@@ -22,14 +26,14 @@ on a large regular file the stage runs in a forked child
 (_forked_blocks) beside the fold, which then parses nothing. A line
 whose tail is memoised costs the fold a dict lookup and its row, and a
 decision only if its branch is new. The rows of each block of
-_BLOCK_LINES requests go out in one write.
+_BLOCK_LINES requests go out in one write. After a refused request,
+stream_replay drains the blocks, so a later malformed line is the error.
 """
 
 import math
 import os
 import stat
 from collections import OrderedDict
-from contextlib import contextmanager
 from enum import Enum
 from functools import partial
 from itertools import islice
@@ -267,25 +271,17 @@ def _build(tail, branch, ctx: EngineContext):
     return ModeDecision(mode, action, *best[1:])
 
 
-def _memo_entry(decision: ModeDecision, cells=None):
-    """(CSV cells after t, mode value, energy_J, decision): what the
-    replay reads of a decision."""
-    mode = decision.mode
-    return cells, None if mode is None else mode.value, decision.energy_J, decision
-
-
-def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
-          keep=None, write=None):
+def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
     """The one decide loop, behind handle_request, replay_trace and
     stream_replay. It updates state in place and returns the
     ReplaySummary.
 
-    blocks are _request_blocks, each request checked where it was built
-    and handed to keep with its decision; or, when write is given, the
-    parse stage's blocks of trace lines (_blocks), whose decision CSV goes
-    to write: the header, then each block's rows in one write once the
-    block is folded. Either way a new tail comes as _tail's tokens, which
-    the loop maps to its RequestKind and Objective, and never parses.
+    blocks are _request_blocks, each request checked where it was built,
+    or the parse stage's blocks of trace lines (_blocks). Either way a new
+    tail comes as _tail's tokens, which the loop maps to its RequestKind
+    and Objective, and never parses. Once a block is folded, emit gets
+    its timestamps and, for each request in order, its memo entry:
+    (_row's template, mode value, energy_J, decision).
 
     For each request the loop picks the cache branch (hit, forward, or
     forward and cache; communication and tasks take none; a forced
@@ -294,21 +290,17 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
     a request the model refuses, one out of order and an infeasible one
     leave the state untouched.
 
-    A trace line's tail is kept with a dict of its decisions per branch,
-    each with its rendered CSV cells, so a later line with that tail pays
-    only for its row. A block names each line's tail by its id; the memo
-    drops every older tail at the block's clear point, as the parse stage
-    does. A refusal is never memoised.
+    Each tail is kept with a dict of its memo entries per branch, so a
+    later request with that tail pays only for its row. A block names
+    each request's tail by its id; the memo drops every older tail at the
+    block's clear point, as the parse stage does. A refusal is never
+    memoised.
 
     Timestamps must be non-decreasing. The first refused request aborts
     the loop with a RequestError naming its index, caused by the
     refusal. A malformed line, which the parse stage hands over as its
-    error text, raises a RequestError naming its line, and is the error
-    reported even after a refused request: the rest of the blocks are read
-    first.
+    error text, raises a RequestError naming its line, with no cause.
     """
-    blocks = iter(blocks)
-    lines = write is not None
     content_kind, caching_kind = RequestKind.CONTENT_DELIVERY, RequestKind.CACHING
     entries, popularity = state.entries, state.popularity
     threshold = state.popularity_threshold
@@ -318,14 +310,12 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
     last_t = None
     index = -1
     tails = {}
-    if lines:
-        write(DECISION_CSV_HEADER + "\n")
     for block in blocks:
         if block.__class__ is str:
             raise RequestError(block)
         ids, content_ids, ts, news, clear, _ = block
         news = iter(news)
-        block_cells = []
+        folded = []
         for tail_id, content_id, t in zip(ids, content_ids, ts):
             known = tails.get(tail_id)
             if known is not None:
@@ -333,12 +323,10 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
             else:
                 kind, size, objective, floor = next(news)
                 tail = _KINDS[kind], size, OBJECTIVES.get(objective), floor
-                decided = None
-                if lines:
-                    if tail_id == clear:
-                        tails.clear()
-                    decided = {}
-                    tails[tail_id] = tail, decided
+                if tail_id == clear:
+                    tails.clear()
+                decided = {}
+                tails[tail_id] = tail, decided
             index += 1
             kind = tail[0]
             try:
@@ -355,14 +343,14 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
                     branch = _CACHE
                 else:
                     branch = _DIRECT
-                if decided is None:
-                    entry = _memo_entry(_build(tail, branch, ctx))
-                else:
-                    entry = decided.get(branch)
-                    if entry is None:
-                        decision = _build(tail, branch, ctx)
-                        entry = decided[branch] = _memo_entry(decision, _render(kind, decision))
-                cells, mode, energy, decision = entry
+                entry = decided.get(branch)
+                if entry is None:
+                    decision = _build(tail, branch, ctx)
+                    mode = decision.mode
+                    entry = decided[branch] = (_row(kind, decision),
+                                               None if mode is None else mode.value,
+                                               decision.energy_J, decision)
+                mode, energy = entry[1], entry[2]
                 if last_t is not None and t < last_t:
                     raise RequestError(
                         f"timestamps must be non-decreasing ({t} after {last_t})"
@@ -375,17 +363,9 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
                     if branch is _CACHE:
                         state.insert(content_id)
             except ValueError as err:  # a request the model refuses, or one out of order
-                refusal = RequestError(f"request {index}: {err}")
-                if lines:
-                    for block in blocks:
-                        if block.__class__ is str:
-                            raise RequestError(block) from None
-                raise refusal from err
+                raise RequestError(f"request {index}: {err}") from err
             last_t = t
-            if lines:
-                block_cells.append(cells)
-            else:
-                keep(decision)
+            folded.append(entry)
             counts[mode] += 1
             if energy is not None:
                 total_energy += energy
@@ -393,11 +373,7 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
                 content_requests += 1
                 if branch is _HIT:
                     hits += 1
-        if block_cells:  # the block is folded: every line of it has a row
-            flat = [None] * (2 * len(ts))
-            flat[::2] = ts
-            flat[1::2] = block_cells
-            write(("%.8e,%s\n" * len(ts)) % tuple(flat))
+        emit(ts, folded)
     if not math.isfinite(total_energy):
         raise ValueError(f"total_energy_J overflows to {total_energy}")
     return ReplaySummary(
@@ -409,10 +385,10 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode=None,
 
 
 def _request_blocks(requests):
-    """Requests as _fold's blocks: one per request, a tail of its own that
-    is never memoised."""
-    for req in requests:
-        yield (None,), (req.content_id,), (req.t,), (_tail(req),), None, None
+    """Requests as _fold's blocks: one per request, whose new tail clears
+    the memo, so no other request reads it."""
+    for i, req in enumerate(requests):
+        yield (i,), (req.content_id,), (req.t,), (_tail(req),), i, None
 
 
 def _tail(req: Request):
@@ -432,7 +408,8 @@ def handle_request(req: Request, state: CacheState, ctx: EngineContext):
     """
     decisions = []
     try:
-        _fold(_request_blocks((req,)), state, ctx, keep=decisions.append)
+        _fold(_request_blocks((req,)), state, ctx, None,
+              lambda ts, folded: decisions.append(folded[0][3]))
     except RequestError as err:  # raised as itself, not as request 0
         raise err.__cause__ from None
     return decisions[0], state
@@ -471,7 +448,8 @@ def replay_trace(
     """
     state = initial_state.copy()
     decisions = []
-    summary = _fold(_request_blocks(requests), state, ctx, force_mode, keep=decisions.append)
+    summary = _fold(_request_blocks(requests), state, ctx, force_mode,
+                    lambda ts, folded: decisions.extend([entry[3] for entry in folded]))
     return ReplayResult(tuple(decisions), state, summary)
 
 
@@ -479,12 +457,14 @@ def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
                   force_mode: Optional[Mode] = None):
     """Replay trace lines straight to the decision CSV: write gets the
     header, then the rows of each block of _BLOCK_LINES requests in one
-    write. Returns the ReplaySummary; the state is updated in place.
+    write, each row its _row template filled with its t. Returns the
+    ReplaySummary; the state is updated in place.
 
     Nothing is kept per request: memory grows with the number of
     distinct content ids (the cache's popularity counter), not with the
     number of requests. A malformed line is reported before any refused
-    request: after a refusal the rest of the trace is still parsed.
+    request: after a refusal the rest of the blocks are drained, and a
+    malformed line among them is the error.
 
     The parse stage (_blocks) runs in a forked child when lines is a
     regular file, read from its start, of at least SPLIT_MIN_BYTES bytes
@@ -494,7 +474,15 @@ def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
     """
     blocks = _forked_blocks(lines) if _splits(lines) else _blocks(lines)
     try:
-        return _fold(blocks, state, ctx, force_mode, write=write)
+        write(DECISION_CSV_HEADER + "\n")
+        return _fold(blocks, state, ctx, force_mode, lambda ts, folded: write(
+            "".join([entry[0] for entry in folded]) % tuple(ts)))
+    except RequestError as err:
+        if err.__cause__ is not None:  # a refused request, not a malformed line
+            for block in blocks:
+                if block.__class__ is str:
+                    raise RequestError(block) from None
+        raise
     finally:
         blocks.close()
 
@@ -526,10 +514,10 @@ def _splits(trace):
 
 
 def _blocks(lines, lineno=0, tail_id=0):
-    """The parse stage of a replay: the data lines of lines, the first
-    numbered lineno + 1, in blocks of _BLOCK_LINES, each (tail ids,
-    content ids, timestamps, new tails, clear point, number of its last
-    line).
+    """The parse stage of a replay: the data lines of lines after the
+    first lineno, numbered from lineno + 1, in blocks of _BLOCK_LINES,
+    each (tail ids, content ids, timestamps, new tails, clear point,
+    number of its last line).
 
     A line's tail is every field but t and content_id, plus whether
     content_id is empty, keyed on its raw field text, so sizes 0 and -0
@@ -540,54 +528,58 @@ def _blocks(lines, lineno=0, tail_id=0):
     _MEMO_LIMIT tails are known: a new tail past them clears the memo,
     and the clear point is the id of the first tail since.
 
-    A malformed line ends the stage: the lines before it go out as a
-    block, then its RequestError's text.
+    The first line, comments included, that holds a byte that is not
+    UTF-8 (check_utf8) or is malformed ends the stage: the lines before it
+    go out as a block, then its RequestError's text.
     """
     isfinite, nan = math.isfinite, math.nan
+    name = getattr(lines, "name", None)
     size = _BLOCK_LINES
     memo = {}
     clear = tail_id
     ids, content_ids, ts, news = [], [], [], []
-    for line in lines:
-        lineno += 1
-        stripped = line.strip()
-        if not stripped or stripped[0] == "#":
-            continue
-        parts = stripped.split(",", 3)
-        key = known = None
-        content_id = ""
-        if len(parts) == 4:
-            content_id = parts[2].strip()
-            key = (parts[1], parts[3], not content_id)
-            known = memo.get(key)
-        t = nan
-        if known is not None:
-            try:
-                t = float(parts[0].strip())
-            except ValueError:
-                pass
-        if not isfinite(t):
-            # a new tail, or a line the parser rejects in its own words
-            try:
+    try:
+        for line in islice(lines, lineno, None):
+            lineno += 1
+            if not line.isascii():
+                check_utf8(line, lineno, name)
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            parts = stripped.split(",", 3)
+            key = known = None
+            content_id = ""
+            if len(parts) == 4:
+                content_id = parts[2].strip()
+                key = (parts[1], parts[3], not content_id)
+                known = memo.get(key)
+            t = nan
+            if known is not None:
+                try:
+                    t = float(parts[0].strip())
+                except ValueError:
+                    pass
+            if not isfinite(t):
+                # a new tail, or a line the parser rejects in its own words
                 req = _parse_fields(stripped.split(","), lineno)
-            except RequestError as err:
-                if ids:
-                    yield ids, content_ids, ts, news, clear, lineno - 1
-                yield str(err)
-                return
-            t = req.t
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-                clear = tail_id
-            known = memo[key] = tail_id
-            tail_id += 1
-            news.append(_tail(req))
-        ids.append(known)
-        content_ids.append(content_id)
-        ts.append(t)
-        if len(ids) == size:
-            yield ids, content_ids, ts, news, clear, lineno
-            ids, content_ids, ts, news = [], [], [], []
+                t = req.t
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                    clear = tail_id
+                known = memo[key] = tail_id
+                tail_id += 1
+                news.append(_tail(req))
+            ids.append(known)
+            content_ids.append(content_id)
+            ts.append(t)
+            if len(ids) == size:
+                yield ids, content_ids, ts, news, clear, lineno
+                ids, content_ids, ts, news = [], [], [], []
+    except RequestError as err:
+        if ids:
+            yield ids, content_ids, ts, news, clear, lineno - 1
+        yield str(err)
+        return
     if ids:
         yield ids, content_ids, ts, news, clear, lineno
 
@@ -598,8 +590,9 @@ def _forked_blocks(trace):
 
     If the child fails (see Child.ok), the trace is read again from its
     start, and its lines after the last block received are parsed here,
-    so the blocks are those of one process. The child is reaped when the
-    blocks end or the generator is closed.
+    so the blocks are those of one process. Neither the fold nor
+    stream_replay's drain asks for a block after an error text. The child
+    is reaped when the blocks end or the generator is closed.
     """
     lineno = tail_id = 0
     with Child(partial(_blocks, trace)) as child:
@@ -610,7 +603,7 @@ def _forked_blocks(trace):
             tail_id += len(block[3])
     if not child.ok:
         trace.seek(0)
-        yield from _blocks(islice(trace, lineno, None), lineno, tail_id)
+        yield from _blocks(trace, lineno, tail_id)
 
 
 # =====================================================================
@@ -687,33 +680,38 @@ def _parse_fields(fields, lineno):
 def iter_trace(lines, start=1):
     """The requests of trace lines, in order, the first line numbered
     start; see parse_trace_line. Raises RequestError naming the first
-    malformed line."""
+    line that is malformed or holds a byte that is not UTF-8
+    (check_utf8)."""
+    name = getattr(lines, "name", None)
     for lineno, line in enumerate(lines, start):
+        if not line.isascii():
+            check_utf8(line, lineno, name)
         req = parse_trace_line(line, lineno)
         if req is not None:
             yield req
 
 
 def load_trace(path):
-    with open_text(path, RequestError) as fh:
+    with open_text(path) as fh:
         return list(iter_trace(fh))
 
 
-@contextmanager
-def open_text(path, error):
+def open_text(path):
     """The text file at path, UTF-8 after an optional byte-order mark. A
-    byte that does not decode raises error (a ValueError class) naming
-    path and, in a regular file read again only then, the byte's line."""
+    byte that does not decode reads as a lone surrogate, which each
+    reader refuses with check_utf8, in file order."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+
+def check_utf8(line, lineno, name, error=RequestError):
+    """Refuse line lineno of the file name, as open_text reads it, if it
+    holds a byte that is not UTF-8: {name}: line {lineno} is not UTF-8.
+    Such a byte reads as a lone surrogate, which does not encode."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError:  # the codec names neither the file nor the line
-        where = ""
-        if os.path.isfile(path):  # a pipe cannot be read again
-            with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-                where = next((f": line {n}" for n, line in enumerate(fh, 1)
-                              if any("\udc80" <= c <= "\udcff" for c in line)), "")
-        raise error(f"{path}{where} is not UTF-8") from None
+        line.encode()
+    except UnicodeEncodeError:  # the codec's words name neither the file nor the line
+        where = "" if name is None else f"{name}: "
+        raise error(f"{where}line {lineno} is not UTF-8") from None
 
 
 # =====================================================================
@@ -729,28 +727,18 @@ def _fmt(value):
     return "" if value is None else f"{value:.8e}"
 
 
-def _render(kind: RequestKind, dec: ModeDecision):
-    """A decision's CSV cells after t: kind,mode,action,objective_value,
-    latency_s,energy_J."""
-    mode = dec.mode.value if dec.mode is not None else ""
-    return ",".join(
-        (
-            kind.value,
-            mode,
-            dec.action.value,
-            _fmt(dec.objective_value),
-            _fmt(dec.latency_s),
-            _fmt(dec.energy_J),
-        )
-    )
+def _row(kind: RequestKind, dec: ModeDecision):
+    """A decision's CSV row as a template for its t:
+    "%.8e,kind,mode,action,objective_value,latency_s,energy_J\n". Its
+    cells are enum values and _fmt digits, so they hold no %."""
+    mode = "" if dec.mode is None else dec.mode.value
+    return (f"%.8e,{kind.value},{mode},{dec.action.value},{_fmt(dec.objective_value)},"
+            f"{_fmt(dec.latency_s)},{_fmt(dec.energy_J)}\n")
 
 
 def decisions_to_csv(requests, decisions):
     """Render replayed decisions in the documented CSV schema."""
     if len(requests) != len(decisions):
         raise ValueError("requests and decisions must align one-to-one")
-    lines = [DECISION_CSV_HEADER]
-    lines.extend(
-        f"{_fmt(req.t)},{_render(req.kind, dec)}" for req, dec in zip(requests, decisions)
-    )
-    return "\n".join(lines) + "\n"
+    rows = "".join([_row(req.kind, dec) for req, dec in zip(requests, decisions)])
+    return DECISION_CSV_HEADER + "\n" + rows % tuple([req.t for req in requests])

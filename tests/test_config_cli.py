@@ -1,4 +1,3 @@
-import codecs
 import configparser
 import contextlib
 import io
@@ -37,7 +36,7 @@ from hapslink import (
 )
 from hapslink import config
 from hapslink._record import Above
-from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
+from hapslink.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, build_parser, main
 from hapslink.engine import OBJECTIVES
 from hapslink.modes import carrier
 
@@ -122,6 +121,12 @@ def test_a_byte_order_mark_at_the_start_of_a_config_is_not_text(tmp_path, capsys
     # a refusal names the same line, and no mark
     with pytest.raises(ConfigError, match=r"bad\.ini: line 2: 'D'$"):
         load_config(str(bad))
+
+
+def test_two_main_calls_build_one_parser(capsys):
+    build_parser.cache_clear()
+    assert main(["sweep-latency"]) == main(["sweep-latency"]) == EXIT_OK
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
@@ -1430,10 +1435,10 @@ _LINE = st.one_of(
 )
 
 
-def _decodes(data, final=True):
-    """Whether data is UTF-8, or with final false a prefix of it."""
+def _decodes(data):
+    """Whether data is UTF-8."""
     try:
-        codecs.getincrementaldecoder("utf-8")().decode(data, final)
+        data.decode("utf-8")
     except UnicodeDecodeError:
         return False
     return True
@@ -1464,13 +1469,14 @@ def test_cli_replay_survives_hostile_trace_bytes(tmp_path, lines):
     if code == EXIT_INVALID:
         assert err.startswith("error:")
         assert "codec" not in err, err  # the decoder's words name no file
-        data = trace.read_bytes()
-        bad = next((n for n, line in enumerate(data.splitlines(), 1)
+        bad = next((n for n, line in enumerate(trace.read_bytes().splitlines(), 1)
                     if not _decodes(line)), None)
-        if not _decodes(data, final=False):  # found in the first read, before any line
-            assert err == f"error: {trace}: line {bad} is not UTF-8\n"
-        elif "UTF-8" in err:  # a sequence the end of the file cuts short
-            assert bad is not None and err == f"error: {trace}: line {bad} is not UTF-8\n"
+        if bad is not None:
+            # in file order: the first line that is not UTF-8, unless an
+            # earlier line is malformed; no refused request comes first
+            earlier = re.match(r"error: line (\d+): ", err)
+            assert err == f"error: {trace}: line {bad} is not UTF-8\n" or (
+                earlier is not None and int(earlier[1]) < bad), err
         return
     header, *rows = out.read_text().splitlines()
     numeric = [i for i, name in enumerate(header.split(",")) if name not in

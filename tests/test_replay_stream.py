@@ -708,6 +708,25 @@ def test_a_trace_that_is_not_utf8_names_its_file_and_line(tmp_path, monkeypatch,
         load_trace(str(trace))
 
 
+@pytest.mark.parametrize("gap", [0, 2000])
+@pytest.mark.parametrize("run", ["one_process", "split", "split_reader_fails"])
+def test_a_malformed_line_before_one_that_is_not_utf8_is_the_error(tmp_path, monkeypatch,
+                                                                   run, gap):
+    # file order decides, however many lines lie between the two
+    body = [f"{i},communication,,1e6,," for i in range(gap)]
+    trace = tmp_path / "t.trace"
+    trace.write_bytes("\n".join(["0,nonsense,,,,"] + body).encode()
+                      + b"\n1,communication\xff,,1e6,,\n")
+    if run == "split_reader_fails":
+        _exits_3_after_its_first_block(monkeypatch)
+    with reader(run != "one_process") as forks:
+        assert _cli(["replay", str(trace)]) == (
+            EXIT_INVALID, "", "error: line 1: unknown kind 'nonsense'\n")
+    assert len(forks) == (run != "one_process")
+    with pytest.raises(RequestError, match="^line 1: unknown kind 'nonsense'$"):
+        load_trace(str(trace))
+
+
 @pytest.mark.parametrize("run", ["one_process", "split", "split_reader_fails"])
 def test_a_trace_that_starts_with_a_byte_order_mark_replays_as_without(tmp_path,
                                                                         monkeypatch, run):
