@@ -214,8 +214,7 @@ def load_config(path=None) -> ScenarioConfig:
     with open_text(path) as fh:
         lines = fh.readlines()
     for lineno, line in enumerate(lines, 1):
-        if not line.isascii():
-            check_utf8(line, lineno, fh.name, ConfigError)
+        check_utf8(line, lineno, fh, ConfigError)
     try:
         parser.read_file(lines, path)
     except configparser.Error as err:  # one line: its number and text, not configparser's words

@@ -385,10 +385,24 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
 
 
 def _request_blocks(requests):
-    """Requests as _fold's blocks: one per request, whose new tail clears
-    the memo, so no other request reads it."""
-    for i, req in enumerate(requests):
-        yield (i,), (req.content_id,), (req.t,), (_tail(req),), i, None
+    """Requests as _fold's blocks, one per request. Requests with equal
+    tails share a tail id, as equal line tails do in _blocks; a size is
+    keyed with its type and sign too, so 0 and -0.0 stay apart. At most
+    _MEMO_LIMIT tails are known, cleared as _blocks clears them."""
+    memo = {}
+    tail_id = clear = 0
+    for req in requests:
+        tail = _tail(req)
+        size = tail[1]
+        key = tail if size is None else (tail, size.__class__, math.copysign(1.0, size))
+        new = key not in memo
+        if new:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+                clear = tail_id
+            memo[key] = tail_id
+            tail_id += 1
+        yield (memo[key],), (req.content_id,), (req.t,), (tail,) if new else (), clear, None
 
 
 def _tail(req: Request):
@@ -533,16 +547,15 @@ def _blocks(lines, lineno=0, tail_id=0):
     go out as a block, then its RequestError's text.
     """
     isfinite, nan = math.isfinite, math.nan
-    name = getattr(lines, "name", None)
     size = _BLOCK_LINES
     memo = {}
     clear = tail_id
     ids, content_ids, ts, news = [], [], [], []
     try:
-        for line in islice(lines, lineno, None):
+        for line in islice(lines, lineno, None) if lineno else lines:
             lineno += 1
-            if not line.isascii():
-                check_utf8(line, lineno, name)
+            if not line.isascii():  # check_utf8's own first test, kept inline for speed
+                check_utf8(line, lineno, lines)
             stripped = line.strip()
             if not stripped or stripped[0] == "#":
                 continue
@@ -682,10 +695,8 @@ def iter_trace(lines, start=1):
     start; see parse_trace_line. Raises RequestError naming the first
     line that is malformed or holds a byte that is not UTF-8
     (check_utf8)."""
-    name = getattr(lines, "name", None)
     for lineno, line in enumerate(lines, start):
-        if not line.isascii():
-            check_utf8(line, lineno, name)
+        check_utf8(line, lineno, lines)
         req = parse_trace_line(line, lineno)
         if req is not None:
             yield req
@@ -703,13 +714,17 @@ def open_text(path):
     return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
-def check_utf8(line, lineno, name, error=RequestError):
-    """Refuse line lineno of the file name, as open_text reads it, if it
-    holds a byte that is not UTF-8: {name}: line {lineno} is not UTF-8.
-    Such a byte reads as a lone surrogate, which does not encode."""
+def check_utf8(line, lineno, fh, error=RequestError):
+    """Refuse line lineno of fh, as open_text reads it, if it holds a byte
+    that is not UTF-8: "{fh.name}: line {lineno} is not UTF-8", or with
+    no name when fh has none. Such a byte reads as a lone surrogate,
+    which does not encode; an ASCII line costs one str.isascii()."""
+    if line.isascii():
+        return
     try:
         line.encode()
     except UnicodeEncodeError:  # the codec's words name neither the file nor the line
+        name = getattr(fh, "name", None)
         where = "" if name is None else f"{name}: "
         raise error(f"{where}line {lineno} is not UTF-8") from None
 

@@ -1477,6 +1477,8 @@ def test_cli_replay_survives_hostile_trace_bytes(tmp_path, lines):
             earlier = re.match(r"error: line (\d+): ", err)
             assert err == f"error: {trace}: line {bad} is not UTF-8\n" or (
                 earlier is not None and int(earlier[1]) < bad), err
+        else:
+            assert "UTF-8" not in err, err
         return
     header, *rows = out.read_text().splitlines()
     numeric = [i for i, name in enumerate(header.split(",")) if name not in

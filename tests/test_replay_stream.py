@@ -21,6 +21,7 @@ from hapslink import (
     CacheState,
     EngineContext,
     Mode,
+    Request,
     RequestError,
     RequestKind,
     decisions_to_csv,
@@ -533,6 +534,38 @@ def test_memo_keys_each_tail_on_the_branch_it_takes():
     assert [row.split(",")[3] for row in warm.getvalue().split("\n")[1:-1]] == [
         "forward_and_cache", "serve_direct", "serve_direct", "serve_direct"
     ]
+
+
+def test_a_request_replay_decides_each_tail_once(monkeypatch):
+    # requests with equal tails share a decision, as equal trace lines do;
+    # a size is keyed with its sign and type, and the memo keeps its cap
+    cfg = load_config(None)
+    limit = engine._MEMO_LIMIT
+    built = []
+    build = engine._build
+
+    def counting_build(tail, branch, ctx):
+        built.append(tail[1])  # its size_bits
+        return build(tail, branch, ctx)
+
+    monkeypatch.setattr(engine, "_build", counting_build)
+    sizes = [1e6, 1e6, 0.0, -0.0, 0, 0.0, -0.0, 0, 1e6]
+    requests = [Request(i, RequestKind.COMMUNICATION, size_bits=size)
+                for i, size in enumerate(sizes)]
+    result = replay_trace(requests, CacheState(), _context(cfg))
+    assert [repr(size) for size in built] == ["1000000.0", "0.0", "-0.0", "0"]
+    # each decision is the one its request gets alone, -0.0 energy included
+    built.clear()
+    for req, dec in zip(requests, result.decisions):
+        alone = handle_request(req, CacheState(), _context(cfg))[0]
+        assert (dec, repr(dec.energy_J)) == (alone, repr(alone.energy_J))
+    assert len(built) == len(requests)
+
+    built.clear()
+    sizes = [0.0, 0.0] + [float(size) for size in range(1, limit)] + [0.0, float(limit), 0.0]
+    replay_trace([Request(i, RequestKind.COMMUNICATION, size_bits=size)
+                  for i, size in enumerate(sizes)], CacheState(), _context(cfg))
+    assert built == [0.0] + list(range(1, limit)) + [limit, 0.0]
 
 
 # ---------------------------------------------------------------
