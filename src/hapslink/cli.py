@@ -179,7 +179,7 @@ def _cmd_select(args):
     )
     ctx, state = build_engine(cfg)
     decision, _ = handle_request(req, state, ctx)
-    with _all_or_nothing(args.out) as fh:
+    with _all_or_nothing(args.out or cfg.output_path) as fh:
         fh.write(decisions_to_csv([req], [decision]))
     if decision.action is Action.INFEASIBLE:
         return EXIT_INFEASIBLE

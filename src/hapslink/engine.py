@@ -204,8 +204,10 @@ _HIT = "hit"
 _FORWARD = "forward"
 _CACHE = "forward_and_cache"
 
-# Most distinct trace-line tails a replay keeps; a full memo is cleared,
-# so its memory does not grow with the trace.
+# Most distinct trace-line tails a replay keeps; a full memo is cleared
+# when a new tail comes, so its memory does not grow with the trace. The
+# parse stage and the fold each keep a memo by this rule over the same
+# new tails, so the two clear together.
 _MEMO_LIMIT = 1024
 
 
@@ -292,9 +294,10 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
 
     Each tail is kept with a dict of its memo entries per branch, so a
     later request with that tail pays only for its row. A block names
-    each request's tail by its id; the memo drops every older tail at the
-    block's clear point, as the parse stage does. A refusal is never
-    memoised.
+    each request's tail by its id. At most _MEMO_LIMIT tails are kept: a
+    new tail past them clears the memo, the rule the parse stage keeps
+    over the same new tails, so every tail it names as known is here. A
+    refusal is never memoised.
 
     Timestamps must be non-decreasing. The first refused request aborts
     the loop with a RequestError naming its index, caused by the
@@ -313,7 +316,7 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
     for block in blocks:
         if block.__class__ is str:
             raise RequestError(block)
-        ids, content_ids, ts, news, clear, _ = block
+        ids, content_ids, ts, news = block
         news = iter(news)
         folded = []
         for tail_id, content_id, t in zip(ids, content_ids, ts):
@@ -323,7 +326,7 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
             else:
                 kind, size, objective, floor = next(news)
                 tail = _KINDS[kind], size, OBJECTIVES.get(objective), floor
-                if tail_id == clear:
+                if len(tails) >= _MEMO_LIMIT:
                     tails.clear()
                 decided = {}
                 tails[tail_id] = tail, decided
@@ -388,9 +391,10 @@ def _request_blocks(requests):
     """Requests as _fold's blocks, one per request. Requests with equal
     tails share a tail id, as equal line tails do in _blocks; a size is
     keyed with its type and sign too, so 0 and -0.0 stay apart. At most
-    _MEMO_LIMIT tails are known, cleared as _blocks clears them."""
+    _MEMO_LIMIT tails are known: a new tail past them clears the memo,
+    as in _blocks and _fold."""
     memo = {}
-    tail_id = clear = 0
+    tail_id = 0
     for req in requests:
         tail = _tail(req)
         size = tail[1]
@@ -399,10 +403,9 @@ def _request_blocks(requests):
         if new:
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
-                clear = tail_id
             memo[key] = tail_id
             tail_id += 1
-        yield (memo[key],), (req.content_id,), (req.t,), (tail,) if new else (), clear, None
+        yield (memo[key],), (req.content_id,), (req.t,), (tail,) if new else ()
 
 
 def _tail(req: Request):
@@ -502,8 +505,7 @@ def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
 
 
 # Trace lines per block of the parse stage: the rows of one block go out
-# in one write. At most _MEMO_LIMIT, so that a block holds at most one
-# clear point.
+# in one write.
 _BLOCK_LINES = 256
 
 # A smaller trace is parsed in the process that folds it: below it the
@@ -527,20 +529,19 @@ def _splits(trace):
             and info.st_size >= SPLIT_MIN_BYTES and can_fork())
 
 
-def _blocks(lines, lineno=0, tail_id=0):
-    """The parse stage of a replay: the data lines of lines after the
-    first lineno, numbered from lineno + 1, in blocks of _BLOCK_LINES,
-    each (tail ids, content ids, timestamps, new tails, clear point,
-    number of its last line).
+def _blocks(lines):
+    """The parse stage of a replay: the data lines of lines, numbered from
+    1, in blocks of _BLOCK_LINES, each (tail ids, content ids, timestamps,
+    new tails). It reads nothing but lines, so a second pass over the same
+    lines gives the same blocks.
 
     A line's tail is every field but t and content_id, plus whether
     content_id is empty, keyed on its raw field text, so sizes 0 and -0
-    stay apart. Each new tail takes the next id, from tail_id on, and its
-    line is parsed and checked in full, once, by _parse_fields; its entry
-    in new tails is the request's _tail, which a forked child sends as it
-    is. A line whose tail is known pays only for its timestamp. At most
-    _MEMO_LIMIT tails are known: a new tail past them clears the memo,
-    and the clear point is the id of the first tail since.
+    stay apart. Each new tail takes the next id, and its line is parsed
+    and checked in full, once, by _parse_fields; its entry in new tails is
+    the request's _tail, which a forked child sends as it is. A line whose
+    tail is known pays only for its timestamp. At most _MEMO_LIMIT tails
+    are known: a new tail past them clears the memo, as in _fold.
 
     The first line, comments included, that holds a byte that is not
     UTF-8 (check_utf8) or is malformed ends the stage: the lines before it
@@ -549,11 +550,10 @@ def _blocks(lines, lineno=0, tail_id=0):
     isfinite, nan = math.isfinite, math.nan
     size = _BLOCK_LINES
     memo = {}
-    clear = tail_id
+    tail_id = 0
     ids, content_ids, ts, news = [], [], [], []
     try:
-        for line in islice(lines, lineno, None) if lineno else lines:
-            lineno += 1
+        for lineno, line in enumerate(lines, 1):
             if not line.isascii():  # check_utf8's own first test, kept inline for speed
                 check_utf8(line, lineno, lines)
             stripped = line.strip()
@@ -578,7 +578,6 @@ def _blocks(lines, lineno=0, tail_id=0):
                 t = req.t
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
-                    clear = tail_id
                 known = memo[key] = tail_id
                 tail_id += 1
                 news.append(_tail(req))
@@ -586,37 +585,36 @@ def _blocks(lines, lineno=0, tail_id=0):
             content_ids.append(content_id)
             ts.append(t)
             if len(ids) == size:
-                yield ids, content_ids, ts, news, clear, lineno
+                yield ids, content_ids, ts, news
                 ids, content_ids, ts, news = [], [], [], []
     except RequestError as err:
         if ids:
-            yield ids, content_ids, ts, news, clear, lineno - 1
+            yield ids, content_ids, ts, news
         yield str(err)
         return
     if ids:
-        yield ids, content_ids, ts, news, clear, lineno
+        yield ids, content_ids, ts, news
 
 
 def _forked_blocks(trace):
     """_blocks of trace, a regular file at its start, parsed in a forked
     child that sends each block through _fork.Child's channel.
 
-    If the child fails (see Child.ok), the trace is read again from its
-    start, and its lines after the last block received are parsed here,
-    so the blocks are those of one process. Neither the fold nor
-    stream_replay's drain asks for a block after an error text. The child
-    is reaped when the blocks end or the generator is closed.
+    If the child fails (see Child.ok), the trace is parsed again here
+    from its start, and the blocks already received are skipped: the
+    parse stage reads the file alone, so the rest are the blocks the child
+    would have sent. Neither the fold nor stream_replay's drain asks for
+    a block after an error text. The child is reaped when the blocks end
+    or the generator is closed.
     """
-    lineno = tail_id = 0
+    received = 0
     with Child(partial(_blocks, trace)) as child:
         for block in child:
             yield block
-            # reached only after a block, never after an error text
-            lineno = block[5]
-            tail_id += len(block[3])
+            received += 1  # reached only after a block, never after an error text
     if not child.ok:
         trace.seek(0)
-        yield from _blocks(trace, lineno, tail_id)
+        yield from islice(_blocks(trace), received, None)
 
 
 # =====================================================================
@@ -690,12 +688,11 @@ def _parse_fields(fields, lineno):
     return req
 
 
-def iter_trace(lines, start=1):
-    """The requests of trace lines, in order, the first line numbered
-    start; see parse_trace_line. Raises RequestError naming the first
-    line that is malformed or holds a byte that is not UTF-8
-    (check_utf8)."""
-    for lineno, line in enumerate(lines, start):
+def iter_trace(lines):
+    """The requests of trace lines, in order, the first line numbered 1;
+    see parse_trace_line. Raises RequestError naming the first line that
+    is malformed or holds a byte that is not UTF-8 (check_utf8)."""
+    for lineno, line in enumerate(lines, 1):
         check_utf8(line, lineno, lines)
         req = parse_trace_line(line, lineno)
         if req is not None:

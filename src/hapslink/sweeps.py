@@ -111,51 +111,39 @@ def _table(header, grid, columns):
 
     A grid of at least SPLIT_MIN_POINTS points, on Linux with os.fork, more
     than one usable CPU and no other thread, is computed and rendered in
-    two halves, the second in a forked child. If either half fails, the
-    whole grid is computed again in one process, so a refusal is exactly
-    the one-process refusal.
+    two halves (_part), the second in a forked child that sends its part
+    as one value through _fork.Child; each of the parent's columns is
+    extended with the child's bytes. If either half fails, the whole grid
+    is computed again in one process, so a refusal is exactly the
+    one-process refusal. The child is reaped before this returns or
+    raises.
     """
-    from array import array  # not at import: a replay never needs it
     head = ",".join(header) + "\n"
     if len(grid) >= SPLIT_MIN_POINTS and can_fork():
-        halves = _in_two_halves(grid, columns)
-        if halves is not None:
-            cols, near, far = halves
+        mid = len(grid) // 2
+        # most of a half fits in the pipe at once, so the child sends it
+        # while the parent still renders its own half
+        with Child(lambda: [_part(columns, grid[mid:])]) as forked:
+            try:
+                cols, near = _part(columns, grid[:mid])
+                ((far_cols, far),) = forked  # its one value, then its end mark
+            except Exception:  # the one-process pass raises it again, or the refusal it hid
+                pass
+        # ok only if the end mark was read, so only after both halves
+        if forked.ok:
+            for col, data in zip(cols, far_cols):
+                col.frombytes(data)
             return cols, "".join((head, near, far))
-    cols = [grid, *columns(grid)]
-    return tuple(array("d", col) for col in cols), head + _render(cols)
+    cols, text = _part(columns, grid)
+    return cols, head + text
 
 
-def _in_two_halves(grid, columns):
-    """(the columns, each half's rows rendered), the second half computed
-    and rendered in a forked child that sends its columns, as array('d'),
-    and its text as one value through _fork.Child; None if either half
-    fails. Each column is the parent's half, converted, extended with the
-    child's bytes. The child is reaped before this returns or raises."""
-    from array import array
-    mid = len(grid) // 2
-    near, far = grid[:mid], grid[mid:]
-
-    def child():
-        cols = [far, *columns(far)]
-        yield [array("d", col) for col in cols], _render(cols)
-
-    # most of a half fits in the pipe at once, so the child sends it
-    # while the parent still renders its own half
-    with Child(child) as forked:
-        try:
-            cols = [near, *columns(near)]
-        except Exception:  # the one-process pass raises it again, or the refusal it hid
-            return None
-        text = _render(cols)
-        cols = tuple(array("d", col) for col in cols)
-        sent = [*forked]
-    if not forked.ok:  # what it sent may stop short
-        return None
-    ((far_cols, far_text),) = sent
-    for col, data in zip(cols, far_cols):
-        col.frombytes(data)
-    return cols, text, far_text
+def _part(columns, points):
+    """(columns, CSV rows) of a part of a sweep's grid: the points and
+    columns(points), each as one array('d'), and their rows rendered."""
+    from array import array  # not at import: a replay never needs it
+    cols = [points, *columns(points)]
+    return tuple(array("d", col) for col in cols), _render(cols)
 
 
 def _ris_variants(cfg: ScenarioConfig):

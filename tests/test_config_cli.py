@@ -1022,6 +1022,22 @@ def test_cli_select_reports_a_refused_request_before_a_refused_scenario(tmp_path
     assert capsys.readouterr().err == "error: mode unreachable: RIS capacity is zero\n"
 
 
+def test_cli_select_writes_to_the_config_output_path(tmp_path, capsys):
+    # [output] path is the default for --out in select as in every command
+    out = tmp_path / "select.csv"
+    config = write_config(tmp_path, f"[output]\npath = {out}\n")
+    argv = ["select", "--kind", "communication", "--config", config]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    written = out.read_text()
+    assert written.startswith("t,kind,mode,action,")
+    out.unlink()
+    # --out still wins over the config's path
+    other = tmp_path / "other.csv"
+    assert main(argv + ["--out", str(other)]) == EXIT_OK
+    assert other.read_text() == written and not out.exists()
+
+
 def test_cli_select_infeasible_exits_2(capsys):
     code = main([
         "select", "--kind", "communication",

@@ -621,6 +621,36 @@ def test_a_failed_reader_gives_the_one_process_outcome(tmp_path, monkeypatch, fa
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+def test_a_reader_that_fails_before_the_memo_clears_builds_what_one_process_builds(
+        tmp_path, monkeypatch):
+    # the reader fails after its first block, and the memo clears at the
+    # 1,025th tail, in the rest of the trace, which this process parses
+    # again: its memo is the one process's memo, so no tail is decided twice
+    sizes = [i % 200 for i in range(512)] + list(range(200, 1300))
+    sizes += [1250 + i % 50 for i in range(12000 - len(sizes))]
+    trace = tmp_path / "t.trace"
+    trace.write_text("".join(f"{i},communication,,{size},,\n" for i, size in enumerate(sizes)))
+    assert trace.stat().st_size >= engine.SPLIT_MIN_BYTES
+    built = []
+    build = engine._build
+
+    def counting_build(tail, branch, ctx):
+        built.append(tail[1])  # its size_bits
+        return build(tail, branch, ctx)
+
+    monkeypatch.setattr(engine, "_build", counting_build)
+    with reader(False):
+        one = _cli(["replay", str(trace)])
+    assert one[0] == EXIT_OK and len(built) == 1300
+    one_built = built.copy()
+    built.clear()
+    _exits_3_after_its_first_block(monkeypatch)
+    with reader(True) as forks:
+        assert _cli(["replay", str(trace)]) == one
+    assert len(forks) == 1
+    assert built == one_built
+
+
 def test_a_split_replay_folds_only_what_the_reader_sent(tmp_path, monkeypatch):
     # traces above the threshold, beside a healthy reader: this process
     # never runs the parse stage, neither for the whole trace nor for a
