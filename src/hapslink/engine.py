@@ -11,23 +11,24 @@ replay_trace (a list of requests) and stream_replay (trace lines, the
 CLI's replay) all pick the cache branch, get the decision and update the
 cache through it. For one EngineContext a decision is a function of the
 request's tail, its kind, size, objective and QoS floor, and of the
-cache branch it takes. Every source hands the loop a new tail in one
-form that marshal can carry (_tail), and the loop memoises, per tail,
-each branch's decision and its CSV row. The loop has one output: each
-folded block goes to one sink, which keeps the decisions
-(handle_request, replay_trace) or writes the rows (stream_replay). A
-row has one form, _row's template with a slot for t, which
-decisions_to_csv fills too.
+cache branch it takes. Every source hands the loop blocks that carry
+the tails their requests use, in one form that marshal can carry
+(_tail), and the loop memoises, per tail, each branch's decision and its
+CSV row. The loop has one output: each folded block goes to one sink,
+which keeps the decisions (handle_request, replay_trace) or writes the
+rows (stream_replay). A row has one form, _row's template with a slot
+for t, which decisions_to_csv fills too.
 
 Trace lines reach the fold from a parse stage (_blocks) that splits each
 line, finds its memoised tail and parses its timestamp, and parses and
 checks a new tail's line once; these steps depend on the line alone, so
 on a large regular file the stage runs in a forked child
-(_forked_blocks) beside the fold, which then parses nothing. A line
-whose tail is memoised costs the fold a dict lookup and its row, and a
-decision only if its branch is new. The rows of each block of
-_BLOCK_LINES requests go out in one write. After a refused request,
-stream_replay drains the blocks, so a later malformed line is the error.
+(_forked_blocks) beside the fold, which then parses nothing. Each stage
+keeps its own memo, and no tail id crosses from one to the other. A
+line costs the fold a list index and its row, and a decision only if
+its tail's branch is new. The rows of each block of _BLOCK_LINES
+requests go out in one write. After a refused request, stream_replay
+drains the blocks, so a later malformed line is the error.
 """
 
 import math
@@ -204,10 +205,10 @@ _HIT = "hit"
 _FORWARD = "forward"
 _CACHE = "forward_and_cache"
 
-# Most distinct trace-line tails a replay keeps; a full memo is cleared
+# Most distinct tails each memo of a replay keeps; a full memo is cleared
 # when a new tail comes, so its memory does not grow with the trace. The
-# parse stage and the fold each keep a memo by this rule over the same
-# new tails, so the two clear together.
+# parse stage and the fold each bound their own memo by it, and neither
+# needs to know when the other clears.
 _MEMO_LIMIT = 1024
 
 
@@ -279,11 +280,13 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
     ReplaySummary.
 
     blocks are _request_blocks, each request checked where it was built,
-    or the parse stage's blocks of trace lines (_blocks). Either way a new
-    tail comes as _tail's tokens, which the loop maps to its RequestKind
-    and Objective, and never parses. Once a block is folded, emit gets
-    its timestamps and, for each request in order, its memo entry:
-    (_row's template, mode value, energy_J, decision).
+    or the parse stage's blocks of trace lines (_blocks). Either way a
+    block is (slots, content ids, timestamps, table): the table holds each
+    distinct tail of the block once, as _tail's tokens, which the loop
+    maps to its RequestKind and Objective, and never parses; slots[i]
+    indexes request i's tail in it. Once a block is folded, emit gets its
+    timestamps and, for each request in order, its memo entry: (_row's
+    template, mode value, energy_J, decision).
 
     For each request the loop picks the cache branch (hit, forward, or
     forward and cache; communication and tasks take none; a forced
@@ -293,11 +296,11 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
     leave the state untouched.
 
     Each tail is kept with a dict of its memo entries per branch, so a
-    later request with that tail pays only for its row. A block names
-    each request's tail by its id. At most _MEMO_LIMIT tails are kept: a
-    new tail past them clears the memo, the rule the parse stage keeps
-    over the same new tails, so every tail it names as known is here. A
-    refusal is never memoised.
+    later request with that tail pays only for its row. A block's table
+    is looked up once, keyed on each tail's value; a zero or missing size
+    is keyed with its repr, so 0, 0.0 and -0.0 stay apart. At most
+    _MEMO_LIMIT tails are kept: a new tail past them clears the memo, and
+    the block keeps the entries it looked up. A refusal is never memoised.
 
     Timestamps must be non-decreasing. The first refused request aborts
     the loop with a RequestError naming its index, caused by the
@@ -312,24 +315,24 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
     hits = content_requests = 0
     last_t = None
     index = -1
-    tails = {}
+    memo = {}
     for block in blocks:
         if block.__class__ is str:
             raise RequestError(block)
-        ids, content_ids, ts, news = block
-        news = iter(news)
+        slots, content_ids, ts, table = block
+        known = []
+        for tail in table:
+            kind, size, objective, floor = tail
+            key = tail if size else (tail, repr(size))
+            entry = memo.get(key)
+            if entry is None:
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                entry = memo[key] = (_KINDS[kind], size, OBJECTIVES.get(objective), floor), {}
+            known.append(entry)
         folded = []
-        for tail_id, content_id, t in zip(ids, content_ids, ts):
-            known = tails.get(tail_id)
-            if known is not None:
-                tail, decided = known
-            else:
-                kind, size, objective, floor = next(news)
-                tail = _KINDS[kind], size, OBJECTIVES.get(objective), floor
-                if len(tails) >= _MEMO_LIMIT:
-                    tails.clear()
-                decided = {}
-                tails[tail_id] = tail, decided
+        for slot, content_id, t in zip(slots, content_ids, ts):
+            tail, decided = known[slot]
             index += 1
             kind = tail[0]
             try:
@@ -388,24 +391,10 @@ def _fold(blocks, state: CacheState, ctx: EngineContext, force_mode, emit):
 
 
 def _request_blocks(requests):
-    """Requests as _fold's blocks, one per request. Requests with equal
-    tails share a tail id, as equal line tails do in _blocks; a size is
-    keyed with its type and sign too, so 0 and -0.0 stay apart. At most
-    _MEMO_LIMIT tails are known: a new tail past them clears the memo,
-    as in _blocks and _fold."""
-    memo = {}
-    tail_id = 0
+    """Requests as _fold's blocks, one per request, whose table is its
+    _tail; the fold's memo shares the decisions of equal tails."""
     for req in requests:
-        tail = _tail(req)
-        size = tail[1]
-        key = tail if size is None else (tail, size.__class__, math.copysign(1.0, size))
-        new = key not in memo
-        if new:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = tail_id
-            tail_id += 1
-        yield (memo[key],), (req.content_id,), (req.t,), (tail,) if new else ()
+        yield (0,), (req.content_id,), (req.t,), (_tail(req),)
 
 
 def _tail(req: Request):
@@ -487,7 +476,7 @@ def stream_replay(lines, state: CacheState, ctx: EngineContext, write,
     regular file, read from its start, of at least SPLIT_MIN_BYTES bytes
     and the platform passes _fork.can_fork; it runs in this process
     otherwise. Either way the rows, the summary and every error are those
-    of one process.
+    of one process, and neither stage reads the other's memo.
     """
     blocks = _forked_blocks(lines) if _splits(lines) else _blocks(lines)
     try:
@@ -531,17 +520,18 @@ def _splits(trace):
 
 def _blocks(lines):
     """The parse stage of a replay: the data lines of lines, numbered from
-    1, in blocks of _BLOCK_LINES, each (tail ids, content ids, timestamps,
-    new tails). It reads nothing but lines, so a second pass over the same
-    lines gives the same blocks.
+    1, in blocks of _BLOCK_LINES, each (slots, content ids, timestamps,
+    table), the block _fold reads. It reads nothing but lines, so a
+    second pass over the same lines gives the same blocks.
 
     A line's tail is every field but t and content_id, plus whether
     content_id is empty, keyed on its raw field text, so sizes 0 and -0
-    stay apart. Each new tail takes the next id, and its line is parsed
-    and checked in full, once, by _parse_fields; its entry in new tails is
-    the request's _tail, which a forked child sends as it is. A line whose
-    tail is known pays only for its timestamp. At most _MEMO_LIMIT tails
-    are known: a new tail past them clears the memo, as in _fold.
+    stay apart. A new tail's line is parsed and checked in full, once, by
+    _parse_fields, and the memo keeps the request's _tail, which a forked
+    child sends as it is. A line whose tail is known pays only for its
+    timestamp. A block's table lists each tail its lines use once, at the
+    slot its first line takes. At most _MEMO_LIMIT tails are known: a
+    new tail past them clears the memo, and the block keeps its table.
 
     The first line, comments included, that holds a byte that is not
     UTF-8 (check_utf8) or is malformed ends the stage: the lines before it
@@ -550,8 +540,7 @@ def _blocks(lines):
     isfinite, nan = math.isfinite, math.nan
     size = _BLOCK_LINES
     memo = {}
-    tail_id = 0
-    ids, content_ids, ts, news = [], [], [], []
+    slots, content_ids, ts, table, slot_of = [], [], [], [], {}
     try:
         for lineno, line in enumerate(lines, 1):
             if not line.isascii():  # check_utf8's own first test, kept inline for speed
@@ -560,40 +549,41 @@ def _blocks(lines):
             if not stripped or stripped[0] == "#":
                 continue
             parts = stripped.split(",", 3)
-            key = known = None
+            key = slot = None
             content_id = ""
+            t = nan
             if len(parts) == 4:
                 content_id = parts[2].strip()
                 key = (parts[1], parts[3], not content_id)
-                known = memo.get(key)
-            t = nan
-            if known is not None:
-                try:
-                    t = float(parts[0].strip())
-                except ValueError:
-                    pass
+                slot = slot_of.get(key)
+                if slot is not None or key in memo:
+                    try:
+                        t = float(parts[0].strip())
+                    except ValueError:
+                        pass
             if not isfinite(t):
                 # a new tail, or a line the parser rejects in its own words
                 req = _parse_fields(stripped.split(","), lineno)
                 t = req.t
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
-                known = memo[key] = tail_id
-                tail_id += 1
-                news.append(_tail(req))
-            ids.append(known)
+                memo[key] = _tail(req)
+            if slot is None:
+                slot = slot_of[key] = len(table)
+                table.append(memo[key])
+            slots.append(slot)
             content_ids.append(content_id)
             ts.append(t)
-            if len(ids) == size:
-                yield ids, content_ids, ts, news
-                ids, content_ids, ts, news = [], [], [], []
+            if len(slots) == size:
+                yield slots, content_ids, ts, table
+                slots, content_ids, ts, table, slot_of = [], [], [], [], {}
     except RequestError as err:
-        if ids:
-            yield ids, content_ids, ts, news
+        if slots:
+            yield slots, content_ids, ts, table
         yield str(err)
         return
-    if ids:
-        yield ids, content_ids, ts, news
+    if slots:
+        yield slots, content_ids, ts, table
 
 
 def _forked_blocks(trace):
@@ -602,10 +592,10 @@ def _forked_blocks(trace):
 
     If the child fails (see Child.ok), the trace is parsed again here
     from its start, and the blocks already received are skipped: the
-    parse stage reads the file alone, so the rest are the blocks the child
-    would have sent. Neither the fold nor stream_replay's drain asks for
-    a block after an error text. The child is reaped when the blocks end
-    or the generator is closed.
+    parse stage reads the file alone and each block carries its tails,
+    so the rest are the blocks the child would have sent. Neither the
+    fold nor stream_replay's drain asks for a block after an error text.
+    The child is reaped when the blocks end or the generator is closed.
     """
     received = 0
     with Child(partial(_blocks, trace)) as child:

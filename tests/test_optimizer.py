@@ -184,6 +184,13 @@ def test_placement_ris_matches_closed_form(corridor):
     assert corridor.best_offset(Mode.RIS) == ris_placement_roots(60000, 20000)[0]
 
 
+# a mode's value is not the mode
+@pytest.mark.parametrize("mode", [Mode.RS.value, None])
+def test_best_offset_refuses_what_is_not_a_mode(corridor, mode):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'unknown mode {mode!r}')}$"):
+        corridor.best_offset(mode)
+
+
 def test_placement_never_worse_than_grid(corridor, configs):
     ((crest,),) = corridor.columns((corridor.best_offset(Mode.RIS),), (configs.ris,))[2]
     (caps,) = corridor.columns([float(x) for x in range(0, 60001, 500)], (configs.ris,))[2]

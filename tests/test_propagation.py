@@ -215,6 +215,12 @@ def test_noise_power_values():
     assert noise_power_dBm(2e7, 0) == pytest.approx(-100.98970004336019, rel=1e-12)
 
 
+@pytest.mark.parametrize("B", [0, 0.0, -1e6])
+def test_noise_power_refuses_a_bandwidth_that_is_not_positive(B):
+    with pytest.raises(ValueError, match="^bandwidth must be positive$"):
+        noise_power_dBm(B, 5)
+
+
 @given(
     bw=st.floats(min_value=1.0, max_value=1e9),
     nf=st.floats(min_value=0.0, max_value=20.0),

@@ -499,25 +499,40 @@ def test_decision_memo_stays_within_its_cap(monkeypatch):
         return build(tail, branch, ctx)
 
     monkeypatch.setattr(engine, "_build", counting_build)
-    # a tail is kept from its first sighting on; a full memo still holds
-    # it, and one more distinct tail clears the memo, so it is decided again
+    # in blocks of one line, a tail is kept from its first sighting on; a
+    # full memo still holds it, and one more distinct tail clears the
+    # memo, so it is decided again
     sizes = [0, 0] + list(range(1, limit)) + [0, limit, 0]
     lines = [f"{i},communication,,{size},," for i, size in enumerate(sizes)]
     out = io.StringIO()
-    summary = stream_replay(lines, CacheState(), _context(cfg), out.write)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BLOCK_LINES", 1)
+        summary = stream_replay(lines, CacheState(), _context(cfg), out.write)
     assert summary.requests == len(lines)
     assert built == [0] + list(range(1, limit)) + [limit, 0]
     requests = [parse_trace_line(line) for line in lines]
     reference = replay_trace(requests, CacheState(), _context(cfg))
     assert out.getvalue() == decisions_to_csv(requests, reference.decisions)
     assert summary == reference.summary
-    # a forked child's memo clears at the same line, so the fold builds
-    # the same decisions
+    # a forked child's blocks of one line give the fold the same decisions
     built.clear()
-    with reader(True) as forks:
+    with reader(True) as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BLOCK_LINES", 1)
         assert _replay_file(lines, CacheState(), _context(cfg)) == (summary, out.getvalue())
     assert len(forks) == 1
     assert built == [0] + list(range(1, limit)) + [limit, 0]
+    # in blocks of the default size the last three lines share a block,
+    # which keeps the entry of size 0 it looked up before the clear: the
+    # tail is not decided again, in one process or forked
+    block = engine._BLOCK_LINES
+    assert (len(lines) - 3) // block == (len(lines) - 1) // block
+    for forked in (False, True):
+        built.clear()
+        with reader(forked) as forks, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_BLOCK_LINES", block)
+            assert _replay_file(lines, CacheState(), _context(cfg)) == (summary, out.getvalue())
+        assert len(forks) == forked
+        assert built == [0] + list(range(1, limit)) + [limit]
 
 
 def test_memo_keys_each_tail_on_the_branch_it_takes():
@@ -649,6 +664,31 @@ def test_a_reader_that_fails_before_the_memo_clears_builds_what_one_process_buil
         assert _cli(["replay", str(trace)]) == one
     assert len(forks) == 1
     assert built == one_built
+
+
+@pytest.mark.parametrize("block_lines", [3, engine._BLOCK_LINES])
+def test_a_reader_whose_memo_outlasts_the_fold_s_gives_the_one_process_outcome(
+        tmp_path, monkeypatch, block_lines):
+    # each stage bounds its own memo: the fold keeps 8 tails and the
+    # forked reader more than the trace's 40, so the fold clears, within
+    # a block and between blocks, where the reader does not
+    trace = tmp_path / "t.trace"
+    trace.write_text("".join(f"{i},communication,,{1e6 + i % 40!r},,\n" for i in range(12000)))
+    assert trace.stat().st_size >= engine.SPLIT_MIN_BYTES
+    monkeypatch.setattr(engine, "_MEMO_LIMIT", 8)
+    with reader(False):
+        one = _cli(["replay", str(trace)])
+    assert one[0] == EXIT_OK and "# requests = 12000\n" in one[2]
+
+    def larger_memo(original, *args, **kwargs):
+        engine._MEMO_LIMIT = 1024  # in the child's own copy of the module
+        return original(*args, **kwargs)
+
+    _in_the_child(monkeypatch, engine, "_blocks", larger_memo)
+    with reader(True) as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BLOCK_LINES", block_lines)
+        assert _cli(["replay", str(trace)]) == one
+    assert len(forks) == 1 and engine._MEMO_LIMIT == 8
 
 
 def test_a_split_replay_folds_only_what_the_reader_sent(tmp_path, monkeypatch):
